@@ -192,6 +192,10 @@ class ExperimentEngine:
                          parent_before=(registry.snapshot()
                                         if registry.enabled else None))
         if self.manifest_dir is not None:
+            if self.store is not None:
+                # Give the store this run directory's empty baseline
+                # before the journal writes into it.
+                self.store.note_dir(self.manifest_dir / run_id)
             try:
                 ctx.journal = RunJournal(
                     self.manifest_dir / run_id,
@@ -421,6 +425,10 @@ class ExperimentEngine:
             self.last_run_telemetry = merge_snapshots(snapshots)
         else:
             self.last_run_telemetry = parent_delta
+        if self._used_workers and self.store is not None:
+            # Workers wrote through their own store objects, unseen by
+            # this store's usage counter: re-seed it at the next read.
+            self.store.drop_usage()
         if self.manifest_dir is None:
             return
         run_cache = CacheStats()
@@ -433,8 +441,12 @@ class ExperimentEngine:
                     {"where": (f"job {result.index} "
                                f"({result.job.app}/{result.job.policy})"),
                      "error": result.error or result.state})
+        run_dir = self.manifest_dir / ctx.run_id
         namespaces = None
         if self.store is not None:
+            # The journal (jobs.json, events.jsonl) was written beside
+            # the store; account it before the usage is summarized.
+            self.store.note_dir(run_dir)
             summaries = self.store.namespaces_summary()
             if summaries:
                 namespaces = list(summaries.values())
@@ -452,3 +464,5 @@ class ExperimentEngine:
         except OSError as exc:  # pragma: no cover - disk-full etc.
             log.warning("could not write run manifest under %s: %s",
                         self.manifest_dir, exc)
+        if self.store is not None:
+            self.store.note_dir(run_dir)

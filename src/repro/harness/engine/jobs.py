@@ -11,6 +11,7 @@ This layer knows how to describe and run *one* simulation; planning
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import random
@@ -24,7 +25,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.harness.engine.keys import effective_btb_config
-from repro.harness.engine.store import ArtifactStore, STORE_VERSION
+from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
+                                        artifact_key)
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.tracing import TraceContext, trace_span
@@ -183,6 +185,8 @@ class SimJob:
         if self.mode not in ("sim", "misses"):
             raise ValueError(f"mode must be 'sim' or 'misses', "
                              f"got {self.mode!r}")
+        # A tuple keeps every job hashable (the cache-key memo needs it).
+        object.__setattr__(self, "thresholds", tuple(self.thresholds))
 
     @property
     def needs_hints(self) -> bool:
@@ -192,7 +196,7 @@ class SimJob:
         return HarnessConfig(
             apps=(self.app,), length=self.length,
             btb_config=self.btb_config, params=self.params,
-            thresholds=tuple(self.thresholds),
+            thresholds=self.thresholds,
             default_category=self.default_category,
             warmup_fraction=self.warmup_fraction)
 
@@ -201,13 +205,19 @@ class SimJob:
         return dict(app=self.app, policy=self.policy,
                     input_id=self.input_id, length=self.length,
                     btb_config=self.btb_config, params=self.params,
-                    thresholds=tuple(self.thresholds),
+                    thresholds=self.thresholds,
                     default_category=self.default_category,
                     warmup_fraction=self.warmup_fraction)
 
     def cache_key(self, salt: str = STORE_VERSION) -> str:
-        from repro.harness.engine.store import artifact_key
-        return artifact_key(self.mode, salt=salt, **self.key_fields())
+        return _cache_key(self, salt)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cache_key(job: SimJob, salt: str) -> str:
+    """:meth:`SimJob.cache_key`, memoized: equal jobs (trace context
+    aside, which equality ignores) always key the same."""
+    return artifact_key(job.mode, salt=salt, **job.key_fields())
 
 
 @dataclass

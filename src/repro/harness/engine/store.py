@@ -17,6 +17,20 @@ Two namespaces never share artifact files, so one tenant can neither
 read nor evict another's cache; a namespace over its quota rejects new
 writes with :class:`QuotaExceededError` instead of growing unbounded.
 
+Usage accounting: every store keeps one on-disk usage counter, seeded
+lazily by a single full scan on first read (or on the first write
+under a quota) and updated by every in-process write under its root —
+artifact writes and replacements, quarantine moves, and, through
+:meth:`ArtifactStore.note_dir`, the run journals and manifests the
+engine and the service append next to the artifacts.  What counts is
+every file under the root: artifacts, quarantine, run journals and
+manifests.  Reading it (:meth:`ArtifactStore.usage_bytes`,
+:meth:`ArtifactStore.namespaces_summary`) is O(1).  Writes the counter
+cannot see — worker processes writing through their own store objects —
+are followed by :meth:`ArtifactStore.drop_usage`, which re-seeds it with
+one full scan at the next read.  Every full scan is counted as
+``store/usage_scans``.
+
 Concurrency: interleaved submitters (the asyncio service, threaded
 tests) share one store object, so every stats/usage update happens under
 an internal lock and :meth:`ArtifactStore.fetch` is **single-flight** —
@@ -37,6 +51,7 @@ import re
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -65,6 +80,9 @@ QUARANTINE_DIR = ".quarantine"
 #: Namespace (tenant) roots live here, under the parent store's root.
 TENANTS_DIR = "tenants"
 
+#: How many run directories :meth:`ArtifactStore.note_dir` remembers.
+_DIR_MEMO = 64
+
 #: Namespace names must be path-safe: no separators, no dot-dot.
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -89,6 +107,31 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro-thermometer"
+
+
+def _file_size(path: Union[str, Path]) -> int:
+    """``path``'s size in bytes, 0 when it does not exist."""
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
+def _files_size(directory: str) -> int:
+    """Bytes of the regular files directly inside ``directory`` (0 when
+    it does not exist)."""
+    total = 0
+    try:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                try:
+                    if entry.is_file(follow_symlinks=False):
+                        total += entry.stat().st_size
+                except OSError:
+                    continue
+    except OSError:
+        pass
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +221,20 @@ class ArtifactStore:
         #: (kind, key) → lock serializing in-flight fetch computes.
         self._flights: Dict[Tuple[str, str], threading.Lock] = {}
         self._namespaces: Dict[str, "ArtifactStore"] = {}
-        # Usage is tracked incrementally only when a quota needs it —
-        # scanning the tree at construction would tax every pool worker.
-        self._usage_bytes: Optional[int] = (
-            self._scan_usage() if self.quota_bytes is not None else None)
+        #: The store whose root contains this one (set for namespaces):
+        #: a write here changes the parent's footprint too.
+        self._parent: Optional["ArtifactStore"] = None
+        self._prefix = os.path.join(os.path.abspath(self.root), "")
+        #: On-disk bytes under the root; None until the seeding scan.
+        self._usage_bytes: Optional[int] = None
+        #: Directory → bytes of its files as last accounted (bounded,
+        #: most recent last) — the baseline :meth:`note_dir` diffs to.
+        self._dir_sizes: "OrderedDict[str, int]" = OrderedDict()
+        #: Artifact writes between reservation and rename; a seeding
+        #: scan waits for none to be in flight, so it never counts a
+        #: temp file that is about to become an accounted artifact.
+        self._writes_in_flight = 0
+        self._writes_idle = threading.Condition(self._lock)
 
     # -- namespaces ------------------------------------------------------
     def namespace(self, name: str,
@@ -198,6 +251,7 @@ class ArtifactStore:
                 child = ArtifactStore(self.root / TENANTS_DIR / name,
                                       salt=self.salt, namespace=name,
                                       quota_bytes=quota_bytes)
+                child._parent = self
                 self._namespaces[name] = child
             elif quota_bytes is not None:
                 child.set_quota(quota_bytes)
@@ -213,29 +267,91 @@ class ArtifactStore:
         with self._lock:
             self.quota_bytes = (int(quota_bytes)
                                 if quota_bytes is not None else None)
-            if self.quota_bytes is not None and self._usage_bytes is None:
-                self._usage_bytes = self._scan_usage()
+
+    # -- usage accounting ------------------------------------------------
+    def _walk_sizes(self) -> Dict[str, int]:
+        """One full scan: directory → bytes of the files directly in it,
+        for every directory under the root."""
+        get_registry().count("store/usage_scans")
+        sizes: Dict[str, int] = {}
+        for dirpath, _dirnames, _filenames in os.walk(self.root):
+            directory = os.path.abspath(dirpath)
+            sizes[directory] = _files_size(directory)
+        return sizes
 
     def _scan_usage(self) -> int:
         """On-disk footprint of this store's root (artifacts, manifests,
-        quarantine — everything a tenant occupies)."""
-        total = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for filename in filenames:
-                try:
-                    total += os.path.getsize(os.path.join(dirpath,
-                                                          filename))
-                except OSError:
-                    continue
-        return total
+        quarantine — everything a tenant occupies), by a full scan."""
+        return sum(self._walk_sizes().values())
+
+    def _seed_usage(self) -> None:
+        """Seed the counter by one full scan if it is not seeded (the
+        caller holds ``self._lock``).  Remembered directories take their
+        baselines from the same scan."""
+        while self._writes_in_flight:
+            self._writes_idle.wait()
+        if self._usage_bytes is not None:
+            return
+        sizes = self._walk_sizes()
+        for directory in self._dir_sizes:
+            self._dir_sizes[directory] = sizes.get(directory, 0)
+        self._usage_bytes = sum(sizes.values())
+
+    def _add_usage(self, delta: int) -> None:
+        """Apply a footprint change (caller holds ``self._lock``); a
+        no-op while the counter is unseeded — the seeding scan will
+        see the bytes on disk."""
+        if self._usage_bytes is not None:
+            self._usage_bytes += delta
+
+    def _changed(self) -> None:
+        """Something under this root changed, and so under every
+        ancestor store's root: their counters re-seed at next read."""
+        if self._parent is not None:
+            self._parent.drop_usage()
+
+    def drop_usage(self) -> None:
+        """Forget the counter (here and in every ancestor store) so the
+        next read re-seeds it with one full scan — for after writes this
+        process did not make, e.g. a run whose pool workers or fabric
+        hosts wrote through their own store objects."""
+        with self._lock:
+            self._usage_bytes = None
+        self._changed()
+
+    def note_dir(self, directory: Union[str, Path]) -> None:
+        """Account the files directly inside ``directory`` — a run
+        directory whose journal and manifest files are written without
+        the store.  Re-sums only that directory and applies the change
+        since the last note (or since the seeding scan); a directory
+        outside this store's root is ignored.  The baselines are a
+        bounded memo of the most recent directories, so note a directory
+        once before writing into it and again after."""
+        key = os.path.abspath(directory)
+        if not key.startswith(self._prefix):
+            return
+        size = (_files_size(key) if self._usage_bytes is not None
+                else None)
+        with self._lock:
+            baseline = self._dir_sizes.pop(key, 0)
+            if self._usage_bytes is None:
+                # Just remember it: the seeding scan sets its baseline.
+                size = baseline
+            elif size is None:  # seeded since the unlocked check
+                size = _files_size(key)
+            self._add_usage(size - baseline)
+            self._dir_sizes[key] = size
+            while len(self._dir_sizes) > _DIR_MEMO:
+                self._dir_sizes.popitem(last=False)
+        self._changed()
 
     def usage_bytes(self) -> int:
-        """Current on-disk footprint (tracked incrementally under a
-        quota, scanned on demand otherwise)."""
+        """Current on-disk footprint of this store's root: artifacts,
+        quarantine, and run journals/manifests.  An O(1) read of the
+        usage counter, seeded by one full scan on first use."""
         with self._lock:
-            if self._usage_bytes is not None:
-                return self._usage_bytes
-        return self._scan_usage()
+            self._seed_usage()
+            return self._usage_bytes
 
     def namespace_summary(self) -> Dict[str, Any]:
         """This store's own tenancy summary (stats + quota + usage) as
@@ -297,24 +413,24 @@ class ArtifactStore:
         target = self.quarantine_path(kind, key)
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
-            # Quarantine lives under the store root, so the move keeps
-            # the tracked on-disk footprint unchanged.
-            os.replace(path, target)
             with self._lock:
+                # The move stays under the root, so only an earlier
+                # quarantined copy it replaces leaves the footprint.
+                replaced = _file_size(target)
+                os.replace(path, target)
+                self._add_usage(-replaced)
                 self.stats.quarantined += 1
             get_registry().count("store/quarantined")
         except OSError:
-            try:
-                size = path.stat().st_size
-            except OSError:
-                size = 0
-            try:
-                path.unlink()
-            except OSError:
-                return
             with self._lock:
-                if self._usage_bytes is not None:
-                    self._usage_bytes -= size
+                size = _file_size(path)
+                try:
+                    path.unlink()
+                except OSError:
+                    return
+                self._add_usage(-size)
+        finally:
+            self._changed()
 
     # -- store protocol --------------------------------------------------
     def get(self, kind: str, key: str) -> Optional[Any]:
@@ -402,46 +518,62 @@ class ArtifactStore:
         """Shared atomic-write path of :meth:`put` / :meth:`adopt_blob`
         (quota reservation, temp-file rename, usage/stats updates)."""
         path = self.path(kind, key)
-        delta: Optional[int] = None
+        size = len(blob)
+        reserved: Optional[int] = None
         with self._lock:
+            if self.quota_bytes is not None:
+                self._seed_usage()
             if self._usage_bytes is not None:
-                try:
-                    prior = path.stat().st_size
-                except OSError:
-                    prior = 0
-                delta = len(blob) - prior
+                prior = _file_size(path)
                 if (self.quota_bytes is not None and prior == 0
-                        and self._usage_bytes + delta
-                        > self.quota_bytes):
+                        and self._usage_bytes + size > self.quota_bytes):
                     self.stats.quota_rejected += 1
                     get_registry().count("store/quota_rejected")
                     raise QuotaExceededError(
                         f"namespace {self.tenant or self.root.name!r} "
-                        f"over quota: {self._usage_bytes} + {len(blob)} "
+                        f"over quota: {self._usage_bytes} + {size} "
                         f"bytes exceeds {self.quota_bytes}",
                         namespace=self.tenant,
                         quota_bytes=self.quota_bytes,
                         usage_bytes=self._usage_bytes)
-                self._usage_bytes += delta
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f".{key[:8]}.", suffix=".tmp")
+                reserved = size - prior
+                self._usage_bytes += reserved
+            self._writes_in_flight += 1
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                       prefix=f".{key[:8]}.",
+                                       suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
-            os.replace(tmp, path)
+            with self._lock:
+                # Settle the reservation against the file actually
+                # replaced (a racing write of the same key may have
+                # landed since).
+                replaced = (_file_size(path) if reserved is not None
+                            else 0)
+                os.replace(tmp, path)
+                tmp = None
+                if reserved is not None:
+                    self._add_usage(size - replaced - reserved)
+                self.stats.bytes_written += size
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            if delta is not None:
-                with self._lock:
-                    self._usage_bytes -= delta
+            with self._lock:
+                if reserved is not None:
+                    self._add_usage(-reserved)
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             raise
-        with self._lock:
-            self.stats.bytes_written += len(blob)
-        get_registry().count("store/bytes_written", len(blob))
+        finally:
+            with self._lock:
+                self._writes_in_flight -= 1
+                self._writes_idle.notify_all()
+            self._changed()
+        get_registry().count("store/bytes_written", size)
 
     def _flight_lock(self, kind: str, key: str) -> threading.Lock:
         with self._lock:

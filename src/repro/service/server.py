@@ -317,9 +317,16 @@ class SimulationService:
                   "run_id": run_meta.get("run_id")},
             error=error is not None)
         try:
-            append_spans(Path(run_meta["manifest"]), [record])
+            self._append_spans(tenant, run_meta["manifest"], [record])
         except OSError:  # pragma: no cover - disk-full etc.
             log.debug("could not journal batch span", exc_info=True)
+
+    def _append_spans(self, tenant: str, run_dir: str,
+                      records: List[Dict[str, Any]]) -> None:
+        """Journal spans that finish after a run into its directory and
+        account the appended bytes in the tenant's store usage."""
+        append_spans(Path(run_dir), records)
+        self.store.namespace(tenant).note_dir(run_dir)
 
     # ------------------------------------------------------------------
     # Status
@@ -505,13 +512,14 @@ class SimulationService:
                 # run it landed in, it is the parent every batch / run /
                 # job span of this request links up to.
                 try:
-                    append_spans(Path(done["manifest"]), [span_record(
-                        "service/request", req_ctx, arrival_epoch,
-                        elapsed,
-                        args={"tenant": tenant, "op": op,
-                              "jobs": len(jobs),
-                              "ok": bool(done.get("ok"))},
-                        error=not done.get("ok"))])
+                    self._append_spans(tenant, done["manifest"], [
+                        span_record(
+                            "service/request", req_ctx, arrival_epoch,
+                            elapsed,
+                            args={"tenant": tenant, "op": op,
+                                  "jobs": len(jobs),
+                                  "ok": bool(done.get("ok"))},
+                            error=not done.get("ok"))])
                 except OSError:  # pragma: no cover - disk-full etc.
                     log.debug("could not journal request span",
                               exc_info=True)

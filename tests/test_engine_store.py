@@ -92,6 +92,32 @@ class TestKeyStability:
         b = artifact_key("x", config=LookalikeConfig())
         assert a != b
 
+    def test_memoized_key_equals_the_recipe_hash(self):
+        jobs = [JOB, SimJob(app="kafka", policy="thermometer",
+                            length=4000, mode="sim",
+                            thresholds=(40.0, 90.0))]
+        for job in jobs:
+            for salt in ("1", "2"):
+                for _ in range(2):  # computed, then memoized
+                    assert job.cache_key(salt) == artifact_key(
+                        job.mode, salt=salt, **job.key_fields())
+
+    def test_list_thresholds_hash_and_key_like_the_tuple(self):
+        as_list = SimJob(app="tomcat", policy="srrip", length=4000,
+                         mode="misses", thresholds=[50.0, 80.0])
+        as_tuple = SimJob(app="tomcat", policy="srrip", length=4000,
+                          mode="misses", thresholds=(50.0, 80.0))
+        assert as_list.thresholds == (50.0, 80.0)
+        assert hash(as_list) == hash(as_tuple) and as_list == as_tuple
+        assert as_list.cache_key() == as_tuple.cache_key() \
+            == JOB.cache_key()
+
+    def test_trace_context_does_not_change_the_key(self):
+        from dataclasses import replace
+        from repro.telemetry.tracing import new_root_context
+        traced = replace(JOB, trace_context=new_root_context())
+        assert traced.cache_key() == JOB.cache_key()
+
 
 class TestRoundTrip:
     def test_put_get_roundtrip(self, tmp_path):

@@ -15,13 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.engine import ExperimentEngine, SimJob
+from repro.harness.engine import ArtifactStore, ExperimentEngine, SimJob
 from repro.service.client import ServiceClient, request_once
 from repro.service.protocol import (ProtocolError, job_from_dict,
                                     job_to_dict, jobs_from_request)
 from repro.service.server import ServiceRunError, SimulationService
-from repro.telemetry.manifest import canonical_rows, read_run_manifest
-from repro.telemetry.metrics import MetricsRegistry, set_registry
+from repro.telemetry.manifest import (canonical_rows, read_run_manifest,
+                                      read_spans)
+from repro.telemetry.metrics import (MetricsRegistry, get_registry,
+                                     set_registry)
 
 LENGTH = 4000
 
@@ -387,3 +389,75 @@ class TestProtocol:
         assert all(event.get("id") is not None for event in events)
         assert any(event.get("id") is None
                    and event["event"] == "error" for event in seen)
+
+
+class TestUsageAccounting:
+    """Tenant usage is one counter per store: it must equal a full scan
+    after every request, and warm requests must not rescan."""
+
+    @pytest.fixture(autouse=True)
+    def tracing_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TRACING", "1")
+
+    @staticmethod
+    async def _requests(service, *requests):
+        """Serve ``requests`` one after another; each request's events,
+        then the metrics op's payload."""
+        server = await service.start("127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            client = await ServiceClient.connect(host, port)
+            try:
+                events = [await client.request(request)
+                          for request in requests]
+                metrics = await client.request({"op": "metrics"})
+            finally:
+                await client.close()
+            return events, metrics[-1]
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    def test_traced_requests_keep_usage_exact(self, tmp_path):
+        service = SimulationService(tmp_path / "svc", jobs=1,
+                                    coalesce_window=0.0,
+                                    quotas={"alice": 50_000_000})
+        events, metrics = asyncio.run(self._requests(
+            service, sweep_request(["lru", "srrip"]),
+            sweep_request(["lru"])))
+        ns = service.store.namespace("alice")
+        for request_events in events:
+            done = request_events[-1]
+            assert done["ok"], done
+            names = {span["name"] for span in
+                     read_spans(Path(done["manifest"]))}
+            # Both post-run span sites appended to the run's journal.
+            assert {"service/batch", "service/request"} <= names
+        assert ns.usage_bytes() == ns._scan_usage()
+        gauge = [line for line in metrics["text"].splitlines()
+                 if line.startswith('repro_store_usage_bytes'
+                                    '{tenant="alice"}')]
+        assert len(gauge) == 1
+        assert float(gauge[0].split()[-1]) == ns._scan_usage()
+
+    def test_warm_requests_cost_one_scan(self, tmp_path):
+        root = tmp_path / "svc"
+        ExperimentEngine(store=ArtifactStore(root).namespace("alice"),
+                         jobs=1).run([
+                             SimJob(app="tomcat", policy=policy,
+                                    length=LENGTH, mode="misses")
+                             for policy in ("lru", "srrip")])
+        set_registry(MetricsRegistry(enabled=True))
+        service = SimulationService(root, jobs=1, coalesce_window=0.0)
+        events, _metrics = asyncio.run(self._requests(
+            service, *[sweep_request(["lru", "srrip"])] * 5))
+        for request_events in events:
+            assert request_events[-1]["ok"]
+            rows = [e["row"] for e in request_events
+                    if e["event"] == "result"]
+            assert len(rows) == 2 and all(row["cached"] for row in rows)
+        # The seed, taken by the first run's summary; never again.
+        assert get_registry().counters["store/usage_scans"] == 1
+        ns = service.store.namespace("alice")
+        assert ns.usage_bytes() == ns._scan_usage()

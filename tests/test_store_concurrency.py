@@ -9,13 +9,17 @@ or cross-namespace leaks.
 from __future__ import annotations
 
 import asyncio
+import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.harness.engine import (ArtifactStore, QuotaExceededError,
-                                  TENANTS_DIR)
+import repro.telemetry.manifest as manifest
+from repro.harness.engine import (ArtifactStore, ExperimentEngine,
+                                  QuotaExceededError, SimJob, TENANTS_DIR)
+from repro.testing.faults import corrupt_file
 
 
 @pytest.fixture()
@@ -253,3 +257,134 @@ class TestAsyncInterleaving:
         # plus store hits absorb the other 18 calls.
         assert sorted(set(computes)) == sorted(computes)
         assert len(computes) == 6
+
+
+# ----------------------------------------------------------------------
+# The usage counter must match the disk exactly
+# ----------------------------------------------------------------------
+
+def _jobs(*policies):
+    return [SimJob(app="tomcat", policy=policy, length=4000, mode="misses")
+            for policy in policies]
+
+
+@pytest.fixture()
+def scan_before_summary(monkeypatch):
+    """``watch(ns)`` records a full scan of ``ns`` just before each run
+    manifest is written, paired with the usage that run's
+    ``summary.json`` records for ``ns``."""
+    pairs = []
+    real = manifest.write_run_manifest
+
+    def watch(ns):
+        def spy(*args, **kwargs):
+            scanned = ns._scan_usage()
+            run_dir = real(*args, **kwargs)
+            summary = json.loads((run_dir / "summary.json").read_text())
+            recorded = {row["namespace"]: row["usage_bytes"]
+                        for row in summary["namespaces"]}
+            pairs.append((recorded[ns.tenant], scanned))
+            return run_dir
+
+        monkeypatch.setattr(manifest, "write_run_manifest", spy)
+        return pairs
+
+    return watch
+
+
+class TestUsageCounterExactness:
+    def test_serial_run_on_a_quota_namespace(self, store,
+                                             scan_before_summary):
+        ns = store.namespace("metered", quota_bytes=50_000_000)
+        pairs = scan_before_summary(ns)
+        engine = ExperimentEngine(store=ns, jobs=1)
+        engine.run(_jobs("lru", "srrip"))
+        assert ns.usage_bytes() == ns._scan_usage()
+        engine.run(_jobs("lru", "srrip"))  # warm: journals only
+        assert ns.usage_bytes() == ns._scan_usage()
+        assert len(pairs) == 2
+        for recorded, scanned in pairs:
+            assert recorded == scanned
+
+    def test_pool_run_reseeds_the_counter(self, store,
+                                          scan_before_summary):
+        """Pool workers write through their own store objects; the
+        counter, seeded before the run, must not miss their bytes."""
+        ns = store.namespace("pooled", quota_bytes=50_000_000)
+        pairs = scan_before_summary(ns)
+        ExperimentEngine(store=ns, jobs=1).run(_jobs("lru"))
+        assert ns.usage_bytes() == ns._scan_usage()
+        ExperimentEngine(store=ns, jobs=2).run(_jobs("srrip", "fifo",
+                                                     "mru"))
+        assert ns.usage_bytes() == ns._scan_usage()
+        assert [recorded for recorded, _ in pairs] \
+            == [scanned for _, scanned in pairs]
+
+    def test_quarantine_keeps_the_count(self, store):
+        ns = store.namespace("rotting")
+        assert ns.usage_bytes() == 0  # seeds the counter
+        key = ns.key("misses", n=0)
+        for _round in range(2):  # the second move replaces the first
+            ns.put("misses", key, list(range(300)))
+            assert corrupt_file(ns.path("misses", key))
+            assert ns.get("misses", key) is None
+            assert ns.usage_bytes() == ns._scan_usage()
+        assert ns.stats.quarantined == 2
+
+    def test_namespace_writes_reach_the_parent_count(self, store):
+        assert store.usage_bytes() == 0
+        ns = store.namespace("child")
+        ns.put("misses", ns.key("misses", n=0), list(range(300)))
+        ns.note_dir(ns.root / "runs" / "r1")
+        (ns.root / "runs" / "r1").mkdir(parents=True)
+        (ns.root / "runs" / "r1" / "events.jsonl").write_text("{}\n")
+        ns.note_dir(ns.root / "runs" / "r1")
+        assert store.usage_bytes() == store._scan_usage()
+        assert ns.usage_bytes() == ns._scan_usage()
+
+    def test_note_dir_ignores_directories_outside_the_root(self, store,
+                                                          tmp_path):
+        before = store.usage_bytes()
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        (outside / "summary.json").write_text("{}\n")
+        store.note_dir(outside)
+        assert store.usage_bytes() == before == store._scan_usage()
+
+    def test_seeding_while_writers_race_stays_exact(self, store):
+        """A seeding scan never counts a write twice or not at all,
+        however it interleaves with in-flight puts."""
+        ns = store.namespace("racing")
+        errors = []
+
+        def writer(w):
+            try:
+                for i in range(20):
+                    ns.put("misses", ns.key("misses", w=w, i=i),
+                           list(range(50 * (i + 1))))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def reseeder():
+            try:
+                for _ in range(20):
+                    ns.drop_usage()
+                    ns.usage_bytes()
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = ([threading.Thread(target=writer, args=(w,))
+                    for w in range(4)]
+                   + [threading.Thread(target=reseeder)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert ns.usage_bytes() == ns._scan_usage()
