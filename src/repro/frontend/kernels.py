@@ -32,11 +32,19 @@ prefetcher (it runs inside the BTB access loop), an observer-carrying or
 subclassed BTB, a subclassed simulator or component, an unknown
 predictor type — returns ``None`` from :func:`try_fast_simulate` and the
 caller falls back to the reference loop.
+
+The direction and I-cache passes never see the BTB, so every simulation
+of one trace on identically-started components computes the same
+outcome column and end state.  A per-trace memo (:func:`clear_pass_memo`)
+keeps those results, so a multi-policy figure runs each pass once per
+trace.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import re
 from typing import List, Optional
 
 import numpy as np
@@ -54,10 +62,10 @@ from repro.frontend.icache import CacheModel, InstructionHierarchy
 from repro.frontend.ras import ReturnAddressStack
 from repro.telemetry.metrics import get_registry
 from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
-from repro.trace.stream import AccessStream, access_stream_for
+from repro.trace.stream import AccessStream, TraceMemo, access_stream_for
 
-__all__ = ["fast_sim_enabled", "set_fast_sim_enabled", "fast_sim_supported",
-           "try_fast_simulate"]
+__all__ = ["clear_pass_memo", "fast_sim_enabled", "set_fast_sim_enabled",
+           "fast_sim_supported", "try_fast_simulate"]
 
 _RETURN = int(BranchKind.RETURN)
 _COND = int(BranchKind.COND_DIRECT)
@@ -200,6 +208,12 @@ def fast_sim_supported(sim) -> Optional[str]:
         if hasattr(btb, "last_hit_was_false"):
             return "instance-level false-hit attribute"
     return None
+
+
+def _slug(reason: str) -> str:
+    """A fallback reason as a metric-name segment: its words before any
+    parenthetical, lowercased and joined by hyphens."""
+    return "-".join(re.findall(r"[a-z0-9]+", reason.split("(")[0].lower()))
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +572,97 @@ def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
 
 
 # ----------------------------------------------------------------------
+# Shared passes
+# ----------------------------------------------------------------------
+# The direction and I-cache passes are pure functions of (trace,
+# component start state[, warmup_end]) -> (output column, component end
+# state).  A memo hit replays both: the output into the caller's column
+# and the end state into the live components in place, so every object a
+# caller holds keeps its identity.  The key carries the component's type
+# and its pickled start state, so a warmed or foreign component is simply
+# a miss.  A Harness keeps every trace alive, hence the small LRU bound.
+
+_pass_memo = TraceMemo(capacity=8)
+
+
+def clear_pass_memo() -> None:
+    """Drop every memoized pass result (``clear_stream_cache`` does too)."""
+    _pass_memo.clear()
+
+
+def _state_bytes(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _restored(live, saved):
+    """``saved``'s state written into ``live`` in place when both are the
+    same type of list or plain object, else ``saved`` itself; nested lists
+    and objects keep their identity all the way down."""
+    if type(live) is not type(saved):
+        return saved
+    if type(saved) is list:
+        if saved and len(live) == len(saved) \
+                and (type(saved[0]) is list or hasattr(saved[0], "__dict__")):
+            saved = [_restored(a, b) for a, b in zip(live, saved)]
+        live[:] = saved
+        return live
+    if hasattr(saved, "__dict__"):
+        state = live.__dict__
+        for name, value in vars(saved).items():
+            state[name] = _restored(state.get(name), value)
+        return live
+    return saved
+
+
+def _memo_get(trace: BranchTrace, key):
+    value = _pass_memo.get(trace, key)
+    get_registry().count("sim/pass_memo_hits" if value is not None
+                         else "sim/pass_memo_misses")
+    return value
+
+
+def _shared_direction_pass(trace: BranchTrace, predictor,
+                           dir_wrong: np.ndarray) -> None:
+    """:func:`_direction_pass` over ``trace``, memoized."""
+    key = ("direction", type(predictor), _state_bytes(predictor.__dict__))
+    hit = _memo_get(trace, key)
+    if hit is not None:
+        wrong, end_state = hit
+        dir_wrong[wrong] = True
+        _restored(predictor, pickle.loads(end_state))
+        return
+    _direction_pass(predictor, trace.pcs, trace.kinds, trace.taken,
+                    dir_wrong)
+    _pass_memo.put(trace, key,
+                   (np.flatnonzero(dir_wrong), _state_bytes(predictor)))
+
+
+def _shared_icache_pass(trace: BranchTrace, sim, next_fetch: np.ndarray,
+                        warmup_end: int) -> List[float]:
+    """:func:`_icache_pass` over ``trace``, memoized."""
+    icache = sim.icache
+    levels = (icache.l1i, icache.l2, icache.llc)
+    key = ("icache", warmup_end, type(icache),
+           _state_bytes(icache.__dict__))
+    hit = _memo_get(trace, key)
+    if hit is not None:
+        filled, fill_values, l2_misses_at_warmup, end_state = hit
+        fills = [0.0] * len(trace.ilens)
+        for i, value in zip(filled, fill_values):
+            fills[i] = value
+        for live, saved in zip(levels, pickle.loads(end_state)):
+            _restored(live, saved)
+        sim._l2_misses_at_warmup = l2_misses_at_warmup
+        return fills
+    fills = _icache_pass(sim, next_fetch, trace.ilens, warmup_end)
+    filled = np.flatnonzero(np.asarray(fills)).tolist()
+    _pass_memo.put(trace, key,
+                   (filled, [fills[i] for i in filled],
+                    sim._l2_misses_at_warmup, _state_bytes(levels)))
+    return fills
+
+
+# ----------------------------------------------------------------------
 # The fast simulate
 # ----------------------------------------------------------------------
 
@@ -571,10 +676,13 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
     return leaves the machine exactly as constructed.
     """
     from repro.frontend.simulator import SimResult
-    if fast_sim_supported(sim) is not None:
-        return None
+    registry = get_registry()
+    reason = fast_sim_supported(sim)
     n = len(trace.pcs)
-    if n == 0:
+    if reason is None and n == 0:
+        reason = "empty trace"
+    if reason is not None:
+        registry.count("sim/fallback/" + _slug(reason))
         return None
     params = sim.params
     btb = sim.btb
@@ -585,7 +693,6 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
         # stream for the right geometry reproduces that exactly.
         stream = access_stream_for(trace, btb.config)
 
-    registry = get_registry()
     with registry.span("simulate"):
         with registry.span("warmup"):
             pcs = trace.pcs
@@ -610,7 +717,7 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
 
             # -- independent outcome passes ----------------------------
             dir_wrong = np.zeros(n, dtype=bool)
-            _direction_pass(sim.predictor, pcs, kinds, taken, dir_wrong)
+            _shared_direction_pass(trace, sim.predictor, dir_wrong)
 
             ras_wrong = np.zeros(n, dtype=bool)
             _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
@@ -628,7 +735,7 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
                        np.flatnonzero(is_indirect & taken & hit_rec),
                        ibtb_wrong)
 
-            fills = _icache_pass(sim, next_fetch, ilens, warmup_end)
+            fills = _shared_icache_pass(trace, sim, next_fetch, warmup_end)
 
             redirects = (dir_wrong.astype(np.int8) + ras_wrong
                          + btb_miss + ibtb_wrong)

@@ -412,7 +412,8 @@ def run_sim_benchmark(apps, length: int = 60000, repeats: int = 3) -> dict:
     Traces and the shared access streams (set partitions included) are
     precomputed, so the timed region is ``simulate`` itself — dispatch,
     the columnar passes, and the ordered reduction against the
-    per-record interpreter loop.  Each pass runs on a fresh simulator
+    per-record interpreter loop.  The shared-pass memo is emptied before
+    every pass, so the direction and I-cache passes always run.  Each pass runs on a fresh simulator
     and pristine default-geometry BTB; fast and reference passes are
     interleaved per app so clock drift hits both equally, and the
     best-of-``repeats`` seconds are reported per app together with the
@@ -429,6 +430,9 @@ def run_sim_benchmark(apps, length: int = 60000, repeats: int = 3) -> dict:
 
         def timed_pass(trace, fast_enabled: bool) -> float:
             sim = FrontendSimulator(btb=BTB(DEFAULT_BTB_CONFIG))
+            # Every pass repeats the same trace; timing the shared-pass
+            # memo's hits instead of the kernel would inflate the speedup.
+            sim_kernels.clear_pass_memo()
             prev = sim_kernels.set_fast_sim_enabled(fast_enabled)
             try:
                 start = time.perf_counter()

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import threading
 import weakref
 
 import numpy as np
@@ -38,8 +39,8 @@ from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
 
-__all__ = ["AccessStream", "NEVER", "SetPartition", "access_stream_for",
-           "adopt_stream", "clear_stream_cache",
+__all__ = ["AccessStream", "NEVER", "SetPartition", "TraceMemo",
+           "access_stream_for", "adopt_stream", "clear_stream_cache",
            "compute_next_use_indices", "compute_set_indices"]
 
 #: Sentinel next-use index meaning "never accessed again" (shared with
@@ -240,36 +241,78 @@ class AccessStream:
 
 
 # ----------------------------------------------------------------------
-# Shared-stream memo
+# Per-trace memos
 # ----------------------------------------------------------------------
 
+#: Every live :class:`TraceMemo`, so :func:`clear_stream_cache` can empty
+#: memos owned by layers this module must not import.
+_trace_memos: "weakref.WeakSet[TraceMemo]" = weakref.WeakSet()
+
+
+class TraceMemo:
+    """A small LRU of values derived from one in-memory trace.
+
+    Keyed on trace *identity* plus a caller key, with a liveness weakref
+    so a recycled ``id()`` can never alias a dead trace.  Safe to share
+    between threads.  :func:`clear_stream_cache` empties every instance.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[tuple, Tuple[object, object]]" \
+            = OrderedDict()
+        self._lock = threading.Lock()
+        _trace_memos.add(self)
+
+    def get(self, trace: BranchTrace, key) -> Optional[object]:
+        """The value stored for ``(trace, key)``, or None."""
+        full_key = (id(trace), len(trace), key)
+        with self._lock:
+            entry = self._entries.get(full_key)
+            if entry is None:
+                return None
+            ref, value = entry
+            if ref() is not trace:
+                del self._entries[full_key]
+                return None
+            self._entries.move_to_end(full_key)
+            return value
+
+    def put(self, trace: BranchTrace, key, value) -> None:
+        """Store ``value`` for ``(trace, key)``, evicting the least
+        recently used entries beyond capacity."""
+        full_key = (id(trace), len(trace), key)
+        with self._lock:
+            self._entries[full_key] = (weakref.ref(trace), value)
+            self._entries.move_to_end(full_key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 #: Streams kept alive by the memo; a multi-policy sweep touches one or two
-#: (trace, config) pairs at a time, so a small FIFO suffices.
-_MEMO_CAPACITY = 16
-_memo: "OrderedDict[Tuple[int, int, object], Tuple[object, AccessStream]]" \
-    = OrderedDict()
+#: (trace, config) pairs at a time, so a small LRU suffices.
+_streams = TraceMemo(capacity=16)
 
 
 def access_stream_for(trace: BranchTrace,
                       config: "BTBConfig") -> AccessStream:
     """The shared :class:`AccessStream` for ``(trace, config)``.
 
-    Keyed on trace *identity* (plus a liveness weakref so a recycled
-    ``id()`` can never alias a dead trace), so every policy replayed over
-    the same in-memory trace reuses one set of columns.
+    Memoized per trace identity, so every policy replayed over the same
+    in-memory trace reuses one set of columns.
     """
-    key = (id(trace), len(trace), config)
-    entry = _memo.get(key)
-    if entry is not None:
-        ref, stream = entry
-        if ref() is trace:
-            _memo.move_to_end(key)
-            return stream
-        del _memo[key]
-    stream = AccessStream(trace, config)
-    _memo[key] = (weakref.ref(trace), stream)
-    while len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
+    stream = _streams.get(trace, config)
+    if stream is None:
+        stream = AccessStream(trace, config)
+        _streams.put(trace, config, stream)
     return stream
 
 
@@ -283,14 +326,12 @@ def adopt_stream(stream: AccessStream) -> AccessStream:
     exported columns zero-copy and adopts the resulting stream, and
     every replay in the worker then reuses them.
     """
-    key = (id(stream.trace), len(stream.trace), stream.config)
-    _memo[key] = (weakref.ref(stream.trace), stream)
-    _memo.move_to_end(key)
-    while len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
+    _streams.put(stream.trace, stream.config, stream)
     return stream
 
 
 def clear_stream_cache() -> None:
-    """Drop every memoized stream (tests and benchmarks)."""
-    _memo.clear()
+    """Drop every memoized stream, and every other :class:`TraceMemo`
+    entry (tests and benchmarks)."""
+    for memo in list(_trace_memos):
+        memo.clear()

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.btb.btb import BTB
 from repro.btb.compressed import PartialTagBTB
-from repro.btb.config import BTBConfig
+from repro.btb.config import BTBConfig, THERMOMETER_7979_CONFIG
 from repro.btb.observer import EventRecorder
 from repro.frontend import kernels as simk
 from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
@@ -28,8 +28,11 @@ from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
                                              PerceptronPredictor,
                                              PerfectPredictor,
                                              TageLitePredictor)
+from repro.frontend.params import DEFAULT_FRONTEND_PARAMS
 from repro.frontend.simulator import FrontendSimulator
+from repro.harness.runner import Harness, HarnessConfig
 from repro.prefetch import NullPrefetcher
+from repro.telemetry.metrics import MetricsRegistry, set_registry
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.trace.stream import clear_stream_cache
 from repro.workloads import make_app_trace
@@ -45,6 +48,14 @@ def _fresh_memo():
     clear_stream_cache()
     yield
     clear_stream_cache()
+
+
+@pytest.fixture
+def registry():
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +112,7 @@ def _component_state(sim: FrontendSimulator) -> dict:
 
 def _predictor_state(predictor) -> dict:
     """Structural snapshot of a predictor (nested objects flattened so
-    equality is by value, with TAGE's provider mapped to a table index)."""
+    equality is by value; TAGE's ``_provider`` is a plain level index)."""
 
     def norm(value):
         if isinstance(value, list):
@@ -110,11 +121,7 @@ def _predictor_state(predictor) -> dict:
             return {k: norm(v) for k, v in vars(value).items()}
         return value
 
-    state = {k: norm(v) for k, v in vars(predictor).items()}
-    provider = getattr(predictor, "_provider", None)
-    if provider is not None:
-        state["_provider"] = predictor._tables.index(provider)
-    return state
+    return {k: norm(v) for k, v in vars(predictor).items()}
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -151,9 +158,27 @@ def test_fast_simulate_matches_per_predictor(predictor_cls):
     assert results[True] == results[False]
 
 
-def test_fast_simulate_repeated_runs_match():
+def test_fast_simulate_tage_end_state_with_provider():
+    """kafka above ends with no TAGE provider; python ends with one set,
+    so the provider level and slot are compared too."""
+    trace = make_app_trace("python", length=LENGTH)
+    states = {}
+    for fast in (True, False):
+        sim = FrontendSimulator(btb=BTB(CONFIG))
+        prev = simk.set_fast_sim_enabled(fast)
+        try:
+            sim.simulate(trace)
+        finally:
+            simk.set_fast_sim_enabled(prev)
+        states[fast] = _predictor_state(sim.predictor)
+    assert states[False]["_provider"] is not None
+    assert states[True] == states[False]
+
+
+def test_fast_simulate_repeated_runs_match(registry):
     """A second simulate() on the same simulator sees a warmed BTB, which
-    routes the BTB pass through the scalar loop — still bit-identical."""
+    routes the BTB pass through the scalar loop — still bit-identical.
+    Its warmed predictor and caches must miss the shared-pass memo."""
     trace = make_app_trace("tomcat", length=LENGTH)
     results = {}
     for fast in (True, False):
@@ -167,6 +192,8 @@ def test_fast_simulate_repeated_runs_match():
         finally:
             simk.set_fast_sim_enabled(prev)
     assert results[True] == results[False]
+    assert "sim/pass_memo_hits" not in registry.counters
+    assert registry.counters["sim/pass_memo_misses"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +301,118 @@ def test_try_fast_simulate_returns_none_when_rejected():
     trace = make_app_trace("tomcat", length=500)
     sim = _stock_sim(prefetcher=NullPrefetcher())
     assert simk.try_fast_simulate(sim, trace, 0.2, None) is None
+
+
+def test_fallback_counted_by_reason(registry):
+    trace = make_app_trace("tomcat", length=500)
+    _stock_sim(prefetcher=NullPrefetcher()).simulate(trace)
+    prev = simk.set_fast_sim_enabled(False)
+    try:
+        _stock_sim().simulate(trace)
+    finally:
+        simk.set_fast_sim_enabled(prev)
+    assert registry.counters["sim/fallback/prefetcher-attached"] == 1
+    assert registry.counters["sim/fallback/disabled"] == 1
+
+
+# ----------------------------------------------------------------------
+# Shared passes: the direction / I-cache memo
+# ----------------------------------------------------------------------
+
+#: One Fig. 11 row's simulations, in the order the figure runs them.
+FIG11_POLICIES = ("lru", "srrip", "ghrp", "hawkeye", "thermometer",
+                  "thermometer-7979", "opt")
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """How often the direction and I-cache passes really ran."""
+    calls = {"direction": 0, "icache": 0}
+    for name in calls:
+        real = getattr(simk, f"_{name}_pass")
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simk, f"_{name}_pass", counted)
+    return calls
+
+
+def _component_objects(sim: FrontendSimulator) -> list:
+    """Every object the shared passes mutate, for identity checks."""
+    levels = [sim.icache.l1i, sim.icache.l2, sim.icache.llc]
+    objects = levels + [row for level in levels for row in level._sets]
+    predictor = sim.predictor
+    objects += [predictor._base, predictor._base._counters,
+                predictor._tables]
+    for table in predictor._tables:
+        objects += [table, table.tags, table.counters, table.useful]
+    return objects
+
+
+def test_fig11_row_shares_passes(registry, pass_calls):
+    """The 7 simulations of one Fig. 11 row, each on a fresh simulator,
+    run each shared pass once, stay bit-identical to the reference loop
+    (predictor state included), and keep every component object."""
+    harness = Harness(HarnessConfig(apps=("python",), length=LENGTH))
+    trace = harness.trace("python")
+    hints = {"thermometer": harness.hints("python"),
+             "thermometer-7979": harness.hints(
+                 "python", btb_config=THERMOMETER_7979_CONFIG)}
+    for policy in FIG11_POLICIES:
+        runs = {}
+        for fast in (True, False):
+            sim = FrontendSimulator(btb=harness.build_btb(
+                policy, trace, hints=hints.get(policy)))
+            held = _component_objects(sim)
+            prev = simk.set_fast_sim_enabled(fast)
+            try:
+                result = sim.simulate(trace, warmup_fraction=0.2)
+            finally:
+                simk.set_fast_sim_enabled(prev)
+            assert all(a is b for a, b in zip(held, _component_objects(sim)))
+            runs[fast] = (dataclasses.asdict(result), _component_state(sim),
+                          _predictor_state(sim.predictor))
+        assert runs[True] == runs[False], policy
+    assert pass_calls == {"direction": 1, "icache": 1}
+    assert registry.counters["sim/pass_memo_hits"] == 12
+    assert registry.counters["sim/pass_memo_misses"] == 2
+
+
+@pytest.mark.parametrize("variant", [
+    dict(warmup_fraction=0.5),
+    dict(params=dataclasses.replace(
+        DEFAULT_FRONTEND_PARAMS,
+        l2_latency=DEFAULT_FRONTEND_PARAMS.l2_latency + 4)),
+], ids=["warmup_fraction", "params"])
+def test_pass_memo_keys_on_warmup_and_params(variant, pass_calls):
+    """A different warmup boundary or fill latency is a different I-cache
+    entry; the direction pass sees neither and is shared."""
+    trace = make_app_trace("tomcat", length=LENGTH)
+    _stock_sim().simulate(trace, warmup_fraction=0.2)
+    warmup = variant.get("warmup_fraction", 0.2)
+    params = variant.get("params", DEFAULT_FRONTEND_PARAMS)
+    runs = {}
+    for fast in (True, False):
+        sim = _stock_sim(params=params)
+        prev = simk.set_fast_sim_enabled(fast)
+        try:
+            runs[fast] = (dataclasses.asdict(
+                sim.simulate(trace, warmup_fraction=warmup)),
+                _component_state(sim))
+        finally:
+            simk.set_fast_sim_enabled(prev)
+    assert runs[True] == runs[False]
+    assert pass_calls == {"direction": 1, "icache": 2}
+
+
+def test_clear_stream_cache_empties_pass_memo():
+    trace = make_app_trace("tomcat", length=500)
+    _stock_sim().simulate(trace)
+    assert len(simk._pass_memo) == 2
+    clear_stream_cache()
+    assert len(simk._pass_memo) == 0
 
 
 # ----------------------------------------------------------------------

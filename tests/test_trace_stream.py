@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.btb.config import BTBConfig
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
-from repro.trace.stream import (AccessStream, NEVER, access_stream_for,
-                                clear_stream_cache, compute_next_use_indices,
+from repro.trace.stream import (AccessStream, NEVER, TraceMemo,
+                                access_stream_for, clear_stream_cache,
+                                compute_next_use_indices,
                                 compute_set_indices)
 
 from .helpers import branch, trace_of_pcs
@@ -136,3 +140,77 @@ class TestMemo:
         first = access_stream_for(trace, config)
         clear_stream_cache()
         assert access_stream_for(trace, config) is not first
+
+
+class TestTraceMemo:
+    def test_keys_on_trace_identity_and_key(self):
+        memo = TraceMemo(capacity=4)
+        a = trace_of_pcs([0x10, 0x20])
+        b = trace_of_pcs([0x10, 0x20])
+        memo.put(a, "k", 1)
+        assert memo.get(a, "k") == 1
+        assert memo.get(a, "other") is None
+        assert memo.get(b, "k") is None   # equal contents, other object
+
+    def test_lru_bound(self):
+        memo = TraceMemo(capacity=2)
+        trace = trace_of_pcs([0x10, 0x20])
+        memo.put(trace, 1, "one")
+        memo.put(trace, 2, "two")
+        memo.get(trace, 1)                 # 2 is now least recent
+        memo.put(trace, 3, "three")
+        assert len(memo) == 2
+        assert memo.get(trace, 2) is None
+        assert memo.get(trace, 1) == "one"
+
+    def test_dead_trace_never_aliases(self):
+        memo = TraceMemo(capacity=4)
+        trace = trace_of_pcs([0x10, 0x20])
+        memo.put(trace, "k", 1)
+        full_key, (_, value) = next(iter(memo._entries.items()))
+        # A recycled id() for a different live trace must miss.
+        other = trace_of_pcs([0x10, 0x20])
+        memo._entries[full_key] = (lambda: other, value)
+        assert memo.get(trace, "k") is None
+        assert len(memo) == 0
+
+    def test_clear_stream_cache_empties_every_memo(self):
+        memo = TraceMemo(capacity=4)
+        trace = trace_of_pcs([0x10, 0x20])
+        memo.put(trace, "k", 1)
+        clear_stream_cache()
+        assert len(memo) == 0
+
+    def test_concurrent_threads_keep_the_bound(self):
+        """Interleaved get/put/evict from more threads than cores: no
+        lost-update crash, no wrong value, never more than capacity."""
+        memo = TraceMemo(capacity=3)
+        traces = [trace_of_pcs([0x10 * (i + 1)]) for i in range(4)]
+        errors = []
+
+        def worker(seed):
+            try:
+                for step in range(2000):
+                    trace = traces[(seed + step) % len(traces)]
+                    key = step % 5
+                    value = memo.get(trace, key)
+                    assert value is None or value == (id(trace), key)
+                    memo.put(trace, key, (id(trace), key))
+                    assert len(memo) <= memo.capacity
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) <= memo.capacity
