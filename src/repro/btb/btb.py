@@ -306,17 +306,18 @@ def replay_stream(stream: AccessStream, btb,
     pc → [accesses, hits] used by the profiling pipeline.
 
     When the replay is unobserved (no :class:`BTBObserver` attached, no
-    per-branch recording) and the policy has a set-partitioned fast-path
-    kernel (:mod:`repro.btb.kernels`), the replay is executed per set by
-    that kernel — bit-identical stats and final state, a fraction of the
-    per-access interpreter work.  Anything else takes the reference loop
-    below.
+    per-branch recording) and the policy has a fast-path kernel
+    (:mod:`repro.btb.kernels`), that kernel executes the replay —
+    bit-identical stats and final state, a fraction of the per-access
+    interpreter work.  Anything else takes the reference loop below and
+    counts one ``btb/fallback/<reason>``.
     """
+    from repro.btb import kernels
+    if record_per_branch:
+        kernels.count_fallback("per-branch")
+    elif kernels.try_fast_replay(stream, btb) is not None:
+        return btb.stats
     fast = (type(btb) is BTB and btb.config == stream.config)
-    if fast and not record_per_branch and not btb._observers:
-        from repro.btb import kernels
-        if kernels.try_fast_replay(stream, btb) is not None:
-            return btb.stats
     pcs = stream.pcs_list
     targets = stream.targets_list
     if not record_per_branch:
@@ -350,41 +351,12 @@ def replay_stream(stream: AccessStream, btb,
 
 
 def replay_stream_multi(stream: AccessStream, btbs) -> List[BTBStats]:
-    """Replay one access stream through several BTB models in a single
-    sweep; returns their stats in order.
-
-    Result-identical to calling :func:`replay_stream` once per model —
-    that is the contract ``tests/test_multi_replay.py`` enforces — but
-    the stream is traversed once instead of once per model.  Models whose
-    policy has a fast-path kernel replay through it (all kernels share
-    the stream's memoized partition and list mirrors, so the per-sweep
-    setup is paid once); the rest are driven together through one shared
-    interpreter loop over the stream columns.
-    """
-    from repro.btb import kernels
-    slow = []
-    for btb in btbs:
-        fast = (type(btb) is BTB and btb.config == stream.config
-                and not btb._observers)
-        if not (fast and kernels.try_fast_replay(stream, btb) is not None):
-            slow.append(btb)
-    if slow:
-        pcs = stream.pcs_list
-        targets = stream.targets_list
-        sets = stream.sets_list
-        drivers = [(btb._access_with_set, True)
-                   if type(btb) is BTB and btb.config == stream.config
-                   else (btb.access, False)
-                   for btb in slow]
-        for i, pc in enumerate(pcs):
-            t = targets[i]
-            s = sets[i]
-            for access, with_set in drivers:
-                if with_set:
-                    access(s, pc, t, i)
-                else:
-                    access(pc, t, i)
-    return [btb.stats for btb in btbs]
+    """Replay one access stream through several BTB models; returns
+    their stats in order.  Equivalent to one :func:`replay_stream` per
+    model."""
+    # Kept only because the benchmark's layer trace still wraps this
+    # name; delete it when the next benchmark change drops that hook.
+    return [replay_stream(stream, btb) for btb in btbs]
 
 
 def run_btb(trace_or_stream: Union[BranchTrace, AccessStream], btb,

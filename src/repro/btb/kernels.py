@@ -15,18 +15,18 @@ exist, chosen per policy by what state the policy couples:
   partitioned by set (:meth:`~repro.trace.stream.AccessStream.partition`)
   and executed one contiguous per-set slice at a time.
 * **Global-order** (:class:`GlobalOrderKernel` subclasses: DIP, SHiP,
-  GHRP, Hawkeye, dueling and online Thermometer) — these policies couple
-  sets through global learning state (a PSEL counter, a signature table,
-  a path-history register, predictor counters) mutated in *stream
-  order*, so a per-set partition cannot be bit-identical.  Their kernels
-  instead run one specialized flat pass in original stream order,
-  mutating the policy's own state structures in place.
+  GHRP, Hawkeye, dueling and online Thermometer, random, BRRIP) — these
+  policies couple sets through global state (a PSEL counter, a
+  signature table, a path-history register, predictor counters, a
+  pseudo-random generator) mutated in *stream order*, so a per-set
+  partition cannot be bit-identical.  Their kernels instead run one
+  specialized flat pass in original stream order, mutating the policy's
+  own state structures in place (the RNG policies draw from the
+  policy's own ``random.Random``, so the draw sequence is the
+  reference's).
 
-Policies whose decisions consume a pseudo-random number generator per
-event (``random``, ``brrip``) are deliberately *not* kernelized; they
-are listed in :data:`REFERENCE_ONLY` with the reason, and the dispatch
-matrix test (``tests/test_fast_kernels.py``) fails if a registry policy
-is in neither camp.
+Every registry policy has a kernel; the dispatch-matrix test
+(``tests/test_fast_kernels.py``) fails if a new one arrives without.
 
 Every kernel is **bit-identical** to the reference loop: it produces the
 same :class:`~repro.btb.btb.BTBStats`, the same final BTB contents
@@ -43,7 +43,7 @@ the fast path only when all of the following hold; anything else falls
 back to the reference loop:
 
 * the model is a plain :class:`~repro.btb.btb.BTB` on the stream's
-  geometry (checked by the caller);
+  geometry;
 * no :class:`~repro.btb.observer.BTBObserver` (including the telemetry
   observer) is attached — kernels emit no per-access events;
 * the BTB is pristine (zero stats, empty storage) — kernels replay from
@@ -60,6 +60,15 @@ back to the reference loop:
   accept any starting state);
 * the ``REPRO_FAST_REPLAY`` kill switch is not set to ``0``.
 
+Every replay sent to the reference loop counts one
+``btb/fallback/<reason>`` in the metrics registry.
+:func:`select_kernel` decides every reason (``foreign-model``,
+``observers-attached``, ``disabled``, ``no-kernel``,
+``instance-patched``, ``not-pristine``) except ``per-branch``
+(``replay_stream`` asked for per-branch counts, which no kernel keeps)
+and ``no-outcome-kernel`` (the OPT profiler got a policy whose kernel
+records no per-access outcomes).
+
 :func:`lru_stack_stats` additionally computes LRU hit/miss counts
 *analytically* — an O(n log n) per-set stack-distance (reuse-depth)
 pass over the partitioned stream that never simulates BTB state at all.
@@ -73,12 +82,13 @@ from typing import Dict, List, Optional, Type
 
 import numpy as np
 
+from repro.btb.btb import BTB
 from repro.btb.replacement.dip import (DIPPolicy, _BIP_LEADER as _DIP_BIP,
                                        _LRU_LEADER as _DIP_LRU)
 from repro.btb.replacement.dueling_thermometer import (
     DuelingThermometerPolicy, _LRU_LEADER as _DUEL_LRU,
     _THERMO_LEADER as _DUEL_THERMO)
-from repro.btb.replacement.fifo import FIFOPolicy
+from repro.btb.replacement.fifo import FIFOPolicy, RandomPolicy
 from repro.btb.replacement.ghrp import GHRPPolicy
 from repro.btb.replacement.hawkeye import HawkeyePolicy, _RRPV_MAX
 from repro.btb.replacement.lru import LRUPolicy, MRUPolicy
@@ -86,11 +96,12 @@ from repro.btb.replacement.online_thermometer import OnlineThermometerPolicy
 from repro.btb.replacement.opt import BeladyOptimalPolicy
 from repro.btb.replacement.plru import TreePLRUPolicy
 from repro.btb.replacement.ship import SHiPPolicy
-from repro.btb.replacement.srrip import SRRIPPolicy
+from repro.btb.replacement.srrip import BRRIPPolicy, SRRIPPolicy
 from repro.btb.replacement.thermometer import ThermometerPolicy
+from repro.telemetry.metrics import get_registry
 from repro.trace.stream import AccessStream, NEVER
 
-__all__ = ["KERNELS", "REFERENCE_ONLY", "GlobalOrderKernel", "ReplayKernel",
+__all__ = ["KERNELS", "GlobalOrderKernel", "ReplayKernel", "count_fallback",
            "fast_path_enabled", "kernel_policy_names", "lru_stack_stats",
            "select_kernel", "set_fast_path_enabled", "try_fast_opt_profile",
            "try_fast_replay"]
@@ -731,9 +742,10 @@ class GlobalOrderKernel(ReplayKernel):
     """Base for kernels over policies with cross-set learning state.
 
     DIP's PSEL, SHiP's signature table, GHRP's history register and
-    counter tables, Hawkeye's predictor, and the online/dueling
-    Thermometer counters are all mutated in *global stream order* — an
-    access to set 3 can change the decision of the next access to set 7.
+    counter tables, Hawkeye's predictor, the online/dueling Thermometer
+    counters, and the random/BRRIP generators are all mutated in *global
+    stream order* — an access to set 3 can change the decision of the
+    next access to set 7.
     A set-partitioned replay therefore cannot be bit-identical; these
     kernels run one specialized flat pass in original order instead,
     keeping BTB storage in plain lists-of-lists mirrors (written back in
@@ -1349,14 +1361,126 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                           compulsory, mismatches)
 
 
+class RandomKernel(GlobalOrderKernel):
+    """Random: the victim is ``randrange(ways)`` from the policy's own
+    RNG, drawn once per full-set miss in stream order — the reference
+    draw sequence, so the generator ends in the reference state."""
+
+    def replay(self, btb, stream: AccessStream,
+               hits_out: Optional[bytearray] = None) -> None:
+        pcs = stream.pcs_list
+        tgts_in = stream.targets_list
+        sets = stream.sets_list
+        W = btb.config.ways
+        randrange = btb.policy._rng.randrange
+        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        hits = evictions = compulsory = mismatches = 0
+        for i, s in enumerate(sets):
+            pc = pcs[i]
+            dct = dirs[s]
+            way = dct.get(pc)
+            if way is not None:
+                hits += 1
+                if hits_out is not None:
+                    hits_out[i] = 1
+                row = tgts[s]
+                t = tgts_in[i]
+                if row[way] != t:
+                    mismatches += 1
+                    row[way] = t
+                reused[s][way] = True
+                continue
+            tag = tags[s]
+            if len(dct) < W:
+                way = len(dct)
+                compulsory += 1
+            else:
+                way = randrange(W)
+                evictions += 1
+                del dct[tag[way]]
+            dct[pc] = way
+            tag[way] = pc
+            tgts[s][way] = tgts_in[i]
+            reused[s][way] = False
+            fillidx[s][way] = i
+        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
+        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
+                          mismatches)
+
+
+class BRRIPKernel(GlobalOrderKernel):
+    """Bimodal RRIP: SRRIP's hit promotion and whole-set aging, with the
+    insertion RRPV drawn from the policy's own RNG once per fill
+    (compulsory fills included), in stream order."""
+
+    def replay(self, btb, stream: AccessStream,
+               hits_out: Optional[bytearray] = None) -> None:
+        pcs = stream.pcs_list
+        tgts_in = stream.targets_list
+        sets = stream.sets_list
+        W = btb.config.ways
+        ways = range(W)
+        policy = btb.policy
+        rrpv = policy._rrpv
+        rmax = policy.rrpv_max
+        rlong = policy.rrpv_insert
+        p_long = policy.long_probability
+        draw = policy._rng.random
+        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        hits = evictions = compulsory = mismatches = 0
+        for i, s in enumerate(sets):
+            pc = pcs[i]
+            dct = dirs[s]
+            way = dct.get(pc)
+            if way is not None:
+                hits += 1
+                if hits_out is not None:
+                    hits_out[i] = 1
+                row = tgts[s]
+                t = tgts_in[i]
+                if row[way] != t:
+                    mismatches += 1
+                    row[way] = t
+                reused[s][way] = True
+                rrpv[s][way] = 0
+                continue
+            tag = tags[s]
+            rr = rrpv[s]
+            if len(dct) < W:
+                way = len(dct)
+                compulsory += 1
+            else:
+                while True:
+                    for w in ways:
+                        if rr[w] >= rmax:
+                            way = w
+                            break
+                    else:
+                        for w in ways:
+                            rr[w] += 1
+                        continue
+                    break
+                evictions += 1
+                del dct[tag[way]]
+            dct[pc] = way
+            tag[way] = pc
+            tgts[s][way] = tgts_in[i]
+            reused[s][way] = False
+            fillidx[s][way] = i
+            rr[way] = rlong if draw() < p_long else rmax
+        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
+        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
+                          mismatches)
+
+
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
 #: Exact policy type → kernel.  Exact-type keyed on purpose: a subclass
-#: (BRRIP under SRRIP) has different semantics and must take the
-#: reference loop; semantically distinct subclasses with their own
-#: kernel (DuelingThermometer under Thermometer) get their own entry.
+#: may change semantics (BRRIP under SRRIP, DuelingThermometer under
+#: Thermometer), so it takes the reference loop unless it has its own
+#: entry here.
 KERNELS: Dict[type, Type[ReplayKernel]] = {
     LRUPolicy: LRUKernel,
     MRUPolicy: MRUKernel,
@@ -1371,18 +1495,8 @@ KERNELS: Dict[type, Type[ReplayKernel]] = {
     HawkeyePolicy: HawkeyeKernel,
     DuelingThermometerPolicy: DuelingThermometerKernel,
     OnlineThermometerPolicy: OnlineThermometerKernel,
-}
-
-#: Registry policies deliberately left on the reference loop, with the
-#: reason.  The dispatch-matrix test asserts that every registry name is
-#: either here or in :data:`KERNELS` — adding a policy without deciding
-#: its fast-path story fails CI.
-REFERENCE_ONLY: Dict[str, str] = {
-    "random": "victim choice draws the policy RNG once per full-set "
-              "miss; a kernel would have to replicate the generator's "
-              "exact draw sequence, erasing the speedup",
-    "brrip": "insertion RRPV draws the policy RNG once per fill; same "
-             "RNG-sequencing problem as 'random'",
+    RandomPolicy: RandomKernel,
+    BRRIPPolicy: BRRIPKernel,
 }
 
 #: The policy hooks a kernel replaces.  If any of these was patched onto
@@ -1402,6 +1516,11 @@ def kernel_policy_names() -> List[str]:
     return sorted(p.name for p in KERNELS)
 
 
+def count_fallback(reason: str) -> None:
+    """Count one replay sent to the reference loop, by ``reason``."""
+    get_registry().count("btb/fallback/" + reason)
+
+
 def _pristine(btb) -> bool:
     stats = btb.stats
     if (stats.accesses or stats.misses or stats.bypasses
@@ -1412,25 +1531,26 @@ def _pristine(btb) -> bool:
 
 
 def select_kernel(btb, stream: AccessStream) -> Optional[ReplayKernel]:
-    """The kernel that can replay ``stream`` into ``btb``, or None if
-    this replay must take the reference loop.
-
-    The caller (``replay_stream``) has already established that ``btb``
-    is a plain :class:`~repro.btb.btb.BTB` on the stream's geometry with
-    no observers attached.
-    """
-    if not _enabled:
+    """The kernel that can replay ``stream`` into ``btb``, or None (after
+    counting the reason) if this replay must take the reference loop."""
+    if type(btb) is not BTB or btb.config != stream.config:
+        count_fallback("foreign-model")
         return None
     kernel_cls = KERNELS.get(type(btb.policy))
-    if kernel_cls is None:
-        return None
-    if _instance_patched(btb.policy):
-        return None
-    if not _pristine(btb):
-        return None
-    if not kernel_cls.matches(btb.policy, stream):
-        return None
-    return kernel_cls()
+    if btb._observers:
+        reason = "observers-attached"
+    elif not _enabled:
+        reason = "disabled"
+    elif kernel_cls is None:
+        reason = "no-kernel"
+    elif _instance_patched(btb.policy):
+        reason = "instance-patched"
+    elif not (_pristine(btb) and kernel_cls.matches(btb.policy, stream)):
+        reason = "not-pristine"
+    else:
+        return kernel_cls()
+    count_fallback(reason)
+    return None
 
 
 def try_fast_replay(stream: AccessStream, btb,
@@ -1456,12 +1576,12 @@ def try_fast_opt_profile(stream: AccessStream, btb):
     Returns a ``bytearray`` of outcome codes (one per access, indexed by
     stream position), or None when the fast path does not apply.
     """
-    from repro.btb.btb import BTB
-    if type(btb) is not BTB or btb.config != stream.config \
-            or btb._observers:
-        return None
     kernel = select_kernel(btb, stream)
+    if kernel is None:
+        return None
     if not isinstance(kernel, OPTKernel):
+        # Only the OPT kernel records per-access outcomes.
+        count_fallback("no-outcome-kernel")
         return None
     outcomes = bytearray(len(stream))
     kernel.replay(btb, stream, outcomes=outcomes)

@@ -17,8 +17,7 @@ simple worker-initiated protocol over a single coordinator socket
   that wedges mid-compute is still detected.
 
 Jobs run through the *engine's own* worker machinery
-(:func:`~repro.harness.engine.worker._execute_guarded`, with
-:class:`~repro.harness.engine.planner.GroupReplay` sweeps and one warm
+(:func:`~repro.harness.engine.worker._execute_guarded`, with one warm
 :class:`~repro.harness.runner.Harness` per machine config), so retries,
 timeouts, fault injection, trace spans, and telemetry deltas behave
 bit-identically to a local process-pool run.
@@ -39,13 +38,12 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.fabric.peers import ArtifactServer, PeerBackedStore, \
     parse_address
 from repro.fabric.wire import pack, pack_bytes, unpack
 from repro.harness.engine.jobs import JobState
-from repro.harness.engine.planner import GroupReplay
 from repro.harness.engine.worker import _execute_guarded
 from repro.harness.runner import Harness, HarnessConfig
 from repro.service.framing import (ProtocolError, SocketFrameReader,
@@ -179,16 +177,9 @@ class FabricWorker:
         jobs = [unpack(entry["job"]) for entry in entries]
         attempts = [int(entry.get("attempt", 0)) for entry in entries]
         indices = [int(entry["index"]) for entry in entries]
-        # Retried jobs replay alone (and re-fetch through the store), so
-        # a group sweep memoized before a fault cannot resurrect a value
-        # the retry must recompute — same rule as the local executors.
-        groups: List[Optional[GroupReplay]] = (
-            GroupReplay.plan(jobs) if all(a == 0 for a in attempts)
-            else [None] * len(jobs))
         plan = active_fault_plan()
         alive = True
-        for job, index, attempt, group in zip(jobs, indices, attempts,
-                                              groups):
+        for job, index, attempt in zip(jobs, indices, attempts):
             fault = (plan.fault_for(index, attempt)
                      if plan is not None else None)
             if (fault is not None and fault.kind == "partition"
@@ -204,8 +195,7 @@ class FabricWorker:
             result = _execute_guarded(
                 job, index=index, attempt=attempt, store=self.store,
                 harness=harness, salt=self.store.salt,
-                job_timeout=self.job_timeout, in_worker=True,
-                group=group)
+                job_timeout=self.job_timeout, in_worker=True)
             blob = None
             if result.state == JobState.SUCCEEDED:
                 blob = self.store.read_blob(

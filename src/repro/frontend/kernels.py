@@ -36,8 +36,8 @@ caller falls back to the reference loop.
 The direction and I-cache passes never see the BTB, so every simulation
 of one trace on identically-started components computes the same
 outcome column and end state.  A per-trace memo (:func:`clear_pass_memo`)
-keeps those results, so a multi-policy figure runs each pass once per
-trace.
+keeps those results, so a figure that simulates many policies runs
+each pass once per trace.
 """
 
 from __future__ import annotations

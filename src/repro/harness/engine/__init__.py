@@ -6,11 +6,11 @@ separately usable layers:
 * :mod:`~repro.harness.engine.store` — content-addressed, multi-tenant
   :class:`ArtifactStore` (namespaces, quotas, single-flight fetch).
 * :mod:`~repro.harness.engine.keys` — the shared job-identity helpers
-  (replay-group, stream, and batch keys) every layer keys work by.
+  (stream and batch keys) every layer keys work by.
 * :mod:`~repro.harness.engine.jobs` — :class:`SimJob` / \
   :class:`JobResult`, the :class:`JobState` machine, deadlines, backoff.
-* :mod:`~repro.harness.engine.planner` — :class:`Planner` /
-  :class:`GroupReplay`: how jobs share sweeps, batches, and streams.
+* :mod:`~repro.harness.engine.planner` — :class:`Planner`: how jobs
+  share worker batches and streams.
 * :mod:`~repro.harness.engine.worker` — process-pool entry points.
 * :mod:`~repro.harness.engine.context` — per-run :class:`RunContext`
   state machine (journal, retries, result streaming).
@@ -37,15 +37,14 @@ from repro.harness.engine.store import (ArtifactStore, QUARANTINE_DIR,
                                         default_cache_dir,
                                         validate_namespace)
 from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       replay_group_key, stream_key)
+                                       stream_key)
 from repro.harness.engine.jobs import (HINTED_POLICIES, JobResult,
                                        JobState, JobTimeoutError, SimJob,
                                        _backoff_sleep, _stats_delta,
                                        backoff_delay, default_job_timeout,
                                        default_jobs, default_max_retries,
                                        execute_job, job_deadline)
-from repro.harness.engine.planner import (GroupReplay, Planner,
-                                          multi_replay_enabled)
+from repro.harness.engine.planner import Planner
 from repro.harness.engine.worker import (_execute_guarded, run_job,
                                          run_job_batch)
 from repro.harness.engine.context import RunContext
@@ -55,13 +54,12 @@ from repro.harness.engine.executor import (AsyncExecutor, Executor,
 from repro.harness.engine.core import ExperimentEngine, ExperimentError
 
 __all__ = ["ArtifactStore", "AsyncExecutor", "Executor",
-           "ExperimentEngine", "ExperimentError", "GroupReplay",
-           "JobResult", "JobState", "JobTimeoutError", "Planner",
-           "ProcessPoolJobExecutor", "QUARANTINE_DIR",
-           "QuotaExceededError", "RunContext", "SerialExecutor",
-           "SimJob", "STORE_VERSION", "TENANTS_DIR", "artifact_key",
-           "backoff_delay", "batch_key", "default_cache_dir",
-           "default_job_timeout", "default_jobs", "default_max_retries",
-           "effective_btb_config", "execute_job", "job_deadline",
-           "multi_replay_enabled", "replay_group_key", "run_job",
-           "run_job_batch", "stream_key", "validate_namespace"]
+           "ExperimentEngine", "ExperimentError", "JobResult", "JobState",
+           "JobTimeoutError", "Planner", "ProcessPoolJobExecutor",
+           "QUARANTINE_DIR", "QuotaExceededError", "RunContext",
+           "SerialExecutor", "SimJob", "STORE_VERSION", "TENANTS_DIR",
+           "artifact_key", "backoff_delay", "batch_key",
+           "default_cache_dir", "default_job_timeout", "default_jobs",
+           "default_max_retries", "effective_btb_config", "execute_job",
+           "job_deadline", "run_job", "run_job_batch", "stream_key",
+           "validate_namespace"]

@@ -76,14 +76,8 @@ class SerialExecutor(Executor):
         queue = list(pending)
         round_no = 0
         while queue:
-            # Retry rounds replay each job alone: a group sweep memoized
-            # before a fault could resurrect a value the retry is meant
-            # to recompute through the store.
-            groups = (self.planner.plan_groups(
-                          [ctx.jobs[i] for i in queue])
-                      if round_no == 0 else [None] * len(queue))
             retry: List[int] = []
-            for qi, i in enumerate(queue):
+            for i in queue:
                 job = ctx.jobs[i]
                 config = job.harness_config()
                 harness = harnesses.get(config)
@@ -99,8 +93,7 @@ class SerialExecutor(Executor):
                 result = _execute_guarded(
                     job, index=i, attempt=ctx.attempts[i] - 1,
                     store=engine.store, harness=harness, salt=engine.salt,
-                    job_timeout=engine.job_timeout, in_worker=False,
-                    group=groups[qi])
+                    job_timeout=engine.job_timeout, in_worker=False)
                 if ctx.record_outcome(i, result):
                     retry.append(i)
             if retry:
@@ -214,10 +207,8 @@ class AsyncExecutor(Executor):
     ``concurrency`` bounds simultaneous attempts and defaults to 1: the
     telemetry registry is process-global and not thread-safe, and one
     compute thread already saturates a core on the pure-Python
-    simulators.  Group sweeps stay correct at any concurrency (the
-    :class:`~repro.harness.engine.planner.GroupReplay` memo is locked),
-    but counter deltas may interleave above 1 — raise it only for
-    I/O-bound (fully cached) sweeps.
+    simulators.  Counter deltas may interleave above 1 — raise it only
+    for I/O-bound (fully cached) sweeps.
     """
 
     def __init__(self, engine, concurrency: int = 1) -> None:
@@ -233,12 +224,9 @@ class AsyncExecutor(Executor):
         queue = list(pending)
         round_no = 0
         while queue:
-            groups = (self.planner.plan_groups(
-                          [ctx.jobs[i] for i in queue])
-                      if round_no == 0 else [None] * len(queue))
             retry: List[int] = []
 
-            async def attempt(qi: int, i: int) -> None:
+            async def attempt(i: int) -> None:
                 job = ctx.jobs[i]
                 config = job.harness_config()
                 harness = harnesses.get(config)
@@ -255,12 +243,11 @@ class AsyncExecutor(Executor):
                             store=engine.store, harness=harness,
                             salt=engine.salt,
                             job_timeout=engine.job_timeout,
-                            in_worker=False, group=groups[qi]))
+                            in_worker=False))
                 if ctx.record_outcome(i, result):
                     retry.append(i)
 
-            await asyncio.gather(*(attempt(qi, i)
-                                   for qi, i in enumerate(queue)))
+            await asyncio.gather(*(attempt(i) for i in queue))
             if retry:
                 retry.sort()
                 if not _fast_mode():

@@ -1,20 +1,16 @@
 """Shared job-identity helpers: effective geometry and group keys.
 
-Three places need to agree on "which jobs replay the same stream": the
-:class:`~repro.harness.engine.planner.GroupReplay` planner (which jobs a
-single-pass multi-policy sweep may cover), the engine's shared-memory
-stream export (which (trace, geometry) columns a worker batch can
-attach), and the service's request coalescer (which concurrent requests
-fold into one sweep).  Before this module each computed its own variant
-of the (app, input, length, effective-config) key inline; now they all
-call the helpers below, and ``tests/test_group_keys.py`` pins the
-semantics.
+Two places need to agree on "which jobs replay the same stream": the
+engine's worker batches (which jobs share one harness, trace and
+profile) and its shared-memory stream export (which (trace, geometry)
+columns a worker batch can attach).  Both call the helpers below, and
+``tests/test_group_keys.py`` pins the semantics.
 
 The subtlety the helpers encode: ``thermometer-7979`` names the
 iso-storage variant of Fig. 11, which replays the 7979-entry geometry
 *regardless of the job's nominal* :class:`~repro.btb.config.BTBConfig` —
-so its replay group, its hint profile, and its stream columns all key on
-the *effective* geometry, not the nominal one.
+so its hint profile keys on the *effective* geometry, not the nominal
+one.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from typing import Optional, Tuple
 
 from repro.btb.config import BTBConfig, THERMOMETER_7979_CONFIG
 
-__all__ = ["batch_key", "effective_btb_config", "replay_group_key",
-           "stream_key"]
+__all__ = ["batch_key", "effective_btb_config", "stream_key"]
 
 
 def effective_btb_config(policy: str, btb_config: BTBConfig) -> BTBConfig:
@@ -34,22 +29,6 @@ def effective_btb_config(policy: str, btb_config: BTBConfig) -> BTBConfig:
     if policy == "thermometer-7979":
         return THERMOMETER_7979_CONFIG
     return btb_config
-
-
-def replay_group_key(job) -> Optional[Tuple]:
-    """Identity of the shared-stream replay group a ``misses`` job
-    belongs to, or None for jobs that cannot share a sweep (``sim``
-    mode replays through the timing model, not the bare stream).
-
-    Jobs with equal keys walk the same precomputed stream columns, so
-    one :meth:`~repro.harness.runner.Harness.run_misses_multi` sweep can
-    drive all of their policy states side by side.
-    """
-    if job.mode != "misses":
-        return None
-    effective = effective_btb_config(job.policy, job.btb_config)
-    return (job.app, job.input_id, job.length, effective,
-            job.harness_config())
 
 
 def stream_key(job) -> Tuple[str, int, Optional[int], BTBConfig]:

@@ -1,156 +1,32 @@
-"""Planning: which jobs share a sweep, a worker batch, a stream export.
+"""Planning: which jobs share a worker batch and a stream export.
 
 The :class:`Planner` is pure bookkeeping — it looks at a job list and
-decides how work should be shaped (single-pass multi-policy replay
-groups, per-worker batches, shared-memory stream exports) without
-running anything.  The executors in
-:mod:`repro.harness.engine.executor` consume its plans; the service's
-request coalescer reuses the same group keys so a coalesced request
-lands in the sweep the planner would have built anyway.
+decides how work should be shaped (per-worker batches, shared-memory
+stream exports) without running anything.  The executors in
+:mod:`repro.harness.engine.executor` consume its plans.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence
 
-from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       replay_group_key, stream_key)
-from repro.harness.runner import Harness
+from repro.harness.engine.keys import batch_key, stream_key
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.tracing import trace_span
 
 log = logging.getLogger(__name__)
 
-__all__ = ["GroupReplay", "Planner", "multi_replay_enabled"]
-
-
-def multi_replay_enabled() -> bool:
-    """Single-pass multi-policy replay kill switch: ``REPRO_MULTI_REPLAY``
-    (default on; ``0``/``false``/``off``/``no`` disable it)."""
-    raw = os.environ.get("REPRO_MULTI_REPLAY", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-class GroupReplay:
-    """Single-pass multi-policy replay plan for one job group.
-
-    The engine already routes all jobs sharing (app, input, machine
-    config) through one :class:`Harness`, so their traces and access
-    streams are built once — but each ``misses`` job still replayed the
-    stream on its own.  A ``GroupReplay`` covers every ``misses`` job of
-    one group and, the first time any member misses the store, runs
-    :meth:`Harness.run_misses_multi` once: one sweep over the shared
-    stream drives N policy states side by side.  Later members take
-    their result from the memoized sweep and still go through the normal
-    ``store.put`` path, so on-disk artifacts, resume, and fault
-    injection are byte-identical to per-job replay (the sweep is
-    result-identical by construction, and ``tests/test_multi_replay.py``
-    checks it bit-for-bit).
-
-    The sweep is lazy and store-aware: members whose artifacts already
-    verify on disk are skipped, so a resumed run only pays for what is
-    actually missing.  Plans are built per execution round by
-    :meth:`plan`; retry and isolation rounds run ungrouped.
-
-    The sweep memo is guarded by a lock, so interleaved submitters (the
-    async executor above concurrency 1, the service's coalescer) trigger
-    exactly one sweep per group instead of racing to run it twice.
-    """
-
-    def __init__(self, jobs: Sequence):
-        self.jobs = list(jobs)
-        self._values: Optional[Dict[str, Any]] = None
-        self._sweep_lock = threading.Lock()
-
-    @staticmethod
-    def _group_key(job) -> Optional[Tuple]:
-        """Jobs with equal keys replay the same stream columns (None:
-        not groupable) — see
-        :func:`repro.harness.engine.keys.replay_group_key`."""
-        return replay_group_key(job)
-
-    @classmethod
-    def plan(cls, jobs: Sequence) -> List[Optional["GroupReplay"]]:
-        """One entry per job: its shared :class:`GroupReplay`, or None
-        for jobs that replay alone (sim mode, singleton groups, or the
-        ``REPRO_MULTI_REPLAY`` kill switch)."""
-        assignment: List[Optional[GroupReplay]] = [None] * len(jobs)
-        if not multi_replay_enabled():
-            return assignment
-        groups: Dict[Tuple, List[int]] = {}
-        for i, job in enumerate(jobs):
-            key = replay_group_key(job)
-            if key is not None:
-                groups.setdefault(key, []).append(i)
-        for indices in groups.values():
-            members = [jobs[i] for i in indices]
-            # A sweep only pays off when it covers >= 2 distinct results.
-            if len({job.cache_key() for job in members}) < 2:
-                continue
-            group = cls(members)
-            for i in indices:
-                assignment[i] = group
-        return assignment
-
-    def compute(self, job, harness: Harness, store, salt: str) -> Any:
-        """``job``'s result from the (memoized) group sweep, or None if
-        the sweep cannot serve it (the caller then runs the job alone).
-        """
-        with self._sweep_lock:
-            if self._values is None:
-                self._values = self._sweep(job, harness, store, salt)
-        return self._values.get(job.cache_key(salt))
-
-    def _sweep(self, trigger, harness: Harness, store,
-               salt: str) -> Dict[str, Any]:
-        """Replay every not-yet-stored member in one pass; ``trigger``
-        (whose store lookup just missed) is always included."""
-        trigger_key = trigger.cache_key(salt)
-        todo: List[Tuple[str, Any]] = []
-        seen: Set[str] = set()
-        for job in self.jobs:
-            key = job.cache_key(salt)
-            if key in seen:
-                continue
-            seen.add(key)
-            if (key != trigger_key and store is not None
-                    and store.path(job.mode, key).exists()):
-                continue
-            todo.append((key, job))
-        trace = harness.trace(trigger.app, trigger.input_id)
-        hints_by_policy: Dict[str, Any] = {}
-        for _, job in todo:
-            if job.needs_hints and job.policy not in hints_by_policy:
-                hint_config = effective_btb_config(job.policy,
-                                                   job.btb_config)
-                hints_by_policy[job.policy] = harness.hints(
-                    job.app, job.input_id, btb_config=hint_config)
-        with trace_span("sweep/multi", app=trigger.app,
-                        input_id=trigger.input_id, policies=len(todo)):
-            stats = harness.run_misses_multi(
-                trace, [job.policy for _, job in todo],
-                btb_config=trigger.btb_config,
-                hints_by_policy=hints_by_policy)
-        get_registry().count("engine/multi_replay/sweeps")
-        return {key: value for (key, _), value in zip(todo, stats)}
+__all__ = ["Planner"]
 
 
 class Planner:
-    """Turns a job list into execution shape: replay groups, worker
-    batches, and shared-memory stream exports.
+    """Turns a job list into execution shape: worker batches and
+    shared-memory stream exports.
 
     Stateless — every method is a pure function of its arguments — so
     one planner instance can serve every engine and service run in a
     process.
     """
-
-    def plan_groups(self, jobs: Sequence) -> List[Optional[GroupReplay]]:
-        """Per-job :class:`GroupReplay` assignment (see
-        :meth:`GroupReplay.plan`)."""
-        return GroupReplay.plan(jobs)
 
     def plan_batches(self, jobs: Sequence, target: int) -> List[List[int]]:
         """Group job indices by (app, input, machine config) so each

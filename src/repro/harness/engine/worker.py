@@ -18,7 +18,6 @@ from repro.harness.engine.jobs import (JobResult, JobState,
                                        _stats_delta, execute_job,
                                        job_deadline)
 from repro.harness.reporting import CacheStats
-from repro.harness.engine.planner import GroupReplay
 from repro.harness.engine.store import (ArtifactStore,
                                         QuotaExceededError,
                                         STORE_VERSION)
@@ -38,16 +37,12 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
             store: Optional[ArtifactStore] = None,
             harness: Optional[Harness] = None, *,
             index: Optional[int] = None, attempt: int = 0,
-            in_worker: bool = False,
-            group: Optional[GroupReplay] = None) -> JobResult:
+            in_worker: bool = False) -> JobResult:
     """Worker entry point (module-level so process pools can pickle it).
 
     Checks the store for the finished result first; on a miss, computes it
     through a harness whose intermediate artifacts (trace, profile, hints)
-    are themselves store-backed.  When the job belongs to a
-    :class:`GroupReplay` (and a harness is supplied), the miss is served
-    from the group's single-pass multi-policy sweep instead of a solo
-    replay — same value, one stream walk for the whole group.
+    are themselves store-backed.
 
     ``index``/``attempt`` identify this attempt within an engine run; when
     a :mod:`fault plan <repro.testing.faults>` is active they select which
@@ -90,12 +85,7 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
             jspan.set(cached=cached)
             if value is None:
                 with store.stats.stage(job.mode):
-                    if group is not None and harness is not None:
-                        value = group.compute(job, harness, store,
-                                              store.salt)
-                    if value is None:
-                        value = execute_job(job, harness=harness,
-                                            store=store)
+                    value = execute_job(job, harness=harness, store=store)
                 try:
                     with trace_span("store/put", kind=job.mode):
                         store.put(job.mode, key, value)
@@ -111,11 +101,7 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
                     log.warning("injected corruption into stored %s "
                                 "artifact of job %d", job.mode, index)
         else:
-            value = None
-            if group is not None and harness is not None:
-                value = group.compute(job, harness, None, salt)
-            if value is None:
-                value = execute_job(job, harness=harness)
+            value = execute_job(job, harness=harness)
             jspan.set(cached=False)
     elapsed = time.perf_counter() - start
     stats = (_stats_delta(store.stats, baseline)
@@ -132,8 +118,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
                      harness: Optional[Harness] = None,
                      salt: str = STORE_VERSION,
                      job_timeout: Optional[float] = None,
-                     in_worker: bool = False,
-                     group: Optional[GroupReplay] = None) -> JobResult:
+                     in_worker: bool = False) -> JobResult:
     """One attempt that *always* returns a :class:`JobResult`.
 
     Timeouts and exceptions are folded into the result's ``state`` /
@@ -149,7 +134,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
             with job_deadline(job_timeout):
                 result = run_job(job, store=store, harness=harness,
                                  salt=salt, index=index, attempt=attempt,
-                                 in_worker=in_worker, group=group)
+                                 in_worker=in_worker)
         except JobTimeoutError as exc:
             result = JobResult(job=job, value=None, cached=False,
                                seconds=time.perf_counter() - start,
@@ -235,10 +220,8 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     adopted = _attach_shared_streams(stream_handles)
     harnesses: Dict[HarnessConfig, Harness] = {}
     results: List[JobResult] = []
-    groups = GroupReplay.plan(jobs)
     with worker_profile(cache_root):
-        for job, index, attempt, group in zip(jobs, index_list,
-                                              attempt_list, groups):
+        for job, index, attempt in zip(jobs, index_list, attempt_list):
             config = job.harness_config()
             harness = harnesses.get(config)
             if harness is None:
@@ -251,7 +234,7 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
             results.append(_execute_guarded(
                 job, index=index, attempt=attempt, store=store,
                 harness=harness, salt=salt, job_timeout=job_timeout,
-                in_worker=True, group=group))
+                in_worker=True))
     # Streams were attached before any per-job telemetry delta started;
     # piggy-back the count on the last result so it reaches the parent.
     if results and adopted:

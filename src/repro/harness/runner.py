@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.btb.btb import BTB, BTBStats, replay_stream_multi, run_btb
+from repro.btb.btb import BTB, BTBStats, run_btb
 from repro.btb.config import (BTBConfig, DEFAULT_BTB_CONFIG,
                               THERMOMETER_7979_CONFIG)
 from repro.btb.replacement.registry import make_policy
@@ -236,33 +236,6 @@ class Harness:
         with get_registry().span("misses"):
             btb = self.build_btb(policy_name, trace, btb_config, hints)
             return run_btb(trace, btb)
-
-    def run_misses_multi(self, trace: BranchTrace,
-                         policy_names: Sequence[str],
-                         btb_config: Optional[BTBConfig] = None,
-                         hints_by_policy: Optional[Dict[str, HintMap]] = None
-                         ) -> list:
-        """Replay several policies over ``trace`` in one sweep per
-        geometry; returns one :class:`BTBStats` per name, in order.
-
-        Result-identical to calling :meth:`run_misses` once per policy
-        (the engine's group-replay path relies on that), but the stream
-        columns are walked once per distinct BTB geometry instead of
-        once per policy.  ``'thermometer-7979'`` silently lands in its
-        own geometry group.
-        """
-        with get_registry().span("misses"):
-            hints_by_policy = hints_by_policy or {}
-            btbs = [self.build_btb(name, trace, btb_config,
-                                   hints_by_policy.get(name))
-                    for name in policy_names]
-            by_config: Dict[BTBConfig, list] = {}
-            for pos, btb in enumerate(btbs):
-                by_config.setdefault(btb.config, []).append(pos)
-            for config, positions in by_config.items():
-                stream = access_stream_for(trace, config)
-                replay_stream_multi(stream, [btbs[p] for p in positions])
-            return [btb.stats for btb in btbs]
 
     def run_sim(self, trace: BranchTrace, policy_name: Optional[str] = "lru",
                 btb_config: Optional[BTBConfig] = None,

@@ -53,7 +53,7 @@ Streamed as the run progresses::
     {"id": "r1", "event": "accepted", "jobs": 1}
     {"id": "r1", "event": "result", "index": 0, "row": {...}}
     {"id": "r1", "event": "done", "ok": true, "run_id": "...",
-     "coalesced": true, "batch_jobs": 4, "sweeps": 1, ...}
+     "coalesced": true, "batch_jobs": 4, "requests": 2, ...}
 
 ``result`` rows use the run-manifest row shape
 (:func:`repro.telemetry.manifest.job_row`), so a service client sees

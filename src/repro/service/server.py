@@ -11,10 +11,10 @@ Request coalescing: submissions for the same tenant arriving within
 ``coalesce_window`` seconds join one **batch** — identical jobs (same
 cache key) are deduplicated with every subscriber fanned the shared
 result, and the merged job list goes through one
-:meth:`~repro.harness.engine.ExperimentEngine.run_async`, whose planner
-then lands same-(app, input, config) jobs in a single
-``run_misses_multi`` sweep.  Two clients asking for overlapping policy
-sweeps therefore cost one stream walk, not two — and the artifacts,
+:meth:`~repro.harness.engine.ExperimentEngine.run_async`, where
+same-(app, input, config) jobs share one harness and its memoized trace,
+access stream and profile.  Two clients asking for overlapping policy
+sweeps therefore build each stream once, not twice — and the artifacts,
 stats, and manifest rows are byte-identical to running the merged list
 through the CLI engine path, because it *is* the same path.
 
@@ -228,8 +228,7 @@ class SimulationService:
             bounds=LATENCY_BUCKETS)
         error: Optional[BaseException] = None
         results: List[Optional[JobResult]] = [None] * len(batch.jobs)
-        run_meta: Dict[str, Any] = {"run_id": None, "manifest": None,
-                                    "sweeps": 0}
+        run_meta: Dict[str, Any] = {"run_id": None, "manifest": None}
         try:
             engine = self.engine_for(tenant)
             # One run at a time per tenant: engines are reused across
@@ -272,9 +271,6 @@ class SimulationService:
                     "run_id": engine.last_run_id,
                     "manifest": (str(engine.last_manifest)
                                  if engine.last_manifest else None),
-                    "sweeps": (engine.last_run_telemetry
-                               .get("counters", {})
-                               .get("engine/multi_replay/sweeps", 0)),
                 }
         except asyncio.CancelledError as exc:
             error = exc

@@ -11,7 +11,6 @@ link back to the client that caused them::
       └─ service/request          (server-side, per wire request)
            └─ job                 (worker-side, span_id == the job's
               ├─ store/get         pickled context)
-              ├─ sweep/multi
               ├─ replay
               └─ store/put
 

@@ -26,13 +26,10 @@ Writes a ``BENCH_kernel.json`` record so CI tracks the perf trajectory::
 ``--replay-output`` additionally runs the per-policy fast-vs-reference
 replay breakdown (the kernels of ``repro.btb.kernels`` against the
 reference per-access loop, traces/hints/streams precomputed, passes
-interleaved — every kernelized policy by default) plus the multi-policy
-sweep-vs-serial comparison (``run_misses_multi`` against N independent
-``run_misses``, the engine's group-replay path) and writes a
+interleaved — every kernelized policy by default) and writes a
 ``BENCH_replay.json`` record.  When that file already exists its
 recorded ``floors`` become the gate: the run exits 1 if any policy's
-measured speedup drops below its floor, or if the multi-policy sweep
-falls below its own floor.
+measured speedup drops below its floor.
 
 ``--sim-output`` runs the per-app fast-vs-reference ``simulate``
 breakdown (the stage-decoupled frontend kernel of
@@ -67,9 +64,8 @@ from repro.trace.stream import access_stream_for, clear_stream_cache
 from repro.workloads import make_app_trace
 from repro.workloads.datacenter import app_names
 
-__all__ = ["main", "run_benchmark", "run_multi_benchmark",
-           "run_replay_benchmark", "run_sim_benchmark",
-           "check_replay_floors", "check_sim_floors"]
+__all__ = ["main", "run_benchmark", "run_replay_benchmark",
+           "run_sim_benchmark", "check_replay_floors", "check_sim_floors"]
 
 # Stable name: __name__ is "__main__" under python -m, which
 # would escape the repro logger tree.
@@ -78,31 +74,23 @@ log = logging.getLogger("repro.tools.bench_kernel")
 DEFAULT_APPS = ("tomcat", "python")
 DEFAULT_POLICIES = ("lru", "srrip", "thermometer", "opt")
 
-#: Every registry policy with a fast-path kernel (the complement of
-#: ``repro.btb.kernels.REFERENCE_ONLY``) — the default coverage of the
-#: per-policy replay breakdown.
-KERNEL_POLICIES = ("lru", "mru", "fifo", "srrip", "plru", "dip", "ship",
-                   "ghrp", "hawkeye", "thermometer", "thermometer-dueling",
-                   "thermometer-online", "opt")
+#: Every registry policy with a fast-path kernel — the default coverage
+#: of the per-policy replay breakdown.
+KERNEL_POLICIES = tuple(kernels.kernel_policy_names())
 
 #: Seed speedup floors for the replay breakdown, used when no committed
 #: ``BENCH_replay.json`` supplies its own ``floors``.  The acceptance bar
 #: is >= 2x for the set-partitioned kernels the paper's sweeps lean on
 #: hardest and a conservative margin under the measured speedup for the
 #: global-order kernels, whose learning-state bookkeeping keeps more of
-#: the reference loop's per-access work (DIP bottoms out near parity:
-#: its BIP fill scan costs almost what the reference loop saves).
+#: the reference loop's per-access work.
 REPLAY_FLOORS = {
     "lru": 2.0, "opt": 2.0, "thermometer": 1.25,
     "mru": 2.0, "fifo": 2.0, "srrip": 2.0, "plru": 2.5,
     "dip": 1.0, "ship": 1.5, "ghrp": 1.25, "hawkeye": 1.4,
     "thermometer-dueling": 1.6, "thermometer-online": 1.4,
+    "random": 1.5, "brrip": 1.5,
 }
-
-#: The single-pass multi-policy sweep must never be slower than N
-#: independent replays of the same group (small tolerance for timer
-#: noise on the CI runners).
-MULTI_REPLAY_FLOOR = 0.9
 
 #: Seed speedup floors for the stage-decoupled ``simulate`` fast path
 #: (``repro.frontend.kernels``) against the reference ``_replay_region``
@@ -270,8 +258,10 @@ def run_replay_benchmark(apps, policies=DEFAULT_POLICIES,
     replay itself — the fast path's dispatch plus kernel loop against
     the reference ``BTB.access`` loop over the same pristine BTB.  The
     two paths are interleaved per (app, policy) pass so clock drift
-    hits both equally; each policy's seconds are summed across apps and
-    the best-of-``repeats`` sums are reported.
+    hits both equally, and each pass runs with the cyclic GC paused, so
+    no policy's timing depends on its place in ``policies``.  Each
+    policy's seconds are summed across apps and the best-of-``repeats``
+    sums are reported.
     """
     previous = set_registry(MetricsRegistry(enabled=False))
     try:
@@ -290,11 +280,16 @@ def run_replay_benchmark(apps, policies=DEFAULT_POLICIES,
                        fast_enabled: bool) -> float:
             btb = harness.build_btb(policy, trace, hints=hints)
             prev = kernels.set_fast_path_enabled(fast_enabled)
+            # As timeit does: a cyclic collection set off by the
+            # previous pass's garbage would land on this pass's clock,
+            # making a policy's speedup depend on which pass precedes it.
+            gc.disable()
             try:
                 start = time.perf_counter()
                 run_btb(trace, btb)
                 return time.perf_counter() - start
             finally:
+                gc.enable()
                 kernels.set_fast_path_enabled(prev)
 
         for job in prepared:  # warm allocations on both paths
@@ -330,66 +325,6 @@ def run_replay_benchmark(apps, policies=DEFAULT_POLICIES,
         "length": length,
         "repeats": repeats,
         "policies": per_policy,
-    }
-
-
-def run_multi_benchmark(apps, policies, length: int = 60000,
-                        repeats: int = 3) -> dict:
-    """Single-pass multi-policy replay vs. N independent replays.
-
-    Mirrors the engine's :class:`~repro.harness.engine.GroupReplay`
-    path: one :meth:`Harness.run_misses_multi` sweep per app against a
-    serial :meth:`Harness.run_misses` loop over the same policies.
-    Traces, hints, and stream columns are precomputed so the timed
-    region is the replay; kernel dispatch stays at its ambient setting
-    (both modes dispatch identically, so the delta isolates the shared
-    stream walk of the slow-path policies in the group).
-    """
-    previous = set_registry(MetricsRegistry(enabled=False))
-    try:
-        prepared = []
-        for app in apps:
-            harness = Harness(HarnessConfig(apps=(app,), length=length))
-            trace = harness.trace(app)
-            stream = harness.stream(trace)
-            stream.next_use  # noqa: B018 - forces the Belady column
-            stream.partition()
-            hints = {p: _hints_for(harness, app, p) for p in policies
-                     if p in ("thermometer", "thermometer-dueling")}
-            prepared.append((harness, trace, hints))
-
-        def serial_pass() -> float:
-            start = time.perf_counter()
-            for harness, trace, hints in prepared:
-                for policy in policies:
-                    harness.run_misses(trace, policy,
-                                       hints=hints.get(policy))
-            return time.perf_counter() - start
-
-        def multi_pass() -> float:
-            start = time.perf_counter()
-            for harness, trace, hints in prepared:
-                harness.run_misses_multi(trace, policies,
-                                         hints_by_policy=hints)
-            return time.perf_counter() - start
-
-        serial_pass()  # warm allocations on both paths
-        multi_pass()
-        serial = multi = float("inf")
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            serial = min(serial, serial_pass())
-            gc.collect()
-            multi = min(multi, multi_pass())
-    finally:
-        set_registry(previous)
-    speedup = serial / multi if multi else 0.0
-    return {
-        "policies": list(policies),
-        "serial_seconds": round(serial, 4),
-        "multi_seconds": round(multi, 4),
-        "speedup": round(speedup, 3),
-        "floor": MULTI_REPLAY_FLOOR,
     }
 
 
@@ -523,11 +458,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated policies for the replay "
                              "breakdown (default: every kernelized "
                              "policy)")
-    parser.add_argument("--multi-policies",
-                        default=",".join(KERNEL_POLICIES
-                                         + ("random", "brrip")),
-                        help="comma-separated policies for the "
-                             "multi-policy group sweep (empty skips it)")
     parser.add_argument("--sim-output", default="",
                         help="also run the per-app fast-vs-reference "
                              "simulate breakdown and write its record "
@@ -571,11 +501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         replay = run_replay_benchmark(replay_apps, replay_policies,
                                       args.length,
                                       repeats=max(1, args.repeats))
-        multi_policies = [p for p in args.multi_policies.split(",") if p]
-        if multi_policies:
-            replay["multi_policy"] = run_multi_benchmark(
-                replay_apps, multi_policies, args.length,
-                repeats=max(1, args.repeats))
         floors = dict(REPLAY_FLOORS)
         if args.replay_output != "-" and os.path.exists(args.replay_output):
             try:
@@ -595,11 +520,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "recorded floor %.2fx",
                       replay["policies"][policy]["speedup"], policy,
                       floors[policy])
-            failed = True
-        multi = replay.get("multi_policy")
-        if multi is not None and multi["speedup"] < multi["floor"]:
-            log.error("multi-policy sweep speedup %.3fx is below the "
-                      "floor %.2fx", multi["speedup"], multi["floor"])
             failed = True
     if args.sim_output:
         sim_apps = (list(app_names()) if args.sim_apps == "all"

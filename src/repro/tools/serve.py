@@ -8,13 +8,13 @@ Serve a multi-tenant artifact store on a local socket::
 
 Clients speak one JSON object per line (see ``docs/SERVICE.md`` and
 :mod:`repro.service.protocol`); concurrent requests for the same
-(app, input, config) group coalesce into one shared multi-policy sweep.
+tenant coalesce into one engine run, with identical jobs deduplicated.
 
 ``--smoke`` runs a self-test instead of serving: it binds an ephemeral
 port, submits two concurrent coalescible sweep requests plus one under
-a different tenant, and asserts that the coalesced pair shared exactly
-one sweep and one run while the tenants' namespaces stayed isolated —
-the CI service-smoke job runs exactly this.
+a different tenant, and asserts that the coalesced pair shared one
+deduplicated run while the tenants' namespaces stayed isolated — the CI
+service-smoke job runs exactly this.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ async def _smoke(cache_dir: str, jobs: int) -> int:
               "requests were coalesced into one batch")
         check(done_a.get("run_id") == done_b.get("run_id"),
               "coalesced requests shared one engine run")
-        check(done_a.get("sweeps") == 1,
-              f"one shared multi-policy sweep "
-              f"(got {done_a.get('sweeps')})")
+        check(done_a.get("batch_jobs") == 2,
+              f"identical jobs deduplicated to 2 batch jobs "
+              f"(got {done_a.get('batch_jobs')})")
         results_a = [e for e in events_a if e.get("event") == "result"]
         check(len(results_a) == 2,
               f"both results streamed back (got {len(results_a)})")

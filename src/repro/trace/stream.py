@@ -21,7 +21,7 @@ Python-list mirrors (``pcs_list`` etc.) are materialized lazily because
 scalar replay loops iterate plain ints 3-4× faster than numpy scalars.
 
 :func:`access_stream_for` memoizes streams per ``(trace, config)`` so a
-multi-policy sweep builds each stream exactly once.
+sweep over many policies builds each stream exactly once.
 """
 
 from __future__ import annotations
@@ -297,8 +297,8 @@ class TraceMemo:
             return len(self._entries)
 
 
-#: Streams kept alive by the memo; a multi-policy sweep touches one or two
-#: (trace, config) pairs at a time, so a small LRU suffices.
+#: Streams kept alive by the memo; a sweep over many policies touches one
+#: or two (trace, config) pairs at a time, so a small LRU suffices.
 _streams = TraceMemo(capacity=16)
 
 

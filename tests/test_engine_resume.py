@@ -145,9 +145,9 @@ class TestSigkillDifferential:
 
 
 class TestMultiPolicyGroupResume:
-    """Single-pass group replay under faults: killing a worker mid-group
-    must resume to bit-identical results for *every* policy in the
-    group, whether its artifact was written before or after the crash."""
+    """Batch replay under faults: killing a worker mid-group must resume
+    to bit-identical results for *every* policy in the group, whether
+    its artifact was written before or after the crash."""
 
     GROUP_JOBS = [SimJob(app="tomcat", policy=policy, length=2500,
                          mode="misses")
@@ -160,8 +160,7 @@ class TestMultiPolicyGroupResume:
         ref_rows = _canonical(ref_engine.last_manifest)
 
         # Job 2 is mid-group: its batch-mates before it already stored
-        # their artifacts (some via the group sweep), the ones after it
-        # die with the worker.
+        # their artifacts, the ones after it die with the worker.
         FaultPlan(faults=(Fault("die", 2),)).install()
         engine = ExperimentEngine(cache_dir=tmp_path / "run", jobs=2,
                                   max_retries=0)
@@ -177,8 +176,8 @@ class TestMultiPolicyGroupResume:
         assert _canonical(engine.last_manifest) == ref_rows
 
     def test_serial_fault_mid_group_retries_ungrouped(self, tmp_path):
-        """A failed group member retries alone (no memoized sweep value
-        can be resurrected) and still converges bit-identically."""
+        """A failed group member retries and still converges
+        bit-identically."""
         ref_engine = ExperimentEngine(cache_dir=tmp_path / "ref", jobs=1)
         ref_results = ref_engine.run(self.GROUP_JOBS)
 

@@ -26,6 +26,7 @@ from repro.btb.config import BTBConfig
 from repro.btb.observer import EventRecorder
 from repro.btb.replacement.lru import LRUPolicy
 from repro.btb.replacement.registry import make_policy, policy_names
+from repro.btb.replacement.srrip import SRRIPPolicy
 from repro.core.hints import HintMap
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.trace.stream import access_stream_for, clear_stream_cache
@@ -84,6 +85,11 @@ def _policy_state(policy) -> dict:
     if gens is not None:
         state["_optgen"] = {s: (g.time, dict(g.last_time), list(g._occ))
                             for s, g in gens.items()}
+    # random / BRRIP: the generator must end where the reference draws
+    # left it.
+    rng = getattr(policy, "_rng", None)
+    if rng is not None:
+        state["_rng"] = rng.getstate()
     return state
 
 
@@ -150,13 +156,15 @@ def test_lru_stack_stats_matches_replay(pairs):
 # ----------------------------------------------------------------------
 
 def _spy(monkeypatch):
-    """Count (and forward) try_fast_replay calls out of replay_stream."""
+    """Record (and forward) try_fast_replay calls out of replay_stream:
+    one entry per call, True when the fast path took the replay."""
     calls = []
     real = kernels.try_fast_replay
 
     def wrapped(stream, btb):
-        calls.append(1)
-        return real(stream, btb)
+        result = real(stream, btb)
+        calls.append(result is not None)
+        return result
 
     monkeypatch.setattr(kernels, "try_fast_replay", wrapped)
     return calls
@@ -176,12 +184,12 @@ def test_observer_forces_slow_path(monkeypatch):
     observed = BTB(CONFIG, make_policy("lru"))
     recorder = observed.add_observer(EventRecorder())
     observed_stats = run_btb(trace, observed)
-    assert not calls, "observed replay must not consult the fast path"
+    assert calls == [False], "observed replay must decline the fast path"
     assert recorder.events  # the slow path actually emitted events
 
     plain = BTB(CONFIG, make_policy("lru"))
     plain_stats = run_btb(trace, plain)
-    assert calls, "unobserved replay should try the fast path"
+    assert calls == [False, True], "unobserved replay should take it"
     assert dataclasses.asdict(plain_stats) == \
         dataclasses.asdict(observed_stats)
 
@@ -220,9 +228,12 @@ def test_pretouched_btb_forces_slow_path():
 
 def test_subclassed_policy_forces_slow_path():
     """Exact-type dispatch: semantic subclasses take the reference loop."""
+    class _Sub(SRRIPPolicy):
+        pass
+
     trace = make_app_trace("tomcat", length=3000)
     stream = access_stream_for(trace, CONFIG)
-    btb = BTB(CONFIG, make_policy("brrip"))
+    btb = BTB(CONFIG, _Sub())
     assert kernels.select_kernel(btb, stream) is None
 
 
@@ -269,27 +280,54 @@ def test_instance_patched_hook_falls_back():
 
 
 def test_every_registry_policy_has_a_fast_path_story():
-    """The dispatch matrix: every policy in the registry is either
-    kernelized or explicitly reference-loop-only — never undecided."""
+    """The dispatch matrix: every policy in the registry has a kernel,
+    and every kernel belongs to a registry policy."""
     kernelized = set(kernels.kernel_policy_names())
-    reference_only = set(kernels.REFERENCE_ONLY)
     registry = set(policy_names())
-    assert not kernelized & reference_only, (
-        f"policies {sorted(kernelized & reference_only)} are listed both "
-        "in KERNELS and REFERENCE_ONLY — pick one")
-    undecided = registry - kernelized - reference_only
-    assert not undecided, (
-        f"registry policies {sorted(undecided)} have no fast-path story. "
-        "Either add a kernel to repro.btb.kernels.KERNELS (see the "
-        "add-a-kernel checklist in docs/ARCHITECTURE.md) or list the "
-        "policy in repro.btb.kernels.REFERENCE_ONLY with the reason it "
-        "cannot be kernelized bit-identically.")
-    stale = (kernelized | reference_only) - registry
+    missing = registry - kernelized
+    assert not missing, (
+        f"registry policies {sorted(missing)} have no fast-path kernel. "
+        "Add one to repro.btb.kernels.KERNELS (see the add-a-kernel "
+        "checklist in docs/ARCHITECTURE.md).")
+    stale = kernelized - registry
     assert not stale, (
-        f"fast-path entries {sorted(stale)} name policies that are not "
-        "in the registry — remove or rename them")
-    for name, reason in kernels.REFERENCE_ONLY.items():
-        assert reason.strip(), f"REFERENCE_ONLY[{name!r}] needs a reason"
+        f"kernels {sorted(stale)} name policies that are not in the "
+        "registry — remove or rename them")
+
+
+def test_fallbacks_are_counted_by_reason(tmp_path):
+    """An all-registry misses sweep never leaves the fast path; a
+    subclassed policy does, and says why."""
+    from repro.harness.engine import ExperimentEngine, SimJob
+    from repro.telemetry.metrics import MetricsRegistry, set_registry
+
+    class _Sub(SRRIPPolicy):
+        pass
+
+    def fallbacks(counters) -> dict:
+        return {name: value for name, value in counters.items()
+                if name.startswith("btb/fallback/")}
+
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    try:
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1,
+                                  max_retries=0)
+        engine.run([SimJob(app="tomcat", policy=name, length=2000,
+                           mode="misses") for name in policy_names()])
+        assert fallbacks(registry.counters) == {}
+        trace = make_app_trace("tomcat", length=3000)
+        run_btb(trace, BTB(CONFIG, _Sub()))
+        assert fallbacks(registry.counters) == {"btb/fallback/no-kernel": 1}
+        # The OPT profiler's outcome path needs the OPT kernel.
+        stream = access_stream_for(trace, CONFIG)
+        assert kernels.try_fast_opt_profile(
+            stream, BTB(CONFIG, LRUPolicy())) is None
+        assert fallbacks(registry.counters) == {
+            "btb/fallback/no-kernel": 1,
+            "btb/fallback/no-outcome-kernel": 1}
+    finally:
+        set_registry(previous)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The shared job-identity helpers (:mod:`repro.harness.engine.keys`).
 
-These keys are what the replay planner, the shared-memory stream
-export, and the service's request coalescer all agree on; their
-semantics are pinned here so a refactor in any one consumer cannot
-silently diverge from the others.
+These keys are what the worker-batch planners (local pool and fabric)
+and the shared-memory stream export agree on; their semantics are
+pinned here so a refactor in any one consumer cannot silently diverge
+from the others.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from repro.btb.config import (BTBConfig, DEFAULT_BTB_CONFIG,
                               THERMOMETER_7979_CONFIG)
 from repro.harness.engine import SimJob
 from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       replay_group_key, stream_key)
+                                       stream_key)
 
 
 def job(**kwargs) -> SimJob:
@@ -40,47 +40,6 @@ class TestEffectiveConfig:
         assert a == b == THERMOMETER_7979_CONFIG
 
 
-class TestReplayGroupKey:
-    def test_policies_share_a_group(self):
-        assert (replay_group_key(job(policy="lru"))
-                == replay_group_key(job(policy="srrip"))
-                == replay_group_key(job(policy="opt")))
-
-    def test_sim_mode_is_not_groupable(self):
-        assert replay_group_key(job(mode="sim")) is None
-
-    def test_distinct_workloads_split_groups(self):
-        base = replay_group_key(job())
-        assert replay_group_key(job(app="kafka")) != base
-        assert replay_group_key(job(input_id=1)) != base
-        assert replay_group_key(job(length=8000)) != base
-
-    def test_distinct_geometry_splits_groups(self):
-        small = BTBConfig(entries=1024, ways=4)
-        assert (replay_group_key(job(btb_config=small))
-                != replay_group_key(job()))
-
-    def test_iso_storage_variant_groups_by_effective_geometry(self):
-        """thermometer-7979 replays the 7979-entry geometry no matter
-        the nominal config, so it must never share a sweep with
-        default-geometry jobs..."""
-        assert (replay_group_key(job(policy="thermometer-7979"))
-                != replay_group_key(job(policy="lru")))
-        # ...but two 7979 jobs with different *nominal* configs replay
-        # identically, and harness_config still separates their keys
-        # (the harness builds nominal-config streams).
-        a = replay_group_key(job(policy="thermometer-7979"))
-        b = replay_group_key(job(policy="thermometer-7979",
-                                 btb_config=BTBConfig(entries=512,
-                                                      ways=2)))
-        assert a[:4] == b[:4]
-        assert a != b
-
-    def test_harness_settings_split_groups(self):
-        assert (replay_group_key(job(warmup_fraction=0.3))
-                != replay_group_key(job()))
-
-
 class TestStreamAndBatchKeys:
     def test_stream_key_uses_nominal_geometry(self):
         assert (stream_key(job(policy="thermometer-7979"))
@@ -100,13 +59,3 @@ class TestStreamAndBatchKeys:
         assert batch_key(job(length=8000)) != batch_key(job())
         assert batch_key(job(app="kafka")) != batch_key(job())
 
-
-class TestPlannerUsesSharedKeys:
-    def test_plan_groups_by_replay_group_key(self):
-        from repro.harness.engine import GroupReplay
-        jobs = [job(policy="lru"), job(policy="srrip"),
-                job(policy="lru", app="kafka"), job(mode="sim")]
-        groups = GroupReplay.plan(jobs)
-        assert groups[0] is not None and groups[0] is groups[1]
-        assert groups[2] is None  # singleton group: no sweep payoff
-        assert groups[3] is None  # sim mode never groups

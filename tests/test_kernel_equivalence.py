@@ -110,13 +110,11 @@ def test_kernel_matches_reference_loop(policy_name, app):
 @pytest.mark.parametrize("app", APPS)
 @pytest.mark.parametrize("policy_name", policy_names())
 def test_fast_path_matches_reference_loop(policy_name, app):
-    """The set-partitioned fast-path kernels vs. the reference loop.
+    """Every registry policy's fast-path kernel vs. the reference loop.
 
     Observer-free on purpose: attaching an observer forces the slow path
     (see ``test_fast_kernels.py``), so this is the only differential that
-    actually exercises kernel dispatch.  Policies without a kernel take
-    the reference loop on both sides, which keeps the dispatch decision
-    itself under test for every registry name.
+    actually exercises kernel dispatch.
     """
     from repro.btb import kernels
 

@@ -77,13 +77,9 @@ class TestEngineManifests:
         assert summary["cached_jobs"] == 0
         assert 0.0 < summary["worker_utilization"] <= 2.0
         # Worker telemetry made it across the process boundary: the
-        # replay spans ran in the pool, not in this process.  Group
-        # replay sweeps each app's policies in one "misses" span, so
-        # spans count per group, not per job.
+        # replay spans ran in the pool, not in this process.
         spans = summary["telemetry"]["spans"]
-        assert spans["misses"]["count"] == 2  # one sweep per app group
-        assert summary["telemetry"]["counters"][
-            "engine/multi_replay/sweeps"] == 2
+        assert spans["misses"]["count"] == len(self.JOBS)  # one per job
         assert spans["trace"]["count"] == 2  # one per app, shared
         # Rows carry per-job BTB stats that match the returned results.
         by_key = {(r["app"], r["policy"]): r for r in manifest.rows}
@@ -150,7 +146,7 @@ class TestSerialParallelConsistency:
             set_registry(previous)
         manifest = read_run_manifest(engine.last_manifest)
         spans = manifest.summary["telemetry"]["spans"]
-        # Both jobs share one app group, so group replay runs a single
-        # "misses" sweep — counted once, not per job or per delta.
-        assert spans["misses"]["count"] == 1
+        # One "misses" replay per job — counted once each, not once per
+        # job row and again in the parent delta (which would read 4).
+        assert spans["misses"]["count"] == 2
         assert spans["trace"]["count"] == 1
