@@ -77,6 +77,7 @@ pass over the partitioned stream that never simulates BTB state at all.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Type
 
@@ -936,33 +937,74 @@ class SHIPKernel(GlobalOrderKernel):
 
 class GHRPKernel(GlobalOrderKernel):
     """GHRP: dead-block prediction from (pc, global history) signatures;
-    the history register and skewed counter tables are global."""
+    the history register and skewed counter tables are global.
+
+    Every access (hit, fill or bypass) shifts its pc into the 16-bit
+    history as ``((h << 4) ^ (pc >> 2)) & 0xFFFF``, so the history after
+    access ``i`` depends only on the last four pcs (the first three also
+    fold in the policy's start history).  Every signature, and each
+    signature's per-table fold indices, is therefore a numpy column
+    computed before the loop (:meth:`_fold_columns`); the loop keeps only
+    the counter reads and writes, the dead and stamp rows, and the victim
+    scan.  A way's signature is carried as the index of the access that
+    set it; the signatures themselves are written back at the end.
+    """
+
+    @staticmethod
+    def _fold_columns(policy, pcs: np.ndarray):
+        """Post-update signatures of every access, and per-table fold
+        indices of the post-update and pre-update signatures (the bypass
+        check reads the latter), as compact ``array('q')`` columns."""
+        tb = policy.table_bits
+        if policy.num_tables > tb + 1:
+            # The reference's fold shifts by table_bits - t.
+            raise ValueError("negative shift count")
+        words = pcs >> 2
+        history = words.copy()
+        for k in (1, 2, 3):
+            history[k:] ^= words[:-k] << (4 * k)
+        start = policy._history
+        for k in range(min(3, len(pcs))):
+            history[k] ^= start << (4 * (k + 1))
+        history &= 0xFFFF
+        before = np.empty_like(history)
+        before[:1] = start
+        before[1:] = history[:-1]
+        mask = (1 << tb) - 1
+
+        def folds(sg):
+            return [array("q", ((sg ^ (sg >> (tb - t)) ^ (t * 0x9E37))
+                                & mask).tobytes())
+                    for t in range(policy.num_tables)]
+
+        signatures = (words ^ (history << 1)) & 0x3FFFFFF
+        return (int(history[-1]), signatures, folds(signatures),
+                folds((words ^ (before << 1)) & 0x3FFFFFF))
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         pcs = stream.pcs_list
+        if not pcs:
+            return  # the reference folds nothing, so it cannot raise
         tgts_in = stream.targets_list
         sets = stream.sets_list
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
         tables = policy._tables
-        sig = policy._signature
         dead = policy._dead
         stamps = policy._stamps
-        history = policy._history
         clock = policy._clock
-        tb = policy.table_bits
-        mask = (1 << tb) - 1
         cmax = policy.counter_max
         dthresh = policy.dead_threshold
         bypass_on = policy.bypass_enabled
-        skews = tuple((tb - t, t * 0x9E37)
-                      for t in range(policy.num_tables))
-
-        def folds(sg):
-            return [(sg ^ (sg >> sh) ^ xr) & mask for sh, xr in skews]
-
+        history, signatures, post, pre = self._fold_columns(policy,
+                                                            stream.pcs)
+        post_tabs = list(zip(tables, post))
+        pre_tabs = list(zip(tables, pre))
+        # Index of the access whose signature each way carries.  Storage
+        # starts empty, so every way read below was set in this replay.
+        sig_at = [[-1] * W for _ in range(len(dead))]
         tags, tgts, reused, fillidx, dirs = self._storage(btb)
         hits = evictions = bypasses = compulsory = mismatches = 0
         for i, s in enumerate(sets):
@@ -981,16 +1023,17 @@ class GHRPKernel(GlobalOrderKernel):
                 reused[s][way] = True
                 # on_hit: detrain the previous signature, then re-tag
                 # with the post-update-history signature.
-                for t_i, idx in enumerate(folds(sig[s][way])):
-                    v = tables[t_i][idx]
+                at = sig_at[s]
+                j = at[way]
+                for table, col in post_tabs:
+                    idx = col[j]
+                    v = table[idx]
                     if v > 0:
-                        tables[t_i][idx] = v - 1
-                history = ((history << 4) ^ (pc >> 2)) & 0xFFFF
-                sg = ((pc >> 2) ^ (history << 1)) & 0x3FFFFFF
-                sig[s][way] = sg
+                        table[idx] = v - 1
+                at[way] = i
                 total = 0
-                for t_i, idx in enumerate(folds(sg)):
-                    total += tables[t_i][idx]
+                for table, col in post_tabs:
+                    total += table[col[i]]
                 dead[s][way] = total >= dthresh
                 clock += 1
                 stamps[s][way] = clock
@@ -1003,13 +1046,11 @@ class GHRPKernel(GlobalOrderKernel):
                 if bypass_on:
                     # The bypass decision sees the *pre-update* history,
                     # exactly like choose_victim before on_bypass.
-                    in_sg = ((pc >> 2) ^ (history << 1)) & 0x3FFFFFF
                     total = 0
-                    for t_i, idx in enumerate(folds(in_sg)):
-                        total += tables[t_i][idx]
+                    for table, col in pre_tabs:
+                        total += table[col[i]]
                     if total >= dthresh:
                         bypasses += 1
-                        history = ((history << 4) ^ (pc >> 2)) & 0xFFFF
                         continue
                 drow = dead[s]
                 srow = stamps[s]
@@ -1017,25 +1058,30 @@ class GHRPKernel(GlobalOrderKernel):
                 way = min(cands or ways, key=srow.__getitem__)
                 evictions += 1
                 if not reused[s][way]:
-                    for t_i, idx in enumerate(folds(sig[s][way])):
-                        v = tables[t_i][idx]
+                    j = sig_at[s][way]
+                    for table, col in post_tabs:
+                        idx = col[j]
+                        v = table[idx]
                         if v < cmax:
-                            tables[t_i][idx] = v + 1
+                            table[idx] = v + 1
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
             tgts[s][way] = tgts_in[i]
             reused[s][way] = False
             fillidx[s][way] = i
-            history = ((history << 4) ^ (pc >> 2)) & 0xFFFF
-            sg = ((pc >> 2) ^ (history << 1)) & 0x3FFFFFF
-            sig[s][way] = sg
+            sig_at[s][way] = i
             total = 0
-            for t_i, idx in enumerate(folds(sg)):
-                total += tables[t_i][idx]
+            for table, col in post_tabs:
+                total += table[col[i]]
             dead[s][way] = total >= dthresh
             clock += 1
             stamps[s][way] = clock
+        sig = policy._signature
+        for s, at in enumerate(sig_at):
+            for w, j in enumerate(at):
+                if j >= 0:
+                    sig[s][w] = int(signatures[j])
         policy._history = history
         policy._clock = clock
         self._write_back(btb, tags, tgts, reused, fillidx, dirs)
@@ -1045,7 +1091,10 @@ class GHRPKernel(GlobalOrderKernel):
 
 class HawkeyeKernel(GlobalOrderKernel):
     """Hawkeye: per-sampled-set OPTgen, globally shared predictor
-    counters trained in stream order."""
+    counters trained in stream order.
+
+    Each access's predictor index is a precomputed column, and OPTgen is
+    consulted only for the sampled sets (a per-set lookup made once)."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
@@ -1056,35 +1105,34 @@ class HawkeyeKernel(GlobalOrderKernel):
         ways = range(W)
         policy = btb.policy
         counters = policy._counters
-        optgen_get = policy._optgen.get
+        gens = [policy._optgen.get(s) for s in range(len(policy._rrpv))]
         rrpv = policy._rrpv
         friendly = policy._friendly
         pbits = policy.predictor_bits
-        pmask = (1 << pbits) - 1
+        words = stream.pcs >> 2
+        pidx = array("q", ((words ^ (words >> pbits))
+                           & ((1 << pbits) - 1)).tobytes())
         age_cap = _RRPV_MAX - 1
         tags, tgts, reused, fillidx, dirs = self._storage(btb)
         hits = evictions = compulsory = mismatches = 0
 
-        def sample(s, pc):
-            gen = optgen_get(s)
-            if gen is None:
-                return
+        def sample(gen, pc, p):
             verdict = gen.access(pc)
             if verdict is None:
                 return
-            word = pc >> 2
-            idx = (word ^ (word >> pbits)) & pmask
-            v = counters[idx]
+            v = counters[p]
             if verdict:
                 if v < 7:
-                    counters[idx] = v + 1
+                    counters[p] = v + 1
             elif v > 0:
-                counters[idx] = v - 1
+                counters[p] = v - 1
 
         for i, s in enumerate(sets):
             pc = pcs[i]
             dct = dirs[s]
             way = dct.get(pc)
+            p = pidx[i]
+            gen = gens[s]
             if way is not None:
                 hits += 1
                 if hits_out is not None:
@@ -1095,9 +1143,9 @@ class HawkeyeKernel(GlobalOrderKernel):
                     mismatches += 1
                     row[way] = t
                 reused[s][way] = True
-                sample(s, pc)
-                word = pc >> 2
-                fr = counters[(word ^ (word >> pbits)) & pmask] >= 4
+                if gen is not None:
+                    sample(gen, pc, p)
+                fr = counters[p] >= 4
                 friendly[s][way] = fr
                 rrpv[s][way] = 0 if fr else _RRPV_MAX
                 continue
@@ -1119,8 +1167,9 @@ class HawkeyeKernel(GlobalOrderKernel):
                         way = w
                 evictions += 1
                 if friendly[s][way] and not reused[s][way]:
-                    vword = tag[way] >> 2
-                    idx = (vword ^ (vword >> pbits)) & pmask
+                    # Storage starts empty, so the victim was filled by
+                    # access fillidx in this replay.
+                    idx = pidx[fillidx[s][way]]
                     v = counters[idx]
                     if v > 0:
                         counters[idx] = v - 1
@@ -1130,9 +1179,9 @@ class HawkeyeKernel(GlobalOrderKernel):
             tgts[s][way] = tgts_in[i]
             reused[s][way] = False
             fillidx[s][way] = i
-            sample(s, pc)
-            word = pc >> 2
-            fr = counters[(word ^ (word >> pbits)) & pmask] >= 4
+            if gen is not None:
+                sample(gen, pc, p)
+            fr = counters[p] >= 4
             friendly[s][way] = fr
             if fr:
                 for w in ways:

@@ -86,6 +86,11 @@ class _Host:
     slot: int
     last_seen: float
     lost: bool = False
+    #: Whether ``fabric/hosts_registered`` has counted this host.  A host
+    #: that registers while no run is installed is counted when the next
+    #: run installs, so the count lands inside that run's telemetry
+    #: delta however the registration raced the run's start.
+    counted: bool = False
 
 
 @dataclass
@@ -277,6 +282,9 @@ class FabricCoordinator:
             if not state.pending:
                 state.complete = True
             self._run = state
+            for host in self._hosts.values():
+                if not host.counted:
+                    self._count_registered(host)
             self._cond.notify_all()
         log.info("fabric run %s: %d job(s) in %d group(s) over %d host "
                  "bucket(s)", ctx.run_id, len(state.pending),
@@ -373,7 +381,7 @@ class FabricCoordinator:
                 # A replacement host arrived: the zero-live-hosts clock
                 # stops ticking.
                 self._run.grace_deadline = None
-            get_registry().count("fabric/hosts_registered")
+                self._count_registered(host)
             log.info("fabric: host %s registered (slot %d, artifacts at "
                      "%s)", name, host.slot, host.artifact or "-")
             interval = min(2.0, max(0.2, self.heartbeat_timeout / 4.0))
@@ -384,6 +392,11 @@ class FabricCoordinator:
                      "peers": self._peer_map(exclude=name)}
             self._cond.notify_all()
             return name, reply
+
+    @staticmethod
+    def _count_registered(host: _Host) -> None:
+        get_registry().count("fabric/hosts_registered")
+        host.counted = True
 
     def _touch(self, name: str) -> None:
         with self._lock:

@@ -87,7 +87,7 @@ KERNEL_POLICIES = tuple(kernels.kernel_policy_names())
 REPLAY_FLOORS = {
     "lru": 2.0, "opt": 2.0, "thermometer": 1.25,
     "mru": 2.0, "fifo": 2.0, "srrip": 2.0, "plru": 2.5,
-    "dip": 1.0, "ship": 1.5, "ghrp": 1.25, "hawkeye": 1.4,
+    "dip": 1.0, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
     "thermometer-dueling": 1.6, "thermometer-online": 1.4,
     "random": 1.5, "brrip": 1.5,
 }

@@ -22,18 +22,34 @@ Layout structure
 Emission walks phases; each phase activates a subset of hot loops, giving
 branches time-varying transient reuse distances while their holistic (whole
 execution) behavior stays stable.
+
+Columns, and why the draw order matters
+---------------------------------------
+Both stages are column-driven.  The layout is a *site table* (per-site pc,
+static target, kind, bias and block length), and :class:`StaticBranch`
+objects are only built when :attr:`SyntheticWorkload.static_branches` or a
+region's ``body`` is read.  Emission appends a site index and a taken bit
+per record (plus a target override for indirect dispatch, calls and
+returns) and :meth:`SyntheticWorkload.generate` gathers the five
+:class:`~repro.trace.record.BranchTrace` columns in one numpy pass.
+
+A trace is fully determined by the sequence of ``random.Random`` draws the
+two stages make, so every draw keeps its place and order: a cheaper way to
+produce the same records is fine, a different draw is a different trace.
+``tests/test_trace_digests.py`` pins the bytes of all 13 applications'
+traces and layouts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.trace.record import (INSTRUCTION_BYTES, BranchKind, BranchRecord,
-                                BranchTrace)
+from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 
 __all__ = ["LayoutParams", "MixParams", "StaticBranch", "SyntheticWorkload",
            "WorkloadSpec"]
@@ -183,9 +199,11 @@ class SyntheticWorkload:
         mix = _perturb_mix(self.spec.mix, input_id)
         rng = random.Random(_stable_seed(self.spec.name, input_id, seed))
         emitter = _Emitter(self._lay, mix, rng)
-        records = emitter.emit(length)
-        trace = BranchTrace.from_records(
-            records, name=f"{self.spec.name}#{input_id}")
+        emitter.emit(length)
+        pcs, targets, kinds, taken, ilens = emitter.columns()
+        trace = BranchTrace(pcs=pcs, targets=targets, kinds=kinds,
+                            taken=taken, ilens=ilens,
+                            name=f"{self.spec.name}#{input_id}")
         trace.metadata.update({"workload": self.spec.name,
                                "input_id": input_id, "seed": seed})
         return trace
@@ -195,35 +213,117 @@ class SyntheticWorkload:
 # Layout stage
 # ----------------------------------------------------------------------
 
+# Site-table kind codes (plain ints gather into a uint8 column cheaply).
+_COND = int(BranchKind.COND_DIRECT)
+_JUMP = int(BranchKind.UNCOND_DIRECT)
+_CALL = int(BranchKind.CALL_DIRECT)
+_RETURN = int(BranchKind.RETURN)
+_INDIRECT = int(BranchKind.UNCOND_INDIRECT)
+
+
 @dataclass
 class _Loop:
     base: int
-    body: List[StaticBranch]
-    backedge: StaticBranch
+    #: Site-table index of the first body branch; the ``n`` body branches
+    #: are ``first, first + 1, ...``, then the backedge.
+    first: int
+    n: int
+    #: Position of the indirect dispatch branch in the body, or -1.
+    indirect_pos: int
+    #: Taken probabilities of the conditional body branches, in order.
+    biases: List[float]
+    #: Site-table index of the backedge pc acting as a direct call to a
+    #: warm function, and the address that call returns to.
+    call_site: int
+    call_return: int
+    sites: _Sites = field(repr=False, compare=False)
     #: Trip-count range for one visit; correlated with the loop's visit
     #: weight (hot inner loops iterate more), which is what separates the
     #: hot/warm/cold hit-to-taken regimes.
     trips: Tuple[int, int] = (1, 2)
 
+    @property
+    def body(self) -> List[StaticBranch]:
+        return self.sites.branches(self.first, self.first + self.n)
+
+    @property
+    def backedge(self) -> StaticBranch:
+        return self.sites.branch(self.first + self.n)
+
 
 @dataclass
 class _Func:
     base: int
-    body: List[StaticBranch]
-    ret: StaticBranch
+    #: Site-table index of the first body branch; ``ret`` follows the body.
+    first: int
+    n: int
+    biases: List[float]
+    sites: _Sites = field(repr=False, compare=False)
+
+    @property
+    def body(self) -> List[StaticBranch]:
+        return self.sites.branches(self.first, self.first + self.n)
+
+    @property
+    def ret(self) -> StaticBranch:
+        return self.sites.branch(self.first + self.n)
+
+
+class _Sites:
+    """A layout's site table: parallel per-site columns (pc, static
+    target, kind, bias, ilen), numbered in build order.
+
+    A site is a static branch, or a loop backedge acting as the call site
+    of a warm function.  Regions refer to their sites by index, emission
+    records site indices, and :class:`StaticBranch` views are built only
+    when asked for.  The table holds no reference back to its regions, so
+    a layout is freed as soon as its workload is.
+    """
+
+    def __init__(self) -> None:
+        self.pcs: List[int] = []
+        self.targets: List[int] = []
+        self.kinds: List[int] = []
+        self.biases: List[float] = []
+        self.ilens: List[int] = []
+        #: Candidate targets of the indirect sites.
+        self.fanout: Dict[int, Tuple[int, ...]] = {}
+
+    def add(self, pcs: Sequence[int], targets: Sequence[int],
+            kinds: Sequence[int], biases: Sequence[float],
+            ilens: Sequence[int]) -> int:
+        """Append sites; returns the index of the first."""
+        first = len(self.pcs)
+        self.pcs.extend(pcs)
+        self.targets.extend(targets)
+        self.kinds.extend(kinds)
+        self.biases.extend(biases)
+        self.ilens.extend(ilens)
+        return first
+
+    def branch(self, site: int) -> StaticBranch:
+        return StaticBranch(
+            pc=self.pcs[site], target=self.targets[site],
+            kind=BranchKind(self.kinds[site]), bias=self.biases[site],
+            ilen=self.ilens[site], targets=self.fanout.get(site, ()))
+
+    def branches(self, start: int, stop: int) -> List[StaticBranch]:
+        return [self.branch(site) for site in range(start, stop)]
 
 
 class _Layout:
-    """Deterministic static code layout for one workload."""
+    """Deterministic static code layout for one workload: regions over a
+    :class:`_Sites` table, plus the table's columns as numpy arrays for
+    the emitter's gather."""
 
     def __init__(self, params: LayoutParams, seed: int):
         rng = random.Random(seed)
         self.params = params
         self._trip_hi = params.loop_trips_max
         self._cursor = params.text_base
+        self.sites = _Sites()
         self.loops: List[_Loop] = []
         self.funcs: List[_Func] = []
-        self.cold: List[StaticBranch] = []
         self._build_funcs(rng)
         self._build_loops(rng)
         self._build_cold(rng)
@@ -232,6 +332,16 @@ class _Layout:
                              for i in range(len(self.loops))]
         self.func_weights = [1.0 / (i + 1) ** 1.2
                              for i in range(len(self.funcs))]
+        self.func_cum = list(accumulate(self.func_weights))
+        self.site_pcs = np.array(self.sites.pcs, dtype=np.int64)
+        self.site_targets = np.array(self.sites.targets, dtype=np.int64)
+        self.site_kinds = np.array(self.sites.kinds, dtype=np.uint8)
+        self.site_ilens = np.array(self.sites.ilens, dtype=np.int32)
+
+    @property
+    def cold(self) -> List[StaticBranch]:
+        return self.sites.branches(self.cold_first,
+                                   self.cold_first + self.n_cold)
 
     # -- helpers -------------------------------------------------------
     def _alloc_region(self, n_instructions: int) -> int:
@@ -240,9 +350,9 @@ class _Layout:
                          + self.params.region_gap_bytes)
         return base
 
-    def _draw_block(self, rng: random.Random) -> int:
+    def _draw_blocks(self, rng: random.Random, count: int) -> List[int]:
         lo, hi = self.params.block_len
-        return rng.randint(lo, hi)
+        return [rng.randint(lo, hi) for _ in range(count)]
 
     def _draw_bias(self, rng: random.Random) -> float:
         if rng.random() < self.params.hard_branch_fraction:
@@ -251,58 +361,64 @@ class _Layout:
             lo, hi = self.params.easy_bias
         return rng.uniform(lo, hi)
 
+    def _straight_line(self, base: int, blocks: List[int], n: int):
+        """pcs and forward-skip targets of ``n`` branches ending the first
+        ``n`` blocks of a region at ``base``, and the pc ending block
+        ``n``."""
+        ends = list(accumulate(blocks[:n + 1]))
+        pcs = [base + e * INSTRUCTION_BYTES for e in ends]
+        # Each branch skips forward over the next block.
+        targets = [pcs[i] + (blocks[i + 1] + 1) * INSTRUCTION_BYTES
+                   for i in range(n)]
+        return pcs[:n], targets, pcs[n]
+
     # -- regions -------------------------------------------------------
     def _build_funcs(self, rng: random.Random) -> None:
         lo, hi = self.params.warm_func_branches
         for _ in range(self.params.n_warm_funcs):
             n = rng.randint(lo, hi)
-            blocks = [self._draw_block(rng) for _ in range(n + 1)]
+            blocks = self._draw_blocks(rng, n + 1)
             base = self._alloc_region(sum(blocks) + 4)
-            body: List[StaticBranch] = []
-            pc = base
-            for i in range(n):
-                pc += blocks[i] * INSTRUCTION_BYTES
-                # Forward skip over the next block.
-                target = pc + (blocks[i + 1] + 1) * INSTRUCTION_BYTES
-                body.append(StaticBranch(
-                    pc=pc, target=target, kind=BranchKind.COND_DIRECT,
-                    bias=self._draw_bias(rng), ilen=blocks[i]))
-            pc += blocks[n] * INSTRUCTION_BYTES
-            ret = StaticBranch(pc=pc, target=0, kind=BranchKind.RETURN,
-                               bias=1.0, ilen=blocks[n])
-            self.funcs.append(_Func(base=base, body=body, ret=ret))
+            pcs, targets, ret_pc = self._straight_line(base, blocks, n)
+            biases = [self._draw_bias(rng) for _ in range(n)]
+            first = self.sites.add(
+                pcs + [ret_pc], targets + [0],
+                [_COND] * n + [_RETURN],
+                biases + [1.0], blocks)
+            self.funcs.append(_Func(base=base, first=first, n=n,
+                                    biases=biases, sites=self.sites))
 
     def _build_loops(self, rng: random.Random) -> None:
         lo, hi = self.params.hot_loop_branches
         for loop_idx in range(self.params.n_hot_loops):
             n = rng.randint(lo, hi)
-            blocks = [self._draw_block(rng) for _ in range(n + 1)]
+            blocks = self._draw_blocks(rng, n + 1)
             base = self._alloc_region(sum(blocks) + 4)
             has_indirect = (rng.random() < self.params.indirect_loop_fraction)
             indirect_pos = rng.randrange(n) if has_indirect and n else -1
-            body: List[StaticBranch] = []
-            pc = base
-            for i in range(n):
-                pc += blocks[i] * INSTRUCTION_BYTES
-                if i == indirect_pos:
-                    fanout = max(2, self.params.indirect_fanout)
-                    targets = tuple(
-                        pc + (j + 2) * 4 * INSTRUCTION_BYTES
-                        for j in range(fanout))
-                    body.append(StaticBranch(
-                        pc=pc, target=targets[0],
-                        kind=BranchKind.UNCOND_INDIRECT, bias=1.0,
-                        ilen=blocks[i], targets=targets))
-                else:
-                    target = pc + (blocks[i + 1] + 1) * INSTRUCTION_BYTES
-                    body.append(StaticBranch(
-                        pc=pc, target=target, kind=BranchKind.COND_DIRECT,
-                        bias=self._draw_bias(rng), ilen=blocks[i]))
-            pc += blocks[n] * INSTRUCTION_BYTES
-            backedge = StaticBranch(
-                pc=pc, target=base, kind=BranchKind.COND_DIRECT,
-                bias=0.95, ilen=blocks[n])
-            self.loops.append(_Loop(base=base, body=body, backedge=backedge))
+            pcs, targets, back_pc = self._straight_line(base, blocks, n)
+            kinds = [_COND] * n
+            biases = [self._draw_bias(rng)
+                      for _ in range(n - (indirect_pos >= 0))]
+            site_biases = list(biases)
+            if indirect_pos >= 0:
+                fanout = max(2, self.params.indirect_fanout)
+                pc = pcs[indirect_pos]
+                fan = tuple(pc + (j + 2) * 4 * INSTRUCTION_BYTES
+                            for j in range(fanout))
+                targets[indirect_pos] = fan[0]
+                kinds[indirect_pos] = _INDIRECT
+                site_biases.insert(indirect_pos, 1.0)
+            first = self.sites.add(
+                pcs + [back_pc, back_pc], targets + [base, base],
+                kinds + [_COND, _CALL],
+                site_biases + [0.95, 1.0], blocks + [blocks[n]])
+            if indirect_pos >= 0:
+                self.sites.fanout[first + indirect_pos] = fan
+            self.loops.append(_Loop(
+                base=base, first=first, n=n, indirect_pos=indirect_pos,
+                biases=biases, call_site=first + n + 1,
+                call_return=back_pc + INSTRUCTION_BYTES, sites=self.sites))
         self._assign_trip_counts()
 
     def _assign_trip_counts(self) -> None:
@@ -335,22 +451,30 @@ class _Layout:
         paper's Fig. 8 finding.
         """
         n = self.params.n_cold_branches
-        blocks = [self._draw_block(rng) for _ in range(n)]
-        pcs: List[int] = []
-        for blk in blocks:
-            base = self._alloc_region(blk + 1)
-            pcs.append(base + blk * INSTRUCTION_BYTES)
-        for i in range(n):
-            target = pcs[(i + 1) % n] - blocks[(i + 1) % n] * INSTRUCTION_BYTES
-            kind = (BranchKind.COND_DIRECT if rng.random() < 0.6
-                    else BranchKind.UNCOND_DIRECT)
-            self.cold.append(StaticBranch(
-                pc=pcs[i], target=target, kind=kind,
-                bias=1.0, ilen=blocks[i]))
+        blocks = self._draw_blocks(rng, n)
+        kinds = [_COND if rng.random() < 0.6 else _JUMP for _ in range(n)]
+        # One region per branch; each branch jumps to the next region.
+        gap = self.params.region_gap_bytes
+        bases = list(accumulate(
+            ((blk + 1) * INSTRUCTION_BYTES + gap for blk in blocks),
+            initial=self._cursor))
+        self._cursor = bases.pop()
+        pcs = [b + blk * INSTRUCTION_BYTES for b, blk in zip(bases, blocks)]
+        self.cold_first = self.sites.add(
+            pcs, bases[1:] + bases[:1], kinds, [1.0] * n, blocks)
+        self.n_cold = n
 
 
 # ----------------------------------------------------------------------
 # Emission stage
+#
+# The emitter's control flow is the trace definition: moving, adding or
+# dropping an ``rng`` call below changes every trace (the digests in
+# tests/test_trace_digests.py pin them).  Records are appended as column
+# entries (site index, taken bit, rare target overrides) and straight-line
+# runs go in with one ``extend``; only the draws stay per-record Python.
+# ``rng.choices`` gets precomputed ``cum_weights``, which draws exactly
+# what ``weights=`` would without re-accumulating the weights per call.
 # ----------------------------------------------------------------------
 
 def _perturb_mix(mix: MixParams, input_id: int) -> MixParams:
@@ -374,7 +498,13 @@ def _perturb_mix(mix: MixParams, input_id: int) -> MixParams:
 
 
 class _Emitter:
-    """Walks the layout, producing dynamic branch records."""
+    """Walks the layout, appending each dynamic record as column entries.
+
+    A record is a static-site index (into the layout's site table) and a
+    taken bit; the few records whose target is not their site's static
+    target (indirect dispatch, calls, returns) also log a target
+    override.  :meth:`columns` gathers the five trace columns once.
+    """
 
     def __init__(self, lay: _Layout, mix: MixParams, rng: random.Random):
         self._lay = lay
@@ -382,32 +512,31 @@ class _Emitter:
         self._rng = rng
         self._cold_cursor = 0
         self._phase_index = 0
-        self._last_loop = None
-        self._records: List[BranchRecord] = []
+        self._last_loop: Optional[int] = None
+        self._sites: List[int] = []
+        self._taken: List[bool] = []
+        self._override_at: List[int] = []
+        self._override_target: List[int] = []
         self._limit = 0
 
-    # -- record constructors -------------------------------------------
-    def _emit(self, br: StaticBranch, taken: bool,
-              target: Optional[int] = None) -> None:
-        if target is None:
-            target = br.target
-        self._records.append(BranchRecord(
-            pc=br.pc, target=target, kind=br.kind, taken=taken,
-            ilen=br.ilen))
-
     def _full(self) -> bool:
-        return len(self._records) >= self._limit
+        return len(self._sites) >= self._limit
+
+    def _override(self, target: int) -> None:
+        """The next record's target is ``target``, not the static one."""
+        self._override_at.append(len(self._sites))
+        self._override_target.append(target)
 
     # -- structure ------------------------------------------------------
-    def _active_loops(self) -> Tuple[Sequence[_Loop], Sequence[float]]:
-        """The loops active in the current phase, with visit weights.
+    def _active_loops(self) -> Tuple[List[int], List[float]]:
+        """Indices of the loops active in the current phase, with the
+        cumulative visit weights ``rng.choices`` takes.
 
         The top-weight core loops are always active; the remainder of the
         active set is a window over the other loops that rotates each phase.
         """
-        loops = self._lay.loops
         weights = self._lay.loop_weights
-        n = len(loops)
+        n = len(weights)
         core = min(self._mix.core_loops, n)
         k = min(self._mix.active_loops, n - core)
         chosen = list(range(core))
@@ -415,41 +544,69 @@ class _Emitter:
             span = n - core
             start = (self._phase_index * max(1, k // 2)) % span
             chosen.extend(core + (start + i) % span for i in range(k))
-        return ([loops[i] for i in chosen],
-                [weights[i] for i in chosen])
+        return chosen, list(accumulate(weights[i] for i in chosen))
 
-    def _emit_warm_call(self, callsite: StaticBranch) -> None:
-        func = self._rng.choices(self._lay.funcs,
-                                 weights=self._lay.func_weights)[0]
-        # The call itself: reuse the callsite pc but as a direct call.
-        self._records.append(BranchRecord(
-            pc=callsite.pc, target=func.base, kind=BranchKind.CALL_DIRECT,
-            taken=True, ilen=callsite.ilen))
-        for br in func.body:
-            if self._full():
-                return
-            self._emit(br, taken=(self._rng.random() < br.bias))
+    def _emit_body(self, first: int, biases: Sequence[float],
+                   indirect_pos: int, indirect_target: int, n: int) -> int:
+        """Emit up to ``n`` straight-line sites from ``first`` on, stopping
+        when the trace is full; returns how many were emitted.
+
+        Conditional sites draw their taken bit in order; the indirect site
+        at ``indirect_pos`` (if any) is taken to ``indirect_target``
+        without a draw.
+        """
+        sites = self._sites
+        m = min(n, self._limit - len(sites))
+        rand = self._rng.random
+        if 0 <= indirect_pos < m:
+            drawn = [rand() < b for b in biases[:m - 1]]
+            drawn.insert(indirect_pos, True)
+            self._override_at.append(len(sites) + indirect_pos)
+            self._override_target.append(indirect_target)
+        elif m == n:
+            drawn = [rand() < b for b in biases]
+        else:
+            drawn = [rand() < b for b in biases[:m]]
+        sites.extend(range(first, first + m))
+        self._taken.extend(drawn)
+        return m
+
+    def _emit_warm_call(self, loop: _Loop) -> None:
+        lay = self._lay
+        func = self._rng.choices(lay.funcs, cum_weights=lay.func_cum)[0]
+        # The call itself: the loop's backedge pc as a direct call.
+        self._override(func.base)
+        self._sites.append(loop.call_site)
+        self._taken.append(True)
+        n = func.n
+        if self._emit_body(func.first, func.biases, -1, 0, n) < n:
+            return
         if not self._full():
-            self._emit(func.ret, taken=True,
-                       target=callsite.pc + INSTRUCTION_BYTES)
+            self._override(loop.call_return)
+            self._sites.append(func.first + n)
+            self._taken.append(True)
 
     def _emit_cold_burst(self) -> None:
         lo, hi = self._mix.cold_burst_len
         burst = self._rng.randint(lo, hi)
-        cold = self._lay.cold
-        if not cold:
+        n_cold = self._lay.n_cold
+        if not n_cold:
             return
         if self._rng.random() < self._mix.cold_revisit:
             # Replay a recent stretch rather than advancing.
             back = self._rng.randint(burst, 4 * burst)
-            start = (self._cold_cursor - back) % len(cold)
+            start = (self._cold_cursor - back) % n_cold
         else:
             start = self._cold_cursor
-            self._cold_cursor = (self._cold_cursor + burst) % len(cold)
-        for i in range(burst):
-            if self._full():
-                return
-            self._emit(cold[(start + i) % len(cold)], taken=True)
+            self._cold_cursor = (self._cold_cursor + burst) % n_cold
+        m = min(burst, self._limit - len(self._sites))
+        self._taken.extend([True] * m)
+        first = self._lay.cold_first
+        while m > 0:
+            run = min(m, n_cold - start)
+            self._sites.extend(range(first + start, first + start + run))
+            m -= run
+            start = 0
 
     def _emit_loop_visit(self, loop: _Loop) -> None:
         lo, hi = loop.trips
@@ -458,62 +615,71 @@ class _Emitter:
         # Indirect dispatch targets are sticky for the duration of a visit
         # (batches of same-typed work), which is what makes real indirect
         # branches predictable by a history-based IBTB.
-        visit_targets = {
-            br.pc: self._rng.choice(br.targets)
-            for br in loop.body if br.kind is BranchKind.UNCOND_INDIRECT}
+        pos = loop.indirect_pos
+        target = (self._rng.choice(self._lay.sites.fanout[loop.first + pos])
+                  if pos >= 0 else 0)
+        rand = self._rng.random
+        p_call = self._mix.p_call
+        p_cold_burst = self._mix.p_cold_burst
+        n = loop.n
+        backedge = loop.first + n
         for it in range(iters):
-            for br in loop.body:
-                if self._full():
-                    return
-                if br.kind is BranchKind.UNCOND_INDIRECT:
-                    self._emit(br, taken=True, target=visit_targets[br.pc])
-                else:
-                    self._emit(br, taken=(self._rng.random() < br.bias))
+            if self._emit_body(loop.first, loop.biases, pos, target, n) < n:
+                return
             if self._full():
                 return
-            last_iteration = (it == iters - 1)
-            self._emit(loop.backedge, taken=not last_iteration)
+            self._sites.append(backedge)
+            self._taken.append(it != iters - 1)
             if self._full():
                 return
-            if self._rng.random() < self._mix.p_call:
-                self._emit_warm_call(loop.backedge)
+            if rand() < p_call:
+                self._emit_warm_call(loop)
                 if self._full():
                     return
-            if self._rng.random() < self._mix.p_cold_burst:
+            if rand() < p_cold_burst:
                 self._emit_cold_burst()
                 if self._full():
                     return
 
     # -- driver ----------------------------------------------------------
-    def emit(self, length: int) -> List[BranchRecord]:
+    def emit(self, length: int) -> None:
         self._limit = length
-        self._records = []
         if length == 0:
-            return self._records
+            return
+        loops = self._lay.loops
         phase_len = max(1, self._mix.phase_len)
         while not self._full():
-            phase_end = len(self._records) + phase_len
-            active, weights = self._active_loops()
+            phase_end = len(self._sites) + phase_len
+            active, cum_weights = self._active_loops()
             if not active:
                 # Degenerate layout with no hot loops: emit the cold chain.
-                if not self._lay.cold:
+                if not self._lay.n_cold:
                     raise ValueError(
                         "workload layout has neither hot loops nor cold "
                         "branches; nothing to emit")
                 self._emit_cold_burst()
                 continue
-            while len(self._records) < phase_end and not self._full():
+            is_active = set(active)
+            while len(self._sites) < phase_end and not self._full():
                 if (self._last_loop is not None
-                        and self._last_loop in active
+                        and self._last_loop in is_active
                         and self._rng.random() < self._mix.p_revisit_loop):
-                    loop = self._last_loop
+                    i = self._last_loop
                 else:
-                    loop = self._rng.choices(active, weights=weights)[0]
-                self._last_loop = loop
-                self._emit_loop_visit(loop)
+                    i = self._rng.choices(active, cum_weights=cum_weights)[0]
+                self._last_loop = i
+                self._emit_loop_visit(loops[i])
             self._phase_index += 1
-        del self._records[length:]
-        return self._records
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The five trace columns: pcs, targets, kinds, taken, ilens."""
+        lay = self._lay
+        sites = np.array(self._sites, dtype=np.intp)
+        targets = lay.site_targets[sites]
+        targets[self._override_at] = self._override_target
+        return (lay.site_pcs[sites], targets, lay.site_kinds[sites],
+                np.array(self._taken, dtype=np.bool_),
+                lay.site_ilens[sites])
 
 
 # ----------------------------------------------------------------------

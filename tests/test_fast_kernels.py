@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.btb import kernels
 from repro.btb.btb import BTB, replay_stream, run_btb
 from repro.btb.config import BTBConfig
 from repro.btb.observer import EventRecorder
+from repro.btb.replacement.ghrp import GHRPPolicy
 from repro.btb.replacement.lru import LRUPolicy
 from repro.btb.replacement.registry import make_policy, policy_names
 from repro.btb.replacement.srrip import SRRIPPolicy
@@ -136,6 +138,69 @@ def test_fast_replay_bit_identical(pairs):
         assert _btb_state(fast_btb) == _btb_state(reference_btb), name
         assert _policy_state(fast_btb.policy) == \
             _policy_state(reference_btb.policy), name
+
+
+def _ghrp_from_state(geometry, bypass: bool, seed: int) -> BTB:
+    """A pristine BTB whose GHRP policy starts from a random nonzero
+    history, counter tables, per-way signatures, dead bits and stamps."""
+    table_bits, num_tables = geometry
+    policy = GHRPPolicy(table_bits=table_bits, num_tables=num_tables,
+                        bypass_enabled=bypass)
+    btb = BTB(CONFIG, policy)
+    rng = random.Random(seed)
+    policy._history = rng.randrange(1, 1 << 16)
+    policy._tables = [[rng.randint(0, policy.counter_max)
+                       for _ in range(1 << table_bits)]
+                      for _ in range(num_tables)]
+    policy._signature = [[rng.randrange(1, 1 << 26)
+                          for _ in range(CONFIG.ways)]
+                         for _ in range(CONFIG.num_sets)]
+    policy._dead = [[rng.random() < 0.5 for _ in range(CONFIG.ways)]
+                    for _ in range(CONFIG.num_sets)]
+    policy._stamps = [[rng.randrange(1, 100) for _ in range(CONFIG.ways)]
+                      for _ in range(CONFIG.num_sets)]
+    policy._clock = rng.randrange(100, 200)
+    return btb
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7)),
+                      min_size=0, max_size=8),
+       geometry=st.sampled_from([(12, 3), (4, 2), (3, 4), (5, 1), (2, 4)]),
+       bypass=st.booleans(), seed=st.integers(0, 2**32))
+def test_ghrp_kernel_matches_reference_from_any_start_state(
+        pairs, geometry, bypass, seed):
+    """The GHRP kernel precomputes signature columns that fold in the
+    start history for the first three accesses.  From a random warmed
+    policy state, on short streams, with bypass on or off and with
+    non-default table geometries, it must equal the reference exactly;
+    where the reference's fold shifts by a negative count (``num_tables
+    > table_bits + 1``) both must raise."""
+    trace = _trace_of(pairs)
+    stream = access_stream_for(trace, CONFIG)
+    assert isinstance(
+        kernels.select_kernel(_ghrp_from_state(geometry, bypass, seed),
+                              stream), kernels.GHRPKernel)
+    table_bits, num_tables = geometry
+    btbs = []
+    for fast in (True, False):
+        btb = _ghrp_from_state(geometry, bypass, seed)
+        previous = kernels.set_fast_path_enabled(fast)
+        try:
+            if pairs and num_tables > table_bits + 1:
+                with pytest.raises(ValueError):
+                    run_btb(trace, btb)
+                continue
+            run_btb(trace, btb)
+        finally:
+            kernels.set_fast_path_enabled(previous)
+        btbs.append(btb)
+    if len(btbs) == 2:
+        fast_btb, reference_btb = btbs
+        assert _btb_state(fast_btb) == _btb_state(reference_btb)
+        assert _policy_state(fast_btb.policy) == \
+            _policy_state(reference_btb.policy)
 
 
 @settings(max_examples=60, deadline=None,
