@@ -21,6 +21,7 @@ from repro.btb.btb import BTB, BTBStats
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.btb.replacement.opt import BeladyOptimalPolicy
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import span
 from repro.trace.record import BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 
@@ -140,7 +141,7 @@ def profile_trace(trace: BranchTrace,
     branches = profile.branches
     stats = btb.stats
     registry = get_registry()
-    with registry.span("opt-replay"):
+    with span("core.opt_replay"):
         start = time.perf_counter()
         # Fast path: the set-partitioned OPT kernel replays the stream and
         # hands back one outcome code per access; the per-branch counters

@@ -533,8 +533,8 @@ class FabricCoordinator:
         # The lease span crosses the fabric boundary: it parents the
         # per-attempt job spans the host shipped home inside its
         # results, so an exported trace shows which host ran what.
-        ctx.journal.span(span_record(
-            "fabric/lease", ctx.trace.child_context(),
+        ctx.journal.write_span(span_record(
+            "fabric.lease", ctx.trace.child_context(),
             lease.started_epoch, time.time() - lease.started_epoch,
             args={"lease": lease.id, "host": lease.host,
                   "jobs": len(lease.indices)},

@@ -61,6 +61,7 @@ from repro.frontend.fdip import FDIPEngine
 from repro.frontend.icache import CacheModel, InstructionHierarchy
 from repro.frontend.ras import ReturnAddressStack
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import span
 from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 from repro.trace.stream import AccessStream, TraceMemo, access_stream_for
 
@@ -693,8 +694,8 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
         # stream for the right geometry reproduces that exactly.
         stream = access_stream_for(trace, btb.config)
 
-    with registry.span("simulate"):
-        with registry.span("warmup"):
+    with span("frontend.simulate"):
+        with span("frontend.warmup"):
             pcs = trace.pcs
             targets = trace.targets
             kinds = trace.kinds
@@ -742,7 +743,7 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             exposed = _fdip_pass(sim.fdip, demand, fills, redirects)
 
         # -- exact-order reduction over the measured region ------------
-        with registry.span("measure"):
+        with span("frontend.measure"):
             dir_charge = np.where(dir_wrong, params.mispredict_penalty, 0.0)
             ras_charge = np.where(ras_wrong, params.ras_penalty, 0.0)
             btb_charge = np.where(btb_miss, params.btb_miss_penalty, 0.0)

@@ -20,6 +20,7 @@ from repro.frontend.icache import InstructionHierarchy
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.frontend.ras import ReturnAddressStack
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import span
 from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 
@@ -309,15 +310,15 @@ class FrontendSimulator:
         warm_result = SimResult(
             trace_name=trace.name,
             instructions=int(trace.ilens[:warmup_end].sum()) if n else 0)
-        with registry.span("simulate"):
-            with registry.span("warmup"):
+        with span("frontend.simulate"):
+            with span("frontend.warmup"):
                 _, next_fetch, btb_index = self._replay_region(
                     0, warmup_end, columns, sets, next_fetch, 0,
                     warm_result)
             self._l2_misses_at_warmup = self.icache.l2.misses
 
             result = SimResult(trace_name=trace.name)
-            with registry.span("measure"):
+            with span("frontend.measure"):
                 cycles, _, _ = self._replay_region(
                     warmup_end, n, columns, sets, next_fetch, btb_index,
                     result)

@@ -50,7 +50,7 @@ class RunContext:
     on_result: Optional[Callable[[JobResult], None]] = None
     #: Telemetry snapshot taken when the run opened (None: disabled).
     parent_before: Optional[dict] = None
-    #: Root trace context of this run (None: tracing disabled) — every
+    #: Root trace context of this run (None: telemetry disabled) — every
     #: job's pickled context is a child of it.
     trace: Optional[Any] = None
     started: float = field(default_factory=time.perf_counter)
@@ -106,10 +106,10 @@ class RunContext:
     def _journal_spans(self, result: JobResult) -> None:
         """Write the attempt's collected trace spans into the journal
         (next to the state rows — one ``events.jsonl``, two kinds)."""
-        if self.journal is None or not result.trace_spans:
+        if self.journal is None or not result.span_records:
             return
-        for record in result.trace_spans:
-            self.journal.span(record)
+        for record in result.span_records:
+            self.journal.write_span(record)
 
     def start_attempt(self, i: int) -> None:
         self.attempts[i] += 1

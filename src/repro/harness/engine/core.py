@@ -36,8 +36,7 @@ from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.tracing import (TraceContext, child_context,
-                                     new_span_id, span_record,
-                                     tracing_enabled)
+                                     new_span_id, span_record)
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +165,7 @@ class ExperimentEngine:
         resumed_from = (self._resolve_resume(resume)
                         if resume is not None else None)
         run_trace = None
-        if tracing_enabled():
+        if registry.enabled:
             # The run's root span: when the caller (the service) already
             # stamped contexts onto the jobs, join that trace as a
             # sibling of those job spans; otherwise open a child of the
@@ -244,8 +243,8 @@ class ExperimentEngine:
         exported trace one parent for the whole sweep."""
         if ctx.trace is None or ctx.journal is None:
             return
-        ctx.journal.span(span_record(
-            "engine/run", ctx.trace, ctx.started_epoch,
+        ctx.journal.write_span(span_record(
+            "engine.run", ctx.trace, ctx.started_epoch,
             ctx.wall_seconds(),
             args={"run_id": ctx.run_id, "jobs": len(ctx.jobs)},
             error=failure is not None))

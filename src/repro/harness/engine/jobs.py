@@ -29,7 +29,7 @@ from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
                                         artifact_key)
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
-from repro.telemetry.tracing import TraceContext, trace_span
+from repro.telemetry.tracing import TraceContext
 
 log = logging.getLogger(__name__)
 
@@ -246,7 +246,7 @@ class JobResult:
     #: :mod:`repro.telemetry.tracing`) — journaled by the parent into
     #: the run's ``events.jsonl``, exactly like the telemetry delta is
     #: merged into the manifest.
-    trace_spans: list = field(default_factory=list)
+    span_records: list = field(default_factory=list)
 
 
 def execute_job(job: SimJob, harness: Optional[Harness] = None,
@@ -254,22 +254,18 @@ def execute_job(job: SimJob, harness: Optional[Harness] = None,
     """Run one job through a :class:`Harness` (no job-level caching)."""
     h = harness if harness is not None else Harness(job.harness_config(),
                                                    store=store)
-    with trace_span("harness/trace", app=job.app, input_id=job.input_id):
-        trace = h.trace(job.app, job.input_id)
+    trace = h.trace(job.app, job.input_id)
     hints = None
     if job.needs_hints:
         # Hints must be profiled against the geometry the policy runs
         # with; the iso-storage variant swaps in the 7979-entry config.
         hint_config = effective_btb_config(job.policy, job.btb_config)
-        with trace_span("harness/hints", app=job.app, policy=job.policy):
-            hints = h.hints(job.app, job.input_id, btb_config=hint_config)
-    with trace_span("replay", app=job.app, policy=job.policy,
-                    mode=job.mode):
-        if job.mode == "misses":
-            return h.run_misses(trace, job.policy,
-                                btb_config=job.btb_config, hints=hints)
-        return h.run_sim(trace, job.policy, btb_config=job.btb_config,
-                         hints=hints, params=job.params)
+        hints = h.hints(job.app, job.input_id, btb_config=hint_config)
+    if job.mode == "misses":
+        return h.run_misses(trace, job.policy,
+                            btb_config=job.btb_config, hints=hints)
+    return h.run_sim(trace, job.policy, btb_config=job.btb_config,
+                     hints=hints, params=job.params)
 
 
 def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:

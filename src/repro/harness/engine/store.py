@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.tracing import trace_span
+from repro.telemetry.tracing import span
 
 log = logging.getLogger(__name__)
 
@@ -596,18 +596,18 @@ class ArtifactStore:
         returned uncached (the rejection is counted in the stats) and a
         later fetch simply recomputes.
         """
-        with trace_span("store/fetch", kind=kind) as span:
+        with span("store.fetch", kind=kind) as fspan:
             cached = self.get(kind, key)
             if cached is not None:
-                span.set(hit=True)
+                fspan.set(hit=True)
                 return cached
-            span.set(hit=False)
+            fspan.set(hit=False)
             flight = self._flight_lock(kind, key)
             with flight:
                 # Another flight may have landed while we waited.
                 cached = self.get(kind, key)
                 if cached is not None:
-                    span.set(hit=True, coalesced=True)
+                    fspan.set(hit=True, coalesced=True)
                     return cached
                 start = time.perf_counter()
                 value = compute()

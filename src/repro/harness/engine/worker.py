@@ -24,7 +24,7 @@ from repro.harness.engine.store import (ArtifactStore,
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.profile_hooks import worker_profile
-from repro.telemetry.tracing import collect_spans, trace_span
+from repro.telemetry.tracing import collect_spans, span
 from repro.testing.faults import active_fault_plan, corrupt_file, inject
 
 log = logging.getLogger(__name__)
@@ -70,15 +70,15 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     # The job span's identity is the context pickled into the job, so a
     # process-pool worker's span links straight back to the request (or
     # engine run) that caused it.
-    with trace_span("job", context=job.trace_context, app=job.app,
-                    policy=job.policy, mode=job.mode, index=index,
-                    attempt=attempt) as jspan:
+    with span("engine.job", context=job.trace_context, app=job.app,
+              policy=job.policy, mode=job.mode, index=index,
+              attempt=attempt) as jspan:
         if store is not None:
             key = job.cache_key(salt=store.salt)
             if store.tenant is not None:
                 jspan.set(tenant=store.tenant)
             jspan.set(key=key)
-            with trace_span("store/get", kind=job.mode) as gspan:
+            with span("store.get", kind=job.mode) as gspan:
                 value = store.get(job.mode, key)
                 gspan.set(hit=value is not None)
             cached = value is not None
@@ -87,7 +87,7 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
                 with store.stats.stage(job.mode):
                     value = execute_job(job, harness=harness, store=store)
                 try:
-                    with trace_span("store/put", kind=job.mode):
+                    with span("store.put", kind=job.mode):
                         store.put(job.mode, key, value)
                 except QuotaExceededError as exc:
                     # The store is a cache: an over-quota namespace keeps
@@ -148,7 +148,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
                                state=JobState.FAILED, attempt=attempt,
                                index=index,
                                error=f"{type(exc).__name__}: {exc}")
-    result.trace_spans = spans
+    result.span_records = spans
     return result
 
 

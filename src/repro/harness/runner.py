@@ -15,7 +15,7 @@ from repro.core.profiler import OptProfile, profile_trace
 from repro.core.temperature import TemperatureProfile
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.frontend.simulator import FrontendSimulator, SimResult
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import span
 from repro.trace.record import BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 from repro.workloads.datacenter import app_names, make_app_trace
@@ -102,12 +102,13 @@ class Harness:
         """Compute an artifact through the persistent store, if any.
 
         Actual computes (in-memory and store misses, not store hits) run
-        under a telemetry span named after the artifact kind, so span
-        hierarchy mirrors the build graph (e.g. ``hints/profile/trace``
-        when a hint map transitively computes its profile and trace).
+        under a ``harness.<kind>`` span, so span paths mirror the build
+        graph (a hint map that computes its profile and trace nests
+        ``harness.trace`` under ``harness.profile`` under
+        ``harness.hints``).
         """
         def timed():
-            with get_registry().span(kind):
+            with span("harness." + kind):
                 return compute()
 
         if self.store is None:
@@ -233,7 +234,7 @@ class Harness:
                    btb_config: Optional[BTBConfig] = None,
                    hints: Optional[HintMap] = None) -> BTBStats:
         """Replay only the BTB (no timing) — fast path for miss figures."""
-        with get_registry().span("misses"):
+        with span("harness.misses"):
             btb = self.build_btb(policy_name, trace, btb_config, hints)
             return run_btb(trace, btb)
 
@@ -244,7 +245,7 @@ class Harness:
                 prefetcher=None, **oracle_flags) -> SimResult:
         """Full timing simulation; ``policy_name=None`` with
         ``perfect_btb=True`` runs the perfect-BTB oracle."""
-        with get_registry().span("sim"):
+        with span("harness.sim"):
             params = params or self.config.params
             btb = None
             if not oracle_flags.get("perfect_btb"):

@@ -30,7 +30,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.service.framing import LineFrameBuffer, encode_line
-from repro.telemetry.tracing import new_root_context, tracing_enabled
+from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import new_root_context
 
 __all__ = ["ServiceClient", "request_once"]
 
@@ -83,7 +84,7 @@ class ServiceClient:
         one (``done``, ``status``, ``metrics``, ``bye``, or
         ``error``).
 
-        With tracing on (see :mod:`repro.telemetry.tracing`) every job
+        With telemetry on (see :mod:`repro.telemetry.tracing`) every job
         request is stamped with a fresh root trace context — the
         client's node in the trace the service and its workers link
         their spans under.  Callers propagate an outer trace by
@@ -91,7 +92,7 @@ class ServiceClient:
         """
         request = dict(request)
         request.setdefault("id", f"c{next(self._ids)}")
-        if tracing_enabled() and request.get("op") in (
+        if get_registry().enabled and request.get("op") in (
                 "simulate", "sweep", "profile"):
             request.setdefault("trace", new_root_context().to_dict())
         self._writer.write(encode_line(request))

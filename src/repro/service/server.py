@@ -42,8 +42,7 @@ from repro.telemetry.manifest import append_spans, job_row
 from repro.telemetry.metrics import (LATENCY_BUCKETS, get_registry,
                                      to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
-                                     new_span_id, span_record,
-                                     tracing_enabled)
+                                     new_span_id, span_record)
 
 log = logging.getLogger(__name__)
 
@@ -297,7 +296,7 @@ class SimulationService:
         finished), journaled into its run's ``events.jsonl`` next to
         the engine's spans — this is the coalescing layer's node in the
         exported trace."""
-        if not tracing_enabled() or not run_meta.get("manifest"):
+        if not get_registry().enabled or not run_meta.get("manifest"):
             return
         carried = next((job.trace_context for job in batch.jobs
                         if job.trace_context is not None), None)
@@ -306,7 +305,7 @@ class SimulationService:
         ctx = TraceContext(carried.trace_id, new_span_id(),
                            carried.parent_id)
         record = span_record(
-            "service/batch", ctx, batch.created_epoch,
+            "service.batch", ctx, batch.created_epoch,
             time.perf_counter() - batch.created,
             args={"tenant": tenant, "jobs": len(batch.jobs),
                   "requests": len(batch.subscribers),
@@ -464,7 +463,7 @@ class SimulationService:
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from None
             req_ctx: Optional[TraceContext] = None
-            if tracing_enabled():
+            if get_registry().enabled:
                 # The request's node in the trace: a child of whatever
                 # context the client sent (its root span), stamped onto
                 # every job so worker-side spans link back to the
@@ -510,7 +509,7 @@ class SimulationService:
                 try:
                     self._append_spans(tenant, done["manifest"], [
                         span_record(
-                            "service/request", req_ctx, arrival_epoch,
+                            "service.request", req_ctx, arrival_epoch,
                             elapsed,
                             args={"tenant": tenant, "op": op,
                                   "jobs": len(jobs),

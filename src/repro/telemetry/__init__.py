@@ -4,16 +4,17 @@ Five pieces, designed to be cheap enough to leave on by default
 (``REPRO_TELEMETRY=0`` turns the registry off entirely):
 
 * :mod:`repro.telemetry.metrics` — a process-local
-  :class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms)
-  plus hierarchical wall-time spans, with mergeable JSON snapshots for
+  :class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms
+  / per-path span times), with mergeable JSON snapshots for
   cross-process aggregation and a Prometheus text-exposition encoder
   (:func:`to_prometheus_text` — what the service's ``metrics`` op
   serves);
-* :mod:`repro.telemetry.tracing` — end-to-end request tracing:
-  :class:`TraceContext` triples that pickle into jobs and cross the
-  process-pool boundary, :func:`trace_span` blocks collected into the
-  run journal, exported by ``python -m repro.tools.trace_export``
-  (``REPRO_TRACING=0`` turns tracing alone off);
+* :mod:`repro.telemetry.tracing` — :func:`span`, the one timing
+  primitive (names in :data:`SPAN_NAMES`): it adds each block's time to
+  the registry and, inside a :func:`collect_spans` scope, journals it
+  with a :class:`TraceContext` — triples that pickle into jobs and
+  cross the process-pool boundary, exported by
+  ``python -m repro.tools.trace_export``;
 * :mod:`repro.telemetry.observer` — :class:`TelemetryObserver`, a
   :class:`~repro.btb.observer.BTBObserver` that folds the hit / fill /
   evict / bypass event seam into eviction-age and per-set-occupancy
@@ -27,8 +28,8 @@ Five pieces, designed to be cheap enough to leave on by default
 
 See ``docs/TELEMETRY.md`` for metric names and the manifest schema,
 ``docs/OBSERVABILITY.md`` for tracing and the live-metrics surface, and
-the environment variables (``REPRO_TELEMETRY``, ``REPRO_TRACING``,
-``REPRO_PROFILE``, ``REPRO_PROFILE_DIR``).
+the environment variables (``REPRO_TELEMETRY``, ``REPRO_PROFILE``,
+``REPRO_PROFILE_DIR``).
 """
 
 from repro.telemetry.logconfig import (add_logging_args, emit,
@@ -45,8 +46,8 @@ from repro.telemetry.metrics import (BucketMismatchError, DEFAULT_BUCKETS,
                                      to_prometheus_text)
 from repro.telemetry.observer import TelemetryObserver
 from repro.telemetry.profile_hooks import profile_mode, worker_profile
-from repro.telemetry.tracing import (TraceContext, collect_spans,
-                                     trace_span, tracing_enabled)
+from repro.telemetry.tracing import (SPAN_NAMES, TraceContext,
+                                     collect_spans, span)
 
 __all__ = [
     "BucketMismatchError",
@@ -55,6 +56,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "RunManifest",
+    "SPAN_NAMES",
     "TelemetryObserver",
     "TraceContext",
     "add_logging_args",
@@ -73,9 +75,8 @@ __all__ = [
     "setup_cli_logging",
     "setup_logging",
     "snapshot_delta",
+    "span",
     "telemetry_enabled",
     "to_prometheus_text",
-    "trace_span",
-    "tracing_enabled",
     "write_run_manifest",
 ]

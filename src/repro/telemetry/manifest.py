@@ -231,7 +231,7 @@ class RunJournal:
         self._fh.write(json.dumps(row, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def span(self, record: Dict[str, Any]) -> None:
+    def write_span(self, record: Dict[str, Any]) -> None:
         """Journal one finished trace-span record (see
         :func:`repro.telemetry.tracing.span_record`) next to the state
         rows; span rows carry ``"kind": "span"`` and no ``state`` key,

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, histograms, and wall-time spans.
+"""Process-local metrics: counters, gauges, histograms, and span times.
 
 One :class:`MetricsRegistry` lives per process (``get_registry()``); the
 engine, harness, simulator, and artifact store all record into it.  Three
@@ -12,10 +12,11 @@ properties drive the design:
   *deltas* back inside :class:`~repro.harness.engine.JobResult` and the
   parent folds them together with :func:`merge_snapshots` — counters and
   spans add, histograms add bucket-wise, gauges last-write-wins.
-* **Hierarchical spans.**  ``span("hints")`` inside ``span("sim")``
-  records under the path ``"sim/hints"``, so the manifest can show where
-  wall time actually went (trace → profile → hints → sim nesting falls
-  out of the call graph for free).
+* **Hierarchical spans.**  :func:`repro.telemetry.tracing.span` adds
+  each timed block under its path: ``span("harness.misses")`` inside
+  ``span("engine.job")`` records as ``"engine.job/harness.misses"``, so
+  the manifest shows where wall time went (the nesting falls out of
+  the call graph).
 
 Metric names are ``/``-separated lowercase paths (``store/hit``,
 ``sim/stage/target/btb_stall_cycles``); see ``docs/TELEMETRY.md`` for the
@@ -27,8 +28,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,7 +180,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters + gauges + histograms + hierarchical wall-time spans.
+    """Counters + gauges + histograms + per-path span times.
 
     Not thread-safe by design: the simulation is single-threaded per
     process, and worker processes each own their registry.
@@ -194,7 +193,6 @@ class MetricsRegistry:
         self.histograms: Dict[str, Histogram] = {}
         #: span path → [count, seconds, errors]
         self.spans: Dict[str, List[float]] = {}
-        self._span_stack: List[str] = []
 
     # -- mutators --------------------------------------------------------
     def count(self, name: str, value: float = 1) -> None:
@@ -218,41 +216,23 @@ class MetricsRegistry:
             self.histograms[name] = hist
         hist.observe(value)
 
-    @contextmanager
-    def span(self, name: str):
-        """Time a block under ``name``, nested inside any active spans
-        (``sim`` inside ``fig11`` records as ``fig11/sim``).  Exceptions
-        propagate but the span is still closed and its ``errors`` count
-        incremented."""
-        if not self.enabled:
-            yield
-            return
-        self._span_stack.append(name)
-        path = "/".join(self._span_stack)
-        start = time.perf_counter()
-        failed = False
-        try:
-            yield
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            elapsed = time.perf_counter() - start
-            self._span_stack.pop()
-            record = self.spans.get(path)
-            if record is None:
-                record = [0, 0.0, 0]
-                self.spans[path] = record
-            record[0] += 1
-            record[1] += elapsed
-            record[2] += 1 if failed else 0
+    def add_span(self, path: str, seconds: float, errors: int = 0,
+                 count: int = 1) -> None:
+        """Fold finished span time into ``path``'s record (the spans
+        themselves are timed by :func:`repro.telemetry.tracing.span`)."""
+        record = self.spans.get(path)
+        if record is None:
+            record = [0, 0.0, 0]
+            self.spans[path] = record
+        record[0] += count
+        record[1] += seconds
+        record[2] += errors
 
     def clear(self) -> None:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
         self.spans.clear()
-        self._span_stack.clear()
 
     # -- snapshots -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -285,13 +265,9 @@ class MetricsRegistry:
                     raise BucketMismatchError(
                         f"histogram {name!r}: {exc}") from None
         for path, rec in snap.get("spans", {}).items():
-            record = self.spans.get(path)
-            if record is None:
-                record = [0, 0.0, 0]
-                self.spans[path] = record
-            record[0] += rec.get("count", 0)
-            record[1] += rec.get("seconds", 0.0)
-            record[2] += rec.get("errors", 0)
+            self.add_span(path, rec.get("seconds", 0.0),
+                          errors=rec.get("errors", 0),
+                          count=rec.get("count", 0))
 
     def span_seconds(self, path: str) -> float:
         rec = self.spans.get(path)

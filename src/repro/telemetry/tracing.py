@@ -1,6 +1,16 @@
-"""End-to-end request tracing: contexts, spans, cross-process linkage.
+"""One span primitive: registry timings and journaled trace records.
 
-A **trace context** is the ``(trace_id, span_id, parent_id)`` triple that
+:func:`span` times a block once and reports it twice:
+
+* into the process :class:`~repro.telemetry.metrics.MetricsRegistry`,
+  under the block's hierarchical path (``engine.job/harness.misses``) —
+  what the run manifest, ``report``, ``top`` and the Prometheus span
+  families read;
+* when a :func:`collect_spans` scope is open, as one JSON-ready journal
+  record carrying a **trace context** — what ``events.jsonl`` and
+  ``python -m repro.tools.trace_export`` read.
+
+A trace context is the ``(trace_id, span_id, parent_id)`` triple that
 names one node of a request's causality tree.  Contexts are created at
 the edge (a :class:`~repro.service.client.ServiceClient` request), carried
 through the service and the engine, and pickled into
@@ -8,24 +18,23 @@ through the service and the engine, and pickled into
 link back to the client that caused them::
 
     client root span
-      └─ service/request          (server-side, per wire request)
-           └─ job                 (worker-side, span_id == the job's
-              ├─ store/get         pickled context)
-              ├─ replay
-              └─ store/put
+      └─ service.request          (server-side, per wire request)
+           └─ engine.job          (worker-side, span_id == the job's
+              ├─ store.get         pickled context)
+              ├─ harness.misses
+              └─ store.put
 
-Spans are **records**, not live objects: :func:`trace_span` times a block
-and appends one JSON-ready dict to the innermost :func:`collect_spans`
-scope (a contextvar, so concurrent asyncio tasks and worker threads
-cannot steal each other's spans).  Workers ship their collected spans
-home in ``JobResult.trace_spans``; the parent journals them into the
-run's ``events.jsonl`` next to the job-state rows, and
-``python -m repro.tools.trace_export`` renders the whole tree as Chrome
-trace-event / Perfetto JSON.
+Both the path and the ambient context live in contextvars, so
+concurrent asyncio tasks and executor threads can neither nest under
+nor steal each other's spans.  Workers ship their collected records
+home in ``JobResult.span_records``; the parent journals them into the
+run's ``events.jsonl`` next to the job-state rows.  Regions timed after
+the fact (the engine run, a service request or batch, a fabric lease)
+build their record with :func:`span_record`.
 
-Tracing rides the ``REPRO_TELEMETRY`` kill switch and has its own
-``REPRO_TRACING`` override; with either off, every entry point here is a
-cheap no-op.
+Every span name is in :data:`SPAN_NAMES`.  The one on/off gate is the
+registry's ``enabled`` flag (``REPRO_TELEMETRY``); with it off,
+:func:`span` is a cheap no-op.
 """
 
 from __future__ import annotations
@@ -38,22 +47,34 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.telemetry.metrics import telemetry_enabled
+from repro.telemetry.metrics import get_registry
 
-__all__ = ["Span", "TraceContext", "child_context", "collect_spans",
-           "current_context", "new_root_context", "new_span_id",
-           "new_trace_id", "record_span", "span_record", "trace_span",
-           "tracing_enabled"]
+__all__ = ["SPAN_NAMES", "Span", "TraceContext", "child_context",
+           "collect_spans", "new_root_context", "new_span_id",
+           "new_trace_id", "span", "span_record"]
 
-
-def tracing_enabled() -> bool:
-    """Trace spans on/off: requires ``REPRO_TELEMETRY`` (the master
-    switch) and honors ``REPRO_TRACING=0`` to turn tracing alone off
-    while keeping metrics."""
-    if not telemetry_enabled():
-        return False
-    raw = os.environ.get("REPRO_TRACING", "1").strip().lower()
-    return raw not in ("0", "off", "false", "no", "")
+#: Every span name in the tree.  A name shared with a benchmark layer
+#: (``engine.run``, ``service.request``, ``store.*``,
+#: ``frontend.simulate``) times the same region as that layer.
+SPAN_NAMES = (
+    "engine.run",         # one engine run (journal record)
+    "engine.job",         # one job attempt in whichever process runs it
+    "service.request",    # one wire request (journal record)
+    "service.batch",      # one coalesced batch (journal record)
+    "fabric.lease",       # one lease on a fabric host (journal record)
+    "store.get",          # a job's result lookup
+    "store.put",          # a job's result write
+    "store.fetch",        # get-or-compute of an intermediate artifact
+    "harness.trace",      # trace generation (store miss)
+    "harness.profile",    # OPT profiling (store miss)
+    "harness.hints",      # temperature quantization (store miss)
+    "harness.sim",        # one timing simulation
+    "harness.misses",     # one BTB-only replay
+    "core.opt_replay",    # the OPT replay inside profiling
+    "frontend.simulate",  # the frontend model's simulate
+    "frontend.warmup",    # its warmup region
+    "frontend.measure",   # its measured region
+)
 
 
 def new_trace_id() -> str:
@@ -107,18 +128,15 @@ def new_root_context() -> TraceContext:
     return TraceContext(new_trace_id(), new_span_id(), None)
 
 
-#: Ambient context of the innermost open span (contextvar: safe across
-#: asyncio tasks and executor threads).
+#: Ambient context of the innermost journaled span (contextvar: safe
+#: across asyncio tasks and executor threads).
 _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
     "repro_trace_current", default=None)
+#: Registry path of the innermost open span ("" at the top level).
+_PATH: ContextVar[str] = ContextVar("repro_span_path", default="")
 #: The innermost collection scope's sink (None: spans are dropped).
 _SINK: ContextVar[Optional[List[dict]]] = ContextVar(
     "repro_trace_sink", default=None)
-
-
-def current_context() -> Optional[TraceContext]:
-    """The context of the innermost open :func:`trace_span` (or None)."""
-    return _CURRENT.get()
 
 
 def child_context(parent: Optional[TraceContext] = None) -> TraceContext:
@@ -133,7 +151,7 @@ def collect_spans() -> Iterator[List[dict]]:
     """Open a collection scope: spans finished inside the block are
     appended to the yielded list (innermost scope wins).  Workers wrap a
     job attempt in one scope and ship the list home in
-    ``JobResult.trace_spans``."""
+    ``JobResult.span_records``."""
     sink: List[dict] = []
     token = _SINK.set(sink)
     try:
@@ -165,16 +183,8 @@ def span_record(name: str, context: TraceContext, start_epoch: float,
     return record
 
 
-def record_span(record: Dict[str, Any]) -> None:
-    """Append an already-built span record to the active collection
-    scope (no-op outside one)."""
-    sink = _SINK.get()
-    if sink is not None:
-        sink.append(record)
-
-
 class _NullSpan:
-    """The inert span yielded when tracing is off or uncollected."""
+    """The inert span yielded when no collection scope is open."""
 
     __slots__ = ()
     context = None
@@ -188,10 +198,9 @@ _NULL_SPAN = _NullSpan()
 
 @dataclass
 class Span:
-    """A span in flight; ``args`` may be amended (``span.set(...)``)
-    until the block exits."""
+    """A journaled span in flight; ``args`` may be amended
+    (``span.set(...)``) until the block exits."""
 
-    name: str
     context: TraceContext
     args: Dict[str, Any] = field(default_factory=dict)
 
@@ -200,35 +209,47 @@ class Span:
 
 
 @contextmanager
-def trace_span(name: str, *, context: Optional[TraceContext] = None,
-               parent: Optional[TraceContext] = None, **args: Any):
-    """Time a block as one span and record it into the active
-    :func:`collect_spans` scope.
+def span(name: str, *, context: Optional[TraceContext] = None,
+         parent: Optional[TraceContext] = None, **args: Any):
+    """Time a block as one span named ``name`` (from :data:`SPAN_NAMES`).
 
-    ``context`` pins the span's identity (used for the worker-side job
-    span, whose identity is the context pickled into the job); otherwise
-    the span is a child of ``parent`` or of the ambient context.  The
-    block's ambient context becomes this span, so nested spans link up
-    automatically.  With tracing disabled — or no collection scope open
-    — the block runs untimed and an inert span is yielded.
+    The time, and an error when the block raises, is added to the
+    process registry under the span's path: its name below the
+    innermost open span's path.  Inside a :func:`collect_spans` scope
+    the span is also appended there as a journal record: ``context``
+    pins its identity (the worker-side job span's identity is the
+    context pickled into the job); otherwise it is a child of
+    ``parent`` or of the ambient context, and nested spans link up
+    automatically.  Outside a scope, or with the registry disabled, an
+    inert span is yielded and ``args`` are dropped.
     """
-    sink = _SINK.get()
-    if sink is None or not tracing_enabled():
+    registry = get_registry()
+    if not registry.enabled:
         yield _NULL_SPAN
         return
-    ctx = context if context is not None else child_context(parent)
-    span = Span(name=name, context=ctx, args=dict(args))
-    token = _CURRENT.set(ctx)
-    start_epoch = time.time()
+    outer = _PATH.get()
+    path = f"{outer}/{name}" if outer else name
+    path_token = _PATH.set(path)
+    sink = _SINK.get()
+    live: Any = _NULL_SPAN
+    if sink is not None:
+        live = Span(context if context is not None
+                    else child_context(parent), dict(args))
+        context_token = _CURRENT.set(live.context)
+        start_epoch = time.time()
     start = time.perf_counter()
     failed = False
     try:
-        yield span
+        yield live
     except BaseException:
         failed = True
         raise
     finally:
         duration = time.perf_counter() - start
-        _CURRENT.reset(token)
-        sink.append(span_record(span.name, ctx, start_epoch, duration,
-                                args=span.args, error=failed))
+        _PATH.reset(path_token)
+        registry.add_span(path, duration, errors=int(failed))
+        if sink is not None:
+            _CURRENT.reset(context_token)
+            sink.append(span_record(name, live.context, start_epoch,
+                                    duration, args=live.args,
+                                    error=failed))

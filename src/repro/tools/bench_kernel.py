@@ -14,8 +14,8 @@ Both modes run with telemetry disabled.  A separate replay-only sweep
 (traces/hints/streams precomputed, off/on/traced passes interleaved)
 measures the metrics registry's cost on the hot path as
 ``telemetry_overhead_pct`` and the trace-span machinery's cost (a
-collection scope plus one ``trace_span`` per replay — the worker job
-path's instrumentation) as ``tracing_overhead_pct``.
+collection scope plus one journaled ``span`` per replay — the worker
+job path's instrumentation) as ``tracing_overhead_pct``.
 ``--max-overhead-pct`` (default 3) turns both budgets into an exit code
 so CI fails when instrumentation creeps into the replay hot loop.
 
@@ -144,13 +144,14 @@ def _measure_overhead(apps, policies, length: int,
     noisy to resolve a few-percent instrumentation cost.  The overhead
     budget guards the replay hot path, so that is what gets timed —
     with off/on/traced passes interleaved so clock drift hits all three
-    equally.  The enabled side is read from its own ``bench/replay``
+    equally.  The enabled side is read from its own ``engine.run``
     span so the span machinery is part of the measurement; the traced
-    side additionally opens one :func:`~repro.telemetry.tracing`
-    collection scope and a per-replay ``trace_span`` — exactly what the
-    worker's job path adds when tracing is on.
+    side additionally opens one
+    :func:`~repro.telemetry.tracing.collect_spans` scope and a
+    per-replay ``engine.job`` span — exactly what the worker's job path
+    adds.
     """
-    from repro.telemetry.tracing import collect_spans, trace_span
+    from repro.telemetry.tracing import collect_spans, span
     prepared = []
     for app in apps:
         harness = Harness(HarnessConfig(apps=(app,), length=length))
@@ -169,43 +170,25 @@ def _measure_overhead(apps, policies, length: int,
         with collect_spans():
             start = time.perf_counter()
             for harness, trace, policy, hints in prepared:
-                with trace_span("replay", policy=policy):
+                with span("engine.job", policy=policy):
                     harness.run_misses(trace, policy, hints=hints)
             return time.perf_counter() - start
 
-    env_prev = {name: os.environ.get(name)
-                for name in ("REPRO_TELEMETRY", "REPRO_TRACING")}
     sweep()  # warm the stream memo and first-touch allocations
     off = on = traced = float("inf")
-    try:
-        for _ in range(repeats):
-            gc.collect()
-            set_registry(MetricsRegistry(enabled=False))
-            off = min(off, sweep())
-            gc.collect()
-            registry = MetricsRegistry(enabled=True)
-            set_registry(registry)
-            with registry.span("bench/replay"):
-                sweep()
-            on = min(on, registry.span_seconds("bench/replay"))
-            gc.collect()
-            # Force tracing on regardless of ambient env, so the budget
-            # is measured even where CI disables telemetry globally.
-            os.environ["REPRO_TELEMETRY"] = "1"
-            os.environ["REPRO_TRACING"] = "1"
-            set_registry(MetricsRegistry(enabled=True))
-            traced = min(traced, traced_sweep())
-            for name, value in env_prev.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-    finally:
-        for name, value in env_prev.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    for _ in range(repeats):
+        gc.collect()
+        set_registry(MetricsRegistry(enabled=False))
+        off = min(off, sweep())
+        gc.collect()
+        registry = MetricsRegistry(enabled=True)
+        set_registry(registry)
+        with span("engine.run"):
+            sweep()
+        on = min(on, registry.span_seconds("engine.run"))
+        gc.collect()
+        set_registry(MetricsRegistry(enabled=True))
+        traced = min(traced, traced_sweep())
     return off, on, traced
 
 

@@ -120,11 +120,11 @@ async def _smoke(cache_dir: str, jobs: int) -> int:
         if done_a.get("manifest"):
             emit(f"smoke: run manifest at {done_a['manifest']}")
             from repro.telemetry.manifest import read_spans
-            from repro.telemetry.tracing import tracing_enabled
-            if tracing_enabled():
+            from repro.telemetry.metrics import get_registry
+            if get_registry().enabled:
                 spans = read_spans(done_a["manifest"])
-                check(any(s.get("name") == "job" for s in spans)
-                      and any(s.get("name") == "service/request"
+                check(any(s.get("name") == "engine.job" for s in spans)
+                      and any(s.get("name") == "service.request"
                               for s in spans),
                       f"trace spans journaled with the run "
                       f"({len(spans)} span(s))")

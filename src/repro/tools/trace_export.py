@@ -103,8 +103,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     spans = read_spans(run_dir)
     if not spans:
-        log.error("no trace spans under %s (tracing off? see "
-                  "REPRO_TELEMETRY / REPRO_TRACING)", run_dir)
+        log.error("no trace spans under %s (telemetry off? see "
+                  "REPRO_TELEMETRY)", run_dir)
         return 2
     document = spans_to_chrome_trace(spans)
     text = json.dumps(document, sort_keys=True)

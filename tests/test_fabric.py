@@ -121,8 +121,9 @@ class TestDifferentialIdentity:
         # like the serial run.
         serial_spans = serial_manifest.summary["telemetry"]["spans"]
         fabric_spans = fabric_manifest.summary["telemetry"]["spans"]
-        assert (fabric_spans["misses"]["count"]
-                == serial_spans["misses"]["count"] == len(jobs))
+        replay = "engine.job/harness.misses"
+        assert (fabric_spans[replay]["count"]
+                == serial_spans[replay]["count"] == len(jobs))
 
         # Every artifact was mirrored home exactly once.
         counters = coord.engine.last_run_telemetry["counters"]

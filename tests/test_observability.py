@@ -30,8 +30,7 @@ from repro.telemetry.metrics import (BucketMismatchError, Histogram,
                                      merge_snapshots, set_registry,
                                      to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
-                                     collect_spans, new_root_context,
-                                     trace_span, tracing_enabled)
+                                     collect_spans, new_root_context, span)
 from repro.tools.trace_export import spans_to_chrome_trace
 
 LENGTH = 4000
@@ -91,18 +90,18 @@ class TestTraceContext:
 class TestTraceSpan:
     def test_spans_collect_into_the_innermost_scope(self):
         with collect_spans() as outer:
-            with trace_span("a"):
+            with span("a"):
                 pass
             with collect_spans() as inner:
-                with trace_span("b"):
+                with span("b"):
                     pass
         assert [s["name"] for s in outer] == ["a"]
         assert [s["name"] for s in inner] == ["b"]
 
     def test_nested_spans_link_up_automatically(self):
         with collect_spans() as spans:
-            with trace_span("parent"):
-                with trace_span("child"):
+            with span("parent"):
+                with span("child"):
                     pass
         child, parent = spans  # children finish (and record) first
         assert child["name"] == "child"
@@ -112,8 +111,8 @@ class TestTraceSpan:
     def test_span_args_and_error_flag(self):
         with collect_spans() as spans:
             with pytest.raises(RuntimeError):
-                with trace_span("boom", app="tomcat") as span:
-                    span.set(policy="lru")
+                with span("boom", app="tomcat") as live:
+                    live.set(policy="lru")
                     raise RuntimeError("x")
         (record,) = spans
         assert record["error"] is True
@@ -121,20 +120,23 @@ class TestTraceSpan:
         assert record["dur"] >= 0
 
     def test_without_a_scope_spans_are_dropped(self):
-        with trace_span("orphan") as span:
-            span.set(ignored=True)  # the inert span accepts args
+        with span("orphan") as live:
+            live.set(ignored=True)  # the inert span accepts args
 
-    def test_repro_tracing_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACING", "0")
-        assert not tracing_enabled()
+    def test_disabled_registry_journals_no_spans(self):
+        set_registry(MetricsRegistry(enabled=False))
         with collect_spans() as spans:
-            with trace_span("off"):
+            with span("off"):
                 pass
         assert spans == []
 
     def test_telemetry_master_switch_disables_tracing(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not tracing_enabled()
+        set_registry(MetricsRegistry())
+        with collect_spans() as spans:
+            with span("off"):
+                pass
+        assert spans == []
 
 
 # ----------------------------------------------------------------------
@@ -165,11 +167,12 @@ def assert_valid_exposition(text: str) -> None:
 class TestPrometheusText:
     def test_counters_gauges_histograms_and_spans(self):
         registry = MetricsRegistry(enabled=True)
+        set_registry(registry)
         registry.count("engine/jobs/succeeded", 3)
         registry.gauge("service/tenants", 2)
         registry.observe('service/request_seconds{tenant="alice"}',
                          0.2, bounds=LATENCY_BUCKETS)
-        with registry.span("replay"):
+        with span("harness.misses"):
             pass
         text = to_prometheus_text(registry.snapshot())
         assert_valid_exposition(text)
@@ -179,7 +182,7 @@ class TestPrometheusText:
                 '{tenant="alice",le="+Inf"} 1') in text
         assert ('repro_service_request_seconds_count'
                 '{tenant="alice"} 1') in text
-        assert 'repro_span_calls_total{span="replay"} 1' in text
+        assert 'repro_span_calls_total{span="harness.misses"} 1' in text
 
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry(enabled=True)
@@ -272,8 +275,8 @@ class TestEngineTracing:
                            length=LENGTH) for p in ("lru", "srrip")])
         spans = read_spans(engine.last_manifest)
         names = {s["name"] for s in spans}
-        assert {"engine/run", "job", "store/get"} <= names
-        (root,) = [s for s in spans if s["name"] == "engine/run"]
+        assert {"engine.run", "engine.job", "store.get"} <= names
+        (root,) = [s for s in spans if s["name"] == "engine.run"]
         by_id = {s["span_id"]: s for s in spans}
         for span in spans:
             top = _walk_to_root(span, by_id)
@@ -290,8 +293,8 @@ class TestEngineTracing:
                            length=LENGTH)
                     for app in ("tomcat", "python")])
         spans = read_spans(engine.last_manifest)
-        (root,) = [s for s in spans if s["name"] == "engine/run"]
-        job_spans = [s for s in spans if s["name"] == "job"]
+        (root,) = [s for s in spans if s["name"] == "engine.run"]
+        job_spans = [s for s in spans if s["name"] == "engine.job"]
         assert len(job_spans) == 2
         assert {s["pid"] for s in job_spans} != {os.getpid()}
         for span in job_spans:
@@ -308,9 +311,8 @@ class TestEngineTracing:
         assert all(e.get("kind", "state") == "state" for e in events)
         assert read_spans(engine.last_manifest)
 
-    def test_tracing_off_leaves_the_journal_span_free(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_TRACING", "0")
+    def test_tracing_off_leaves_the_journal_span_free(self, tmp_path):
+        set_registry(MetricsRegistry(enabled=False))
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
         engine.run([SimJob(app="tomcat", policy="lru", mode="misses",
                            length=LENGTH)])
@@ -324,7 +326,7 @@ class TestEngineTracing:
             engine.run([SimJob(app="no-such-app", policy="lru",
                                mode="misses", length=LENGTH)])
         spans = read_spans(engine.last_manifest)
-        job_spans = [s for s in spans if s["name"] == "job"]
+        job_spans = [s for s in spans if s["name"] == "engine.job"]
         assert job_spans and all(s.get("error") for s in job_spans)
 
 
@@ -368,7 +370,7 @@ class TestServiceTracing:
         slices = [e for e in document["traceEvents"]
                   if e.get("ph") == "X"]
         by_id = {e["args"]["span_id"]: e for e in slices}
-        job_slices = [e for e in slices if e["name"] == "job"]
+        job_slices = [e for e in slices if e["name"] == "engine.job"]
         assert len(job_slices) == 3
         for event in job_slices:
             assert event["args"]["trace_id"] == root_ctx.trace_id
@@ -380,12 +382,12 @@ class TestServiceTracing:
                 assert seen < 16
             # The chain tops out at the request span, whose parent is
             # the client root (present only client-side).
-            assert current["name"] == "service/request"
+            assert current["name"] == "service.request"
             assert current["args"]["parent_id"] == root_ctx.span_id
         # The service layers are present as slices too.
         names = {e["name"] for e in slices}
-        assert {"service/request", "service/batch",
-                "engine/run"} <= names
+        assert {"service.request", "service.batch",
+                "engine.run"} <= names
 
     def test_client_stamps_a_root_trace_automatically(self, tmp_path):
         async def scenario():
@@ -411,7 +413,7 @@ class TestServiceTracing:
         assert done["ok"]
         spans = read_spans(Path(done["manifest"]))
         request_spans = [s for s in spans
-                         if s["name"] == "service/request"]
+                         if s["name"] == "service.request"]
         assert len(request_spans) == 1
         # The request span has a parent: the client's implicit root.
         assert request_spans[0].get("parent_id")
@@ -450,6 +452,67 @@ class TestServiceTracing:
         assert "repro_service_coalesce_delay_seconds_bucket" in text
         assert "repro_service_queue_wait_seconds_bucket" in text
         assert "repro_service_run_seconds_bucket" in text
+
+
+# ----------------------------------------------------------------------
+# One span vocabulary for the manifest and the journal
+# ----------------------------------------------------------------------
+
+class TestSpanVocabulary:
+    #: Regions timed in the worker, so both the manifest (registry) and
+    #: the journal must show them, under one name and with one count.
+    SHARED = ("engine.job", "store.get", "store.put", "store.fetch",
+              "frontend.simulate")
+
+    @staticmethod
+    def _check_names(manifest_spans, journal):
+        segments = {segment for path in manifest_spans
+                    for segment in path.split("/")}
+        names = {record["name"] for record in journal}
+        assert segments <= set(tracing.SPAN_NAMES), segments
+        assert names <= set(tracing.SPAN_NAMES), names
+
+    def test_sweep_manifest_and_journal_share_names(self, tmp_path):
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run([SimJob(app="tomcat", policy=policy, mode=mode,
+                           length=LENGTH)
+                    for policy in ("lru", "thermometer")
+                    for mode in ("misses", "sim")])
+        manifest_spans = read_run_manifest(
+            engine.last_manifest).summary["telemetry"]["spans"]
+        journal = read_spans(engine.last_manifest)
+        self._check_names(manifest_spans, journal)
+        for name in self.SHARED:
+            in_manifest = sum(rec["count"]
+                              for path, rec in manifest_spans.items()
+                              if path.split("/")[-1] == name)
+            in_journal = sum(1 for record in journal
+                             if record["name"] == name)
+            assert in_manifest == in_journal > 0, name
+
+    def test_service_request_uses_the_same_names(self, tmp_path):
+        async def scenario():
+            service = SimulationService(tmp_path, jobs=1,
+                                        coalesce_window=0.0)
+            server, (host, port) = await _serve(service)
+            try:
+                return await request_once(host, port, {
+                    "op": "sweep", "tenant": "alice",
+                    "apps": ["tomcat"], "policies": ["lru"],
+                    "mode": "sim", "length": LENGTH})
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        done = asyncio.run(scenario())[-1]
+        assert done["ok"]
+        run_dir = Path(done["manifest"])
+        journal = read_spans(run_dir)
+        self._check_names(read_run_manifest(
+            run_dir).summary["telemetry"]["spans"], journal)
+        assert {"service.request", "service.batch", "engine.run",
+                "engine.job", "frontend.simulate"} <= {
+                    record["name"] for record in journal}
 
 
 # ----------------------------------------------------------------------
@@ -630,10 +693,9 @@ class TestTraceExportTool:
             assert event["args"]["trace_id"]
         assert any(e.get("ph") == "M" for e in document["traceEvents"])
 
-    def test_export_without_spans_exits_nonzero(self, tmp_path,
-                                                monkeypatch):
+    def test_export_without_spans_exits_nonzero(self, tmp_path):
         from repro.tools.trace_export import main
-        monkeypatch.setenv("REPRO_TRACING", "0")
+        set_registry(MetricsRegistry(enabled=False))
         engine = ExperimentEngine(cache_dir=tmp_path / "cache", jobs=1)
         engine.run([SimJob(app="tomcat", policy="lru", mode="misses",
                            length=LENGTH)])
@@ -656,7 +718,7 @@ class TestTopTool:
         assert "status=completed" in out
         assert "succeeded=2" in out
         assert "slowest spans" in out
-        assert "engine/run" in out
+        assert "engine.run" in out
 
     def test_run_mode_renders_partial_runs(self, tmp_path, capsys):
         from repro.tools.top import main

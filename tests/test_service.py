@@ -128,8 +128,8 @@ class TestDifferentialEquivalence:
         # --- both runs replayed each of the three jobs once ------------
         for manifest in (svc_manifest, cli_manifest):
             assert manifest.summary["jobs"] == 3
-            assert manifest.summary["telemetry"]["spans"]["misses"][
-                "count"] == 3
+            assert manifest.summary["telemetry"]["spans"][
+                "engine.job/harness.misses"]["count"] == 3
 
     def test_streamed_rows_match_manifest_rows(self, tmp_path):
         """The result events a client streams are exactly the manifest
@@ -395,11 +395,6 @@ class TestUsageAccounting:
     """Tenant usage is one counter per store: it must equal a full scan
     after every request, and warm requests must not rescan."""
 
-    @pytest.fixture(autouse=True)
-    def tracing_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_TRACING", "1")
-
     @staticmethod
     async def _requests(service, *requests):
         """Serve ``requests`` one after another; each request's events,
@@ -433,7 +428,7 @@ class TestUsageAccounting:
             names = {span["name"] for span in
                      read_spans(Path(done["manifest"]))}
             # Both post-run span sites appended to the run's journal.
-            assert {"service/batch", "service/request"} <= names
+            assert {"service.batch", "service.request"} <= names
         assert ns.usage_bytes() == ns._scan_usage()
         gauge = [line for line in metrics["text"].splitlines()
                  if line.startswith('repro_store_usage_bytes'

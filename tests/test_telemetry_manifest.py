@@ -79,8 +79,10 @@ class TestEngineManifests:
         # Worker telemetry made it across the process boundary: the
         # replay spans ran in the pool, not in this process.
         spans = summary["telemetry"]["spans"]
-        assert spans["misses"]["count"] == len(self.JOBS)  # one per job
-        assert spans["trace"]["count"] == 2  # one per app, shared
+        # one per job
+        assert spans["engine.job/harness.misses"]["count"] == len(self.JOBS)
+        # one per app, shared
+        assert spans["engine.job/store.fetch/harness.trace"]["count"] == 2
         # Rows carry per-job BTB stats that match the returned results.
         by_key = {(r["app"], r["policy"]): r for r in manifest.rows}
         for result in results:
@@ -146,7 +148,8 @@ class TestSerialParallelConsistency:
             set_registry(previous)
         manifest = read_run_manifest(engine.last_manifest)
         spans = manifest.summary["telemetry"]["spans"]
-        # One "misses" replay per job — counted once each, not once per
-        # job row and again in the parent delta (which would read 4).
-        assert spans["misses"]["count"] == 2
-        assert spans["trace"]["count"] == 1
+        # One "harness.misses" replay per job — counted once each, not
+        # once per job row and again in the parent delta (which would
+        # read 4).
+        assert spans["engine.job/harness.misses"]["count"] == 2
+        assert spans["engine.job/store.fetch/harness.trace"]["count"] == 1

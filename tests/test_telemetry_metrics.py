@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.telemetry import tracing
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Histogram,
                                      MetricsRegistry, get_registry,
                                      merge_snapshots, set_registry,
                                      snapshot_delta)
+from repro.telemetry.tracing import span
 
 
 @pytest.fixture
@@ -57,12 +61,12 @@ class TestHistogram:
 
 class TestSpans:
     def test_nesting_builds_paths(self, registry):
-        with registry.span("sim"):
-            with registry.span("warmup"):
+        with span("sim"):
+            with span("warmup"):
                 pass
-            with registry.span("measure"):
+            with span("measure"):
                 pass
-        with registry.span("sim"):
+        with span("sim"):
             pass
         assert registry.spans["sim"][0] == 2
         assert registry.spans["sim/warmup"][0] == 1
@@ -73,24 +77,42 @@ class TestSpans:
 
     def test_exception_closes_span_and_counts_error(self, registry):
         with pytest.raises(RuntimeError):
-            with registry.span("outer"):
-                with registry.span("inner"):
+            with span("outer"):
+                with span("inner"):
                     raise RuntimeError("boom")
         # Both spans recorded despite the exception, stack unwound.
         assert registry.spans["outer"] == [1, pytest.approx(
             registry.spans["outer"][1]), 1]
         assert registry.spans["outer/inner"][2] == 1
-        assert registry._span_stack == []
+        assert tracing._PATH.get() == ""
         # A later span nests from the top level again.
-        with registry.span("after"):
+        with span("after"):
             pass
         assert "after" in registry.spans
 
     def test_span_seconds(self, registry):
         assert registry.span_seconds("missing") == 0.0
-        with registry.span("x"):
+        with span("x"):
             pass
         assert registry.span_seconds("x") >= 0.0
+
+    def test_threads_keep_separate_paths(self, registry):
+        """Spans open on two threads at once stay top-level: the path is
+        per thread (a contextvar), not one stack shared by every thread
+        that records into the registry."""
+        barrier = threading.Barrier(2)
+
+        def work(name):
+            with span(name):
+                barrier.wait(timeout=30)  # both spans open together
+
+        threads = [threading.Thread(target=work, args=(name,))
+                   for name in ("misses", "sim")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(registry.spans) == ["misses", "sim"]
 
 
 class TestDisabled:
@@ -99,8 +121,12 @@ class TestDisabled:
         reg.count("a")
         reg.gauge("b", 1.0)
         reg.observe("c", 2.0)
-        with reg.span("d"):
-            pass
+        previous = set_registry(reg)
+        try:
+            with span("d"):
+                pass
+        finally:
+            set_registry(previous)
         snap = reg.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {},
                         "spans": {}}
@@ -119,8 +145,7 @@ class TestMergeSnapshots:
         reg.gauge("last_n", n)
         for value in range(n):
             reg.observe("sizes", float(value), bounds=(1.0, 10.0))
-        with reg.span("work"):
-            pass
+        reg.add_span("work", 0.0)
         return reg.snapshot()
 
     def test_parent_merges_n_workers(self, registry):
@@ -154,7 +179,7 @@ class TestSnapshotDelta:
         before = registry.snapshot()
         registry.count("grew", 2)
         registry.observe("h", 3.0)
-        with registry.span("s"):
+        with span("s"):
             pass
         delta = snapshot_delta(registry.snapshot(), before)
         assert delta["counters"] == {"grew": 2}
