@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.harness.engine import ArtifactStore, default_cache_dir
+from repro import runtime
+from repro.harness.engine import ArtifactStore
 from repro.harness.runner import Harness, HarnessConfig
 
 #: Reduced per-app trace length for the benchmark campaign.
@@ -31,10 +32,10 @@ BENCH_IPC_COUNT = int(os.environ.get("REPRO_BENCH_IPC", "5"))
 @pytest.fixture(scope="session")
 def artifact_store(tmp_path_factory) -> ArtifactStore:
     """One warm artifact store shared by every figure benchmark."""
-    if os.environ.get("REPRO_CACHE_DIR"):
-        root = default_cache_dir()
-    elif os.environ.get("REPRO_BENCH_CACHE") == "persist":
-        root = default_cache_dir()
+    config = runtime.current()
+    if (config.cache_dir is not None
+            or os.environ.get("REPRO_BENCH_CACHE") == "persist"):
+        root = config.store_root
     else:
         root = tmp_path_factory.mktemp("artifact-store")
     return ArtifactStore(root)

@@ -58,10 +58,12 @@ back to the reference loop:
   policy was built from this very stream's next-use column.
   Global-order kernels simulate the policy's own state in place and
   accept any starting state);
-* the ``REPRO_FAST_REPLAY`` kill switch is not set to ``0``.
+* the runtime config's ``fast_replay`` switch (``REPRO_FAST_REPLAY``)
+  is on.
 
-Every replay sent to the reference loop counts one
-``btb/fallback/<reason>`` in the metrics registry.
+Every replay a kernel runs counts one ``btb/fast_path`` in the metrics
+registry, and every replay sent to the reference loop counts one
+``btb/fallback/<reason>``.
 :func:`select_kernel` decides every reason (``foreign-model``,
 ``observers-attached``, ``disabled``, ``no-kernel``,
 ``instance-patched``, ``not-pristine``) except ``per-branch``
@@ -76,13 +78,13 @@ pass over the partitioned stream that never simulates BTB state at all.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Type
 
 import numpy as np
 
+from repro import runtime
 from repro.btb.btb import BTB
 from repro.btb.replacement.dip import (DIPPolicy, _BIP_LEADER as _DIP_BIP,
                                        _LRU_LEADER as _DIP_LRU)
@@ -104,8 +106,7 @@ from repro.trace.stream import AccessStream, NEVER
 
 __all__ = ["KERNELS", "GlobalOrderKernel", "ReplayKernel", "count_fallback",
            "fast_path_enabled", "kernel_policy_names", "lru_stack_stats",
-           "select_kernel", "set_fast_path_enabled", "try_fast_opt_profile",
-           "try_fast_replay"]
+           "select_kernel", "try_fast_opt_profile", "try_fast_replay"]
 
 _INVALID = -1
 
@@ -115,26 +116,10 @@ OUTCOME_INSERT = 1
 OUTCOME_BYPASS = 2
 
 
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_FAST_REPLAY", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_enabled = _env_enabled()
-
-
 def fast_path_enabled() -> bool:
-    """Whether dispatch may take the fast path at all."""
-    return _enabled
-
-
-def set_fast_path_enabled(enabled: bool) -> bool:
-    """Flip the fast path on/off (benchmarks, differential tests);
-    returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
+    """Whether dispatch may take the fast path at all
+    (:attr:`~repro.runtime.RuntimeConfig.fast_replay`)."""
+    return runtime.current().fast_replay
 
 
 # ----------------------------------------------------------------------
@@ -1588,7 +1573,7 @@ def select_kernel(btb, stream: AccessStream) -> Optional[ReplayKernel]:
     kernel_cls = KERNELS.get(type(btb.policy))
     if btb._observers:
         reason = "observers-attached"
-    elif not _enabled:
+    elif not fast_path_enabled():
         reason = "disabled"
     elif kernel_cls is None:
         reason = "no-kernel"
@@ -1616,6 +1601,7 @@ def try_fast_replay(stream: AccessStream, btb,
     if kernel is None:
         return None
     kernel.replay(btb, stream, hits_out=hits_out)
+    get_registry().count("btb/fast_path")
     return btb.stats
 
 
@@ -1634,6 +1620,7 @@ def try_fast_opt_profile(stream: AccessStream, btb):
         return None
     outcomes = bytearray(len(stream))
     kernel.replay(btb, stream, outcomes=outcomes)
+    get_registry().count("btb/fast_path")
     return outcomes
 
 

@@ -47,8 +47,7 @@ from repro.fabric.wire import pack, unpack, unpack_bytes
 from repro.harness.engine.context import RunContext
 from repro.harness.engine.core import ExperimentEngine
 from repro.harness.engine.executor import Executor
-from repro.harness.engine.jobs import (JobResult, JobState, _fast_mode,
-                                       backoff_delay)
+from repro.harness.engine.jobs import JobResult, JobState, backoff_delay
 from repro.harness.engine.keys import batch_key
 from repro.harness.engine.store import ArtifactStore
 from repro.service.framing import (ProtocolError, SocketFrameReader,
@@ -445,7 +444,7 @@ class FabricCoordinator:
             log.debug("fabric: lease %s -> %s (%d job(s))", lease_id,
                       name, len(entries))
             return {"event": "lease", "lease": lease_id,
-                    "jobs": entries,
+                    "jobs": entries, "runtime": ctx.runtime.to_dict(),
                     "peers": self._peer_map(exclude=name)}
 
     def _pop_group(self, state: _RunState, slot: int,
@@ -478,10 +477,9 @@ class FabricCoordinator:
         """Put a retried job back as a singleton group, backed off, in
         the least-loaded bucket (the next free host picks it up)."""
         ctx = state.ctx
-        delay = (0.0 if _fast_mode() else
-                 backoff_delay(ctx.attempts[index] - 1,
-                               base=self.engine.backoff_base,
-                               cap=self.engine.backoff_cap, rng=ctx.rng))
+        delay = backoff_delay(ctx.attempts[index] - 1,
+                              base=self.engine.backoff_base,
+                              cap=self.engine.backoff_cap, rng=ctx.rng)
         target = min(range(len(state.buckets)),
                      key=lambda k: len(state.buckets[k]))
         state.buckets[target].append(

@@ -9,8 +9,10 @@ simple worker-initiated protocol over a single coordinator socket
 
 * ``register``  → announce the host and its artifact address; learn the
   store salt, job timeout, heartbeat interval, and initial peer map.
-* ``lease``     → ask for work; the reply is a job group (``lease``), a
-  polite back-off (``drain``), or the end of the sweep (``done``).
+* ``lease``     → ask for work; the reply is a job group (``lease``,
+  with the run's runtime config, which the host applies while it runs
+  the group), a polite back-off (``drain``), or the end of the sweep
+  (``done``).
 * ``result``    → report one finished attempt (plus the raw artifact
   envelope for the coordinator to mirror) and wait for the ack.
 * ``heartbeat`` → one-way liveness pings from a side thread, so a host
@@ -46,10 +48,10 @@ from repro.fabric.wire import pack, pack_bytes, unpack
 from repro.harness.engine.jobs import JobState
 from repro.harness.engine.worker import _execute_guarded
 from repro.harness.runner import Harness, HarnessConfig
+from repro.runtime import RuntimeConfig, current, override
 from repro.service.framing import (ProtocolError, SocketFrameReader,
                                    send_frame)
 from repro.telemetry.metrics import get_registry
-from repro.testing.faults import active_fault_plan
 
 log = logging.getLogger(__name__)
 
@@ -170,14 +172,19 @@ class FabricWorker:
     # Lease execution
     # ------------------------------------------------------------------
     def _run_lease(self, frame: dict, reader: SocketFrameReader) -> bool:
-        """Run one leased job group; False when the coordinator link is
-        gone (severed or closed) and the main loop should end."""
+        """Run one leased job group under the coordinator's runtime
+        config; False when the coordinator link is gone (severed or
+        closed) and the main loop should end."""
+        with override(RuntimeConfig.from_dict(frame["runtime"])):
+            return self._run_jobs(frame, reader)
+
+    def _run_jobs(self, frame: dict, reader: SocketFrameReader) -> bool:
         lease_id = frame.get("lease")
         entries = frame.get("jobs") or []
         jobs = [unpack(entry["job"]) for entry in entries]
         attempts = [int(entry.get("attempt", 0)) for entry in entries]
         indices = [int(entry["index"]) for entry in entries]
-        plan = active_fault_plan()
+        plan = current().fault_plan
         alive = True
         for job, index, attempt in zip(jobs, indices, attempts):
             fault = (plan.fault_for(index, attempt)

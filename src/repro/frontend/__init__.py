@@ -25,8 +25,7 @@ from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.icache import CacheModel, InstructionHierarchy
 from repro.frontend.fdip import FDIPEngine
 from repro.frontend.simulator import FrontendSimulator, SimResult, simulate
-from repro.frontend.kernels import (fast_sim_enabled, fast_sim_supported,
-                                    set_fast_sim_enabled)
+from repro.frontend.kernels import fast_sim_enabled, fast_sim_supported
 
 __all__ = [
     "AlwaysTakenPredictor",
@@ -46,6 +45,5 @@ __all__ = [
     "TageLitePredictor",
     "fast_sim_enabled",
     "fast_sim_supported",
-    "set_fast_sim_enabled",
     "simulate",
 ]

@@ -24,14 +24,15 @@ the monolith — float-addition order included — so every
 event count, BTB stat, and component end-state is bit-identical to the
 reference loop.
 
-Dispatch mirrors the ``REPRO_FAST_REPLAY`` pattern of
-:mod:`repro.btb.kernels`: a ``REPRO_FAST_SIM`` kill switch, exact-type
-checks on every component, and instance-``__dict__`` probes for
-monkeypatched hooks.  Anything the passes cannot reproduce exactly — a
-prefetcher (it runs inside the BTB access loop), an observer-carrying or
-subclassed BTB, a subclassed simulator or component, an unknown
-predictor type — returns ``None`` from :func:`try_fast_simulate` and the
-caller falls back to the reference loop.
+Dispatch mirrors :mod:`repro.btb.kernels`: the runtime config's
+``fast_sim`` switch (``REPRO_FAST_SIM``), exact-type checks on every
+component, and instance-``__dict__`` probes for monkeypatched hooks.
+Anything the passes cannot reproduce exactly — a prefetcher (it runs
+inside the BTB access loop), an observer-carrying or subclassed BTB, a
+subclassed simulator or component, an unknown predictor type — returns
+``None`` from :func:`try_fast_simulate` and the caller falls back to the
+reference loop (counting one ``sim/fallback/<reason>``; a fast run
+counts one ``sim/fast_path``).
 
 The direction and I-cache passes never see the BTB, so every simulation
 of one trace on identically-started components computes the same
@@ -42,13 +43,13 @@ each pass once per trace.
 
 from __future__ import annotations
 
-import os
 import pickle
 import re
 from typing import List, Optional
 
 import numpy as np
 
+from repro import runtime
 from repro.btb import kernels as btb_kernels
 from repro.btb.btb import BTB, IndirectBTB
 from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
@@ -65,8 +66,8 @@ from repro.telemetry.tracing import span
 from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
 from repro.trace.stream import AccessStream, TraceMemo, access_stream_for
 
-__all__ = ["clear_pass_memo", "fast_sim_enabled", "set_fast_sim_enabled",
-           "fast_sim_supported", "try_fast_simulate"]
+__all__ = ["clear_pass_memo", "fast_sim_enabled", "fast_sim_supported",
+           "try_fast_simulate"]
 
 _RETURN = int(BranchKind.RETURN)
 _COND = int(BranchKind.COND_DIRECT)
@@ -75,30 +76,10 @@ _CALL_INDIRECT = int(BranchKind.CALL_INDIRECT)
 _UNCOND_INDIRECT = int(BranchKind.UNCOND_INDIRECT)
 
 
-# ----------------------------------------------------------------------
-# Kill switch (the REPRO_FAST_REPLAY pattern)
-# ----------------------------------------------------------------------
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_FAST_SIM", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_enabled = _env_enabled()
-
-
 def fast_sim_enabled() -> bool:
-    """Whether simulate() dispatch may take the fast path at all."""
-    return _enabled
-
-
-def set_fast_sim_enabled(enabled: bool) -> bool:
-    """Flip the fast path on/off (benchmarks, differential tests);
-    returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
+    """Whether simulate() dispatch may take the fast path at all
+    (:attr:`~repro.runtime.RuntimeConfig.fast_sim`)."""
+    return runtime.current().fast_sim
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +152,7 @@ def fast_sim_supported(sim) -> Optional[str]:
     """None when the fast path can reproduce ``sim`` exactly, else a
     human-readable reason for falling back to the reference loop."""
     from repro.frontend.simulator import FrontendSimulator
-    if not _enabled:
+    if not fast_sim_enabled():
         return "disabled (REPRO_FAST_SIM)"
     if type(sim) is not FrontendSimulator:
         return "subclassed FrontendSimulator"
@@ -786,4 +767,5 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             / result.instructions
     result.fdip_hide_rate = sim.fdip.hide_rate
     sim._record_telemetry(registry, result)
+    registry.count("sim/fast_path")
     return result

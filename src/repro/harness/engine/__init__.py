@@ -27,22 +27,15 @@ keeps working unchanged.
 
 from __future__ import annotations
 
-# Kept at package scope for test monkeypatching
-# (``repro.harness.engine.time.sleep``) and backward compatibility.
-import time  # noqa: F401
-
 from repro.harness.engine.store import (ArtifactStore, QUARANTINE_DIR,
                                         QuotaExceededError, STORE_VERSION,
                                         TENANTS_DIR, artifact_key,
-                                        default_cache_dir,
                                         validate_namespace)
 from repro.harness.engine.keys import (batch_key, effective_btb_config,
                                        stream_key)
 from repro.harness.engine.jobs import (HINTED_POLICIES, JobResult,
                                        JobState, JobTimeoutError, SimJob,
-                                       _backoff_sleep, _stats_delta,
-                                       backoff_delay, default_job_timeout,
-                                       default_jobs, default_max_retries,
+                                       _stats_delta, backoff_delay,
                                        execute_job, job_deadline)
 from repro.harness.engine.planner import Planner
 from repro.harness.engine.worker import (_execute_guarded, run_job,
@@ -59,7 +52,6 @@ __all__ = ["ArtifactStore", "AsyncExecutor", "Executor",
            "QUARANTINE_DIR", "QuotaExceededError", "RunContext",
            "SerialExecutor", "SimJob", "STORE_VERSION", "TENANTS_DIR",
            "artifact_key", "backoff_delay", "batch_key",
-           "default_cache_dir", "default_job_timeout", "default_jobs",
-           "default_max_retries", "effective_btb_config", "execute_job",
+           "effective_btb_config", "execute_job",
            "job_deadline", "run_job", "run_job_batch", "stream_key",
            "validate_namespace"]

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
 from repro.harness.reporting import CacheStats
+from repro.runtime import RuntimeConfig, current as current_runtime
 from repro.telemetry.metrics import get_registry
 
 log = logging.getLogger(__name__)
@@ -53,6 +54,9 @@ class RunContext:
     #: Root trace context of this run (None: telemetry disabled) — every
     #: job's pickled context is a child of it.
     trace: Optional[Any] = None
+    #: The runtime config snapshotted when the run opened: shipped with
+    #: every worker batch and fabric lease, recorded in ``summary.json``.
+    runtime: RuntimeConfig = field(default_factory=current_runtime)
     started: float = field(default_factory=time.perf_counter)
     started_epoch: float = field(default_factory=time.time)
     #: Jobs already counted in ``engine/jobs/retried`` (once per job).

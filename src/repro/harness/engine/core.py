@@ -23,16 +23,15 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
+from repro import runtime
 from repro.harness.engine.context import RunContext
 from repro.harness.engine.executor import (AsyncExecutor, Executor,
                                            ProcessPoolJobExecutor,
                                            SerialExecutor)
 from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
-                                       _stats_delta, default_job_timeout,
-                                       default_jobs, default_max_retries)
+                                       _stats_delta)
 from repro.harness.engine.planner import Planner
-from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
-                                        default_cache_dir)
+from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.tracing import (TraceContext, child_context,
@@ -70,7 +69,10 @@ class ExperimentEngine:
     per-attempt wall clock; a worker death re-shards its batch instead of
     failing the sweep; ``run(jobs, resume=run_id)`` continues an
     interrupted run, skipping jobs whose artifacts verify in the store
-    (see ``docs/FAULTS.md``).
+    (see ``docs/FAULTS.md``).  ``jobs``, ``max_retries`` and
+    ``job_timeout`` left as None come from the runtime config
+    (:mod:`repro.runtime`); ``backoff_base`` defaults to 0.25 s, or 0
+    under its ``test_fast`` switch.
 
     Every :meth:`run` against a cache directory also writes a **run
     manifest** (``manifest.jsonl`` + ``summary.json``, plus an
@@ -98,10 +100,12 @@ class ExperimentEngine:
                  write_manifest: bool = True,
                  max_retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
-                 backoff_base: float = 0.25, backoff_cap: float = 8.0,
+                 backoff_base: Optional[float] = None,
+                 backoff_cap: float = 8.0,
                  store: Optional[ArtifactStore] = None,
                  executor: Optional[Executor] = None):
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        config = runtime.current()
+        self.jobs = config.jobs if jobs is None else max(1, int(jobs))
         if store is not None:
             # A pre-built store (e.g. a tenant namespace) brings its own
             # root and salt; manifests default under that root too, so a
@@ -117,13 +121,15 @@ class ExperimentEngine:
                           if self.cache_dir else None)
         self.stats = CacheStats()
         self.planner = Planner()
-        self.max_retries = (default_max_retries() if max_retries is None
+        self.max_retries = (config.max_retries if max_retries is None
                             else max(0, int(max_retries)))
         if job_timeout is None:
-            self.job_timeout = default_job_timeout()
+            self.job_timeout = config.job_timeout
         else:
             self.job_timeout = (float(job_timeout)
                                 if float(job_timeout) > 0 else None)
+        if backoff_base is None:
+            backoff_base = 0.0 if config.test_fast else 0.25
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         if manifest_dir is not None:
@@ -145,11 +151,6 @@ class ExperimentEngine:
         #: The most recent run's merged telemetry snapshot.
         self.last_run_telemetry: Dict[str, Any] = {}
         self._used_workers = False
-
-    @classmethod
-    def from_env(cls, jobs: Optional[int] = None) -> "ExperimentEngine":
-        """An engine at the default cache location and ``REPRO_JOBS``."""
-        return cls(cache_dir=default_cache_dir(), jobs=jobs)
 
     # ------------------------------------------------------------------
     # Run lifecycle (shared by run / run_async)
@@ -458,7 +459,8 @@ class ExperimentEngine:
                 exceptions=exceptions,
                 status=self._status(ctx, failure),
                 resumed_from=ctx.resumed_from,
-                job_states=ctx.job_states(), namespaces=namespaces)
+                job_states=ctx.job_states(), namespaces=namespaces,
+                runtime=ctx.runtime.to_dict())
             log.info("run manifest: %s", self.last_manifest)
         except OSError as exc:  # pragma: no cover - disk-full etc.
             log.warning("could not write run manifest under %s: %s",

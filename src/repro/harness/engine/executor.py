@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.engine.context import RunContext
 from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
-                                       _backoff_sleep, _fast_mode,
                                        backoff_delay)
 from repro.harness.engine.keys import stream_key
 from repro.harness.engine.planner import Planner
@@ -97,7 +97,7 @@ class SerialExecutor(Executor):
                 if ctx.record_outcome(i, result):
                     retry.append(i)
             if retry:
-                _backoff_sleep(self._backoff(ctx, round_no))
+                time.sleep(self._backoff(ctx, round_no))
             queue = retry
             round_no += 1
 
@@ -159,7 +159,7 @@ class ProcessPoolJobExecutor(Executor):
                         cache_root, engine.salt, indices=list(batch),
                         attempts=[ctx.attempts[i] - 1 for i in batch],
                         job_timeout=engine.job_timeout,
-                        stream_handles=handles)
+                        stream_handles=handles, runtime=ctx.runtime)
                     futures[future] = batch
                 for future in as_completed(futures):
                     batch = futures[future]
@@ -192,7 +192,7 @@ class ProcessPoolJobExecutor(Executor):
                         if ctx.record_outcome(i, result):
                             retry.append(i)
             if retry:
-                _backoff_sleep(self._backoff(ctx, round_no))
+                time.sleep(self._backoff(ctx, round_no))
             queue = retry
             round_no += 1
 
@@ -204,11 +204,11 @@ class AsyncExecutor(Executor):
     compute, terminal results stream through ``ctx.on_result`` as they
     land, and retry backoff ``await``s instead of blocking.
 
-    ``concurrency`` bounds simultaneous attempts and defaults to 1: the
-    telemetry registry is process-global and not thread-safe, and one
+    ``concurrency`` bounds simultaneous attempts and defaults to 1: one
     compute thread already saturates a core on the pure-Python
-    simulators.  Counter deltas may interleave above 1 — raise it only
-    for I/O-bound (fully cached) sweeps.
+    simulators.  Above 1, each job's telemetry delta may include a
+    neighbour's concurrent counts (the registry is process-global) —
+    raise it only for I/O-bound (fully cached) sweeps.
     """
 
     def __init__(self, engine, concurrency: int = 1) -> None:
@@ -250,7 +250,6 @@ class AsyncExecutor(Executor):
             await asyncio.gather(*(attempt(i) for i in queue))
             if retry:
                 retry.sort()
-                if not _fast_mode():
-                    await asyncio.sleep(self._backoff(ctx, round_no))
+                await asyncio.sleep(self._backoff(ctx, round_no))
             queue = retry
             round_no += 1

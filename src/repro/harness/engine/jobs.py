@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 import random
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -34,41 +32,10 @@ from repro.telemetry.tracing import TraceContext
 log = logging.getLogger(__name__)
 
 __all__ = ["HINTED_POLICIES", "JobResult", "JobState", "JobTimeoutError",
-           "SimJob", "backoff_delay", "default_job_timeout",
-           "default_jobs", "default_max_retries", "execute_job",
-           "job_deadline"]
+           "SimJob", "backoff_delay", "execute_job", "job_deadline"]
 
 #: Policies whose construction requires a profile-derived hint map.
 HINTED_POLICIES = ("thermometer", "thermometer-7979", "thermometer-dueling")
-
-
-def default_jobs() -> int:
-    """Worker-count default: ``REPRO_JOBS`` or 1 (serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def default_max_retries() -> int:
-    """Retry default: ``REPRO_MAX_RETRIES`` or 1."""
-    try:
-        return max(0, int(os.environ.get("REPRO_MAX_RETRIES", "1")))
-    except ValueError:
-        return 1
-
-
-def default_job_timeout() -> Optional[float]:
-    """Per-attempt wall-clock budget: ``REPRO_JOB_TIMEOUT`` seconds or
-    None (unbounded)."""
-    raw = os.environ.get("REPRO_JOB_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        return None
-    return seconds if seconds > 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -135,20 +102,6 @@ def backoff_delay(round_no: int, base: float = 0.25, cap: float = 8.0,
     delay = min(cap, base * (2 ** max(0, round_no)))
     roll = (rng or random).random()
     return delay * (0.5 + 0.5 * roll)
-
-
-def _backoff_sleep(seconds: float) -> None:
-    """Sleep between retry rounds — skipped entirely under
-    ``REPRO_TEST_FAST=1`` so test suites and CI chaos runs stay fast."""
-    if _fast_mode():
-        return
-    if seconds > 0:
-        time.sleep(seconds)
-
-
-def _fast_mode() -> bool:
-    fast = os.environ.get("REPRO_TEST_FAST", "").strip().lower()
-    return fast in ("1", "true", "on", "yes")
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, List, Sequence
 
+from repro import runtime
 from repro.harness.engine.keys import batch_key, stream_key
 from repro.telemetry.metrics import get_registry
 
@@ -56,9 +57,9 @@ class Planner:
         ExportedStream}``; the caller owns the exports and must close
         (unlink) them after the run.
         """
-        from repro.trace.shm import export_stream, shm_enabled
+        from repro.trace.shm import export_stream
         from repro.trace.stream import access_stream_for
-        if store is None or not shm_enabled():
+        if store is None or not runtime.current().shm:
             return {}
         exports: Dict[Any, Any] = {}
         for batch in batches:

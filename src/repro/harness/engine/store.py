@@ -63,7 +63,7 @@ log = logging.getLogger(__name__)
 
 __all__ = ["ArtifactStore", "QuotaExceededError", "QUARANTINE_DIR",
            "STORE_VERSION", "TENANTS_DIR", "artifact_key",
-           "default_cache_dir", "validate_namespace"]
+           "validate_namespace"]
 
 #: Bump to invalidate every cached artifact (format or semantics change).
 #: "2": BTBStats grew the ``target_mismatches`` counter, so version-1
@@ -99,14 +99,6 @@ def validate_namespace(name: str) -> str:
         raise ValueError(f"invalid namespace name {name!r}: must "
                          f"match {_NAMESPACE_RE.pattern}")
     return name
-
-
-def default_cache_dir() -> Path:
-    """Store-location default: ``REPRO_CACHE_DIR`` or a per-user cache."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro-thermometer"
 
 
 def _file_size(path: Union[str, Path]) -> int:

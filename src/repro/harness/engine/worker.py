@@ -22,10 +22,11 @@ from repro.harness.engine.store import (ArtifactStore,
                                         QuotaExceededError,
                                         STORE_VERSION)
 from repro.harness.runner import Harness, HarnessConfig
+from repro.runtime import RuntimeConfig, current, override
 from repro.telemetry.metrics import get_registry, snapshot_delta
 from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import collect_spans, span
-from repro.testing.faults import active_fault_plan, corrupt_file, inject
+from repro.testing.faults import corrupt_file, inject
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +54,9 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
         store = ArtifactStore(cache_root, salt=salt)
     registry = get_registry()
     fault = None
-    if index is not None:
-        plan = active_fault_plan()
-        if plan is not None:
-            fault = plan.fault_for(index, attempt)
+    plan = current().fault_plan
+    if index is not None and plan is not None:
+        fault = plan.fault_for(index, attempt)
     # ``corrupt`` applies after the compute (below); ``partition`` is a
     # transport fault the fabric worker performs itself before calling
     # in here — with no fabric link to sever it is inert.
@@ -189,7 +189,8 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                   indices: Optional[Sequence[int]] = None,
                   attempts: Optional[Sequence[int]] = None,
                   job_timeout: Optional[float] = None,
-                  stream_handles: Optional[Sequence[Any]] = None
+                  stream_handles: Optional[Sequence[Any]] = None,
+                  runtime: Optional[RuntimeConfig] = None
                   ) -> List[JobResult]:
     """Worker entry point for a *group* of jobs (module-level so process
     pools can pickle it).
@@ -208,9 +209,17 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     with zero-copy views.  Handles are hints — any attach failure falls
     back to the store path.
 
-    ``REPRO_PROFILE=cprofile|tracemalloc`` wraps the batch in a deep
-    profiler (see :mod:`repro.telemetry.profile_hooks`).
+    ``runtime`` is the engine's :class:`~repro.runtime.RuntimeConfig`
+    for the run; the batch runs under it (see
+    :func:`repro.runtime.override`), so a worker uses the parent's
+    switches and fault plan whatever its start method.  Its ``profile``
+    switch wraps the batch in a deep profiler (see
+    :mod:`repro.telemetry.profile_hooks`).
     """
+    if runtime is not None:
+        with override(runtime):
+            return run_job_batch(jobs, cache_root, salt, indices, attempts,
+                                 job_timeout, stream_handles)
     store = (ArtifactStore(cache_root, salt=salt)
              if cache_root is not None else None)
     index_list = (list(indices) if indices is not None

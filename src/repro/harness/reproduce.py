@@ -24,8 +24,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Union
 
-from repro.harness.engine import (ArtifactStore, default_cache_dir,
-                                  default_jobs, default_max_retries)
+from repro import runtime
+from repro.harness.engine import ArtifactStore
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
@@ -65,8 +65,13 @@ def _harness_config(settings: dict,
 
 
 def _run_one(name: str, preset: str, apps: Optional[List[str]],
-             cache_dir: Optional[str] = None):
-    """Worker entry point (must be module-level for process pools)."""
+             cache_dir: Optional[str] = None,
+             config: Optional[runtime.RuntimeConfig] = None):
+    """Worker entry point (must be module-level for process pools); runs
+    under the parent's runtime ``config`` when one is given."""
+    if config is not None:
+        with runtime.override(config):
+            return _run_one(name, preset, apps, cache_dir)
     settings = PRESETS[preset]
     store = ArtifactStore(cache_dir) if cache_dir else None
     harness = Harness(_harness_config(settings, apps), store=store)
@@ -89,7 +94,7 @@ def run_experiments(names: Optional[List[str]] = None,
 
     ``jobs > 1`` runs whole figures in parallel worker processes; a
     figure whose worker raises or dies is retried on a fresh pool up to
-    ``max_retries`` times (default :func:`default_max_retries`) before
+    ``max_retries`` times (default: the runtime config's) before
     the whole reproduction fails, so one lost worker does not discard
     every other figure's work.  ``cache_dir`` points every process at one
     shared on-disk artifact store, so per-figure harnesses reuse each
@@ -117,7 +122,7 @@ def run_experiments(names: Optional[List[str]] = None,
         stream.flush()
 
     if max_retries is None:
-        max_retries = default_max_retries()
+        max_retries = runtime.current().max_retries
     if jobs > 1:
         # Retry rounds recreate the pool: a worker death breaks the whole
         # ProcessPoolExecutor, so surviving figures are re-run (their
@@ -127,7 +132,7 @@ def run_experiments(names: Optional[List[str]] = None,
             failed: List[str] = []
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(_run_one, name, preset, apps,
-                                       cache_dir)
+                                       cache_dir, runtime.current())
                            for name in queue]
                 for name, future in zip(queue, futures):
                     try:
@@ -175,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated subset of the 13 applications")
     parser.add_argument("--output", default=None,
                         help="also write results as markdown to this file")
-    parser.add_argument("--jobs", type=int, default=default_jobs(),
+    parser.add_argument("--jobs", type=int, default=None,
                         help="run figures in N parallel processes "
                              "(default: REPRO_JOBS or 1)")
     parser.add_argument("--cache-dir", default=None,
@@ -196,9 +201,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     apps = args.apps.split(",") if args.apps else None
     cache_dir = None
     if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
+        cache_dir = args.cache_dir or str(runtime.current().store_root)
     results = run_experiments(names=names, preset=args.preset, apps=apps,
-                              jobs=args.jobs, cache_dir=cache_dir,
+                              jobs=(args.jobs if args.jobs is not None
+                                    else runtime.current().jobs),
+                              cache_dir=cache_dir,
                               max_retries=args.max_retries)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

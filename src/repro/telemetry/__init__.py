@@ -1,7 +1,8 @@
 """Unified telemetry: metrics, tracing, run manifests, structured logging.
 
 Five pieces, designed to be cheap enough to leave on by default
-(``REPRO_TELEMETRY=0`` turns the registry off entirely):
+(a ``MetricsRegistry(enabled=False)`` installed with
+:func:`set_registry` turns recording off entirely):
 
 * :mod:`repro.telemetry.metrics` — a process-local
   :class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms
@@ -28,8 +29,8 @@ Five pieces, designed to be cheap enough to leave on by default
 
 See ``docs/TELEMETRY.md`` for metric names and the manifest schema,
 ``docs/OBSERVABILITY.md`` for tracing and the live-metrics surface, and
-the environment variables (``REPRO_TELEMETRY``, ``REPRO_PROFILE``,
-``REPRO_PROFILE_DIR``).
+``docs/ENGINE.md`` ("Environment variables") for the runtime switches,
+including the worker profiler (``REPRO_PROFILE``).
 """
 
 from repro.telemetry.logconfig import (add_logging_args, emit,
@@ -42,10 +43,9 @@ from repro.telemetry.metrics import (BucketMismatchError, DEFAULT_BUCKETS,
                                      Histogram, LATENCY_BUCKETS,
                                      MetricsRegistry, get_registry,
                                      merge_snapshots, set_registry,
-                                     snapshot_delta, telemetry_enabled,
-                                     to_prometheus_text)
+                                     snapshot_delta, to_prometheus_text)
 from repro.telemetry.observer import TelemetryObserver
-from repro.telemetry.profile_hooks import profile_mode, worker_profile
+from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import (SPAN_NAMES, TraceContext,
                                      collect_spans, span)
 
@@ -66,7 +66,6 @@ __all__ = [
     "job_row",
     "merge_snapshots",
     "new_run_id",
-    "profile_mode",
     "read_run_manifest",
     "read_spans",
     "render_report",
@@ -76,7 +75,6 @@ __all__ = [
     "setup_logging",
     "snapshot_delta",
     "span",
-    "telemetry_enabled",
     "to_prometheus_text",
     "write_run_manifest",
 ]

@@ -33,6 +33,8 @@ import logging
 import sys
 from typing import Optional
 
+from repro import runtime
+
 __all__ = ["add_logging_args", "emit", "setup_cli_logging",
            "setup_logging", "OUTPUT_LOGGER"]
 
@@ -58,9 +60,17 @@ def add_logging_args(parser) -> None:
 
 
 def setup_cli_logging(args) -> None:
-    """Configure logging from parsed CLI args (see module docstring)."""
+    """Configure logging from parsed CLI args (see module docstring) and
+    re-parse the runtime config from this command's environment (see
+    :mod:`repro.runtime`).  A malformed ``REPRO_*`` value exits 2 with a
+    one-line message, like an argparse error."""
     setup_logging(verbosity=int(getattr(args, "verbose", 0))
                   - int(getattr(args, "quiet", 0)))
+    try:
+        runtime.load()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _replace_handler(logger: logging.Logger,

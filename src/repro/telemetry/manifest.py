@@ -14,7 +14,8 @@ and the worker's telemetry snapshot delta; ``summary.json`` holds the
 parent-side merge — total wall time, worker utilization, merged cache
 stats, the merged telemetry registry (counters ⊕ histograms ⊕ spans),
 the run's terminal ``status`` (``completed`` / ``failed`` /
-``resumed``), a job-state histogram, and any exceptions.
+``resumed``), a job-state histogram, any exceptions, and the
+``runtime`` switches the run was made under.
 ``python -m repro.tools.report`` renders either back into terminal
 tables.
 
@@ -38,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.metrics import merge_snapshots
 
@@ -50,10 +51,11 @@ def _format_table(columns, rows) -> str:
     return format_table(columns, rows)
 
 __all__ = ["RunJournal", "RunManifest", "MANIFEST_VERSION",
-           "append_spans", "canonical_rows", "job_row", "new_run_id",
-           "read_events", "read_jobs_index", "read_run_manifest",
-           "read_spans", "render_report", "resolve_run_dir",
-           "synthesize_summary", "write_run_manifest"]
+           "append_spans", "canonical_rows", "fast_path_coverage",
+           "job_row", "new_run_id", "read_events", "read_jobs_index",
+           "read_run_manifest", "read_spans", "render_report",
+           "resolve_run_dir", "runtime_lines", "synthesize_summary",
+           "write_run_manifest"]
 
 #: 2: summary gained ``status`` / ``resumed_from`` / ``job_states``;
 #: rows gained ``state`` / ``attempt`` / ``error``; run directories
@@ -141,7 +143,8 @@ def write_run_manifest(directory: Union[str, Path],
                        status: str = "completed",
                        resumed_from: Optional[str] = None,
                        job_states: Optional[Dict[str, int]] = None,
-                       namespaces: Optional[List[dict]] = None) -> Path:
+                       namespaces: Optional[List[dict]] = None,
+                       runtime: Optional[Dict[str, Any]] = None) -> Path:
     """Write ``manifest.jsonl`` + ``summary.json`` under
     ``directory/<run_id>``; returns the run directory.
 
@@ -156,7 +159,9 @@ def write_run_manifest(directory: Union[str, Path],
     ``resumed`` for a clean run that continued ``resumed_from``);
     ``job_states`` is a state-name → count histogram over the sweep;
     ``namespaces`` lists tenant-namespace summaries (name, quota, usage,
-    per-namespace cache stats) for multi-tenant stores.
+    per-namespace cache stats) for multi-tenant stores; ``runtime`` is
+    the run's runtime config as a dict (see :mod:`repro.runtime`; older
+    runs have no ``runtime`` block, so readers must cope).
     """
     run_id = run_id or new_run_id()
     run_dir = Path(directory).expanduser() / run_id
@@ -194,6 +199,8 @@ def write_run_manifest(directory: Union[str, Path],
         summary["job_states"] = dict(job_states)
     if namespaces:
         summary["namespaces"] = list(namespaces)
+    if runtime is not None:
+        summary["runtime"] = dict(runtime)
     tmp = run_dir / "summary.json.tmp"
     tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
@@ -534,6 +541,61 @@ def _policy_table(rows: List[dict]) -> str:
          "evict/1k", "bypass/1k", "seconds"], table_rows)
 
 
+def fast_path_coverage(summary: dict, family: str
+                       ) -> Optional[Tuple[float, int, Dict[str, int]]]:
+    """``(share of dispatches on the fast path, dispatches, fallback
+    counts by reason)`` for ``family`` (``"btb"`` replays or ``"sim"``
+    simulations), from the run's ``<family>/fast_path`` and
+    ``<family>/fallback/<reason>`` counters; None when nothing was
+    dispatched."""
+    counters = (summary.get("telemetry") or {}).get("counters") or {}
+    prefix = f"{family}/fallback/"
+    fallbacks = {name[len(prefix):]: int(n)
+                 for name, n in sorted(counters.items())
+                 if name.startswith(prefix)}
+    fast = int(counters.get(f"{family}/fast_path", 0))
+    total = fast + sum(fallbacks.values())
+    if not total:
+        return None
+    return fast / total, total, fallbacks
+
+
+def _switch_text(value: Any) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, dict):  # a fault plan
+        faults = len(value.get("faults") or ())
+        seed = value.get("seed")
+        return f"{faults} fault(s)" + (f" seed {seed}"
+                                       if seed is not None else "")
+    return str(value)
+
+
+def runtime_lines(summary: dict) -> List[str]:
+    """The run's runtime switches and its BTB-replay and simulate
+    fast-path coverage, one line each (``report`` and ``top``)."""
+    switches = summary.get("runtime")
+    if isinstance(switches, dict):
+        lines = ["switches: " + ", ".join(
+            f"{name}={_switch_text(value)}"
+            for name, value in switches.items())]
+    else:
+        lines = ["switches: not recorded (run predates the runtime block)"]
+    for family, label in (("btb", "btb replay"), ("sim", "simulate")):
+        coverage = fast_path_coverage(summary, family)
+        if coverage is None:
+            lines.append(f"{label} fast path: no dispatches")
+            continue
+        share, total, fallbacks = coverage
+        reasons = ", ".join(f"{reason}={n}"
+                            for reason, n in fallbacks.items()) or "none"
+        lines.append(f"{label} fast path: {share:.2f} of {total} "
+                     f"(fallbacks: {reasons})")
+    return lines
+
+
 def render_report(manifest: RunManifest, top: int = 12) -> str:
     """A multi-section terminal report for one run manifest."""
     s = manifest.summary
@@ -588,6 +650,8 @@ def render_report(manifest: RunManifest, top: int = 12) -> str:
                 f"{ns_cache.get('misses', 0)} misses, "
                 f"{ns_cache.get('quarantined', 0)} quarantined, "
                 f"{ns_cache.get('quota_rejected', 0)} quota-rejected")
+    lines.extend(["", "-- runtime and fast-path coverage --"])
+    lines.extend("  " + line for line in runtime_lines(s))
     spans = _span_table(s, wall, top)
     if spans:
         lines.extend(["", "-- slowest stages --", spans])

@@ -1,12 +1,15 @@
 """Process-local metrics: counters, gauges, histograms, and span times.
 
 One :class:`MetricsRegistry` lives per process (``get_registry()``); the
-engine, harness, simulator, and artifact store all record into it.  Three
+engine, harness, simulator, and artifact store all record into it.  Four
 properties drive the design:
 
 * **Negligible overhead when disabled.**  Every mutator early-returns on
-  ``enabled=False``, so a sweep run with ``REPRO_TELEMETRY=0`` pays one
-  attribute load per call site.
+  ``enabled=False``, so a process that installs a disabled registry
+  (:func:`set_registry`) pays one attribute load per call site.
+* **Thread-safe.**  One lock guards every mutator, ``snapshot``,
+  ``merge_snapshot`` and ``clear``: the service's executor threads
+  record into one process registry.
 * **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` renders the
   whole registry as JSON-ready primitives; worker processes ship snapshot
   *deltas* back inside :class:`~repro.harness.engine.JobResult` and the
@@ -28,12 +31,13 @@ from __future__ import annotations
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["BucketMismatchError", "Histogram", "MetricsRegistry",
            "get_registry", "set_registry", "merge_snapshots",
-           "snapshot_delta", "telemetry_enabled", "to_prometheus_text",
+           "snapshot_delta", "to_prometheus_text",
            "DEFAULT_BUCKETS", "LATENCY_BUCKETS"]
 
 #: Default histogram bucket upper bounds (power-of-4 ladder); values above
@@ -57,12 +61,6 @@ class BucketMismatchError(ValueError):
     — every boundary of one appears in the other — the merge re-buckets
     to the coarser layout instead of raising.
     """
-
-
-def telemetry_enabled() -> bool:
-    """The process-wide default: ``REPRO_TELEMETRY`` unset/1/on → True."""
-    value = os.environ.get("REPRO_TELEMETRY", "1").strip().lower()
-    return value not in ("0", "off", "false", "no", "")
 
 
 @dataclass
@@ -182,12 +180,14 @@ class Histogram:
 class MetricsRegistry:
     """Counters + gauges + histograms + per-path span times.
 
-    Not thread-safe by design: the simulation is single-threaded per
-    process, and worker processes each own their registry.
+    Thread-safe: one lock makes each mutator's read-modify-write atomic
+    and gives :meth:`snapshot` a consistent view while other threads
+    record.  Worker processes each own their registry.
     """
 
-    def __init__(self, enabled: Optional[bool] = None):
-        self.enabled = telemetry_enabled() if enabled is None else enabled
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+        self._lock = threading.Lock()
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
@@ -198,28 +198,36 @@ class MetricsRegistry:
     def count(self, name: str, value: float = 1) -> None:
         if not self.enabled:
             return
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
 
     def observe(self, name: str, value: float,
                 bounds: Optional[Sequence[float]] = None) -> None:
         if not self.enabled:
             return
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = Histogram(bounds=tuple(bounds) if bounds is not None
-                             else DEFAULT_BUCKETS)
-            self.histograms[name] = hist
-        hist.observe(value)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = Histogram(bounds=tuple(bounds) if bounds is not None
+                                 else DEFAULT_BUCKETS)
+                self.histograms[name] = hist
+            hist.observe(value)
 
     def add_span(self, path: str, seconds: float, errors: int = 0,
                  count: int = 1) -> None:
         """Fold finished span time into ``path``'s record (the spans
         themselves are timed by :func:`repro.telemetry.tracing.span`)."""
+        with self._lock:
+            self._fold_span(path, seconds, errors, count)
+
+    def _fold_span(self, path: str, seconds: float, errors: int,
+                   count: int) -> None:
         record = self.spans.get(path)
         if record is None:
             record = [0, 0.0, 0]
@@ -229,45 +237,47 @@ class MetricsRegistry:
         record[2] += errors
 
     def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self.spans.clear()
+        with self._lock:
+            self.counters.clear()
+            self.gauges.clear()
+            self.histograms.clear()
+            self.spans.clear()
 
     # -- snapshots -------------------------------------------------------
     def snapshot(self) -> dict:
         """The registry as JSON-ready primitives (deep copies)."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {name: h.to_dict()
-                           for name, h in self.histograms.items()},
-            "spans": {path: {"count": int(rec[0]),
-                             "seconds": float(rec[1]),
-                             "errors": int(rec[2])}
-                      for path, rec in self.spans.items()},
-        }
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "gauges": dict(self.gauges),
+                "histograms": {name: h.to_dict()
+                               for name, h in self.histograms.items()},
+                "spans": {path: {"count": int(rec[0]),
+                                 "seconds": float(rec[1]),
+                                 "errors": int(rec[2])}
+                          for path, rec in self.spans.items()},
+            }
 
     def merge_snapshot(self, snap: dict) -> None:
         """Fold a snapshot (e.g. from a worker) into this registry."""
-        for name, value in snap.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(snap.get("gauges", {}))
-        for name, payload in snap.get("histograms", {}).items():
-            incoming = Histogram.from_dict(payload)
-            existing = self.histograms.get(name)
-            if existing is None:
-                self.histograms[name] = incoming
-            else:
-                try:
-                    existing.merge(incoming)
-                except BucketMismatchError as exc:
-                    raise BucketMismatchError(
-                        f"histogram {name!r}: {exc}") from None
-        for path, rec in snap.get("spans", {}).items():
-            self.add_span(path, rec.get("seconds", 0.0),
-                          errors=rec.get("errors", 0),
-                          count=rec.get("count", 0))
+        with self._lock:
+            for name, value in snap.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + value
+            self.gauges.update(snap.get("gauges", {}))
+            for name, payload in snap.get("histograms", {}).items():
+                incoming = Histogram.from_dict(payload)
+                existing = self.histograms.get(name)
+                if existing is None:
+                    self.histograms[name] = incoming
+                else:
+                    try:
+                        existing.merge(incoming)
+                    except BucketMismatchError as exc:
+                        raise BucketMismatchError(
+                            f"histogram {name!r}: {exc}") from None
+            for path, rec in snap.get("spans", {}).items():
+                self._fold_span(path, rec.get("seconds", 0.0),
+                                rec.get("errors", 0), rec.get("count", 0))
 
     def span_seconds(self, path: str) -> float:
         rec = self.spans.get(path)
@@ -439,8 +449,8 @@ _REGISTRY: Optional[MetricsRegistry] = None
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-local default registry (created on first use, honoring
-    ``REPRO_TELEMETRY``)."""
+    """The process-local default registry (created, enabled, on first
+    use)."""
     global _REGISTRY
     if _REGISTRY is None:
         _REGISTRY = MetricsRegistry()
@@ -454,3 +464,14 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = get_registry()
     _REGISTRY = registry
     return previous
+
+
+def _reset_lock_after_fork() -> None:
+    # A fork while another thread held the lock would leave the child's
+    # copy locked forever.
+    if _REGISTRY is not None:
+        _REGISTRY._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)

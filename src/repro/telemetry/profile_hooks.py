@@ -1,7 +1,8 @@
 """Opt-in deep profiling for engine workers.
 
-``REPRO_PROFILE`` selects a profiler wrapped around each worker's whole
-job batch (:func:`~repro.harness.engine.run_job_batch`):
+The runtime config's ``profile`` switch (``REPRO_PROFILE``) selects a
+profiler wrapped around each worker's whole job batch
+(:func:`~repro.harness.engine.run_job_batch`):
 
 * ``cprofile`` — a :mod:`cProfile` session per worker, dumped as
   ``cprofile-<pid>-<ms>.prof`` (inspect with ``python -m pstats`` or
@@ -9,9 +10,9 @@ job batch (:func:`~repro.harness.engine.run_job_batch`):
 * ``tracemalloc`` — peak/current heap per worker, written as
   ``tracemalloc-<pid>-<ms>.json`` and recorded as registry gauges.
 
-Output lands in ``REPRO_PROFILE_DIR`` if set, else ``<cache
-root>/profiles``, else the working directory.  Unset (the default) costs
-nothing — the context manager is a no-op.
+Output lands in ``profile_dir`` (``REPRO_PROFILE_DIR``) if set, else
+``<cache root>/profiles``, else the working directory.  Off (the
+default) costs nothing — the context manager is a no-op.
 """
 
 from __future__ import annotations
@@ -22,45 +23,32 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
+from repro import runtime
 from repro.telemetry.metrics import get_registry
 
-__all__ = ["profile_mode", "worker_profile"]
+__all__ = ["worker_profile"]
 
 log = logging.getLogger(__name__)
 
 
-def profile_mode() -> Optional[str]:
-    """The active ``REPRO_PROFILE`` mode, or None when profiling is off."""
-    mode = os.environ.get("REPRO_PROFILE", "").strip().lower()
-    if mode in ("", "0", "off", "none", "false"):
-        return None
-    return mode
-
-
-def _output_dir(fallback: Union[str, Path, None]) -> Path:
-    env = os.environ.get("REPRO_PROFILE_DIR")
-    if env:
-        return Path(env).expanduser()
-    if fallback is not None:
-        return Path(fallback).expanduser() / "profiles"
-    return Path(".")
-
-
 @contextmanager
 def worker_profile(fallback_dir: Union[str, Path, None] = None):
-    """Profile the enclosed block according to ``REPRO_PROFILE``.
-
-    Safe to nest around arbitrary work; unknown modes warn once and run
-    unprofiled rather than failing the job.
-    """
-    mode = profile_mode()
+    """Profile the enclosed block according to the runtime config's
+    ``profile`` switch; a no-op when it is off."""
+    config = runtime.current()
+    mode = config.profile
     if mode is None:
         yield
         return
+    if config.profile_dir is not None:
+        out_dir = config.profile_dir
+    elif fallback_dir is not None:
+        out_dir = Path(fallback_dir).expanduser() / "profiles"
+    else:
+        out_dir = Path(".")
     stamp = f"{os.getpid()}-{int(time.time() * 1000)}"
-    out_dir = _output_dir(fallback_dir)
     if mode == "cprofile":
         import cProfile
         profiler = cProfile.Profile()
@@ -73,7 +61,7 @@ def worker_profile(fallback_dir: Union[str, Path, None] = None):
             path = out_dir / f"cprofile-{stamp}.prof"
             profiler.dump_stats(str(path))
             log.info("cProfile stats written to %s", path)
-    elif mode == "tracemalloc":
+    else:  # tracemalloc, the only other mode the config accepts
         import tracemalloc
         tracemalloc.start()
         try:
@@ -91,7 +79,3 @@ def worker_profile(fallback_dir: Union[str, Path, None] = None):
                  "current_bytes": current}) + "\n")
             log.info("tracemalloc peak %.1f MB (written to %s)",
                      peak / 1e6, path)
-    else:
-        log.warning("unknown REPRO_PROFILE=%r (expected 'cprofile' or "
-                    "'tracemalloc'); profiling disabled", mode)
-        yield

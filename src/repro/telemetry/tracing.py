@@ -33,8 +33,9 @@ the fact (the engine run, a service request or batch, a fabric lease)
 build their record with :func:`span_record`.
 
 Every span name is in :data:`SPAN_NAMES`.  The one on/off gate is the
-registry's ``enabled`` flag (``REPRO_TELEMETRY``); with it off,
-:func:`span` is a cheap no-op.
+process registry's ``enabled`` flag (a ``MetricsRegistry(enabled=False)``
+installed with :func:`~repro.telemetry.metrics.set_registry`); with it
+off, :func:`span` is a cheap no-op.
 """
 
 from __future__ import annotations

@@ -20,16 +20,19 @@ and *how* a worker should misbehave:
   the fabric there is no link to sever, so the engine's job path treats
   a scheduled ``partition`` as inert (the job runs normally).
 
-Plans are wired through the :data:`PLAN_ENV_VAR` environment variable —
-either inline JSON or ``@/path/to/plan.json`` — so they reach *real*
-``ProcessPoolExecutor`` workers (which inherit the environment), not a
-mock.  :meth:`FaultPlan.random` builds a seeded, reproducible plan for
-chaos runs: the seed is the only thing a CI log needs to record to
-replay the exact failure schedule.
+The active plan is the runtime config's ``fault_plan``
+(:mod:`repro.runtime`): set ``REPRO_FAULT_PLAN`` to inline JSON or
+``@/path/to/plan.json``, or run a block under
+``runtime.override(fault_plan=plan)``.  The engine ships the config with
+every worker batch and fabric lease, so plans reach *real*
+``ProcessPoolExecutor`` workers and fabric hosts, not a mock.
+:meth:`FaultPlan.random` builds a seeded, reproducible plan for chaos
+runs: the seed is the only thing a CI log needs to record to replay the
+exact failure schedule.
 
-The injection point is :func:`repro.harness.engine.run_job`, which calls
-:func:`active_fault_plan` per job; with the variable unset (the normal
-case) that is one environment lookup and nothing else.
+The injection point is :func:`repro.harness.engine.run_job`, which looks
+the plan up per job; with no plan (the normal case) that is one config
+read and nothing else.
 """
 
 from __future__ import annotations
@@ -47,11 +50,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 log = logging.getLogger(__name__)
 
 __all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "InjectedFault",
-           "PLAN_ENV_VAR", "active_fault_plan", "corrupt_file", "inject"]
-
-#: Environment variable carrying the active plan (inline JSON or
-#: ``@path``); unset/empty disables injection.
-PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
+           "corrupt_file", "inject"]
 
 FAULT_KINDS = ("raise", "hang", "corrupt", "die", "partition")
 
@@ -135,11 +134,6 @@ class FaultPlan:
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
 
-    def install(self, env: Optional[dict] = None) -> None:
-        """Publish this plan into ``env`` (default ``os.environ``) so
-        every future worker process picks it up."""
-        (os.environ if env is None else env)[PLAN_ENV_VAR] = self.to_json()
-
     # -- generation -----------------------------------------------------
     @classmethod
     def random(cls, seed: int, n_jobs: int, rate: float = 0.3,
@@ -156,36 +150,6 @@ class FaultPlan:
                                     index=index, attempts=(0,),
                                     seconds=hang_seconds))
         return cls(faults=tuple(faults), seed=seed)
-
-
-# ----------------------------------------------------------------------
-# Environment wiring
-# ----------------------------------------------------------------------
-
-#: Parsed plans keyed by the raw env value, so per-job lookups re-parse
-#: only when the variable actually changes.
-_PLAN_CACHE: Dict[str, FaultPlan] = {}
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """The plan published via :data:`PLAN_ENV_VAR`, or None.
-
-    A malformed plan raises ``ValueError`` — silent misconfiguration of a
-    fault-injection run would make its results meaningless.
-    """
-    raw = os.environ.get(PLAN_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    plan = _PLAN_CACHE.get(raw)
-    if plan is not None:
-        return plan
-    text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-    try:
-        plan = FaultPlan.from_json(text)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unparsable {PLAN_ENV_VAR}: {exc}") from exc
-    _PLAN_CACHE[raw] = plan
-    return plan
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from repro import runtime
 from repro.btb import kernels
 from repro.btb.btb import BTB, run_btb
 from repro.btb.config import DEFAULT_BTB_CONFIG
@@ -87,7 +88,7 @@ KERNEL_POLICIES = tuple(kernels.kernel_policy_names())
 REPLAY_FLOORS = {
     "lru": 2.0, "opt": 2.0, "thermometer": 1.25,
     "mru": 2.0, "fifo": 2.0, "srrip": 2.0, "plru": 2.5,
-    "dip": 1.0, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
+    "dip": 1.8, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
     "thermometer-dueling": 1.6, "thermometer-online": 1.4,
     "random": 1.5, "brrip": 1.5,
 }
@@ -262,18 +263,17 @@ def run_replay_benchmark(apps, policies=DEFAULT_POLICIES,
         def timed_pass(harness, trace, policy, hints,
                        fast_enabled: bool) -> float:
             btb = harness.build_btb(policy, trace, hints=hints)
-            prev = kernels.set_fast_path_enabled(fast_enabled)
             # As timeit does: a cyclic collection set off by the
             # previous pass's garbage would land on this pass's clock,
             # making a policy's speedup depend on which pass precedes it.
             gc.disable()
             try:
-                start = time.perf_counter()
-                run_btb(trace, btb)
-                return time.perf_counter() - start
+                with runtime.override(fast_replay=fast_enabled):
+                    start = time.perf_counter()
+                    run_btb(trace, btb)
+                    return time.perf_counter() - start
             finally:
                 gc.enable()
-                kernels.set_fast_path_enabled(prev)
 
         for job in prepared:  # warm allocations on both paths
             timed_pass(*job, True)
@@ -351,13 +351,10 @@ def run_sim_benchmark(apps, length: int = 60000, repeats: int = 3) -> dict:
             # Every pass repeats the same trace; timing the shared-pass
             # memo's hits instead of the kernel would inflate the speedup.
             sim_kernels.clear_pass_memo()
-            prev = sim_kernels.set_fast_sim_enabled(fast_enabled)
-            try:
+            with runtime.override(fast_sim=fast_enabled):
                 start = time.perf_counter()
                 sim.simulate(trace)
                 return time.perf_counter() - start
-            finally:
-                sim_kernels.set_fast_sim_enabled(prev)
 
         for _, trace in prepared:  # warm allocations on both paths
             timed_pass(trace, True)

@@ -10,9 +10,9 @@ separate artifact stores:
 1. a **reference** run with no faults — the ground truth;
 2. a **faulted** run under a :meth:`~repro.testing.faults.FaultPlan.random`
    plan derived from ``--seed`` (workers raise, hang past the job
-   timeout, corrupt their stored artifacts, or SIGKILL themselves), with
-   the plan published through ``REPRO_FAULT_PLAN`` so the real
-   ``ProcessPoolExecutor`` workers pick it up.  If the engine exhausts
+   timeout, corrupt their stored artifacts, or SIGKILL themselves), set
+   as the runtime config's fault plan, which the engine ships to the
+   real ``ProcessPoolExecutor`` workers.  If the engine exhausts
    its retries, the run is *resumed* — faults cleared, exactly as an
    operator would rerun a crashed sweep — until it converges.  A final
    fault-free verification pass then re-reads every artifact, so entries
@@ -27,18 +27,18 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro import runtime
 from repro.btb.config import BTBConfig
 from repro.harness.engine import ExperimentEngine, ExperimentError, SimJob
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import canonical_rows, read_run_manifest
-from repro.testing.faults import PLAN_ENV_VAR, FaultPlan
+from repro.testing.faults import FaultPlan
 
 __all__ = ["main"]
 
@@ -57,16 +57,17 @@ def _build_jobs(args) -> List[SimJob]:
 
 
 def _run_to_convergence(engine: ExperimentEngine, jobs: List[SimJob],
-                        max_resumes: int):
-    """Run a sweep, resuming (with faults cleared) until it succeeds."""
+                        max_resumes: int, plan: FaultPlan):
+    """Run a sweep under ``plan``, resuming (with faults cleared) until
+    it succeeds."""
     try:
-        return engine.run(jobs), 0
+        with runtime.override(fault_plan=plan):
+            return engine.run(jobs), 0
     except ExperimentError as exc:
         log.warning("faulted run did not converge in one pass: %s", exc)
         resume_id = exc.run_id
     # Resumes model the operator rerunning after a crash: the transient
     # faults are gone, and completed jobs verify out of the store.
-    os.environ.pop(PLAN_ENV_VAR, None)
     for round_no in range(1, 1 + max_resumes):
         try:
             return engine.run(jobs, resume=resume_id), round_no
@@ -101,15 +102,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="resume rounds before giving up")
     parser.add_argument("--cache-dir", default=None,
                         help="scratch root for the two stores (default: "
-                             "REPRO_CACHE_DIR or a temp directory)")
+                             "REPRO_CACHE_DIR/chaos or a temp directory)")
     add_logging_args(parser)
     args = parser.parse_args(argv)
     setup_cli_logging(args)
 
+    cache_dir = runtime.current().cache_dir
     if args.cache_dir:
         root = Path(args.cache_dir).expanduser()
-    elif os.environ.get("REPRO_CACHE_DIR"):
-        root = Path(os.environ["REPRO_CACHE_DIR"]).expanduser() / "chaos"
+    elif cache_dir is not None:
+        root = cache_dir / "chaos"
     else:
         import tempfile
         root = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
@@ -121,26 +123,25 @@ def main(argv: Optional[List[str]] = None) -> int:
          f"{len(jobs)} job(s)")
     emit(f"fault plan: {plan.to_json()}")
 
-    start = time.perf_counter()
-    reference = ExperimentEngine(cache_dir=root / f"reference-{args.seed}",
-                                 jobs=1)
-    os.environ.pop(PLAN_ENV_VAR, None)
-    ref_results = reference.run(jobs)
+    # Only the faulted run sees the plan; the reference, the resumes and
+    # the verification pass run fault-free.
+    with runtime.override(fault_plan=None):
+        start = time.perf_counter()
+        reference = ExperimentEngine(
+            cache_dir=root / f"reference-{args.seed}", jobs=1)
+        ref_results = reference.run(jobs)
 
-    faulted = ExperimentEngine(cache_dir=root / f"faulted-{args.seed}",
-                               jobs=args.jobs,
-                               max_retries=args.max_retries,
-                               job_timeout=args.job_timeout)
-    plan.install()
-    try:
-        _, resumes = _run_to_convergence(faulted, jobs, args.max_resumes)
-    finally:
-        os.environ.pop(PLAN_ENV_VAR, None)
-    # Verification pass: re-read every artifact fault-free, so on-disk
-    # corruption is caught by the integrity digest, quarantined, and
-    # rebuilt before the comparison.
-    verify = ExperimentEngine(cache_dir=faulted.cache_dir, jobs=1)
-    got_results = verify.run(jobs)
+        faulted = ExperimentEngine(cache_dir=root / f"faulted-{args.seed}",
+                                   jobs=args.jobs,
+                                   max_retries=args.max_retries,
+                                   job_timeout=args.job_timeout)
+        _, resumes = _run_to_convergence(faulted, jobs, args.max_resumes,
+                                         plan)
+        # Verification pass: re-read every artifact fault-free, so
+        # on-disk corruption is caught by the integrity digest,
+        # quarantined, and rebuilt before the comparison.
+        verify = ExperimentEngine(cache_dir=faulted.cache_dir, jobs=1)
+        got_results = verify.run(jobs)
     elapsed = time.perf_counter() - start
 
     failures = []

@@ -18,7 +18,7 @@ serial engine (separate store, no faults) and then checks the fabric
 run against it: result values, canonical manifest rows, and the
 sha256 digests of every artifact (serial store vs the union of the
 coordinator store and all host shards) must match exactly.
-``--chaos-seed`` additionally installs a seeded
+``--chaos-seed`` additionally runs the fabric leg under a seeded
 :meth:`~repro.testing.faults.FaultPlan.random` plan of ``raise`` /
 ``die`` / ``partition`` faults — worker hosts crash and partition
 mid-sweep, and the differential must *still* hold bit-for-bit.  The
@@ -30,13 +30,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
-import os
 import pickle
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro import runtime
 from repro.btb.config import BTBConfig
 from repro.btb.replacement.registry import policy_names
 from repro.fabric import FabricCoordinator, run_fabric_sweep, worker_main
@@ -44,7 +44,7 @@ from repro.harness.engine import ExperimentEngine, SimJob
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import canonical_rows, read_run_manifest
-from repro.testing.faults import PLAN_ENV_VAR, FaultPlan
+from repro.testing.faults import FaultPlan
 from repro.workloads.datacenter import app_names
 
 __all__ = ["main"]
@@ -118,8 +118,9 @@ def _build_jobs(args) -> Optional[List[SimJob]]:
 def _resolve_root(args, prefix: str) -> Path:
     if args.cache_dir:
         return Path(args.cache_dir).expanduser()
-    if os.environ.get("REPRO_CACHE_DIR"):
-        return Path(os.environ["REPRO_CACHE_DIR"]).expanduser() / prefix
+    cache_dir = runtime.current().cache_dir
+    if cache_dir is not None:
+        return cache_dir / prefix
     import tempfile
     return Path(tempfile.mkdtemp(prefix=f"repro-{prefix}-"))
 
@@ -182,15 +183,19 @@ def _cmd_sweep(args) -> int:
         if not ok:
             failures.append(what)
 
+    # Under --differential both legs run fault-free but for the
+    # --chaos-seed plan on the fabric leg; otherwise the fabric leg keeps
+    # whatever plan the runtime config already carries.
+    plan = None if args.differential else runtime.current().fault_plan
     serial: Optional[ExperimentEngine] = None
     ref_results = None
     if args.differential:
-        # The reference leg runs first and fault-free: it is the ground
-        # truth the fabric must reproduce bit-for-bit.
-        os.environ.pop(PLAN_ENV_VAR, None)
+        # The reference leg runs first: it is the ground truth the
+        # fabric must reproduce bit-for-bit.
         serial = ExperimentEngine(cache_dir=root / "serial", jobs=1)
         start = time.perf_counter()
-        ref_results = serial.run(jobs)
+        with runtime.override(fault_plan=None):
+            ref_results = serial.run(jobs)
         emit(f"serial reference: {len(ref_results)} job(s) in "
              f"{time.perf_counter() - start:.1f}s")
 
@@ -200,7 +205,6 @@ def _cmd_sweep(args) -> int:
         emit(f"chaos seed {args.chaos_seed}: {len(plan)} fault(s) over "
              f"{len(jobs)} job(s)")
         emit(f"fault plan: {plan.to_json()}")
-        plan.install()
 
     coordinator = FabricCoordinator(
         cache_dir=root / "coordinator", hosts=args.hosts,
@@ -208,10 +212,8 @@ def _cmd_sweep(args) -> int:
         max_retries=args.max_retries, job_timeout=args.job_timeout,
         heartbeat_timeout=args.heartbeat_timeout, grace=args.grace)
     start = time.perf_counter()
-    try:
+    with runtime.override(fault_plan=plan):
         results = run_fabric_sweep(jobs, coordinator=coordinator)
-    finally:
-        os.environ.pop(PLAN_ENV_VAR, None)
     emit(f"fabric sweep: {len(results)} job(s) in "
          f"{time.perf_counter() - start:.1f}s")
     emit(f"fabric counters: {_counters(coordinator.engine, 'fabric/')}")

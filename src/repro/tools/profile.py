@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro import runtime
 from repro.btb.config import BTBConfig
 from repro.core.crossval import cross_validate_thresholds
 from repro.core.hints import ThresholdQuantizer
@@ -96,8 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache_dir = None
     if not args.no_cache:
-        from repro.harness.engine import default_cache_dir
-        cache_dir = args.cache_dir or str(default_cache_dir())
+        cache_dir = args.cache_dir or str(runtime.current().store_root)
     profile, cached = _cached_profile(args.trace, trace, config, cache_dir)
     temps = TemperatureProfile.from_opt_profile(profile)
     hints = ThresholdQuantizer(thresholds).quantize(

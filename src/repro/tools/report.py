@@ -2,8 +2,9 @@
 
 Every :class:`~repro.harness.engine.ExperimentEngine` run with a cache
 directory writes a manifest under ``<cache root>/runs/<run id>/``; this
-tool renders one back — slowest stages, artifact-cache effectiveness,
-per-policy BTB event rates, and any exceptions::
+tool renders one back — artifact-cache effectiveness, the runtime
+switches with BTB-replay and simulate fast-path coverage, slowest
+stages, per-policy BTB event rates, and any exceptions::
 
     python -m repro.tools.report                      # latest run
     python -m repro.tools.report ~/.cache/repro-thermometer
@@ -19,6 +20,7 @@ import logging
 import sys
 from typing import List, Optional
 
+from repro import runtime
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import read_run_manifest, render_report
@@ -50,8 +52,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     path = args.path
     if path is None:
-        from repro.harness.engine import default_cache_dir
-        path = str(default_cache_dir())
+        path = str(runtime.current().store_root)
     try:
         manifest = read_run_manifest(path)
     except FileNotFoundError as exc:

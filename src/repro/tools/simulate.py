@@ -23,6 +23,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro import runtime
 from repro.btb.btb import BTB, run_btb
 from repro.btb.config import BTBConfig
 from repro.btb.replacement.registry import make_policy, policy_names
@@ -59,7 +60,7 @@ def _build_policy(name: str, trace, hints_path: Optional[str],
 def _run_sweep(args) -> int:
     """(apps × policies) matrix through the parallel experiment engine."""
     from repro.harness.engine import (ExperimentEngine, ExperimentError,
-                                      SimJob, default_cache_dir)
+                                      SimJob)
     apps = [a for a in args.apps.split(",") if a]
     policies = [p for p in args.policies.split(",") if p]
     known_apps = set(app_names())
@@ -81,7 +82,7 @@ def _run_sweep(args) -> int:
             for app in apps for policy in policies]
     cache_dir = None
     if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
+        cache_dir = args.cache_dir or str(runtime.current().store_root)
     if args.resume and not cache_dir:
         log.error("--resume needs the artifact store; drop --no-cache")
         return 2

@@ -4,8 +4,9 @@
 polls the ``status`` and ``metrics`` ops (per-tenant request rates and
 latency quantiles, open batches, cache effectiveness, recent runs), or
 point it at a **run directory / cache root** and it tails the run's
-journal (job-state counts, slowest spans, cache stats) — either way the
-screen refreshes in place with plain ANSI, no curses::
+journal (job-state counts, cache stats, runtime switches and fast-path
+coverage, slowest spans) — either way the screen refreshes in place
+with plain ANSI, no curses::
 
     python -m repro.tools.top --host 127.0.0.1 --port 7979   # service
     python -m repro.tools.top                                # latest run
@@ -26,10 +27,11 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import runtime
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import (read_run_manifest, read_spans,
-                                      resolve_run_dir)
+                                      resolve_run_dir, runtime_lines)
 from repro.telemetry.metrics import Histogram
 
 __all__ = ["main", "poll_service", "render_run_frame",
@@ -190,6 +192,7 @@ def render_run_frame(path: Any, top: int = 8) -> str:
             f"cache: hit-rate={_hit_rate(cache)}  "
             f"read={_fmt_bytes(cache.get('bytes_read'))}  "
             f"written={_fmt_bytes(cache.get('bytes_written'))}")
+    lines += runtime_lines(summary)
     spans = read_spans(run_dir)
     if spans:
         lines += ["", f"slowest spans (of {len(spans)}):"]
@@ -256,8 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 path = args.path
                 if path is None:
-                    from repro.harness.engine import default_cache_dir
-                    path = str(default_cache_dir())
+                    path = str(runtime.current().store_root)
                 frame = render_run_frame(path, top=args.top)
         except FileNotFoundError as exc:
             log.error("%s", exc)

@@ -25,6 +25,7 @@ import logging
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import runtime
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import read_spans, resolve_run_dir
@@ -94,8 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     path = args.path
     if path is None:
-        from repro.harness.engine import default_cache_dir
-        path = str(default_cache_dir())
+        path = str(runtime.current().store_root)
     try:
         run_dir = resolve_run_dir(path)
     except FileNotFoundError as exc:
@@ -103,8 +103,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     spans = read_spans(run_dir)
     if not spans:
-        log.error("no trace spans under %s (telemetry off? see "
-                  "REPRO_TELEMETRY)", run_dir)
+        log.error("no trace spans under %s (was the run made with a "
+                  "disabled telemetry registry?)", run_dir)
         return 2
     document = spans_to_chrome_trace(spans)
     text = json.dumps(document, sort_keys=True)

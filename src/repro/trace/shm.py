@@ -25,13 +25,13 @@ Lifecycle (see docs/ARCHITECTURE.md, "Fast-path kernels"):
 * attach failures degrade silently to the store path — the handle is a
   cache hint, never a correctness dependency.
 
-``REPRO_SHM=0`` disables the export side entirely.
+The runtime config's ``shm`` switch (``REPRO_SHM=0``) disables the
+export side entirely.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple
@@ -44,17 +44,10 @@ from repro.trace.stream import AccessStream, SetPartition
 log = logging.getLogger(__name__)
 
 __all__ = ["ColumnSpec", "ExportedStream", "StreamHandle",
-           "attach_stream", "export_stream", "shm_enabled"]
+           "attach_stream", "export_stream"]
 
 #: Column starting offsets are aligned for clean vector loads.
 _ALIGN = 64
-
-
-def shm_enabled() -> bool:
-    """Whether the engine may export streams over shared memory
-    (``REPRO_SHM`` kill switch, default on)."""
-    raw = os.environ.get("REPRO_SHM", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)

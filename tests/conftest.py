@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import runtime
 from repro.btb.config import BTBConfig
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.workloads.datacenter import make_app_trace
@@ -18,20 +17,12 @@ from tests.helpers import branch, trace_of_pcs  # noqa: F401 (re-export)
 
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_artifact_cache(tmp_path_factory):
-    """Point the persistent artifact store at a per-session tmpdir so tests
-    never read from (or pollute) the user-level cache, and skip the
-    engine's retry-backoff sleeps (REPRO_TEST_FAST) suite-wide."""
+    """Point the default artifact store at a per-session tmpdir so tests
+    never read from (or pollute) the user-level cache, and zero the
+    engine's retry backoff (``test_fast``) suite-wide."""
     root = tmp_path_factory.mktemp("artifact-store")
-    previous = {name: os.environ.get(name)
-                for name in ("REPRO_CACHE_DIR", "REPRO_TEST_FAST")}
-    os.environ["REPRO_CACHE_DIR"] = str(root)
-    os.environ["REPRO_TEST_FAST"] = "1"
-    yield root
-    for name, value in previous.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    with runtime.override(cache_dir=root, test_fast=True):
+        yield root
 
 
 @pytest.fixture

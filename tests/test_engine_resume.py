@@ -8,7 +8,6 @@ job attempted more than ``1 + max_retries`` times per run.
 
 from __future__ import annotations
 
-import os
 import pickle
 import tempfile
 from pathlib import Path
@@ -17,27 +16,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import runtime
 from repro.harness.engine import (ExperimentEngine, ExperimentError,
                                   JobState, SimJob)
 from repro.telemetry.manifest import (canonical_rows, read_events,
                                       read_run_manifest)
 from repro.telemetry.metrics import MetricsRegistry, set_registry
-from repro.testing.faults import Fault, FaultPlan, PLAN_ENV_VAR
+from repro.testing.faults import Fault, FaultPlan
 
 JOBS = [SimJob(app=app, policy=policy, length=2500, mode="misses")
         for app in ("tomcat", "python") for policy in ("lru", "srrip")]
 
 
 @pytest.fixture(autouse=True)
-def _fault_env():
-    previous_plan = os.environ.pop(PLAN_ENV_VAR, None)
+def _fresh_registry():
     previous_registry = set_registry(MetricsRegistry(enabled=True))
     yield
     set_registry(previous_registry)
-    if previous_plan is None:
-        os.environ.pop(PLAN_ENV_VAR, None)
-    else:
-        os.environ[PLAN_ENV_VAR] = previous_plan
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +86,12 @@ class TestSigkillDifferential:
         with retries disabled the sweep fails, and ``--resume`` must
         finish it bit-identically to the uninterrupted reference."""
         ref_results, ref_rows = reference
-        FaultPlan(faults=(Fault("die", 1),)).install()
-        engine = ExperimentEngine(cache_dir=tmp_path, jobs=2,
-                                  max_retries=0)
-        with pytest.raises(ExperimentError) as info:
-            engine.run(JOBS)
-        os.environ.pop(PLAN_ENV_VAR, None)
+        plan = FaultPlan(faults=(Fault("die", 1),))
+        with runtime.override(fault_plan=plan):
+            engine = ExperimentEngine(cache_dir=tmp_path, jobs=2,
+                                      max_retries=0)
+            with pytest.raises(ExperimentError) as info:
+                engine.run(JOBS)
         crashed_id = info.value.run_id
         crashed_events = read_events(engine.last_manifest)
         crashed_ok = {e["index"] for e in crashed_events
@@ -122,13 +117,13 @@ class TestSigkillDifferential:
         digest during resume verification, is moved aside, and the job
         re-runs instead of being skipped."""
         ref_results, ref_rows = reference
-        FaultPlan(faults=(Fault("corrupt", 0),
-                          Fault("raise", 3, attempts=(0, 1)))).install()
-        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1,
-                                  max_retries=1)
-        with pytest.raises(ExperimentError):
-            engine.run(JOBS)
-        os.environ.pop(PLAN_ENV_VAR, None)
+        plan = FaultPlan(faults=(Fault("corrupt", 0),
+                                 Fault("raise", 3, attempts=(0, 1))))
+        with runtime.override(fault_plan=plan):
+            engine = ExperimentEngine(cache_dir=tmp_path, jobs=1,
+                                      max_retries=1)
+            with pytest.raises(ExperimentError):
+                engine.run(JOBS)
 
         resumed = engine.run(JOBS, resume=engine.last_run_id)
         states = {r.job.policy + "/" + r.job.app: r.state
@@ -161,12 +156,12 @@ class TestMultiPolicyGroupResume:
 
         # Job 2 is mid-group: its batch-mates before it already stored
         # their artifacts, the ones after it die with the worker.
-        FaultPlan(faults=(Fault("die", 2),)).install()
-        engine = ExperimentEngine(cache_dir=tmp_path / "run", jobs=2,
-                                  max_retries=0)
-        with pytest.raises(ExperimentError) as info:
-            engine.run(self.GROUP_JOBS)
-        os.environ.pop(PLAN_ENV_VAR, None)
+        plan = FaultPlan(faults=(Fault("die", 2),))
+        with runtime.override(fault_plan=plan):
+            engine = ExperimentEngine(cache_dir=tmp_path / "run", jobs=2,
+                                      max_retries=0)
+            with pytest.raises(ExperimentError) as info:
+                engine.run(self.GROUP_JOBS)
 
         resumed = engine.run(self.GROUP_JOBS, resume=info.value.run_id)
         assert all(r.state in (JobState.SUCCEEDED, JobState.SKIPPED)
@@ -181,13 +176,11 @@ class TestMultiPolicyGroupResume:
         ref_engine = ExperimentEngine(cache_dir=tmp_path / "ref", jobs=1)
         ref_results = ref_engine.run(self.GROUP_JOBS)
 
-        FaultPlan(faults=(Fault("raise", 2, attempts=(0,)),)).install()
+        plan = FaultPlan(faults=(Fault("raise", 2, attempts=(0,)),))
         engine = ExperimentEngine(cache_dir=tmp_path / "run", jobs=1,
                                   max_retries=1)
-        try:
+        with runtime.override(fault_plan=plan):
             results = engine.run(self.GROUP_JOBS)
-        finally:
-            os.environ.pop(PLAN_ENV_VAR, None)
         assert ([pickle.dumps(r.value) for r in results]
                 == [pickle.dumps(r.value) for r in ref_results])
 
@@ -205,18 +198,15 @@ class TestResumeProperty:
         root = Path(tempfile.mkdtemp(prefix=f"resume-prop-{seed}-"))
         plan = FaultPlan.random(seed, n_jobs=len(JOBS), rate=0.7,
                                 hang_seconds=1.0)
-        plan.install()
         engine = ExperimentEngine(cache_dir=root, jobs=1,
                                   max_retries=max_retries,
                                   job_timeout=0.25)
-        try:
+        with runtime.override(fault_plan=plan):
             try:
                 results = engine.run(JOBS)
                 crashed_id = None
             except ExperimentError as exc:
                 crashed_id = exc.run_id
-        finally:
-            os.environ.pop(PLAN_ENV_VAR, None)
         first_events = read_events(engine.last_manifest)
 
         if crashed_id is not None:

@@ -16,22 +16,23 @@ hosts rather than mocks.
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import runtime
 from repro.fabric import (ArtifactServer, FabricCoordinator,
                           PeerBackedStore, run_fabric_sweep)
-from repro.harness.engine import ExperimentEngine, JobState, SimJob
+from repro.harness.engine import (ExperimentEngine, ExperimentError,
+                                  JobState, SimJob)
 from repro.harness.engine.store import ArtifactStore
 from repro.telemetry.manifest import canonical_rows, read_run_manifest
 from repro.telemetry.metrics import (MetricsRegistry, get_registry,
                                      set_registry)
-from repro.testing.faults import (Fault, FaultPlan, PLAN_ENV_VAR,
-                                  corrupt_file)
+from repro.testing.faults import Fault, FaultPlan, corrupt_file
+from repro.tools import fabric as fabric_tool
 from repro.tools.fabric import _merged_fabric_digests, artifact_digests
 
 LENGTH = 2500
@@ -45,16 +46,10 @@ STAT_FIELDS = ("hits", "misses", "corrupt", "digest_failures",
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    """Each test gets its own telemetry registry and a clean fault-plan
-    slot (chaos tests publish plans into the real environment)."""
-    previous_plan = os.environ.pop(PLAN_ENV_VAR, None)
+    """Each test gets its own telemetry registry."""
     previous_registry = set_registry(MetricsRegistry(enabled=True))
     yield
     set_registry(previous_registry)
-    if previous_plan is None:
-        os.environ.pop(PLAN_ENV_VAR, None)
-    else:
-        os.environ[PLAN_ENV_VAR] = previous_plan
 
 
 def sweep_jobs(apps=("tomcat", "kafka"), inputs=(0,),
@@ -163,12 +158,12 @@ class TestChaos:
 
         # Three batch groups over three hosts: each host's first lease
         # is its own group, so the two faults hit two distinct hosts.
-        FaultPlan(faults=(Fault("die", index=0),
-                          Fault("partition", index=4))).install()
-        coord = FabricCoordinator(tmp_path / "fabric", hosts=3,
-                                  max_retries=2)
-        fabric_results = run_fabric_sweep(jobs, coordinator=coord)
-        os.environ.pop(PLAN_ENV_VAR, None)
+        plan = FaultPlan(faults=(Fault("die", index=0),
+                                 Fault("partition", index=4)))
+        with runtime.override(fault_plan=plan):
+            coord = FabricCoordinator(tmp_path / "fabric", hosts=3,
+                                      max_retries=2)
+            fabric_results = run_fabric_sweep(jobs, coordinator=coord)
 
         assert_bit_identical(serial_engine, serial_results, coord,
                              fabric_results)
@@ -183,6 +178,29 @@ class TestChaos:
         assert counters["fabric/mirrored"] == len(jobs)
         # The ghost failures went through the normal retry budget.
         assert counters["engine/jobs/retried"] >= 2
+
+
+class TestFabricToolFaultPlan:
+    """``fabric sweep`` and the runtime config's fault plan: the
+    ``--differential`` legs both run fault-free (only ``--chaos-seed``
+    faults the fabric leg); a plain sweep keeps the config's plan."""
+
+    PLAN = FaultPlan(faults=(Fault("raise", index=0, attempts=(0, 1)),))
+
+    def _sweep(self, tmp_path, *extra):
+        return fabric_tool.main(
+            ["sweep", "--apps", "drupal", "--policies", "lru",
+             "--length", str(LENGTH), "--hosts", "1", "--max-retries", "1",
+             "--cache-dir", str(tmp_path), *extra])
+
+    def test_differential_ignores_the_configured_plan(self, tmp_path):
+        with runtime.override(fault_plan=self.PLAN):
+            assert self._sweep(tmp_path, "--differential") == 0
+
+    def test_plain_sweep_runs_under_the_configured_plan(self, tmp_path):
+        with runtime.override(fault_plan=self.PLAN):
+            with pytest.raises(ExperimentError, match="injected failure"):
+                self._sweep(tmp_path)
 
 
 class TestPartitionProperty:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import runtime
 from repro.btb import kernels
 from repro.btb.btb import BTB, replay_stream, run_btb
 from repro.btb.config import BTBConfig
@@ -109,11 +110,8 @@ def _btb_state(btb: BTB) -> dict:
 def _replay(trace: BranchTrace, name: str, fast: bool) -> BTB:
     stream = access_stream_for(trace, CONFIG)
     btb = BTB(CONFIG, _policy(name, stream))
-    previous = kernels.set_fast_path_enabled(fast)
-    try:
+    with runtime.override(fast_replay=fast):
         run_btb(trace, btb)
-    finally:
-        kernels.set_fast_path_enabled(previous)
     return btb
 
 
@@ -186,15 +184,12 @@ def test_ghrp_kernel_matches_reference_from_any_start_state(
     btbs = []
     for fast in (True, False):
         btb = _ghrp_from_state(geometry, bypass, seed)
-        previous = kernels.set_fast_path_enabled(fast)
-        try:
+        with runtime.override(fast_replay=fast):
             if pairs and num_tables > table_bits + 1:
                 with pytest.raises(ValueError):
                     run_btb(trace, btb)
                 continue
             run_btb(trace, btb)
-        finally:
-            kernels.set_fast_path_enabled(previous)
         btbs.append(btb)
     if len(btbs) == 2:
         fast_btb, reference_btb = btbs
@@ -273,13 +268,10 @@ def test_kill_switch_disables_dispatch():
     trace = make_app_trace("tomcat", length=3000)
     stream = access_stream_for(trace, CONFIG)
     btb = BTB(CONFIG, make_policy("lru"))
-    previous = kernels.set_fast_path_enabled(False)
-    try:
+    with runtime.override(fast_replay=False):
         assert not kernels.fast_path_enabled()
         assert kernels.select_kernel(btb, stream) is None
         assert kernels.try_fast_replay(stream, btb) is None
-    finally:
-        kernels.set_fast_path_enabled(previous)
     assert kernels.select_kernel(btb, stream) is not None
 
 
@@ -443,17 +435,17 @@ class TestSharedMemoryStreams:
 
 
 class TestEngineSharedMemoryEquivalence:
-    def test_parallel_shm_matches_serial_store_path(self, tmp_path,
-                                                    monkeypatch):
+    def test_parallel_shm_matches_serial_store_path(self, tmp_path):
         from repro.harness.engine import ExperimentEngine, SimJob
         jobs = [SimJob(app=app, policy=policy, length=4000, mode="misses")
                 for app in ("tomcat", "python")
                 for policy in ("lru", "thermometer")]
 
-        monkeypatch.setenv("REPRO_SHM", "0")
-        serial = ExperimentEngine(cache_dir=tmp_path / "serial", jobs=1)
-        expected = [r.value for r in serial.run(jobs)]
+        with runtime.override(shm=False):
+            serial = ExperimentEngine(cache_dir=tmp_path / "serial", jobs=1)
+            expected = [r.value for r in serial.run(jobs)]
 
-        monkeypatch.setenv("REPRO_SHM", "1")
-        parallel = ExperimentEngine(cache_dir=tmp_path / "parallel", jobs=2)
-        assert [r.value for r in parallel.run(jobs)] == expected
+        with runtime.override(shm=True):
+            parallel = ExperimentEngine(cache_dir=tmp_path / "parallel",
+                                        jobs=2)
+            assert [r.value for r in parallel.run(jobs)] == expected

@@ -3,30 +3,19 @@
 The engine-facing behaviour (retries, timeouts, resume) lives in
 ``test_engine_fault_tolerance.py`` / ``test_engine_resume.py``; this file
 pins down the plan machinery those tests lean on: seeded determinism,
-JSON/env round-trips, and the individual fault applications.
+JSON/config round-trips, and the individual fault applications.
 """
 
 from __future__ import annotations
 
-import json
-import os
 
 import pytest
 
+from repro import runtime
 from repro.harness.engine import ArtifactStore
+from repro.runtime import RuntimeConfig
 from repro.testing.faults import (FAULT_KINDS, Fault, FaultPlan,
-                                  InjectedFault, PLAN_ENV_VAR,
-                                  active_fault_plan, corrupt_file, inject)
-
-
-@pytest.fixture(autouse=True)
-def _clean_plan_env():
-    previous = os.environ.pop(PLAN_ENV_VAR, None)
-    yield
-    if previous is None:
-        os.environ.pop(PLAN_ENV_VAR, None)
-    else:
-        os.environ[PLAN_ENV_VAR] = previous
+                                  InjectedFault, corrupt_file, inject)
 
 
 class TestFault:
@@ -78,31 +67,39 @@ class TestFaultPlan:
 
 
 class TestEnvWiring:
+    """Plans reach the engine as the runtime config's ``fault_plan``:
+    parsed from ``REPRO_FAULT_PLAN``, or set with ``override``."""
+
     def test_no_env_means_no_plan(self):
-        assert active_fault_plan() is None
+        assert RuntimeConfig.from_env({}).fault_plan is None
+        assert runtime.current().fault_plan is None
 
     def test_install_and_read_back(self):
         plan = FaultPlan(faults=(Fault("raise", 1),), seed=5)
-        plan.install()
-        assert active_fault_plan() == plan
+        with runtime.override(fault_plan=plan):
+            assert runtime.current().fault_plan == plan
+        assert runtime.current().fault_plan is None
 
     def test_plan_from_file_reference(self, tmp_path):
         plan = FaultPlan(faults=(Fault("corrupt", 2),))
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json())
-        os.environ[PLAN_ENV_VAR] = f"@{path}"
-        assert active_fault_plan() == plan
+        env = {"REPRO_FAULT_PLAN": f"@{path}"}
+        assert RuntimeConfig.from_env(env).fault_plan == plan
 
     def test_malformed_plan_raises(self):
-        os.environ[PLAN_ENV_VAR] = "{not json"
-        with pytest.raises(ValueError, match=PLAN_ENV_VAR):
-            active_fault_plan()
+        with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
+            RuntimeConfig.from_env({"REPRO_FAULT_PLAN": "{not json"})
 
-    def test_cache_tracks_env_changes(self):
-        FaultPlan(faults=(Fault("raise", 0),)).install()
-        assert active_fault_plan().fault_for(0).kind == "raise"
-        FaultPlan(faults=(Fault("hang", 0),)).install()
-        assert active_fault_plan().fault_for(0).kind == "hang"
+    def test_cache_tracks_env_changes(self, monkeypatch):
+        try:
+            for kind in ("raise", "hang"):
+                plan = FaultPlan(faults=(Fault(kind, 0),))
+                monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
+                assert runtime.load().fault_plan.fault_for(0).kind == kind
+        finally:
+            monkeypatch.undo()
+            runtime.load()
 
 
 class TestApplication:

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro import runtime
 from repro.btb.btb import BTB, run_btb
 from repro.btb.config import BTBConfig
 from repro.btb.observer import EventRecorder
@@ -122,11 +123,8 @@ def test_fast_path_matches_reference_loop(policy_name, app):
 
     def replay(fast: bool) -> BTB:
         btb = BTB(CONFIG, _policy(policy_name, trace, reference=False))
-        previous = kernels.set_fast_path_enabled(fast)
-        try:
+        with runtime.override(fast_replay=fast):
             run_btb(trace, btb)
-        finally:
-            kernels.set_fast_path_enabled(previous)
         return btb
 
     fast_btb, reference_btb = replay(True), replay(False)

@@ -130,14 +130,6 @@ class TestTraceSpan:
                 pass
         assert spans == []
 
-    def test_telemetry_master_switch_disables_tracing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        set_registry(MetricsRegistry())
-        with collect_spans() as spans:
-            with span("off"):
-                pass
-        assert spans == []
-
 
 # ----------------------------------------------------------------------
 # Prometheus text exposition

@@ -17,6 +17,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import runtime
 from repro.btb.btb import BTB
 from repro.btb.compressed import PartialTagBTB
 from repro.btb.config import BTBConfig, THERMOMETER_7979_CONFIG
@@ -77,8 +78,7 @@ VARIANTS = {
 
 def _simulate(trace, kwargs, fast: bool, expect_fast: bool = True):
     sim = FrontendSimulator(**kwargs())
-    prev = simk.set_fast_sim_enabled(fast)
-    try:
+    with runtime.override(fast_sim=fast):
         if fast:
             reason = simk.fast_sim_supported(sim)
             if expect_fast:
@@ -86,8 +86,6 @@ def _simulate(trace, kwargs, fast: bool, expect_fast: bool = True):
             else:
                 assert reason is not None
         result = sim.simulate(trace, warmup_fraction=0.2)
-    finally:
-        simk.set_fast_sim_enabled(prev)
     return result, sim
 
 
@@ -148,13 +146,10 @@ def test_fast_simulate_matches_per_predictor(predictor_cls):
         clear_stream_cache()
         sim = FrontendSimulator(btb=BTB(CONFIG),
                                 predictor=predictor_cls())
-        prev = simk.set_fast_sim_enabled(fast)
-        try:
+        with runtime.override(fast_sim=fast):
             results[fast] = (dataclasses.asdict(sim.simulate(trace)),
                              _component_state(sim),
                              _predictor_state(sim.predictor))
-        finally:
-            simk.set_fast_sim_enabled(prev)
     assert results[True] == results[False]
 
 
@@ -165,11 +160,8 @@ def test_fast_simulate_tage_end_state_with_provider():
     states = {}
     for fast in (True, False):
         sim = FrontendSimulator(btb=BTB(CONFIG))
-        prev = simk.set_fast_sim_enabled(fast)
-        try:
+        with runtime.override(fast_sim=fast):
             sim.simulate(trace)
-        finally:
-            simk.set_fast_sim_enabled(prev)
         states[fast] = _predictor_state(sim.predictor)
     assert states[False]["_provider"] is not None
     assert states[True] == states[False]
@@ -184,13 +176,10 @@ def test_fast_simulate_repeated_runs_match(registry):
     for fast in (True, False):
         clear_stream_cache()
         sim = FrontendSimulator(btb=BTB(CONFIG))
-        prev = simk.set_fast_sim_enabled(fast)
-        try:
+        with runtime.override(fast_sim=fast):
             sim.simulate(trace)
             results[fast] = (dataclasses.asdict(sim.simulate(trace)),
                              _component_state(sim))
-        finally:
-            simk.set_fast_sim_enabled(prev)
     assert results[True] == results[False]
     assert "sim/pass_memo_hits" not in registry.counters
     assert registry.counters["sim/pass_memo_misses"] == 4
@@ -209,18 +198,21 @@ def test_dispatch_default_supported():
 
 
 def test_dispatch_kill_switch():
-    prev = simk.set_fast_sim_enabled(False)
-    try:
+    with runtime.override(fast_sim=False):
         assert simk.fast_sim_supported(_stock_sim()) is not None
-    finally:
-        simk.set_fast_sim_enabled(prev)
 
 
 def test_dispatch_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_SIM", "0")
-    assert simk._env_enabled() is False
-    monkeypatch.setenv("REPRO_FAST_SIM", "1")
-    assert simk._env_enabled() is True
+    try:
+        monkeypatch.setenv("REPRO_FAST_SIM", "0")
+        assert runtime.load().fast_sim is False
+        assert not simk.fast_sim_enabled()
+        monkeypatch.setenv("REPRO_FAST_SIM", "1")
+        assert runtime.load().fast_sim is True
+        assert simk.fast_sim_enabled()
+    finally:
+        monkeypatch.undo()
+        runtime.load()
 
 
 def test_dispatch_rejects_prefetcher():
@@ -306,11 +298,8 @@ def test_try_fast_simulate_returns_none_when_rejected():
 def test_fallback_counted_by_reason(registry):
     trace = make_app_trace("tomcat", length=500)
     _stock_sim(prefetcher=NullPrefetcher()).simulate(trace)
-    prev = simk.set_fast_sim_enabled(False)
-    try:
+    with runtime.override(fast_sim=False):
         _stock_sim().simulate(trace)
-    finally:
-        simk.set_fast_sim_enabled(prev)
     assert registry.counters["sim/fallback/prefetcher-attached"] == 1
     assert registry.counters["sim/fallback/disabled"] == 1
 
@@ -366,11 +355,8 @@ def test_fig11_row_shares_passes(registry, pass_calls):
             sim = FrontendSimulator(btb=harness.build_btb(
                 policy, trace, hints=hints.get(policy)))
             held = _component_objects(sim)
-            prev = simk.set_fast_sim_enabled(fast)
-            try:
+            with runtime.override(fast_sim=fast):
                 result = sim.simulate(trace, warmup_fraction=0.2)
-            finally:
-                simk.set_fast_sim_enabled(prev)
             assert all(a is b for a, b in zip(held, _component_objects(sim)))
             runs[fast] = (dataclasses.asdict(result), _component_state(sim),
                           _predictor_state(sim.predictor))
@@ -396,13 +382,10 @@ def test_pass_memo_keys_on_warmup_and_params(variant, pass_calls):
     runs = {}
     for fast in (True, False):
         sim = _stock_sim(params=params)
-        prev = simk.set_fast_sim_enabled(fast)
-        try:
+        with runtime.override(fast_sim=fast):
             runs[fast] = (dataclasses.asdict(
                 sim.simulate(trace, warmup_fraction=warmup)),
                 _component_state(sim))
-        finally:
-            simk.set_fast_sim_enabled(prev)
     assert runs[True] == runs[False]
     assert pass_calls == {"direction": 1, "icache": 2}
 
@@ -450,12 +433,9 @@ def test_property_fast_matches_reference(raw, warm):
     for fast in (True, False):
         clear_stream_cache()
         sim = FrontendSimulator(btb=BTB(BTBConfig(entries=8, ways=2)))
-        prev = simk.set_fast_sim_enabled(fast)
-        try:
+        with runtime.override(fast_sim=fast):
             results[fast] = (
                 dataclasses.asdict(sim.simulate(trace,
                                                 warmup_fraction=warm)),
                 _component_state(sim))
-        finally:
-            simk.set_fast_sim_enabled(prev)
     assert results[True] == results[False]

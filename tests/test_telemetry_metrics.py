@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -115,6 +117,59 @@ class TestSpans:
         assert sorted(registry.spans) == ["misses", "sim"]
 
 
+class TestThreadSafety:
+    def test_concurrent_recording_is_exact(self):
+        """The service's executor threads share one registry: eight
+        threads counting and folding spans while another snapshots must
+        lose no update and never see a dict change size mid-copy."""
+        reg = MetricsRegistry(enabled=True)
+        threads_n, calls = 8, 20_000
+        done = threading.Event()
+        errors = []
+
+        def record(k):
+            for i in range(calls):
+                reg.count("jobs")
+                # New paths keep appearing while the snapshot copies.
+                reg.add_span(f"span/{k}/{i // 100}", 0.5)
+
+        def snapshot():
+            while not done.is_set():
+                try:
+                    reg.snapshot()
+                except RuntimeError as exc:  # dict changed size
+                    errors.append(exc)
+                    return
+                time.sleep(0.001)
+
+        # Switch threads often, so an unguarded read-modify-write would
+        # be interleaved (and lose updates) on every run.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher = threading.Thread(target=snapshot)
+            watcher.start()
+            workers = [threading.Thread(target=record, args=(k,))
+                       for k in range(threads_n)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+            done.set()
+            watcher.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [watcher])
+        assert errors == []
+        snap = reg.snapshot()
+        assert snap["counters"]["jobs"] == threads_n * calls
+        spans = snap["spans"]
+        assert sum(rec["count"] for rec in spans.values()) == \
+            threads_n * calls
+        assert sum(rec["seconds"] for rec in spans.values()) == \
+            0.5 * threads_n * calls
+
+
 class TestDisabled:
     def test_mutators_are_noops(self):
         reg = MetricsRegistry(enabled=False)
@@ -130,12 +185,6 @@ class TestDisabled:
         snap = reg.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {},
                         "spans": {}}
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert MetricsRegistry().enabled is False
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        assert MetricsRegistry().enabled is True
 
 
 class TestMergeSnapshots:

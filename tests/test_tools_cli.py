@@ -132,18 +132,17 @@ class TestSimulateSweepFaultFlags:
 
     def test_failed_sweep_prints_resume_hint(self, tmp_path, capsys,
                                              monkeypatch):
-        import os
-        from repro.testing.faults import Fault, FaultPlan, PLAN_ENV_VAR
+        from repro.testing.faults import Fault, FaultPlan
         plan = FaultPlan(faults=(Fault("raise", 0,
                                        attempts=(0, 1, 2, 3)),))
-        monkeypatch.setenv(PLAN_ENV_VAR, plan.to_json())
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
         assert simulate_tool.main(self.SWEEP
                                   + ["--cache-dir", str(tmp_path),
                                      "--max-retries", "1"]) == 1
         err = capsys.readouterr().err
         assert "--resume" in err
         # The crashed sweep converges once the transient fault clears.
-        monkeypatch.delenv(PLAN_ENV_VAR)
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
         assert simulate_tool.main(self.SWEEP
                                   + ["--cache-dir", str(tmp_path),
                                      "--resume", "latest"]) == 0
