@@ -12,8 +12,8 @@ register, lease, report, heartbeat.
 
 Scheduling: pending jobs are grouped into their natural *batch groups*
 (one per (app, input, machine config) — the same
-:func:`~repro.harness.engine.keys.batch_key` the process-pool planner
-uses, never split), shuffled by ``partition_seed``, and dealt
+:func:`~repro.harness.engine.keys.batch_key` the process pool's
+batches use, never split), shuffled by ``partition_seed``, and dealt
 round-robin into one bucket per expected host.  A host leases from the
 front of its own bucket; a host whose bucket has drained **steals**
 from the tail of the largest other bucket.  Because every group runs
@@ -129,6 +129,7 @@ class FabricExecutor(Executor):
     telemetry delta into the manifest.
     """
 
+    name = "fabric"
     uses_workers = True
 
     def __init__(self, engine, coordinator: "FabricCoordinator") -> None:

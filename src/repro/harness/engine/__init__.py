@@ -6,11 +6,10 @@ separately usable layers:
 * :mod:`~repro.harness.engine.store` — content-addressed, multi-tenant
   :class:`ArtifactStore` (namespaces, quotas, single-flight fetch).
 * :mod:`~repro.harness.engine.keys` — the shared job-identity helpers
-  (stream and batch keys) every layer keys work by.
+  (batch keys, and :func:`plan_batches`: how pool jobs share worker
+  batches) every layer keys work by.
 * :mod:`~repro.harness.engine.jobs` — :class:`SimJob` / \
   :class:`JobResult`, the :class:`JobState` machine, deadlines, backoff.
-* :mod:`~repro.harness.engine.planner` — :class:`Planner`: how jobs
-  share worker batches and streams.
 * :mod:`~repro.harness.engine.worker` — process-pool entry points.
 * :mod:`~repro.harness.engine.context` — per-run :class:`RunContext`
   state machine (journal, retries, result streaming).
@@ -32,12 +31,11 @@ from repro.harness.engine.store import (ArtifactStore, QUARANTINE_DIR,
                                         TENANTS_DIR, artifact_key,
                                         validate_namespace)
 from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       stream_key)
+                                       plan_batches)
 from repro.harness.engine.jobs import (HINTED_POLICIES, JobResult,
                                        JobState, JobTimeoutError, SimJob,
                                        _stats_delta, backoff_delay,
                                        execute_job, job_deadline)
-from repro.harness.engine.planner import Planner
 from repro.harness.engine.worker import (_execute_guarded, run_job,
                                          run_job_batch)
 from repro.harness.engine.context import RunContext
@@ -48,10 +46,10 @@ from repro.harness.engine.core import ExperimentEngine, ExperimentError
 
 __all__ = ["ArtifactStore", "AsyncExecutor", "Executor",
            "ExperimentEngine", "ExperimentError", "JobResult", "JobState",
-           "JobTimeoutError", "Planner", "ProcessPoolJobExecutor",
+           "JobTimeoutError", "ProcessPoolJobExecutor",
            "QUARANTINE_DIR", "QuotaExceededError", "RunContext",
            "SerialExecutor", "SimJob", "STORE_VERSION", "TENANTS_DIR",
            "artifact_key", "backoff_delay", "batch_key",
            "effective_btb_config", "execute_job",
-           "job_deadline", "run_job", "run_job_batch", "stream_key",
+           "job_deadline", "plan_batches", "run_job", "run_job_batch",
            "validate_namespace"]

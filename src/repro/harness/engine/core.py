@@ -3,9 +3,8 @@ write the manifest.
 
 The engine owns run-scoped policy (store location, worker count, retry
 budget, manifest directory) and run lifecycle (run ids, journals,
-resume, failure reporting); everything else is delegated — planning to
-:class:`~repro.harness.engine.planner.Planner`, execution to an
-:class:`~repro.harness.engine.executor.Executor`, per-run state to
+resume, failure reporting); everything else is delegated — execution
+to an :class:`~repro.harness.engine.executor.Executor`, per-run state to
 :class:`~repro.harness.engine.context.RunContext`.  Library users who
 need finer control can compose those pieces directly; the façade keeps
 the one-call ``engine.run(jobs)`` surface everything else in the repo
@@ -30,7 +29,6 @@ from repro.harness.engine.executor import (AsyncExecutor, Executor,
                                            SerialExecutor)
 from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
                                        _stats_delta)
-from repro.harness.engine.planner import Planner
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry, snapshot_delta
@@ -120,7 +118,6 @@ class ExperimentEngine:
             self.store = (ArtifactStore(self.cache_dir, salt=self.salt)
                           if self.cache_dir else None)
         self.stats = CacheStats()
-        self.planner = Planner()
         self.max_retries = (config.max_retries if max_retries is None
                             else max(0, int(max_retries)))
         if job_timeout is None:
@@ -150,7 +147,9 @@ class ExperimentEngine:
         self.last_run_id: Optional[str] = None
         #: The most recent run's merged telemetry snapshot.
         self.last_run_telemetry: Dict[str, Any] = {}
-        self._used_workers = False
+        #: The executor of the current (or most recent) run; None until
+        #: one is chosen.
+        self._ran_on: Optional[Executor] = None
 
     # ------------------------------------------------------------------
     # Run lifecycle (shared by run / run_async)
@@ -263,14 +262,8 @@ class ExperimentEngine:
 
     def _select_executor(self, pending: Sequence[int]) -> Executor:
         if self._executor is not None:
-            # An injected strategy declares whether attempts ran in
-            # other processes (see Executor.uses_workers) — that is what
-            # decides the manifest's telemetry-merge policy.
-            self._used_workers = bool(getattr(self._executor,
-                                              "uses_workers", False))
             return self._executor
         if self.jobs > 1 and len(pending) > 1:
-            self._used_workers = True
             return ProcessPoolJobExecutor(self)
         return SerialExecutor(self)
 
@@ -294,11 +287,11 @@ class ExperimentEngine:
         """
         ctx = self._begin_run(jobs, resume, on_result)
         failure: Optional[dict] = None
-        self._used_workers = False
+        self._ran_on = None
         try:
             pending = self._prepare(ctx)
-            executor = self._select_executor(pending)
-            executor.execute(ctx, pending)
+            self._ran_on = self._select_executor(pending)
+            self._ran_on.execute(ctx, pending)
         except BaseException as exc:
             failure = {"where": type(self).__name__,
                        "error": f"{type(exc).__name__}: {exc}"}
@@ -327,10 +320,11 @@ class ExperimentEngine:
         """
         ctx = self._begin_run(jobs, resume, on_result)
         failure: Optional[dict] = None
-        self._used_workers = False
+        self._ran_on = None
         try:
             pending = self._prepare(ctx)
-            await AsyncExecutor(self, concurrency).execute(ctx, pending)
+            self._ran_on = AsyncExecutor(self, concurrency)
+            await self._ran_on.execute(ctx, pending)
         except BaseException as exc:
             failure = {"where": type(self).__name__,
                        "error": f"{type(exc).__name__}: {exc}"}
@@ -406,6 +400,16 @@ class ExperimentEngine:
             return "failed"
         return "resumed" if ctx.resumed_from is not None else "completed"
 
+    def _runtime_block(self, ctx: RunContext) -> Dict[str, Any]:
+        """The run's switches for ``summary.json``, plus the ``executor``
+        that ran it (absent when the run failed before one was chosen,
+        and in runs that predate the key)."""
+        block = ctx.runtime.to_dict()
+        name = getattr(self._ran_on, "name", "")
+        if name:
+            block["executor"] = name
+        return block
+
     def _write_manifest(self, ctx: RunContext,
                         failure: Optional[dict]) -> None:
         from repro.telemetry.manifest import write_run_manifest
@@ -418,14 +422,16 @@ class ExperimentEngine:
                         if ctx.parent_before is not None else {})
         # Serial runs record jobs directly into the parent registry; the
         # parent delta already contains them, so merge job deltas only
-        # for worker processes (whose registries died with them).
-        if self._used_workers:
+        # for worker processes (whose registries died with them; see
+        # Executor.uses_workers).
+        used_workers = bool(getattr(self._ran_on, "uses_workers", False))
+        if used_workers:
             snapshots = [r.telemetry for r in results if r.telemetry]
             snapshots.append(parent_delta)
             self.last_run_telemetry = merge_snapshots(snapshots)
         else:
             self.last_run_telemetry = parent_delta
-        if self._used_workers and self.store is not None:
+        if used_workers and self.store is not None:
             # Workers wrote through their own store objects, unseen by
             # this store's usage counter: re-seed it at the next read.
             self.store.drop_usage()
@@ -460,7 +466,7 @@ class ExperimentEngine:
                 status=self._status(ctx, failure),
                 resumed_from=ctx.resumed_from,
                 job_states=ctx.job_states(), namespaces=namespaces,
-                runtime=ctx.runtime.to_dict())
+                runtime=self._runtime_block(ctx))
             log.info("run manifest: %s", self.last_manifest)
         except OSError as exc:  # pragma: no cover - disk-full etc.
             log.warning("could not write run manifest under %s: %s",

@@ -1,4 +1,4 @@
-"""Execution strategies: how a planned job list actually runs.
+"""Execution strategies: how a job list actually runs.
 
 Every executor drives the same :class:`~repro.harness.engine.context.
 RunContext` state machine — ``start_attempt`` → guarded execution →
@@ -9,7 +9,8 @@ attempts run:
 * :class:`SerialExecutor` — in the calling thread, one harness per
   machine config (bit-identical to driving a :class:`Harness` by hand).
 * :class:`ProcessPoolJobExecutor` — batches over a process pool with
-  shared-memory stream exports and worker-death re-sharding.
+  worker-death re-sharding; each worker builds its batch's trace and
+  access stream from the store.
 * :class:`AsyncExecutor` — attempts on ``loop.run_in_executor`` threads
   so an asyncio service can interleave engine runs with its event loop
   (cooperative: results stream back between attempts, backoff awaits
@@ -22,13 +23,11 @@ import asyncio
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness.engine.context import RunContext
-from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
-                                       backoff_delay)
-from repro.harness.engine.keys import stream_key
-from repro.harness.engine.planner import Planner
+from repro.harness.engine.jobs import JobResult, JobState, backoff_delay
+from repro.harness.engine.keys import plan_batches
 from repro.harness.engine.worker import _execute_guarded, run_job_batch
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.metrics import get_registry
@@ -49,6 +48,9 @@ class Executor:
     engine's façade only opens/closes the run around this call.
     """
 
+    #: What the run manifest records as ``runtime.executor``.
+    name: str = ""
+
     #: True when attempts run in *other processes* whose telemetry
     #: registries die with them — the engine then merges each
     #: :class:`JobResult`'s telemetry delta into the run manifest
@@ -57,7 +59,6 @@ class Executor:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.planner: Planner = engine.planner
 
     def execute(self, ctx: RunContext, pending: Sequence[int]) -> None:
         raise NotImplementedError
@@ -69,6 +70,8 @@ class Executor:
 
 class SerialExecutor(Executor):
     """Run attempts inline, reusing one harness per machine config."""
+
+    name = "serial"
 
     def execute(self, ctx: RunContext, pending: Sequence[int]) -> None:
         engine = self.engine
@@ -105,6 +108,7 @@ class SerialExecutor(Executor):
 class ProcessPoolJobExecutor(Executor):
     """Fan batches out over a process pool (the ``jobs > 1`` path)."""
 
+    name = "pool"
     uses_workers = True
 
     def execute(self, ctx: RunContext, pending: Sequence[int]) -> None:
@@ -112,34 +116,17 @@ class ProcessPoolJobExecutor(Executor):
         engine = self.engine
         cache_root = str(engine.cache_dir) if engine.cache_dir else None
         queue = list(pending)
-        exports: Dict[Any, Any] = {}
-        try:
-            self._run_rounds(ctx, queue, cache_root, exports,
-                             BrokenProcessPool)
-        finally:
-            for exported in exports.values():
-                exported.close()
-
-    def _run_rounds(self, ctx: RunContext, queue: List[int],
-                    cache_root: Optional[str], exports: Dict[Any, Any],
-                    BrokenProcessPool) -> None:
-        engine = self.engine
         round_no = 0
         while queue:
             if round_no == 0:
-                local = self.planner.plan_batches(
-                    [ctx.jobs[i] for i in queue],
-                    min(engine.jobs, len(queue)))
+                local = plan_batches([ctx.jobs[i] for i in queue],
+                                     min(engine.jobs, len(queue)))
                 batches = [[queue[li] for li in b] for b in local]
-                exports.update(self.planner.plan_stream_exports(
-                    [[ctx.jobs[i] for i in batch] for batch in batches],
-                    engine.store))
             else:
                 # Retry rounds run every job in its own isolation batch
                 # (on a fresh pool): one poison job can then take down at
-                # most itself, never re-kill healthy neighbours.  They
-                # also drop the shared-memory handles — a retried job
-                # rebuilds everything through the store.
+                # most itself, never re-kill healthy neighbours.  A
+                # retried job rebuilds everything through the store.
                 batches = [[i] for i in queue]
             workers = min(engine.jobs, len(batches))
             retry: List[int] = []
@@ -148,18 +135,12 @@ class ProcessPoolJobExecutor(Executor):
                 for batch in batches:
                     for i in batch:
                         ctx.start_attempt(i)
-                    handles = None
-                    if round_no == 0:
-                        exported = exports.get(
-                            stream_key(ctx.jobs[batch[0]]))
-                        if exported is not None:
-                            handles = [exported.handle]
                     future = pool.submit(
                         run_job_batch, [ctx.jobs[i] for i in batch],
                         cache_root, engine.salt, indices=list(batch),
                         attempts=[ctx.attempts[i] - 1 for i in batch],
                         job_timeout=engine.job_timeout,
-                        stream_handles=handles, runtime=ctx.runtime)
+                        runtime=ctx.runtime)
                     futures[future] = batch
                 for future in as_completed(futures):
                     batch = futures[future]
@@ -210,6 +191,8 @@ class AsyncExecutor(Executor):
     neighbour's concurrent counts (the registry is process-global) —
     raise it only for I/O-bound (fully cached) sweeps.
     """
+
+    name = "async"
 
     def __init__(self, engine, concurrency: int = 1) -> None:
         super().__init__(engine)

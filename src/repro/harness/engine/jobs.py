@@ -2,9 +2,9 @@
 :class:`JobResult`, the :class:`JobState` machine, attempt deadlines,
 and retry backoff.
 
-This layer knows how to describe and run *one* simulation; planning
-(which jobs share a sweep) lives in
-:mod:`repro.harness.engine.planner`, worker entry points in
+This layer knows how to describe and run *one* simulation; batching
+(which jobs share a worker) lives in
+:mod:`repro.harness.engine.keys`, worker entry points in
 :mod:`repro.harness.engine.worker`, and orchestration in
 :mod:`repro.harness.engine.core`.
 """

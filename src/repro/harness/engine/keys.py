@@ -1,10 +1,10 @@
-"""Shared job-identity helpers: effective geometry and group keys.
+"""Shared job-identity helpers: effective geometry, group keys, batches.
 
 Two places need to agree on "which jobs replay the same stream": the
-engine's worker batches (which jobs share one harness, trace and
-profile) and its shared-memory stream export (which (trace, geometry)
-columns a worker batch can attach).  Both call the helpers below, and
-``tests/test_group_keys.py`` pins the semantics.
+process pool's worker batches (:func:`plan_batches`) and the fabric's
+lease groups (:mod:`repro.fabric.coordinator`); in both, the jobs of one
+group share one harness, trace and profile.  Both call
+:func:`batch_key`, and ``tests/test_group_keys.py`` pins the semantics.
 
 The subtlety the helpers encode: ``thermometer-7979`` names the
 iso-storage variant of Fig. 11, which replays the 7979-entry geometry
@@ -15,11 +15,11 @@ one.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.btb.config import BTBConfig, THERMOMETER_7979_CONFIG
 
-__all__ = ["batch_key", "effective_btb_config", "stream_key"]
+__all__ = ["batch_key", "effective_btb_config", "plan_batches"]
 
 
 def effective_btb_config(policy: str, btb_config: BTBConfig) -> BTBConfig:
@@ -31,16 +31,26 @@ def effective_btb_config(policy: str, btb_config: BTBConfig) -> BTBConfig:
     return btb_config
 
 
-def stream_key(job) -> Tuple[str, int, Optional[int], BTBConfig]:
-    """Identity of the (trace, geometry) pair one shared-memory stream
-    export covers (see :mod:`repro.trace.shm`).  Keyed on the *nominal*
-    geometry: the export carries the columns the batch's harness would
-    build for the job's own config."""
-    return (job.app, job.input_id, job.length, job.btb_config)
-
-
 def batch_key(job) -> Tuple:
     """Identity of the worker batch a job lands in: every job sharing it
     runs through one :class:`~repro.harness.runner.Harness` (one trace,
     one access stream, one profile) in the same worker process."""
     return (job.app, job.input_id, job.harness_config())
+
+
+def plan_batches(jobs: Sequence, target: int) -> List[List[int]]:
+    """Group job indices by :func:`batch_key` so each worker replays one
+    shared access stream across its group's policies; large groups are
+    split while fewer than ``target`` batches would leave workers idle."""
+    groups: Dict[Any, List[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(batch_key(job), []).append(i)
+    batches = list(groups.values())
+    while len(batches) < target:
+        largest = max(batches, key=len)
+        if len(largest) <= 1:
+            break
+        batches.remove(largest)
+        mid = len(largest) // 2
+        batches.extend([largest[:mid], largest[mid:]])
+    return batches

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import logging
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness.engine.jobs import (JobResult, JobState,
                                        JobTimeoutError, SimJob,
@@ -152,44 +152,11 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
     return result
 
 
-def _attach_shared_streams(stream_handles) -> List[Tuple[Any, Any]]:
-    """Attach the parent's exported streams (worker side).
-
-    Each attached stream is adopted into this process's stream memo, so
-    :func:`~repro.trace.stream.access_stream_for` serves the zero-copy
-    columns instead of rebuilding them.  Any attach failure (the parent
-    unlinked early, platform refuses the mapping, ...) just drops that
-    handle — the job recomputes through the store as before.
-    """
-    if not stream_handles:
-        return []
-    from repro.trace.shm import attach_stream
-    from repro.trace.stream import adopt_stream
-    registry = get_registry()
-    adopted = []
-    for handle in stream_handles:
-        try:
-            stream = attach_stream(handle)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            log.warning("could not attach shared stream %s for %s/%d "
-                        "(%s: %s); falling back to the store",
-                        handle.shm_name, handle.app, handle.input_id,
-                        type(exc).__name__, exc)
-            continue
-        adopt_stream(stream)
-        adopted.append((handle, stream))
-        registry.count("engine/shm/attached")
-    return adopted
-
-
 def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                   salt: str = STORE_VERSION,
                   indices: Optional[Sequence[int]] = None,
                   attempts: Optional[Sequence[int]] = None,
                   job_timeout: Optional[float] = None,
-                  stream_handles: Optional[Sequence[Any]] = None,
                   runtime: Optional[RuntimeConfig] = None
                   ) -> List[JobResult]:
     """Worker entry point for a *group* of jobs (module-level so process
@@ -203,12 +170,6 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     a failed or timed-out job yields a failed :class:`JobResult` and the
     rest of the batch still runs.
 
-    ``stream_handles`` (see :mod:`repro.trace.shm`) carries the parent's
-    shared-memory exports of the group's trace and access-stream columns:
-    attaching replaces this worker's store unpickle and column rebuild
-    with zero-copy views.  Handles are hints — any attach failure falls
-    back to the store path.
-
     ``runtime`` is the engine's :class:`~repro.runtime.RuntimeConfig`
     for the run; the batch runs under it (see
     :func:`repro.runtime.override`), so a worker uses the parent's
@@ -219,14 +180,13 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     if runtime is not None:
         with override(runtime):
             return run_job_batch(jobs, cache_root, salt, indices, attempts,
-                                 job_timeout, stream_handles)
+                                 job_timeout)
     store = (ArtifactStore(cache_root, salt=salt)
              if cache_root is not None else None)
     index_list = (list(indices) if indices is not None
                   else [None] * len(jobs))
     attempt_list = (list(attempts) if attempts is not None
                     else [0] * len(jobs))
-    adopted = _attach_shared_streams(stream_handles)
     harnesses: Dict[HarnessConfig, Harness] = {}
     results: List[JobResult] = []
     with worker_profile(cache_root):
@@ -235,21 +195,11 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
             harness = harnesses.get(config)
             if harness is None:
                 harness = Harness(config, store=store)
-                for handle, stream in adopted:
-                    if handle.length == config.length:
-                        harness.adopt_trace(handle.app, handle.input_id,
-                                            stream.trace)
                 harnesses[config] = harness
             results.append(_execute_guarded(
                 job, index=index, attempt=attempt, store=store,
                 harness=harness, salt=salt, job_timeout=job_timeout,
                 in_worker=True))
-    # Streams were attached before any per-job telemetry delta started;
-    # piggy-back the count on the last result so it reaches the parent.
-    if results and adopted:
-        counters = results[-1].telemetry.setdefault("counters", {})
-        counters["engine/shm/attached"] = (
-            counters.get("engine/shm/attached", 0) + len(adopted))
     # The profile hook records its gauges after every per-job delta was
     # taken; piggy-back them on the last result so they reach the parent.
     registry = get_registry()

@@ -87,17 +87,6 @@ class Harness:
             for key in [k for k in cache if matches(k)]:
                 del cache[key]
 
-    def adopt_trace(self, app: str, input_id: int,
-                    trace: BranchTrace) -> None:
-        """Seed the in-memory trace cache with an externally supplied
-        trace (the engine's shared-memory fast path: workers adopt the
-        parent's zero-copy columns instead of unpickling the store's).
-
-        :meth:`invalidate` drops adopted traces like any other cached
-        artifact, so retries still rebuild through the store.
-        """
-        self._traces[(app, input_id)] = trace
-
     def _fetch(self, kind: str, fields: dict, compute):
         """Compute an artifact through the persistent store, if any.
 

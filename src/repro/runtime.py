@@ -104,7 +104,6 @@ _SWITCHES = {
     "job_timeout": ("REPRO_JOB_TIMEOUT", _seconds),
     "fast_replay": ("REPRO_FAST_REPLAY", _bool),
     "fast_sim": ("REPRO_FAST_SIM", _bool),
-    "shm": ("REPRO_SHM", _bool),
     "profile": ("REPRO_PROFILE", _profile),
     "profile_dir": ("REPRO_PROFILE_DIR", _path),
     "fault_plan": ("REPRO_FAULT_PLAN", _fault_plan),
@@ -128,8 +127,6 @@ class RuntimeConfig:
     fast_replay: bool = True
     #: ``simulate`` may take its fast path (:mod:`repro.frontend.kernels`).
     fast_sim: bool = True
-    #: Pool runs may ship access streams over shared memory.
-    shm: bool = True
     #: Profiler around each worker batch: cprofile, tracemalloc or None.
     profile: Optional[str] = None
     #: Profiler output directory (None: ``<cache root>/profiles``).
@@ -142,7 +139,8 @@ class RuntimeConfig:
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None
                  ) -> "RuntimeConfig":
-        """Parse ``environ`` (default ``os.environ``)."""
+        """Parse ``environ`` (default ``os.environ``); variables that
+        name no switch are ignored."""
         environ = os.environ if environ is None else environ
         values = {}
         for name, (var, parse) in _SWITCHES.items():
@@ -170,7 +168,9 @@ class RuntimeConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RuntimeConfig":
-        """Inverse of :meth:`to_dict`; missing keys take defaults."""
+        """Inverse of :meth:`to_dict`; missing keys take defaults, and
+        keys that name no switch (the run's ``executor``, a retired
+        switch) are ignored."""
         values = {name: payload[name] for name in _SWITCHES
                   if name in payload}
         for name in _PATH_FIELDS:

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
 
 __all__ = ["AccessStream", "NEVER", "SetPartition", "TraceMemo",
-           "access_stream_for", "adopt_stream", "clear_stream_cache",
+           "access_stream_for", "clear_stream_cache",
            "compute_next_use_indices", "compute_set_indices"]
 
 #: Sentinel next-use index meaning "never accessed again" (shared with
@@ -313,20 +313,6 @@ def access_stream_for(trace: BranchTrace,
     if stream is None:
         stream = AccessStream(trace, config)
         _streams.put(trace, config, stream)
-    return stream
-
-
-def adopt_stream(stream: AccessStream) -> AccessStream:
-    """Register a prebuilt stream in the memo under its own
-    ``(trace, config)`` key, so subsequent :func:`access_stream_for`
-    calls for that pair return it instead of rebuilding the columns.
-
-    Used by the shared-memory transfer path
-    (:mod:`repro.trace.shm`): an engine worker attaches the parent's
-    exported columns zero-copy and adopts the resulting stream, and
-    every replay in the worker then reuses them.
-    """
-    _streams.put(stream.trace, stream.config, stream)
     return stream
 
 

@@ -105,16 +105,35 @@ class TestWarmCacheEquivalence:
 
 
 class TestParallelEquivalence:
-    def test_process_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("mode,apps,policies,warm_traces", [
+        ("sim", ("tomcat",), ("lru", "srrip", "thermometer"), False),
+        ("misses", ("tomcat", "python"), ("lru", "thermometer"), False),
+        # The pool store already holds every trace (from an earlier lru
+        # run) but none of these results: each worker reads its trace
+        # from the store and builds its own access stream.
+        ("misses", ("tomcat", "python"), ("srrip", "fifo", "thermometer"),
+         True),
+    ], ids=["sim", "misses", "warm-traces"])
+    def test_process_pool_matches_serial(self, tmp_path, mode, apps,
+                                         policies, warm_traces):
         """Workers in separate processes produce bit-identical results
         (and return them in submission order)."""
-        jobs = [SimJob(app=app, policy=policy, length=4000)
-                for app in ("tomcat",) for policy in ("lru", "srrip",
-                                                      "thermometer")]
+        jobs = [SimJob(app=app, policy=policy, length=4000, mode=mode)
+                for app in apps for policy in policies]
+        if warm_traces:
+            ExperimentEngine(cache_dir=tmp_path / "par", jobs=2).run(
+                [SimJob(app=app, policy="lru", length=4000, mode=mode)
+                 for app in apps])
         parallel = ExperimentEngine(cache_dir=tmp_path / "par", jobs=2)
         serial = ExperimentEngine(cache_dir=tmp_path / "ser", jobs=1)
         par_results = parallel.run(jobs)
         ser_results = serial.run(jobs)
+        if warm_traces:
+            # No result was cached, so every store hit is a trace read.
+            assert not any(r.cached for r in par_results)
+            assert sum(r.stats.hits for r in par_results) >= len(apps)
+            assert sum(r.stats.stage_counts.get("trace", 0)
+                       for r in par_results) == 0
         assert [r.job for r in par_results] == jobs
         assert [r.value for r in par_results] == [r.value
                                                   for r in ser_results]

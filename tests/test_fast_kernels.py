@@ -1,5 +1,4 @@
-"""Set-partitioned fast-path kernels: dispatch, equivalence, and the
-shared-memory stream transfer.
+"""Set-partitioned fast-path kernels: dispatch and equivalence.
 
 The kernels in :mod:`repro.btb.kernels` must be *invisible*: whenever
 ``replay_stream`` takes the fast path, the resulting stats, BTB storage,
@@ -17,7 +16,6 @@ import copy
 import dataclasses
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -385,67 +383,3 @@ def test_fallbacks_are_counted_by_reason(tmp_path):
             "btb/fallback/no-outcome-kernel": 1}
     finally:
         set_registry(previous)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory stream transfer
-# ----------------------------------------------------------------------
-
-class TestSharedMemoryStreams:
-    def test_round_trip_and_replay_equivalence(self):
-        from repro.trace import shm
-        trace = make_app_trace("tomcat", length=4000)
-        stream = access_stream_for(trace, CONFIG)
-        exported = shm.export_stream(stream, "tomcat", 0, 4000)
-        try:
-            attached = shm.attach_stream(exported.handle)
-            assert attached.config == stream.config
-            np.testing.assert_array_equal(attached.pcs, stream.pcs)
-            np.testing.assert_array_equal(attached.targets, stream.targets)
-            np.testing.assert_array_equal(attached.set_indices,
-                                          stream.set_indices)
-            np.testing.assert_array_equal(attached.next_use,
-                                          stream.next_use)
-            np.testing.assert_array_equal(attached.trace.pcs, trace.pcs)
-            part, ref_part = attached.partition(), stream.partition()
-            np.testing.assert_array_equal(part.order, ref_part.order)
-            np.testing.assert_array_equal(part.starts, ref_part.starts)
-            assert part.pcs == ref_part.pcs
-            assert part.positions == ref_part.positions
-
-            via_shm = replay_stream(attached,
-                                    BTB(CONFIG, make_policy("lru")))
-            direct = replay_stream(stream, BTB(CONFIG, make_policy("lru")))
-            assert dataclasses.asdict(via_shm) == dataclasses.asdict(direct)
-        finally:
-            exported.close()
-            exported.close()  # idempotent
-
-    def test_attach_after_unlink_raises(self):
-        from repro.trace import shm
-        trace = make_app_trace("python", length=2000)
-        stream = access_stream_for(trace, CONFIG)
-        exported = shm.export_stream(stream, "python", 0, 2000)
-        exported.close()
-        # Drop the process-level attach cache so a genuine re-attach is
-        # attempted against the unlinked block.
-        shm._attached.pop(exported.handle.shm_name, None)
-        with pytest.raises(FileNotFoundError):
-            shm.attach_stream(exported.handle)
-
-
-class TestEngineSharedMemoryEquivalence:
-    def test_parallel_shm_matches_serial_store_path(self, tmp_path):
-        from repro.harness.engine import ExperimentEngine, SimJob
-        jobs = [SimJob(app=app, policy=policy, length=4000, mode="misses")
-                for app in ("tomcat", "python")
-                for policy in ("lru", "thermometer")]
-
-        with runtime.override(shm=False):
-            serial = ExperimentEngine(cache_dir=tmp_path / "serial", jobs=1)
-            expected = [r.value for r in serial.run(jobs)]
-
-        with runtime.override(shm=True):
-            parallel = ExperimentEngine(cache_dir=tmp_path / "parallel",
-                                        jobs=2)
-            assert [r.value for r in parallel.run(jobs)] == expected

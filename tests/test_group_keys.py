@@ -1,9 +1,8 @@
 """The shared job-identity helpers (:mod:`repro.harness.engine.keys`).
 
-These keys are what the worker-batch planners (local pool and fabric)
-and the shared-memory stream export agree on; their semantics are
-pinned here so a refactor in any one consumer cannot silently diverge
-from the others.
+These keys are what the process pool's worker batches and the fabric's
+lease groups agree on; their semantics are pinned here so a refactor in
+one consumer cannot silently diverge from the other.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from repro.btb.config import (BTBConfig, DEFAULT_BTB_CONFIG,
                               THERMOMETER_7979_CONFIG)
 from repro.harness.engine import SimJob
 from repro.harness.engine.keys import (batch_key, effective_btb_config,
-                                       stream_key)
+                                       plan_batches)
 
 
 def job(**kwargs) -> SimJob:
@@ -41,15 +40,6 @@ class TestEffectiveConfig:
 
 
 class TestStreamAndBatchKeys:
-    def test_stream_key_uses_nominal_geometry(self):
-        assert (stream_key(job(policy="thermometer-7979"))
-                == stream_key(job(policy="lru")))
-
-    def test_stream_key_splits_on_geometry(self):
-        assert (stream_key(job(btb_config=BTBConfig(entries=1024,
-                                                    ways=4)))
-                != stream_key(job()))
-
     def test_batch_key_merges_policies_and_modes(self):
         assert (batch_key(job(policy="lru"))
                 == batch_key(job(policy="srrip"))
@@ -59,3 +49,22 @@ class TestStreamAndBatchKeys:
         assert batch_key(job(length=8000)) != batch_key(job())
         assert batch_key(job(app="kafka")) != batch_key(job())
 
+
+
+class TestPlanBatches:
+    def test_one_batch_per_batch_key(self):
+        jobs = [job(app=app, policy=policy)
+                for app in ("tomcat", "kafka")
+                for policy in ("lru", "srrip", "fifo")]
+        assert plan_batches(jobs, target=1) == [[0, 1, 2], [3, 4, 5]]
+
+    def test_largest_batches_split_until_workers_have_work(self):
+        jobs = [job(policy=policy)
+                for policy in ("lru", "srrip", "fifo", "mru")]
+        batches = plan_batches(jobs, target=3)
+        assert len(batches) == 3
+        assert sorted(i for batch in batches for i in batch) == [0, 1, 2, 3]
+
+    def test_single_jobs_are_never_split_further(self):
+        assert plan_batches([job(), job(app="kafka")], target=4) == [[0],
+                                                                     [1]]

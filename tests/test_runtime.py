@@ -4,6 +4,7 @@ and fabric hosts (and into ``summary.json``)."""
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import json
 import multiprocessing
@@ -64,9 +65,12 @@ def reparse_after(monkeypatch):
 class TestParsing:
     def test_unset_environment_gives_the_defaults(self):
         assert RuntimeConfig.from_env({}) == RuntimeConfig()
+        # A variable that names no switch is ignored; older CI configs
+        # and benchmark pins still set the retired REPRO_SHM.
+        assert RuntimeConfig.from_env({"REPRO_SHM": "1"}) == RuntimeConfig()
 
     def test_one_field_per_switch(self):
-        assert len(_SWITCHES) == 11
+        assert len(_SWITCHES) == 10
         assert set(_SWITCHES) == set(RuntimeConfig().to_dict())
 
     @pytest.mark.parametrize("raw,expected", [
@@ -74,7 +78,7 @@ class TestParsing:
         ("0", False), ("false", False), ("Off", False), ("no", False)])
     def test_boolean_spellings(self, raw, expected):
         for var, name in (("REPRO_FAST_REPLAY", "fast_replay"),
-                          ("REPRO_SHM", "shm"),
+                          ("REPRO_FAST_SIM", "fast_sim"),
                           ("REPRO_TEST_FAST", "test_fast")):
             config = RuntimeConfig.from_env({var: raw})
             assert getattr(config, name) is expected
@@ -106,6 +110,10 @@ class TestParsing:
             profile="cprofile", profile_dir=tmp_path / "p",
             fault_plan=FaultPlan(faults=(Fault("raise", 1),), seed=4))
         payload = json.loads(json.dumps(config.to_dict()))
+        assert RuntimeConfig.from_dict(payload) == config
+        # summary.json adds the executor, and older runs carry the
+        # retired shm switch; neither names a field.
+        payload.update(executor="pool", shm=True)
         assert RuntimeConfig.from_dict(payload) == config
 
     @pytest.mark.parametrize("var,raw", BAD_VALUES, ids=BAD_IDS)
@@ -178,11 +186,11 @@ class TestOverride:
         """Threads may leave their overrides in any order."""
         before = runtime.current()
         first = runtime.override(jobs=2)
-        second = runtime.override(shm=False)
+        second = runtime.override(fast_sim=not before.fast_sim)
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
-        assert runtime.current().shm is False
+        assert runtime.current().fast_sim is not before.fast_sim
         assert runtime.current().jobs == before.jobs
         second.__exit__(None, None, None)
         assert runtime.current() == before
@@ -246,6 +254,7 @@ class TestShipping:
         block = _runtime_block(engine)
         assert block["fast_replay"] is False
         assert block["fault_plan"] == self.PLAN.to_dict()
+        assert block["executor"] == "pool"
 
     def test_fabric_host_runs_under_the_coordinators_config(
             self, tmp_path, fresh_registry):
@@ -276,6 +285,15 @@ class TestShipping:
         block = _runtime_block(coord.engine)
         assert block["fast_replay"] is False
         assert block["fault_plan"] == self.PLAN.to_dict()
+        assert block["executor"] == "fabric"
+
+    def test_serial_and_async_runs_record_their_executor(self, tmp_path,
+                                                         fresh_registry):
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run(SWEEP[:1])
+        assert _runtime_block(engine)["executor"] == "serial"
+        asyncio.run(engine.run_async(SWEEP[:1]))
+        assert _runtime_block(engine)["executor"] == "async"
 
 
 class TestCoverageReport:
@@ -310,7 +328,10 @@ class TestCoverageReport:
                                                      "btb")
         assert (share, fallbacks) == (1.0, {})
         assert total >= len(SWEEP)
-        assert "btb replay fast path: 1.00" in render_report(manifest)
+        assert manifest.summary["runtime"]["executor"] == "pool"
+        text = render_report(manifest)
+        assert "btb replay fast path: 1.00" in text
+        assert "executor=pool" in text
 
     def test_top_frame_shows_switches_and_coverage(self, tmp_path,
                                                    fresh_registry):
@@ -318,6 +339,7 @@ class TestCoverageReport:
         manifest = self._sweep(tmp_path)
         frame = render_run_frame(manifest.path)
         assert "switches: " in frame and "fast_sim=on" in frame
+        assert "executor=pool" in frame
         assert "btb replay fast path: 1.00" in frame
         assert "simulate fast path: no dispatches" in frame
 
@@ -326,6 +348,13 @@ class TestCoverageReport:
         manifest = self._sweep(tmp_path)
         summary_path = manifest.path / "summary.json"
         summary = json.loads(summary_path.read_text())
+        # A block from before the executor key, with the retired shm
+        # switch, renders as recorded.
+        del summary["runtime"]["executor"]
+        summary["runtime"]["shm"] = True
+        summary_path.write_text(json.dumps(summary))
+        text = render_report(read_run_manifest(manifest.path))
+        assert "shm=on" in text and "executor=" not in text
         del summary["runtime"]
         summary_path.write_text(json.dumps(summary))
         text = render_report(read_run_manifest(manifest.path))
