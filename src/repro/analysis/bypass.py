@@ -7,11 +7,13 @@ ones — the basis for Thermometer's bypass rule (Algorithm 1 line 6).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.core.profiler import OptProfile, profile_trace
-from repro.core.temperature import TemperatureProfile
+from repro.core.temperature import _check_thresholds
 from repro.trace.record import BranchTrace
 
 __all__ = ["bypass_ratio_by_class"]
@@ -28,14 +30,15 @@ def bypass_ratio_by_class(trace: BranchTrace,
     """
     if profile is None:
         profile = profile_trace(trace, config)
-    temps = TemperatureProfile.from_opt_profile(profile)
-    categories = temps.classify(thresholds)
+    _check_thresholds(thresholds)
+    # A branch's class is the number of thresholds strictly below its
+    # percentage (``y <= bound`` picks the first bound at or above y).
+    categories = np.searchsorted(np.asarray(thresholds, dtype=np.float64),
+                                 profile.hit_to_taken_column(), side="left")
     n_classes = len(thresholds) + 1
-    bypasses = [0] * n_classes
-    misses = [0] * n_classes
-    for pc, branch in profile.branches.items():
-        category = categories[pc]
-        bypasses[category] += branch.bypasses
-        misses[category] += branch.bypasses + branch.inserts
-    return [bypasses[c] / misses[c] if misses[c] else 0.0
+    bypasses = np.bincount(categories, weights=profile.bypasses,
+                           minlength=n_classes)
+    misses = bypasses + np.bincount(categories, weights=profile.inserts,
+                                    minlength=n_classes)
+    return [int(bypasses[c]) / int(misses[c]) if misses[c] else 0.0
             for c in range(n_classes)]

@@ -92,14 +92,15 @@ def branch_property_correlations(trace: BranchTrace,
             counts[1] += 1
 
     features: List[BranchFeatures] = []
-    for pc, branch in profile.branches.items():
+    for pc, temperature in zip(profile.pcs.tolist(),
+                               profile.hit_to_taken_column().tolist()):
         seq = reuse.get(pc)
         if not seq or len(seq) < min_samples:
             continue
         executions, taken = taken_counts.get(pc, [0, 0])
         features.append(BranchFeatures(
             pc=pc,
-            temperature=branch.hit_to_taken,
+            temperature=temperature,
             is_conditional=float(
                 kind_by_pc.get(pc) == int(BranchKind.COND_DIRECT)),
             target_distance=math.log2(

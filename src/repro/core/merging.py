@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.core.profiler import BranchProfile, OptProfile
+import numpy as np
+
+from repro.btb.btb import BTBStats
+from repro.core.profiler import COLUMNS, OptProfile
 from repro.core.temperature import TemperatureProfile
 
 __all__ = ["merge_profiles", "profile_drift", "merge_temperatures"]
@@ -41,22 +44,31 @@ def merge_profiles(profiles: Sequence[OptProfile],
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
 
-    merged = OptProfile(
+    # Rows in order of first occurrence across the runs, as the
+    # per-branch loop this replaces produced them.
+    pcs = np.concatenate([p.pcs for p in profiles])
+    uniq, first, inverse = np.unique(pcs, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    row = np.argsort(order)[inverse]  # each input row's merged row
+    counters = {}
+    for name in COLUMNS[1:]:
+        # round() per run and branch, half to even like Python's round.
+        scaled = np.concatenate([
+            np.rint(np.multiply(weight, getattr(p, name),
+                                dtype=np.float64)).astype(np.int64)
+            for p, weight in zip(profiles, weights)])
+        column = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(column, row, scaled)
+        counters[name] = column
+    stats = BTBStats()
+    for profile in profiles:
+        stats = stats + profile.stats
+    return OptProfile(
         trace_name="+".join(p.trace_name for p in profiles),
-        config=profiles[0].config)
-    for profile, weight in zip(profiles, weights):
-        for pc, branch in profile.branches.items():
-            record = merged.branches.get(pc)
-            if record is None:
-                record = BranchProfile(pc=pc)
-                merged.branches[pc] = record
-            record.taken += round(weight * branch.taken)
-            record.hits += round(weight * branch.hits)
-            record.inserts += round(weight * branch.inserts)
-            record.bypasses += round(weight * branch.bypasses)
-        merged.stats = merged.stats + profile.stats
-        merged.elapsed_seconds += profile.elapsed_seconds
-    return merged
+        config=profiles[0].config, pcs=uniq[order], stats=stats,
+        elapsed_seconds=sum(p.elapsed_seconds for p in profiles),
+        **counters)
 
 
 def merge_temperatures(profiles: Sequence[OptProfile],

@@ -70,12 +70,12 @@ class TemperatureProfile:
 
     @classmethod
     def from_opt_profile(cls, profile: OptProfile) -> "TemperatureProfile":
+        pcs = profile.pcs.tolist()
         return cls(
             trace_name=profile.trace_name,
-            percentages={pc: b.hit_to_taken
-                         for pc, b in profile.branches.items()},
-            taken_counts={pc: b.taken
-                          for pc, b in profile.branches.items()})
+            percentages=dict(zip(pcs,
+                                 profile.hit_to_taken_column().tolist())),
+            taken_counts=dict(zip(pcs, profile.taken.tolist())))
 
     # ------------------------------------------------------------------
     def classify(self, thresholds: Sequence[float] = (50.0, 80.0)

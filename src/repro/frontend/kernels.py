@@ -637,9 +637,10 @@ def _shared_icache_pass(trace: BranchTrace, sim, next_fetch: np.ndarray,
         sim._l2_misses_at_warmup = l2_misses_at_warmup
         return fills
     fills = _icache_pass(sim, next_fetch, trace.ilens, warmup_end)
-    filled = np.flatnonzero(np.asarray(fills)).tolist()
+    filled = tuple(np.flatnonzero(np.asarray(fills)).tolist())
+    # Tuples of plain scalars, which the cyclic GC stops tracking.
     _pass_memo.put(trace, key,
-                   (filled, [fills[i] for i in filled],
+                   (filled, tuple(fills[i] for i in filled),
                     sim._l2_misses_at_warmup, _state_bytes(levels)))
     return fills
 

@@ -67,8 +67,9 @@ __all__ = ["ArtifactStore", "QuotaExceededError", "QUARANTINE_DIR",
 
 #: Bump to invalidate every cached artifact (format or semantics change).
 #: "2": BTBStats grew the ``target_mismatches`` counter, so version-1
-#: pickles would deserialize without the field.
-STORE_VERSION = "2"
+#: pickles would deserialize without the field.  "3": ``OptProfile``
+#: holds int64 columns instead of a dict of ``BranchProfile`` objects.
+STORE_VERSION = "3"
 
 _MAGIC = b"RPRO"
 _DIGEST_BYTES = 32  # sha256
@@ -567,13 +568,24 @@ class ArtifactStore:
             self._changed()
         get_registry().count("store/bytes_written", size)
 
-    def _flight_lock(self, kind: str, key: str) -> threading.Lock:
-        with self._lock:
-            lock = self._flights.get((kind, key))
-            if lock is None:
-                lock = threading.Lock()
-                self._flights[(kind, key)] = lock
-            return lock
+    def _join_flight(self, kind: str, key: str
+                     ) -> Tuple[threading.Lock, bool]:
+        """Become the one caller in flight for ``(kind, key)``, first
+        waiting out each caller already in flight.  Returns the held
+        flight lock (the caller releases it after removing the entry)
+        and whether it waited."""
+        waited = False
+        while True:
+            with self._lock:
+                flight = self._flights.get((kind, key))
+                if flight is None:
+                    flight = threading.Lock()
+                    flight.acquire()
+                    self._flights[(kind, key)] = flight
+                    return flight, waited
+            waited = True
+            with flight:
+                pass
 
     def fetch(self, kind: str, key: str, compute: Callable[[], Any]) -> Any:
         """get-or-compute-and-put, timing the compute under stage
@@ -589,18 +601,17 @@ class ArtifactStore:
         later fetch simply recomputes.
         """
         with span("store.fetch", kind=kind) as fspan:
-            cached = self.get(kind, key)
-            if cached is not None:
-                fspan.set(hit=True)
-                return cached
-            fspan.set(hit=False)
-            flight = self._flight_lock(kind, key)
-            with flight:
-                # Another flight may have landed while we waited.
+            flight, waited = self._join_flight(kind, key)
+            try:
+                # One read per caller: a caller that waited reads what
+                # the flight it waited on stored.
                 cached = self.get(kind, key)
                 if cached is not None:
-                    fspan.set(hit=True, coalesced=True)
+                    fspan.set(hit=True)
+                    if waited:
+                        fspan.set(coalesced=True)
                     return cached
+                fspan.set(hit=False)
                 start = time.perf_counter()
                 value = compute()
                 elapsed = time.perf_counter() - start
@@ -610,6 +621,8 @@ class ArtifactStore:
                     self.put(kind, key, value)
                 except QuotaExceededError:
                     pass
-            with self._lock:
-                self._flights.pop((kind, key), None)
+            finally:
+                with self._lock:
+                    del self._flights[(kind, key)]
+                flight.release()
             return value

@@ -17,8 +17,13 @@ Columns (all numpy, one entry per BTB demand access):
 * ``next_use`` (lazy) — Belady next-use distances with the :data:`NEVER`
   sentinel, shared by OPT replacement and the OPT profiler.
 
-Python-list mirrors (``pcs_list`` etc.) are materialized lazily because
-scalar replay loops iterate plain ints 3-4× faster than numpy scalars.
+Plain-int mirrors (``pcs_list`` etc.) are materialized lazily because
+scalar replay loops index plain ints 3-4× faster than numpy scalars.
+They are tuples, not lists: a tuple of ints holds no references the
+cyclic garbage collector must follow, so CPython stops tracking it after
+the first collection it survives, and the millions of slots a sweep's
+memoized streams hold are never walked again.  Every consumer only
+indexes them.
 
 :func:`access_stream_for` memoizes streams per ``(trace, config)`` so a
 sweep over many policies builds each stream exactly once.
@@ -79,6 +84,12 @@ def compute_set_indices(pcs: np.ndarray, config: "BTBConfig") -> np.ndarray:
                        dtype=np.int64, count=len(pcs))
 
 
+def _ints(column: np.ndarray) -> tuple:
+    """``column`` as a tuple of plain Python scalars (see the module
+    docstring for why not a list)."""
+    return tuple(column.tolist())
+
+
 class SetPartition:
     """A stream re-partitioned into contiguous per-set sub-streams.
 
@@ -87,7 +98,7 @@ class SetPartition:
     the stream's ``set_indices`` therefore yields, for each set, its
     accesses *in original stream order* as one contiguous slice — the
     layout the fast-path replay kernels (:mod:`repro.btb.kernels`)
-    iterate, with plain-int list mirrors so the per-access loop never
+    iterate, with plain-int tuple mirrors so the per-access loop never
     touches a numpy scalar.
 
     Attributes:
@@ -97,7 +108,7 @@ class SetPartition:
     * ``set_ids`` / ``starts`` — the sets that actually appear, in
       ascending order, with ``starts[g]:starts[g+1]`` delimiting set
       ``set_ids[g]``'s slice of the sorted columns;
-    * ``pcs`` / ``targets`` / ``positions`` — sorted-column list
+    * ``pcs`` / ``targets`` / ``positions`` — sorted-column tuple
       mirrors (``positions`` are original stream indices).
     """
 
@@ -114,9 +125,9 @@ class SetPartition:
         else:
             self.starts = np.zeros(1, dtype=np.int64)
             self.set_ids = np.zeros(0, dtype=np.int64)
-        self.pcs: List[int] = stream.pcs[self.order].tolist()
-        self.targets: List[int] = stream.targets[self.order].tolist()
-        self.positions: List[int] = self.order.tolist()
+        self.pcs: Tuple[int, ...] = _ints(stream.pcs[self.order])
+        self.targets: Tuple[int, ...] = _ints(stream.targets[self.order])
+        self.positions: Tuple[int, ...] = _ints(self.order)
 
     @property
     def num_populated_sets(self) -> int:
@@ -148,9 +159,9 @@ class AccessStream:
         self._next_use: Optional[np.ndarray] = None
         self._partition: Optional[SetPartition] = None
         self._occurrences: Optional[Dict[int, List[int]]] = None
-        self._pcs_list: Optional[List[int]] = None
-        self._targets_list: Optional[List[int]] = None
-        self._sets_list: Optional[List[int]] = None
+        self._pcs_list: Optional[Tuple[int, ...]] = None
+        self._targets_list: Optional[Tuple[int, ...]] = None
+        self._sets_list: Optional[Tuple[int, ...]] = None
         self._trace_columns = None
 
     # ------------------------------------------------------------------
@@ -202,32 +213,32 @@ class AccessStream:
 
     # -- scalar-loop mirrors -------------------------------------------
     @property
-    def pcs_list(self) -> List[int]:
+    def pcs_list(self) -> Tuple[int, ...]:
         if self._pcs_list is None:
-            self._pcs_list = self.pcs.tolist()
+            self._pcs_list = _ints(self.pcs)
         return self._pcs_list
 
     @property
-    def targets_list(self) -> List[int]:
+    def targets_list(self) -> Tuple[int, ...]:
         if self._targets_list is None:
-            self._targets_list = self.targets.tolist()
+            self._targets_list = _ints(self.targets)
         return self._targets_list
 
     @property
-    def sets_list(self) -> List[int]:
+    def sets_list(self) -> Tuple[int, ...]:
         if self._sets_list is None:
-            self._sets_list = self.set_indices.tolist()
+            self._sets_list = _ints(self.set_indices)
         return self._sets_list
 
-    def trace_columns(self) -> Tuple[List[int], List[int], List[int],
-                                     List[bool], List[int]]:
-        """The *full* trace as plain-int columns ``(pcs, targets, kinds,
-        taken, ilens)`` — the frontend simulator's per-record feed."""
+    def trace_columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The *full* trace as plain-scalar tuple columns ``(pcs, targets,
+        kinds, taken, ilens)`` (``taken`` holds bools) — the frontend
+        simulator's per-record feed."""
         if self._trace_columns is None:
             t = self.trace
-            self._trace_columns = (t.pcs.tolist(), t.targets.tolist(),
-                                   t.kinds.tolist(), t.taken.tolist(),
-                                   t.ilens.tolist())
+            self._trace_columns = (_ints(t.pcs), _ints(t.targets),
+                                   _ints(t.kinds), _ints(t.taken),
+                                   _ints(t.ilens))
         return self._trace_columns
 
     @property

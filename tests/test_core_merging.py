@@ -9,10 +9,9 @@ from repro.core.profiler import BranchProfile, OptProfile
 
 
 def profile_of(name, branches, config=BTBConfig()):
-    profile = OptProfile(trace_name=name, config=config)
-    for pc, (taken, hits) in branches.items():
-        profile.branches[pc] = BranchProfile(pc=pc, taken=taken, hits=hits)
-    return profile
+    return OptProfile.from_branches(
+        name, config, (BranchProfile(pc=pc, taken=taken, hits=hits)
+                       for pc, (taken, hits) in branches.items()))
 
 
 class TestMerge:

@@ -147,6 +147,24 @@ class TestRoundTrip:
         assert store.fetch("misc", key, compute) == "value"
         assert calls == [1]
         assert store.stats.stage_counts == {"misc": 1}
+        # One read per fetch: the cold fetch is one miss, the warm one
+        # one hit.
+        assert (store.stats.misses, store.stats.hits) == (1, 1)
+
+    def test_cold_job_counts_one_miss_per_computed_artifact(self,
+                                                             tmp_path):
+        """A cold one-job sweep reads each artifact it computes once:
+        the miss count equals the number of artifacts stored."""
+        from repro.harness.engine import ExperimentEngine
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1,
+                                  max_retries=0)
+        engine.run([SimJob(app="tomcat", policy="lru", length=4000,
+                           mode="misses")])
+        stored = [p for p in tmp_path.rglob("*.pkl")
+                  if "runs" not in p.parts]
+        assert len(stored) == 2  # the trace and the result
+        assert engine.store.stats.misses == len(stored)
+        assert engine.store.stats.hits == 0
 
 
 class TestCorruption:

@@ -93,6 +93,9 @@ class TestThreadedAccess:
             values = [future.result() for future in futures]
         assert len(computes) == 1
         assert values == [{"value": 42}] * 6
+        # Each caller reads once: the flight's own miss, then one hit
+        # per caller that waited on it.
+        assert (store.stats.misses, store.stats.hits) == (1, 5)
 
     def test_fetch_distinct_keys_do_not_serialize(self, store):
         """Single-flight is per key: two different keys compute

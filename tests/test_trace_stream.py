@@ -78,15 +78,15 @@ class TestSetIndices:
 class TestAccessStream:
     def test_masks_not_taken_and_returns(self):
         stream = AccessStream(mixed_trace(), BTBConfig(entries=64, ways=2))
-        assert stream.pcs_list == [0x100, 0x300, 0x100, 0x500]
+        assert stream.pcs_list == (0x100, 0x300, 0x100, 0x500)
         assert stream.trace_positions.tolist() == [0, 2, 4, 5]
         assert len(stream) == 4
 
     def test_set_indices_and_lists_are_plain_ints(self):
         config = BTBConfig(entries=64, ways=2)
         stream = AccessStream(mixed_trace(), config)
-        assert stream.sets_list == [config.set_index(pc)
-                                    for pc in stream.pcs_list]
+        assert stream.sets_list == tuple(config.set_index(pc)
+                                         for pc in stream.pcs_list)
         assert all(type(v) is int for v in stream.pcs_list)
         assert all(type(v) is int for v in stream.sets_list)
 
@@ -107,8 +107,8 @@ class TestAccessStream:
         trace = mixed_trace()
         stream = AccessStream(trace, BTBConfig(entries=64, ways=2))
         pcs, targets, kinds, taken, ilens = stream.trace_columns()
-        assert pcs == trace.pcs.tolist()
-        assert taken == trace.taken.tolist()
+        assert pcs == tuple(trace.pcs.tolist())
+        assert taken == tuple(trace.taken.tolist())
         assert len(kinds) == len(trace) == len(ilens) == len(targets)
         assert stream.trace_columns() is stream._trace_columns  # memoized
 
@@ -117,7 +117,7 @@ class TestAccessStream:
         stream = AccessStream(trace, BTBConfig(entries=64, ways=2))
         assert len(stream) == 0
         assert stream.next_use.size == 0
-        assert stream.pcs_list == []
+        assert stream.pcs_list == ()
 
 
 class TestMemo:
