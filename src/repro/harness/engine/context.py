@@ -120,15 +120,23 @@ class RunContext:
         self.states[i] = JobState.RUNNING
         self.event(i, JobState.RUNNING, attempt=self.attempts[i] - 1)
 
-    def record_skip(self, i: int, result: JobResult) -> None:
-        """A resumed job whose artifact verified in the store."""
+    def record_hit(self, i: int, result: JobResult) -> None:
+        """A job served from the store before dispatch, terminal in
+        ``result.state`` (``skipped`` or ``succeeded``), no attempt; it
+        reaches the journal through :meth:`attach_journal`."""
         self.results[i] = result
-        self.states[i] = JobState.SKIPPED
+        self.states[i] = result.state
         self.stats.merge(result.stats)
-        get_registry().count("engine/jobs/skipped")
-        self.event(i, JobState.SKIPPED)
-        self._journal_spans(result)
+        get_registry().count(f"engine/jobs/{result.state}")
         self._emit(result)
+
+    def attach_journal(self, journal: Any) -> None:
+        """Start journaling, first writing the hits recorded so far."""
+        self.journal = journal
+        for i, result in enumerate(self.results):
+            if result is not None:
+                self.event(i, result.state, cached=True)
+                self._journal_spans(result)
 
     def record_outcome(self, i: int, result: JobResult) -> bool:
         """Fold one attempt's outcome into the run; True ⇒ retry it."""

@@ -13,7 +13,6 @@ the one-call ``engine.run(jobs)`` surface everything else in the repo
 
 from __future__ import annotations
 
-import copy
 import logging
 import random
 import time
@@ -27,8 +26,7 @@ from repro.harness.engine.context import RunContext
 from repro.harness.engine.executor import (AsyncExecutor, Executor,
                                            ProcessPoolJobExecutor,
                                            SerialExecutor)
-from repro.harness.engine.jobs import (JobResult, JobState, SimJob,
-                                       _stats_delta)
+from repro.harness.engine.jobs import JobResult, JobState, SimJob
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
 from repro.telemetry.metrics import get_registry, snapshot_delta
@@ -73,11 +71,11 @@ class ExperimentEngine:
     under its ``test_fast`` switch.
 
     Every :meth:`run` against a cache directory also writes a **run
-    manifest** (``manifest.jsonl`` + ``summary.json``, plus an
-    incremental ``events.jsonl`` job-state journal and a ``jobs.json``
-    index) under ``<cache_dir>/runs/<run id>`` — per-job timings, cache
-    provenance, merged telemetry, worker utilization, terminal status,
-    and any exception (see :mod:`repro.telemetry.manifest` and
+    manifest** under ``<cache_dir>/runs/<run id>`` (``manifest.jsonl``,
+    ``summary.json``, the ``events.jsonl``/``jobs.json`` journal; a run
+    of store hits only is one line of ``runs/hits.jsonl`` instead) —
+    per-job timings, cache provenance, merged telemetry, status, and
+    any exception (see :mod:`repro.telemetry.manifest` and
     ``docs/TELEMETRY.md``).  Disable with ``write_manifest=False`` or
     point it elsewhere with ``manifest_dir``.
 
@@ -183,36 +181,86 @@ class ExperimentEngine:
                     else replace(job,
                                  trace_context=run_trace.child_context())
                     for job in jobs]
-        ctx = RunContext(jobs=jobs, run_id=run_id,
-                         max_retries=self.max_retries, stats=self.stats,
-                         rng=random.Random(run_id),
-                         resumed_from=resumed_from, on_result=on_result,
-                         trace=run_trace,
-                         parent_before=(registry.snapshot()
-                                        if registry.enabled else None))
-        if self.manifest_dir is not None:
-            if self.store is not None:
-                # Give the store this run directory's empty baseline
-                # before the journal writes into it.
-                self.store.note_dir(self.manifest_dir / run_id)
-            try:
-                ctx.journal = RunJournal(
-                    self.manifest_dir / run_id,
-                    jobs_index=[{"index": i, "app": job.app,
-                                 "policy": job.policy, "mode": job.mode,
-                                 "input_id": job.input_id,
-                                 "key": job.cache_key(self.salt)}
-                                for i, job in enumerate(jobs)])
-            except OSError as exc:  # pragma: no cover - disk-full etc.
-                log.warning("could not open run journal under %s: %s",
-                            self.manifest_dir, exc)
-        return ctx
+        return RunContext(jobs=jobs, run_id=run_id,
+                          max_retries=self.max_retries, stats=self.stats,
+                          rng=random.Random(run_id),
+                          resumed_from=resumed_from, on_result=on_result,
+                          trace=run_trace,
+                          parent_before=(registry.snapshot()
+                                         if registry.enabled else None))
 
     def _prepare(self, ctx: RunContext) -> List[int]:
-        """Resume-skip verified jobs; return the pending index list."""
+        """Serve store hits; journal and return what is left to run."""
+        from repro.telemetry.manifest import RunJournal
+        if self.store is not None:
+            self._probe(ctx)
+        pending = ctx.pending()
+        if not pending or self.manifest_dir is None:
+            return pending
+        # Opened before the first compute: a killed run leaves it for
+        # forensics and resume.  The store first notes the empty dir.
+        run_dir = self.manifest_dir / ctx.run_id
+        if self.store is not None:
+            self.store.note_dir(run_dir)
+        try:
+            ctx.attach_journal(RunJournal(
+                run_dir,
+                jobs_index=[{"index": i, "app": job.app,
+                             "policy": job.policy, "mode": job.mode,
+                             "input_id": job.input_id,
+                             "key": job.cache_key(self.salt)}
+                            for i, job in enumerate(ctx.jobs)]))
+        except OSError as exc:  # pragma: no cover - disk-full etc.
+            log.warning("could not open run journal under %s: %s",
+                        self.manifest_dir, exc)
+        return pending
+
+    def _probe(self, ctx: RunContext) -> None:
+        """Read every job's result once before dispatch; record each hit
+        as terminal (``skipped`` when resuming, else ``succeeded``), so
+        only misses reach the executor.  A corrupt artifact is left to
+        the job's attempt, whose own read quarantines it."""
+        from repro.telemetry.manifest import read_jobs_index
         if ctx.resumed_from is not None:
-            self._skip_verified(ctx)
-        return ctx.pending()
+            previous = {row.get("key") for row in
+                        read_jobs_index(self.manifest_dir
+                                        / ctx.resumed_from)}
+            current = {job.cache_key(self.salt) for job in ctx.jobs}
+            if previous and previous != current:
+                log.warning(
+                    "resume %s: job list differs from the original run "
+                    "(%d shared of %d current); unmatched jobs run fresh",
+                    ctx.resumed_from, len(previous & current),
+                    len(current))
+        state = (JobState.SKIPPED if ctx.resumed_from is not None
+                 else JobState.SUCCEEDED)
+        registry, stats = get_registry(), self.store.stats
+        for i, job in enumerate(ctx.jobs):
+            key = job.cache_key(self.salt)
+            start_epoch, start = time.time(), time.perf_counter()
+            read_before = stats.bytes_read
+            value = self.store.get(job.mode, key, probe=True)
+            if value is None:
+                continue
+            result = JobResult(
+                job=job, value=value, cached=True, state=state, index=i,
+                seconds=time.perf_counter() - start,
+                stats=CacheStats(hits=1,
+                                 bytes_read=stats.bytes_read - read_before))
+            if registry.enabled and job.trace_context is not None:
+                # The hit's job span, as an attempt would have opened it.
+                registry.add_span("engine.job", result.seconds)
+                result.span_records.append(span_record(
+                    "engine.job", job.trace_context, start_epoch,
+                    result.seconds, args={
+                        "app": job.app, "policy": job.policy,
+                        "mode": job.mode, "index": i, "attempt": 0,
+                        "key": key, "cached": True}))
+            ctx.record_hit(i, result)
+        if ctx.resumed_from is not None:
+            log.info("resume %s: %d of %d job(s) verified in the store "
+                     "and skipped", ctx.resumed_from,
+                     len(ctx.jobs) - len(ctx.pending()), len(ctx.jobs))
 
     def _finish_run(self, ctx: RunContext,
                     failure: Optional[dict]) -> List[JobResult]:
@@ -237,17 +285,19 @@ class ExperimentEngine:
                           for i in failed])
         return ctx.results  # type: ignore[return-value]
 
-    def _journal_run_span(self, ctx: RunContext,
-                          failure: Optional[dict]) -> None:
-        """Close the run's root span into the journal, giving an
-        exported trace one parent for the whole sweep."""
-        if ctx.trace is None or ctx.journal is None:
-            return
-        ctx.journal.write_span(span_record(
-            "engine.run", ctx.trace, ctx.started_epoch,
-            ctx.wall_seconds(),
-            args={"run_id": ctx.run_id, "jobs": len(ctx.jobs)},
-            error=failure is not None))
+    def _close_run(self, ctx: RunContext, failure: Optional[dict]) -> None:
+        """Close the run's root span and journal; write the manifest."""
+        run_span = None
+        if ctx.trace is not None:
+            run_span = span_record(
+                "engine.run", ctx.trace, ctx.started_epoch,
+                ctx.wall_seconds(),
+                args={"run_id": ctx.run_id, "jobs": len(ctx.jobs)},
+                error=failure is not None)
+            if ctx.journal is not None:
+                ctx.journal.write_span(run_span)
+        ctx.close_journal()
+        self._write_manifest(ctx, failure, run_span)
 
     def set_executor(self, executor: Optional[Executor]) -> None:
         """Swap the execution strategy for subsequent runs.
@@ -297,9 +347,7 @@ class ExperimentEngine:
                        "error": f"{type(exc).__name__}: {exc}"}
             raise
         finally:
-            self._journal_run_span(ctx, failure)
-            ctx.close_journal()
-            self._write_manifest(ctx, failure)
+            self._close_run(ctx, failure)
         return self._finish_run(ctx, failure)
 
     async def run_async(self, jobs: Sequence[SimJob],
@@ -330,9 +378,7 @@ class ExperimentEngine:
                        "error": f"{type(exc).__name__}: {exc}"}
             raise
         finally:
-            self._journal_run_span(ctx, failure)
-            ctx.close_journal()
-            self._write_manifest(ctx, failure)
+            self._close_run(ctx, failure)
         return self._finish_run(ctx, failure)
 
     # ------------------------------------------------------------------
@@ -340,54 +386,20 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     def _resolve_resume(self, resume: str) -> str:
         """Validate a resume target and return its run id."""
+        from repro.telemetry.manifest import run_history
         if self.store is None or self.manifest_dir is None:
             raise ValueError("resume requires a cache directory: the "
                              "store is what verifies completed jobs")
+        history = run_history(self.manifest_dir)
         if resume == "latest":
-            candidates = [p for p in self.manifest_dir.iterdir()
-                          if p.is_dir() and (
-                              (p / "summary.json").exists()
-                              or (p / "events.jsonl").exists())] \
-                if self.manifest_dir.is_dir() else []
-            if not candidates:
+            if not history:
                 raise ValueError(f"no previous run to resume under "
                                  f"{self.manifest_dir}")
-            return max(candidates, key=lambda p: p.stat().st_mtime).name
-        if not (self.manifest_dir / resume).is_dir():
+            return history[-1].name
+        if self.manifest_dir / resume not in history:
             raise ValueError(f"no run {resume!r} under "
                              f"{self.manifest_dir}")
         return resume
-
-    def _skip_verified(self, ctx: RunContext) -> None:
-        """Mark every job whose artifact decodes and passes its integrity
-        digest as ``skipped`` — the store read *is* the verification; a
-        corrupt artifact is quarantined here and the job re-runs."""
-        from repro.telemetry.manifest import read_jobs_index
-        resumed_from = ctx.resumed_from
-        previous = {row.get("key") for row in
-                    read_jobs_index(self.manifest_dir / resumed_from)}
-        current = {job.cache_key(self.salt) for job in ctx.jobs}
-        if previous and previous != current:
-            log.warning(
-                "resume %s: job list differs from the original run "
-                "(%d shared of %d current); unmatched jobs run fresh",
-                resumed_from, len(previous & current), len(current))
-        for i, job in enumerate(ctx.jobs):
-            baseline = copy.deepcopy(self.store.stats)
-            value = self.store.get(job.mode, job.cache_key(self.salt))
-            if value is None:
-                # The verification read may have quarantined a corrupt
-                # artifact; keep that accounting even though the job now
-                # re-runs instead of being skipped.
-                self.stats.merge(_stats_delta(self.store.stats, baseline))
-                continue
-            stats = _stats_delta(self.store.stats, baseline)
-            ctx.record_skip(i, JobResult(job=job, value=value, cached=True,
-                                         seconds=0.0, stats=stats,
-                                         state=JobState.SKIPPED, index=i))
-        skipped = sum(1 for s in ctx.states if s == JobState.SKIPPED)
-        log.info("resume %s: %d of %d job(s) verified in the store and "
-                 "skipped", resumed_from, skipped, len(ctx.jobs))
 
     # ------------------------------------------------------------------
     # Manifest
@@ -410,9 +422,10 @@ class ExperimentEngine:
             block["executor"] = name
         return block
 
-    def _write_manifest(self, ctx: RunContext,
-                        failure: Optional[dict]) -> None:
-        from repro.telemetry.manifest import write_run_manifest
+    def _write_manifest(self, ctx: RunContext, failure: Optional[dict],
+                        run_span: Optional[dict]) -> None:
+        """One run-log line if no attempt ran, else the run directory."""
+        from repro.telemetry.manifest import log_run, write_run_manifest
         from repro.telemetry.metrics import merge_snapshots
         registry = get_registry()
         wall = ctx.wall_seconds()
@@ -448,28 +461,42 @@ class ExperimentEngine:
                                f"({result.job.app}/{result.job.policy})"),
                      "error": result.error or result.state})
         run_dir = self.manifest_dir / ctx.run_id
+        logged = (self.store is not None and failure is None
+                  and not any(ctx.attempts))
         namespaces = None
         if self.store is not None:
-            # The journal (jobs.json, events.jsonl) was written beside
-            # the store; account it before the usage is summarized.
-            self.store.note_dir(run_dir)
+            if not logged:
+                # Account the journal before the usage is summarized.
+                self.store.note_dir(run_dir)
             summaries = self.store.namespaces_summary()
             if summaries:
                 namespaces = list(summaries.values())
+        summary = dict(wall_seconds=wall,
+                       workers=min(self.jobs, max(1, len(results))),
+                       run_id=ctx.run_id, cache_stats=run_cache,
+                       telemetry=self.last_run_telemetry,
+                       exceptions=exceptions,
+                       status=self._status(ctx, failure),
+                       resumed_from=ctx.resumed_from,
+                       job_states=ctx.job_states(), namespaces=namespaces,
+                       runtime=self._runtime_block(ctx))
         try:
-            self.last_manifest = write_run_manifest(
-                self.manifest_dir, results, wall_seconds=wall,
-                workers=min(self.jobs, max(1, len(results))),
-                run_id=ctx.run_id, cache_stats=run_cache,
-                telemetry=self.last_run_telemetry,
-                exceptions=exceptions,
-                status=self._status(ctx, failure),
-                resumed_from=ctx.resumed_from,
-                job_states=ctx.job_states(), namespaces=namespaces,
-                runtime=self._runtime_block(ctx))
+            if logged:
+                spans = [record for result in results
+                         for record in result.span_records] + [run_span]
+                self.last_manifest = log_run(
+                    self.manifest_dir, results,
+                    [job.cache_key(self.salt) for job in ctx.jobs],
+                    append=self.store.append,
+                    spans=[s for s in spans if s is not None],
+                    trace_id=ctx.trace.trace_id if ctx.trace else None,
+                    **summary)
+            else:
+                self.last_manifest = write_run_manifest(
+                    self.manifest_dir, results, **summary)
             log.info("run manifest: %s", self.last_manifest)
         except OSError as exc:  # pragma: no cover - disk-full etc.
             log.warning("could not write run manifest under %s: %s",
                         self.manifest_dir, exc)
-        if self.store is not None:
+        if self.store is not None and not logged:
             self.store.note_dir(run_dir)

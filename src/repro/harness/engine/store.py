@@ -20,9 +20,10 @@ writes with :class:`QuotaExceededError` instead of growing unbounded.
 Usage accounting: every store keeps one on-disk usage counter, seeded
 lazily by a single full scan on first read (or on the first write
 under a quota) and updated by every in-process write under its root —
-artifact writes and replacements, quarantine moves, and, through
+artifact writes and replacements, quarantine moves, run-log lines
+appended through :meth:`ArtifactStore.append`, and, through
 :meth:`ArtifactStore.note_dir`, the run journals and manifests the
-engine and the service append next to the artifacts.  What counts is
+engine and the service write next to the artifacts.  What counts is
 every file under the root: artifacts, quarantine, run journals and
 manifests.  Reading it (:meth:`ArtifactStore.usage_bytes`,
 :meth:`ArtifactStore.namespaces_summary`) is O(1).  Writes the counter
@@ -426,24 +427,32 @@ class ArtifactStore:
             self._changed()
 
     # -- store protocol --------------------------------------------------
-    def get(self, kind: str, key: str) -> Optional[Any]:
+    def get(self, kind: str, key: str, probe: bool = False
+            ) -> Optional[Any]:
         """The cached artifact, or None on a miss (absent or corrupt).
 
         Corruption — a bad integrity digest, mangled header, or
         unpicklable payload — is counted, logged as a warning, and the
         file quarantined (moved aside) so the caller recomputes the
         artifact instead of ever receiving stale bytes.
+
+        ``probe=True`` counts only a hit: a miss is left untouched for
+        the compute path's own read to count (and quarantine).
         """
         registry = get_registry()
         path = self.path(kind, key)
         try:
             blob = path.read_bytes()
         except OSError:
+            if probe:
+                return None
             with self._lock:
                 self.stats.misses += 1
             registry.count("store/miss")
             return None
         decoded, reason = self._decode(blob)
+        if decoded is None and probe:
+            return None
         if decoded is None:
             with self._lock:
                 self.stats.corrupt += 1
@@ -567,6 +576,19 @@ class ArtifactStore:
                 self._writes_idle.notify_all()
             self._changed()
         get_registry().count("store/bytes_written", size)
+
+    def append(self, path: Union[str, Path], data: bytes) -> None:
+        """Append ``data`` to ``path`` in one ``O_APPEND`` write (the run
+        log), accounting the bytes when ``path`` is under the root."""
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            with self._lock:
+                written = os.write(fd, data)
+                if os.path.abspath(path).startswith(self._prefix):
+                    self._add_usage(written)
+        finally:
+            os.close(fd)
+        self._changed()
 
     def _join_flight(self, kind: str, key: str
                      ) -> Tuple[threading.Lock, bool]:

@@ -74,6 +74,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         obj = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"not a JSON line: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("not a JSON line: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ProtocolError("frame must be a JSON object")
     return obj
@@ -94,6 +96,9 @@ class LineFrameBuffer:
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
         self.max_frame_bytes = int(max_frame_bytes)
         self._buf = bytearray()
+        #: Leading bytes of ``_buf`` searched and holding no newline: a
+        #: frame fed in many chunks is scanned once, not once per chunk.
+        self._scanned = 0
         self._ready: List[Dict[str, Any]] = []
         self._discarding = False
 
@@ -106,13 +111,15 @@ class LineFrameBuffer:
         """Consume ``data``; return the frames it completed."""
         self._buf += data
         while True:
-            newline = self._buf.find(b"\n")
+            newline = self._buf.find(b"\n", self._scanned)
             if newline < 0:
                 if self._discarding:
                     # Still inside the oversized line: drop and wait.
                     self._buf.clear()
-                elif len(self._buf) > self.max_frame_bytes:
+                self._scanned = len(self._buf)
+                if len(self._buf) > self.max_frame_bytes:
                     self._buf.clear()
+                    self._scanned = 0
                     self._discarding = True
                     raise FrameTooLargeError(
                         f"frame exceeds {self.max_frame_bytes} bytes "
@@ -120,6 +127,7 @@ class LineFrameBuffer:
                 break
             line = bytes(self._buf[:newline])
             del self._buf[:newline + 1]
+            self._scanned = 0
             if self._discarding:
                 # The tail of the oversized line; resynchronized now.
                 self._discarding = False
@@ -141,6 +149,7 @@ class LineFrameBuffer:
         if self._buf or self._discarding:
             torn = len(self._buf)
             self._buf.clear()
+            self._scanned = 0
             self._discarding = False
             raise TornFrameError(
                 f"connection closed mid-frame ({torn} byte(s) of a "

@@ -26,7 +26,6 @@ batch finishes.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import time
 from dataclasses import replace
@@ -38,7 +37,8 @@ from repro.harness.engine import (ArtifactStore, ExperimentEngine,
                                   validate_namespace)
 from repro.service.protocol import (ProtocolError, decode_line,
                                     encode_line, jobs_from_request)
-from repro.telemetry.manifest import append_spans, job_row
+from repro.telemetry.manifest import (append_spans, job_row,
+                                      read_run_manifest, run_history)
 from repro.telemetry.metrics import (LATENCY_BUCKETS, get_registry,
                                      to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
@@ -312,16 +312,10 @@ class SimulationService:
                   "run_id": run_meta.get("run_id")},
             error=error is not None)
         try:
-            self._append_spans(tenant, run_meta["manifest"], [record])
+            append_spans(Path(run_meta["manifest"]), [record],
+                         self.store.namespace(tenant).append)
         except OSError:  # pragma: no cover - disk-full etc.
             log.debug("could not journal batch span", exc_info=True)
-
-    def _append_spans(self, tenant: str, run_dir: str,
-                      records: List[Dict[str, Any]]) -> None:
-        """Journal spans that finish after a run into its directory and
-        account the appended bytes in the tenant's store usage."""
-        append_spans(Path(run_dir), records)
-        self.store.namespace(tenant).note_dir(run_dir)
 
     # ------------------------------------------------------------------
     # Status
@@ -331,17 +325,12 @@ class SimulationService:
         recent run manifests, and live telemetry counters."""
         runs = []
         for tenant, engine in sorted(self._engines.items()):
-            if engine.manifest_dir is None \
-                    or not engine.manifest_dir.is_dir():
+            if engine.manifest_dir is None:
                 continue
-            for run_dir in sorted(engine.manifest_dir.iterdir(),
-                                  key=lambda p: p.name)[-5:]:
-                summary_path = run_dir / "summary.json"
-                if not summary_path.is_file():
-                    continue
+            for run_dir in run_history(engine.manifest_dir)[-5:]:
                 try:
-                    summary = json.loads(summary_path.read_text())
-                except (OSError, json.JSONDecodeError):
+                    summary = read_run_manifest(run_dir).summary
+                except (OSError, ValueError):
                     continue
                 runs.append({"tenant": tenant,
                              "run_id": summary.get("run_id",
@@ -507,14 +496,15 @@ class SimulationService:
                 # run it landed in, it is the parent every batch / run /
                 # job span of this request links up to.
                 try:
-                    self._append_spans(tenant, done["manifest"], [
+                    append_spans(Path(done["manifest"]), [
                         span_record(
                             "service.request", req_ctx, arrival_epoch,
                             elapsed,
                             args={"tenant": tenant, "op": op,
                                   "jobs": len(jobs),
                                   "ok": bool(done.get("ok"))},
-                            error=not done.get("ok"))])
+                            error=not done.get("ok"))],
+                        self.store.namespace(tenant).append)
                 except OSError:  # pragma: no cover - disk-full etc.
                     log.debug("could not journal request span",
                               exc_info=True)

@@ -23,7 +23,10 @@ tables.
 :class:`RunJournal` while the run is in flight (flushed per event), so a
 sweep killed mid-run still leaves a forensic record of which job was in
 which state — and ``events.jsonl`` is how the fault-injection tests
-count attempts per job (see ``docs/FAULTS.md``).
+count attempts per job (see ``docs/FAULTS.md``).  A run that computed
+nothing gets no directory: :func:`log_run` appends it as one line to
+``runs/hits.jsonl`` (the **run log**), where every reader here finds it
+by its address, ``runs/<run id>``.
 
 The module is deliberately decoupled from the engine's classes: rows are
 built by duck-typing :class:`~repro.harness.engine.JobResult`, so the
@@ -39,7 +42,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.telemetry.metrics import merge_snapshots
 
@@ -50,17 +54,20 @@ def _format_table(columns, rows) -> str:
     from repro.harness.reporting import format_table
     return format_table(columns, rows)
 
-__all__ = ["RunJournal", "RunManifest", "MANIFEST_VERSION",
+__all__ = ["RunJournal", "RunManifest", "MANIFEST_VERSION", "RUN_LOG",
            "append_spans", "canonical_rows", "fast_path_coverage",
-           "job_row", "new_run_id", "read_events", "read_jobs_index",
-           "read_run_manifest", "read_spans", "render_report",
-           "resolve_run_dir", "runtime_lines", "synthesize_summary",
-           "write_run_manifest"]
+           "job_row", "log_run", "new_run_id", "read_events",
+           "read_jobs_index", "read_run_manifest", "read_spans",
+           "render_report", "resolve_run_dir", "run_history",
+           "runtime_lines", "synthesize_summary", "write_run_manifest"]
 
 #: 2: summary gained ``status`` / ``resumed_from`` / ``job_states``;
 #: rows gained ``state`` / ``attempt`` / ``error``; run directories
 #: gained the incremental ``jobs.json`` + ``events.jsonl`` journal.
 MANIFEST_VERSION = 2
+
+#: The run log, beside the run directories (see :func:`log_run`).
+RUN_LOG = "hits.jsonl"
 
 _RUN_COUNTER = itertools.count()
 
@@ -171,7 +178,21 @@ def write_run_manifest(directory: Union[str, Path],
     with open(run_dir / "manifest.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+    summary = _summary(rows, wall_seconds, workers, run_id, cache_stats,
+                       telemetry, exceptions, status, resumed_from,
+                       job_states, namespaces, runtime)
+    tmp = run_dir / "summary.json.tmp"
+    tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    os.replace(tmp, run_dir / "summary.json")
+    return run_dir
 
+
+def _summary(rows, wall_seconds, workers, run_id, cache_stats=None,
+             telemetry=None, exceptions=None, status="completed",
+             resumed_from=None, job_states=None, namespaces=None,
+             runtime=None) -> Dict[str, Any]:
+    """``summary.json`` over ``rows``; also a run-log line's body."""
     if telemetry is None:
         telemetry = merge_snapshots(
             [row["telemetry"] for row in rows if row["telemetry"]])
@@ -201,11 +222,29 @@ def write_run_manifest(directory: Union[str, Path],
         summary["namespaces"] = list(namespaces)
     if runtime is not None:
         summary["runtime"] = dict(runtime)
-    tmp = run_dir / "summary.json.tmp"
-    tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, run_dir / "summary.json")
-    return run_dir
+    return summary
+
+
+def log_run(directory: Union[str, Path], results: Sequence,
+            keys: Sequence[str], run_id: str,
+            append: Callable[[Path, bytes], None], *,
+            spans: Sequence[Dict[str, Any]] = (),
+            trace_id: Optional[str] = None, **summary_fields) -> Path:
+    """Append a run that computed nothing to ``directory/hits.jsonl``:
+    one line holding its summary (``summary_fields`` as for
+    :func:`write_run_manifest`), ``kind``, append time ``t``,
+    ``trace_id``, ``spans`` and ``rows`` (each with ``index`` and store
+    ``key``).  Returns its address, ``directory/<run_id>``."""
+    directory = Path(directory).expanduser()
+    rows = [dict(job_row(result), key=key, index=i)
+            for i, (result, key) in enumerate(zip(results, keys))]
+    record = _summary(rows, run_id=run_id, **summary_fields)
+    record.update(kind="run", t=round(time.time(), 6), trace_id=trace_id,
+                  spans=list(spans), rows=rows)
+    directory.mkdir(parents=True, exist_ok=True)
+    append(directory / RUN_LOG,
+           (json.dumps(record, separators=(",", ":")) + "\n").encode())
+    return directory / run_id
 
 
 class RunJournal:
@@ -262,21 +301,91 @@ class RunJournal:
         self.close()
 
 
-def _read_journal_rows(run_dir: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every parseable ``events.jsonl`` row (state transitions *and*
-    trace spans); an interrupted writer's torn final line is skipped."""
-    path = Path(run_dir).expanduser() / "events.jsonl"
-    if not path.exists():
+def _jsonl_objects(path: Path, needle: Optional[str] = None
+                   ) -> List[Dict[str, Any]]:
+    """Every JSON-object line of ``path`` containing ``needle`` (a cheap
+    filter before parsing); torn, garbage and non-object lines skipped."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
         return []
+    marker = needle.encode() if needle is not None else None
     rows = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
+    for line in raw.splitlines():
+        if marker is not None and marker not in line:
             continue
         try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
             continue
+        if isinstance(row, dict):
+            rows.append(row)
     return rows
+
+
+def _is_name(value: Any) -> bool:
+    """True for a string usable as one path component (a run id)."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and "/" not in value and "\0" not in value)
+
+
+def _logged_run(run_dir: Path) -> Optional[Dict[str, Any]]:
+    """The run-log line of the run ``run_dir`` names, with the span
+    lines appended for it since joined onto its ``spans``; None when
+    ``run_dir`` is a run directory or the log has no such run."""
+    if _run_dir_mtime(run_dir):
+        return None
+    run_id = run_dir.name
+    run: Optional[Dict[str, Any]] = None
+    later = []
+    for row in _jsonl_objects(run_dir.parent / RUN_LOG, json.dumps(run_id)):
+        if row.get("run_id") != run_id:
+            continue
+        if row.get("kind") == "run":
+            run = row
+        elif row.get("kind") == "span":
+            later.append(row)
+    if run is None:
+        return None
+    for name in ("rows", "spans"):
+        items = run[name] if isinstance(run.get(name), list) else []
+        run[name] = [item for item in items if isinstance(item, dict)]
+    run["spans"] += later
+    return run
+
+
+#: Files any of which mark a directory as a run directory — an
+#: interrupted run may have journal files but no ``summary.json`` yet.
+_RUN_DIR_MARKERS = ("summary.json", "events.jsonl", "jobs.json",
+                    "manifest.jsonl")
+
+
+def _run_dir_mtime(run_dir: Path) -> float:
+    stamps = []
+    for name in _RUN_DIR_MARKERS:
+        try:
+            stamps.append((run_dir / name).stat().st_mtime)
+        except (OSError, ValueError):
+            continue
+    return max(stamps, default=0.0)
+
+
+def run_history(runs_dir: Union[str, Path]) -> List[Path]:
+    """Every run under ``runs_dir``, oldest first: directories by their
+    newest marker file, logged runs by ``t``.  The last is "latest" for
+    resume, ``report``, ``top``, ``trace_export`` and ``status``."""
+    runs_dir = Path(runs_dir).expanduser()
+    dated: List[Tuple[float, str]] = [
+        (_run_dir_mtime(child), child.name)
+        for child in (runs_dir.iterdir() if runs_dir.is_dir() else ())]
+    dated = [entry for entry in dated if entry[0]]
+    for row in _jsonl_objects(runs_dir / RUN_LOG):
+        stamp = row.get("t")
+        if (row.get("kind") == "run" and _is_name(row.get("run_id"))
+                and isinstance(stamp, (int, float))):
+            dated.append((float(stamp), row["run_id"]))
+    dated.sort()
+    return [runs_dir / name for _, name in dated]
 
 
 def read_events(run_dir: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -284,41 +393,50 @@ def read_events(run_dir: Union[str, Path]) -> List[Dict[str, Any]]:
 
     Trace-span rows (``"kind": "span"``) share the file but are not
     state transitions; read those with :func:`read_spans`."""
-    return [row for row in _read_journal_rows(run_dir)
+    return [row for row in
+            _jsonl_objects(Path(run_dir).expanduser() / "events.jsonl")
             if row.get("kind", "state") == "state"]
 
 
 def read_spans(run_dir: Union[str, Path]) -> List[Dict[str, Any]]:
     """The trace spans journaled for a run (empty when tracing was off),
     in write order."""
-    return [row for row in _read_journal_rows(run_dir)
+    run_dir = Path(run_dir).expanduser()
+    logged = _logged_run(run_dir)
+    if logged is not None:
+        return logged["spans"]
+    return [row for row in _jsonl_objects(run_dir / "events.jsonl")
             if row.get("kind") == "span"]
 
 
 def append_spans(run_dir: Union[str, Path],
-                 records: Sequence[Dict[str, Any]]) -> None:
-    """Append finished span records to a run's ``events.jsonl``.
+                 records: Sequence[Dict[str, Any]],
+                 append: Callable[[Path, bytes], None]) -> None:
+    """Append finished span records to a run's ``events.jsonl`` or, for
+    a logged run, to the run log as lines carrying its ``run_id``.
 
     The engine journals its own and its workers' spans while the run is
-    open; this is for spans that finish *after* the journal closes — the
-    service's per-request and per-batch spans land here once the run
-    summary exists."""
+    open; this is for spans that finish *after* the run is written — the
+    service's per-request and per-batch spans land here."""
     if not records:
         return
-    path = Path(run_dir).expanduser() / "events.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            row = dict(record)
-            row.setdefault("kind", "span")
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    run_dir = Path(run_dir).expanduser()
+    logged = not run_dir.is_dir()
+    path = run_dir.parent / RUN_LOG if logged else run_dir / "events.jsonl"
+    extra = {"run_id": run_dir.name} if logged else {}
+    data = "".join(json.dumps({"kind": "span", **record, **extra},
+                              sort_keys=True) + "\n"
+                   for record in records)
+    append(path, data.encode())
 
 
 def read_jobs_index(run_dir: Union[str, Path]) -> List[Dict[str, Any]]:
-    """The sweep's job index (empty if never written)."""
+    """The sweep's job index (empty if never written); a logged run's
+    rows carry its fields."""
     path = Path(run_dir).expanduser() / "jobs.json"
     if not path.exists():
-        return []
+        logged = _logged_run(path.parent)
+        return logged["rows"] if logged is not None else []
     return json.loads(path.read_text())
 
 
@@ -359,43 +477,21 @@ class RunManifest:
         return self.summary.get("run_id", self.path.name)
 
 
-#: Files any of which mark a directory as a run directory — an
-#: interrupted run may have journal files but no ``summary.json`` yet.
-_RUN_DIR_MARKERS = ("summary.json", "events.jsonl", "jobs.json",
-                    "manifest.jsonl")
-
-
-def _run_dir_mtime(run_dir: Path) -> float:
-    stamps = []
-    for name in _RUN_DIR_MARKERS:
-        try:
-            stamps.append((run_dir / name).stat().st_mtime)
-        except OSError:
-            continue
-    return max(stamps, default=0.0)
-
-
 def resolve_run_dir(path: Union[str, Path]) -> Path:
-    """Accept a run dir, a ``summary.json`` path, or a cache root whose
-    ``runs/`` subdirectory holds runs (latest wins).  A directory with
-    only journal files (an in-flight or interrupted run) counts."""
+    """Accept a run dir or a logged run's address, a ``summary.json``
+    path, or a cache root whose ``runs/`` subdirectory holds runs (the
+    latest wins).  A directory with only journal files (an in-flight or
+    interrupted run) counts."""
     path = Path(path).expanduser()
     if path.is_file():
         return path.parent
-    if any((path / name).exists() for name in _RUN_DIR_MARKERS):
+    if _run_dir_mtime(path) or _logged_run(path) is not None:
         return path
     runs = path / "runs" if (path / "runs").is_dir() else path
-    candidates = [p for p in runs.iterdir()
-                  if any((p / name).exists()
-                         for name in _RUN_DIR_MARKERS)] \
-        if runs.is_dir() else []
-    if not candidates:
+    history = run_history(runs)
+    if not history:
         raise FileNotFoundError(f"no run manifest under {path}")
-    return max(candidates, key=_run_dir_mtime)
-
-
-#: Backwards-compatible private alias (pre-observability callers).
-_resolve_run_dir = resolve_run_dir
+    return history[-1]
 
 
 def synthesize_summary(run_dir: Union[str, Path]) -> Dict[str, Any]:
@@ -447,14 +543,21 @@ def synthesize_summary(run_dir: Union[str, Path]) -> Dict[str, Any]:
 
 def read_run_manifest(path: Union[str, Path]) -> RunManifest:
     """Load a manifest from a run directory (or ``summary.json``, or a
-    cache root — the most recent run is picked).
+    logged run's address, or a cache root — the most recent run is
+    picked).  A logged run's summary is its run-log line without the
+    rows, spans, ``kind`` and ``t``.
 
     An in-progress or interrupted run — no ``summary.json``, or a torn
     one — degrades to a journal-reconstructed summary (see
     :func:`synthesize_summary`) instead of raising, so operators can
     inspect a run that is still in flight or died mid-write.
     """
-    run_dir = _resolve_run_dir(Path(path).expanduser())
+    run_dir = resolve_run_dir(Path(path).expanduser())
+    logged = _logged_run(run_dir)
+    if logged is not None:
+        return RunManifest(path=run_dir, rows=logged["rows"], summary={
+            k: v for k, v in logged.items()
+            if k not in ("kind", "t", "spans", "rows")})
     summary: Optional[Dict[str, Any]] = None
     summary_path = run_dir / "summary.json"
     if summary_path.exists():
@@ -471,17 +574,8 @@ def read_run_manifest(path: Union[str, Path]) -> RunManifest:
             summary["missing"] = ["summary.json (corrupt)"] + [
                 m for m in summary.get("missing", [])
                 if m != "summary.json"]
-    rows: List[Dict[str, Any]] = []
-    jsonl = run_dir / "manifest.jsonl"
-    if jsonl.exists():
-        for line in jsonl.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return RunManifest(path=run_dir, summary=summary, rows=rows)
+    return RunManifest(path=run_dir, summary=summary,
+                       rows=_jsonl_objects(run_dir / "manifest.jsonl"))
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ import asyncio
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.client import ServiceClient
 from repro.service.framing import (FrameTooLargeError, LineFrameBuffer,
@@ -92,6 +94,127 @@ class TestLineFrameBuffer:
         line = encode_line(frame)
         assert line.endswith(b"\n")
         assert decode_line(line[:-1]) == frame
+
+    def test_deeply_nested_line_is_a_protocol_error(self):
+        buf = LineFrameBuffer()
+        with pytest.raises(ProtocolError):
+            buf.feed(b"[" * 100_000 + b"\n")
+        assert buf.feed(b'{"ok": 1}\n') == [{"ok": 1}]
+
+    def test_a_frame_fed_in_many_chunks_is_scanned_once(self):
+        """Each feed searches only the bytes it brought: a long frame's
+        newline search is linear in its length, not quadratic."""
+        frame = encode_line({"blob": "x" * 400_000})
+        buf = LineFrameBuffer()
+        frames = []
+        for i in range(0, len(frame), 1024):
+            frames += buf.feed(frame[i:i + 1024])
+            if len(frames) == 0:
+                assert buf._scanned == buf.pending_bytes
+        assert frames == [{"blob": "x" * 400_000}]
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: any chunking, any garbage
+# ----------------------------------------------------------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(max_size=8))
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_FRAMES = st.lists(st.dictionaries(st.text(max_size=6), _VALUES,
+                                   max_size=4), max_size=6)
+#: The fuzzers' frame ceiling: big enough for every generated frame.
+_CEILING = 4096
+
+
+def _chunks(data: bytes, cuts) -> list:
+    """``data`` cut at the (sorted, in-range) offsets ``cuts``."""
+    bounds = [0] + sorted(c % (len(data) + 1) for c in cuts) + [len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _feed_all(buf: LineFrameBuffer, chunks) -> tuple:
+    """Feed every chunk, then empty feeds until one raises nothing (an
+    error leaves the lines after it buffered); returns (frames, errors
+    raised)."""
+    frames, errors = [], []
+    pending = list(chunks)
+    while True:
+        chunk = pending.pop(0) if pending else b""
+        try:
+            frames += buf.feed(chunk)
+        except ProtocolError as exc:
+            errors.append(exc)
+            continue
+        if not pending:
+            return frames, errors
+
+
+class TestFramingFuzz:
+    @given(frames=_FRAMES, cuts=st.lists(st.integers(0, 10 ** 6),
+                                         max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_chunking_decodes_the_same_frames(self, frames, cuts):
+        data = b"".join(encode_line(frame) for frame in frames)
+        buf = LineFrameBuffer(max_frame_bytes=_CEILING)
+        got, errors = _feed_all(buf, _chunks(data, cuts))
+        assert errors == []
+        assert got == frames
+        buf.eof()
+
+    @given(before=_FRAMES, after=_FRAMES,
+           junk=st.binary(min_size=65, max_size=400),
+           cuts=st.lists(st.integers(0, 10 ** 6), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_an_oversized_line_raises_once_then_resyncs(self, before,
+                                                        after, junk,
+                                                        cuts):
+        ceiling = 64
+        before = [f for f in before if len(encode_line(f)) <= ceiling]
+        after = [f for f in after if len(encode_line(f)) <= ceiling]
+        oversized = junk.replace(b"\n", b"x")
+        data = (b"".join(encode_line(f) for f in before) + oversized
+                + b"\n" + b"".join(encode_line(f) for f in after))
+        buf = LineFrameBuffer(max_frame_bytes=ceiling)
+        got, errors = _feed_all(buf, _chunks(data, cuts))
+        assert [type(e) for e in errors] == [FrameTooLargeError]
+        assert got == before + after
+        buf.eof()
+
+    @given(frames=_FRAMES, partial=st.binary(min_size=1, max_size=40),
+           cuts=st.lists(st.integers(0, 10 ** 6), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_a_partial_line_at_eof_is_torn(self, frames, partial, cuts):
+        data = (b"".join(encode_line(f) for f in frames)
+                + partial.replace(b"\n", b"x"))
+        buf = LineFrameBuffer(max_frame_bytes=_CEILING)
+        got, errors = _feed_all(buf, _chunks(data, cuts))
+        assert errors == [] and got == frames
+        with pytest.raises(TornFrameError):
+            buf.eof()
+        buf.eof()  # drained: the buffer is reusable
+
+    @given(junk=st.lists(st.binary(max_size=60)
+                         | st.sampled_from([b"\n", b"[" * 3000,
+                                            b'{"a":' * 800, b"{}",
+                                            b"\xff\xfe", b"[1]", b"null"]),
+                         max_size=10),
+           ceiling=st.sampled_from([16, 256, _CEILING]),
+           cuts=st.lists(st.integers(0, 10 ** 6), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_garbage_only_ever_raises_protocol_errors(self, junk,
+                                                      ceiling, cuts):
+        buf = LineFrameBuffer(max_frame_bytes=ceiling)
+        got, _errors = _feed_all(buf, _chunks(b"".join(junk), cuts))
+        assert all(isinstance(frame, dict) for frame in got)
+        try:
+            buf.eof()
+        except TornFrameError:
+            pass
 
 
 class TestSocketFrameReader:

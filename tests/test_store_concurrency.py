@@ -271,6 +271,13 @@ def _jobs(*policies):
             for policy in policies]
 
 
+def _recorded_usage(summary, ns):
+    """The usage a run summary records for namespace ``ns``."""
+    recorded = {row["namespace"]: row["usage_bytes"]
+                for row in summary["namespaces"]}
+    return recorded[ns.tenant]
+
+
 @pytest.fixture()
 def scan_before_summary(monkeypatch):
     """``watch(ns)`` records a full scan of ``ns`` just before each run
@@ -284,9 +291,7 @@ def scan_before_summary(monkeypatch):
             scanned = ns._scan_usage()
             run_dir = real(*args, **kwargs)
             summary = json.loads((run_dir / "summary.json").read_text())
-            recorded = {row["namespace"]: row["usage_bytes"]
-                        for row in summary["namespaces"]}
-            pairs.append((recorded[ns.tenant], scanned))
+            pairs.append((_recorded_usage(summary, ns), scanned))
             return run_dir
 
         monkeypatch.setattr(manifest, "write_run_manifest", spy)
@@ -303,8 +308,13 @@ class TestUsageCounterExactness:
         engine = ExperimentEngine(store=ns, jobs=1)
         engine.run(_jobs("lru", "srrip"))
         assert ns.usage_bytes() == ns._scan_usage()
-        engine.run(_jobs("lru", "srrip"))  # warm: journals only
+        # Warm: nothing is computed, so the run is one run-log line and
+        # the usage it records is the footprint before that append.
+        scanned = ns._scan_usage()
+        engine.run(_jobs("lru", "srrip"))
         assert ns.usage_bytes() == ns._scan_usage()
+        summary = manifest.read_run_manifest(engine.last_manifest).summary
+        pairs.append((_recorded_usage(summary, ns), scanned))
         assert len(pairs) == 2
         for recorded, scanned in pairs:
             assert recorded == scanned
