@@ -22,11 +22,14 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
-from repro.harness.engine.keys import effective_btb_config
+from repro.harness.engine.keys import (PERFECT_BTB, effective_btb_config,
+                                       split_policy)
 from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
                                         artifact_key)
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
+from repro.prefetch.confluence import ConfluencePrefetcher
+from repro.prefetch.shotgun import ShotgunPrefetcher
 from repro.telemetry.tracing import TraceContext
 
 log = logging.getLogger(__name__)
@@ -115,7 +118,9 @@ class SimJob:
     ``mode`` selects the result type: ``"sim"`` runs the full frontend
     timing model (→ :class:`~repro.frontend.simulator.SimResult`);
     ``"misses"`` replays only the BTB (→
-    :class:`~repro.btb.btb.BTBStats`)."""
+    :class:`~repro.btb.btb.BTBStats`).  ``policy`` may carry a frontend
+    variant (``opt+shotgun``) or be ``perfect-btb``; both need ``"sim"``
+    (see :func:`~repro.harness.engine.keys.split_policy`)."""
 
     app: str
     policy: str = "lru"
@@ -138,12 +143,16 @@ class SimJob:
         if self.mode not in ("sim", "misses"):
             raise ValueError(f"mode must be 'sim' or 'misses', "
                              f"got {self.mode!r}")
+        base, variant = split_policy(self.policy)
+        if self.mode == "misses" and (variant or base == PERFECT_BTB):
+            raise ValueError(f"policy {self.policy!r} changes the "
+                             f"frontend, so it needs mode 'sim'")
         # A tuple keeps every job hashable (the cache-key memo needs it).
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
 
     @property
     def needs_hints(self) -> bool:
-        return self.policy in HINTED_POLICIES
+        return split_policy(self.policy)[0] in HINTED_POLICIES
 
     def harness_config(self) -> HarnessConfig:
         return HarnessConfig(
@@ -204,21 +213,34 @@ class JobResult:
 
 def execute_job(job: SimJob, harness: Optional[Harness] = None,
                 store: Optional[ArtifactStore] = None) -> Any:
-    """Run one job through a :class:`Harness` (no job-level caching)."""
+    """Run one job through a :class:`Harness` (no job-level caching),
+    with the frontend variant its policy string names."""
     h = harness if harness is not None else Harness(job.harness_config(),
                                                    store=store)
+    base, variant = split_policy(job.policy)
+    # Hints are profiled against the geometry the policy runs with (the
+    # 7979-entry config, or Shotgun's after its metadata tax).
+    btb_config = effective_btb_config(job.policy, job.btb_config)
     trace = h.trace(job.app, job.input_id)
     hints = None
     if job.needs_hints:
-        # Hints must be profiled against the geometry the policy runs
-        # with; the iso-storage variant swaps in the 7979-entry config.
-        hint_config = effective_btb_config(job.policy, job.btb_config)
-        hints = h.hints(job.app, job.input_id, btb_config=hint_config)
+        hints = h.hints(job.app, job.input_id, btb_config=btb_config)
     if job.mode == "misses":
-        return h.run_misses(trace, job.policy,
-                            btb_config=job.btb_config, hints=hints)
-    return h.run_sim(trace, job.policy, btb_config=job.btb_config,
-                     hints=hints, params=job.params)
+        return h.run_misses(trace, base, btb_config=btb_config,
+                            hints=hints)
+    if base == PERFECT_BTB:
+        return h.run_sim(trace, None, params=job.params, perfect_btb=True)
+    prefetcher, oracles = None, {}
+    if variant in ("perfect-bp", "perfect-icache"):
+        oracles[variant.replace("-", "_")] = True
+    elif variant == "confluence":
+        prefetcher = ConfluencePrefetcher()
+    elif variant == "shotgun":
+        prefetcher = ShotgunPrefetcher()
+    elif variant == "twig":
+        prefetcher = h.twig(job.app, job.input_id)
+    return h.run_sim(trace, base, btb_config=btb_config, hints=hints,
+                     params=job.params, prefetcher=prefetcher, **oracles)
 
 
 def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:

@@ -1,4 +1,4 @@
-"""Shared job-identity helpers: effective geometry, group keys, batches.
+"""Shared job-identity helpers: policy variants, geometry, batches.
 
 Two places need to agree on "which jobs replay the same stream": the
 process pool's worker batches (:func:`plan_batches`) and the fabric's
@@ -11,23 +11,53 @@ iso-storage variant of Fig. 11, which replays the 7979-entry geometry
 *regardless of the job's nominal* :class:`~repro.btb.config.BTBConfig` —
 so its hint profile keys on the *effective* geometry, not the nominal
 one.
+
+A policy string may also name a frontend variant (``opt+shotgun``);
+:func:`split_policy` is its one parser.  A plain policy parses to
+itself, so its cache key never changes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.btb.config import BTBConfig, THERMOMETER_7979_CONFIG
+from repro.prefetch.shotgun import shotgun_btb_config
 
-__all__ = ["batch_key", "effective_btb_config", "plan_batches"]
+__all__ = ["FRONTEND_VARIANTS", "PERFECT_BTB", "batch_key",
+           "effective_btb_config", "plan_batches", "split_policy"]
+
+#: What may follow ``+``: a perfect predictor / I-cache, or a prefetcher.
+FRONTEND_VARIANTS = ("perfect-bp", "perfect-icache", "confluence",
+                     "shotgun", "twig")
+#: The perfect-BTB oracle: no BTB, so no replacement policy and no variant.
+PERFECT_BTB = "perfect-btb"
+
+
+def split_policy(policy: str) -> Tuple[str, Optional[str]]:
+    """``'opt+shotgun'`` → ``('opt', 'shotgun')``; ``'lru'`` → ``('lru',
+    None)``.  Raises :class:`ValueError` for an empty base policy, an
+    unknown or repeated variant, or a variant on ``perfect-btb``."""
+    base, plus, variant = policy.partition("+")
+    if not plus:
+        return policy, None
+    if not base or base == PERFECT_BTB or variant not in FRONTEND_VARIANTS:
+        raise ValueError(
+            f"bad policy {policy!r}: expected '<policy>+<variant>' with a "
+            f"variant from {', '.join(FRONTEND_VARIANTS)}")
+    return base, variant
 
 
 def effective_btb_config(policy: str, btb_config: BTBConfig) -> BTBConfig:
     """The geometry ``policy`` actually replays (and profiles hints
     against): the nominal config, except ``thermometer-7979`` which
-    always runs the iso-storage 7979-entry configuration."""
-    if policy == "thermometer-7979":
-        return THERMOMETER_7979_CONFIG
+    always runs the iso-storage 7979-entry configuration, and a
+    ``+shotgun`` variant, which loses Shotgun's metadata share of it."""
+    base, variant = split_policy(policy)
+    if base == "thermometer-7979":
+        btb_config = THERMOMETER_7979_CONFIG
+    if variant == "shotgun":
+        return shotgun_btb_config(btb_config)
     return btb_config
 
 

@@ -1,16 +1,17 @@
-"""One function per paper figure/table (see DESIGN.md §4 for the index).
+"""One callable per paper figure/table (see DESIGN.md §4 for the index).
 
-Every function takes a :class:`~repro.harness.runner.Harness` (constructed
+Every figure takes a :class:`~repro.harness.runner.Harness` (constructed
 with defaults when omitted) and returns an
-:class:`~repro.harness.reporting.ExperimentResult`.  Fig. 10 is the design
-diagram and Table 1 is the configuration (tested in ``tests/test_frontend_params``);
-everything else is here.
+:class:`~repro.harness.reporting.ExperimentResult`; the grids of
+per-(app, policy) runs are :class:`PlannedFigure` job plans.  Fig. 10 is
+the design diagram and Table 1 is the configuration (tested in
+``tests/test_frontend_params``); everything else is here.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.bypass import bypass_ratio_by_class
 from repro.analysis.correlation import branch_property_correlations
@@ -25,18 +26,17 @@ from repro.btb.replacement.thermometer import ThermometerPolicy
 from repro.core.crossval import cross_validate_thresholds
 from repro.core.hints import ThresholdQuantizer
 from repro.core.pipeline import ThermometerPipeline
-from repro.core.temperature import TemperatureProfile
+from repro.core.profiler import profile_trace
+from repro.harness.engine.jobs import SimJob, execute_job
 from repro.harness.reporting import ExperimentResult
-from repro.harness.runner import Harness, PRIOR_POLICIES
-from repro.prefetch.confluence import ConfluencePrefetcher
-from repro.prefetch.shotgun import ShotgunPrefetcher, shotgun_btb_config
-from repro.prefetch.twig import TwigPrefetcher
+from repro.harness.runner import Harness, HarnessConfig, PRIOR_POLICIES
 from repro.trace.record import BranchTrace
 from repro.workloads.suites import make_cbp5_suite, make_ipc1_suite
 
 __all__ = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
            "fig9", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-           "fig17", "fig18", "fig19", "fig20", "fig21", "ALL_EXPERIMENTS"]
+           "fig17", "fig18", "fig19", "fig20", "fig21", "ALL_EXPERIMENTS",
+           "FIGURE_PLANS", "PlannedFigure"]
 
 #: The three applications the paper zooms in on for distribution figures.
 CURVE_APPS = ("drupal", "kafka", "verilator")
@@ -58,95 +58,101 @@ def _append_average(result: ExperimentResult, label: str = "Avg",
     result.rows.append(avg)
 
 
+class PlannedFigure(NamedTuple):
+    """A figure whose every cell is one per-(app, policy) simulation.
+
+    :meth:`plan` lists one job per (app, policy string), each app's
+    ``baseline`` first; a policy string may name a frontend variant (see
+    :func:`repro.harness.engine.keys.split_policy`).  :meth:`reduce`
+    builds the table from their results: ``metric(cell, baseline cell)``
+    per policy, then the ``averages`` rows (``Avg_no_verilator`` skips
+    verilator).  Calling the figure with a harness runs its plan there
+    through :func:`execute_job`; ``reproduce`` instead runs the union of
+    the selected figures' plans as one engine run.
+    """
+
+    name: str
+    title: str
+    columns: Tuple[str, ...]
+    notes: str
+    policies: Tuple[str, ...]
+    baseline: str = "lru"
+    mode: str = "sim"
+    metric: Callable[[Any, Any], float] = Harness.speedup_pct
+    averages: Tuple[str, ...] = ("Avg",)
+
+    def job(self, config: HarnessConfig, app: str, policy: str) -> SimJob:
+        return SimJob(app=app, policy=policy, length=config.length,
+                      mode=self.mode, btb_config=config.btb_config,
+                      params=config.params, thresholds=config.thresholds,
+                      default_category=config.default_category,
+                      warmup_fraction=config.warmup_fraction)
+
+    def plan(self, config: HarnessConfig) -> List[SimJob]:
+        return list(dict.fromkeys(
+            self.job(config, app, policy) for app in config.apps
+            for policy in (self.baseline, *self.policies)))
+
+    def reduce(self, config: HarnessConfig,
+               cells: Mapping[SimJob, Any]) -> ExperimentResult:
+        result = ExperimentResult(self.name, self.title,
+                                  ["app", *self.columns], notes=self.notes)
+        for app in config.apps:
+            base = cells[self.job(config, app, self.baseline)]
+            result.rows.append(
+                [app] + [self.metric(cells[self.job(config, app, p)], base)
+                         for p in self.policies])
+        for label in self.averages:
+            # An average row never averages the average rows before it.
+            skip = (("verilator",) if label == "Avg_no_verilator"
+                    else self.averages)
+            _append_average(result, label, skip_rows=skip)
+        return result
+
+    def __call__(self, h: Optional[Harness] = None) -> ExperimentResult:
+        h = h or Harness()
+        return self.reduce(h.config, {job: execute_job(job, harness=h)
+                                      for job in self.plan(h.config)})
+
+
 # ----------------------------------------------------------------------
 # §2 characterization
 # ----------------------------------------------------------------------
 
-def fig1(h: Optional[Harness] = None) -> ExperimentResult:
-    """Prior replacement policies vs. the optimal policy over LRU."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig1", "IPC speedup (%) of prior policies and OPT over LRU",
-        ["app", "srrip", "ghrp", "hawkeye", "opt"],
-        notes=("Paper: priors average 1.5% (SRRIP best) while OPT averages "
-               "10.4% — a large gap for a profile-guided design to close."))
-    for app in h.config.apps:
-        trace = h.trace(app)
-        base = h.lru_sim(app)
-        row: List = [app]
-        for name in (*PRIOR_POLICIES, "opt"):
-            row.append(h.speedup_pct(h.run_sim(trace, name), base))
-        result.rows.append(row)
-    _append_average(result)
-    return result
+#: Fig. 1: prior replacement policies vs. the optimal policy over LRU.
+fig1 = PlannedFigure(
+    "fig1", "IPC speedup (%) of prior policies and OPT over LRU",
+    ("srrip", "ghrp", "hawkeye", "opt"),
+    notes=("Paper: priors average 1.5% (SRRIP best) while OPT averages "
+           "10.4% — a large gap for a profile-guided design to close."),
+    policies=(*PRIOR_POLICIES, "opt"))
 
+#: Fig. 2: limit study — perfect BTB / direction predictor / I-cache.
+fig2 = PlannedFigure(
+    "fig2", "Limit study: speedup (%) of perfect frontend structures",
+    ("perfect_btb", "perfect_bp", "perfect_icache"),
+    notes=("Paper: perfect BTB 63.2% ≫ perfect I-cache 21.5% > perfect "
+           "BP 11.3% on average; verilator is the extreme outlier."),
+    policies=("perfect-btb", "lru+perfect-bp", "lru+perfect-icache"))
 
-def fig2(h: Optional[Harness] = None) -> ExperimentResult:
-    """Limit study: perfect BTB / direction predictor / I-cache."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig2", "Limit study: speedup (%) of perfect frontend structures",
-        ["app", "perfect_btb", "perfect_bp", "perfect_icache"],
-        notes=("Paper: perfect BTB 63.2% ≫ perfect I-cache 21.5% > perfect "
-               "BP 11.3% on average; verilator is the extreme outlier."))
-    for app in h.config.apps:
-        trace = h.trace(app)
-        base = h.lru_sim(app)
-        perfect_btb = h.run_sim(trace, None, perfect_btb=True)
-        perfect_bp = h.run_sim(trace, "lru", perfect_bp=True)
-        perfect_ic = h.run_sim(trace, "lru", perfect_icache=True)
-        result.rows.append([app,
-                            h.speedup_pct(perfect_btb, base),
-                            h.speedup_pct(perfect_bp, base),
-                            h.speedup_pct(perfect_ic, base)])
-    _append_average(result)
-    return result
+#: Fig. 3: L2 instruction MPKI per application (the LRU baseline's).
+fig3 = PlannedFigure(
+    "fig3", "L2 instruction MPKI (baseline machine)", ("l2i_mpki",),
+    notes=("Paper: verilator's L2iMPKI (42) is ≥300× every other "
+           "application's, making it the data-center proxy workload."),
+    policies=("lru",), metric=lambda lru, _: lru.l2_instruction_mpki,
+    averages=())
 
-
-def fig3(h: Optional[Harness] = None) -> ExperimentResult:
-    """L2 instruction MPKI per application."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig3", "L2 instruction MPKI (baseline machine)",
-        ["app", "l2i_mpki"],
-        notes=("Paper: verilator's L2iMPKI (42) is ≥300× every other "
-               "application's, making it the data-center proxy workload."))
-    for app in h.config.apps:
-        result.rows.append([app, h.lru_sim(app).l2_instruction_mpki])
-    return result
-
-
-def fig4(h: Optional[Harness] = None) -> ExperimentResult:
-    """BTB prefetching (Confluence/Shotgun) vs. optimal replacement."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig4", "Speedup (%) of BTB prefetchers and OPT over LRU",
-        ["app", "confluence_lru", "shotgun_lru", "opt",
-         "confluence_opt", "shotgun_opt", "perfect_btb"],
-        notes=("Paper: Confluence ~1.4% mean, Shotgun slightly negative "
-               "(metadata tax), both far from the 63.2% perfect-BTB limit; "
-               "optimal replacement also helps the prefetchers."))
-    shotgun_cfg = shotgun_btb_config(h.config.btb_config)
-    for app in h.config.apps:
-        trace = h.trace(app)
-        base = h.lru_sim(app)
-        row: List = [app]
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "lru", prefetcher=ConfluencePrefetcher()), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "lru", btb_config=shotgun_cfg,
-                      prefetcher=ShotgunPrefetcher()), base))
-        row.append(h.speedup_pct(h.run_sim(trace, "opt"), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "opt", prefetcher=ConfluencePrefetcher()), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "opt", btb_config=shotgun_cfg,
-                      prefetcher=ShotgunPrefetcher()), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, None, perfect_btb=True), base))
-        result.rows.append(row)
-    _append_average(result)
-    return result
+#: Fig. 4: BTB prefetching (Confluence/Shotgun) vs. optimal replacement.
+fig4 = PlannedFigure(
+    "fig4", "Speedup (%) of BTB prefetchers and OPT over LRU",
+    ("confluence_lru", "shotgun_lru", "opt", "confluence_opt",
+     "shotgun_opt", "perfect_btb"),
+    notes=("Paper: Confluence ~1.4% mean, Shotgun slightly negative "
+           "(metadata tax), both far from the 63.2% perfect-BTB limit; "
+           "optimal replacement also helps the prefetchers."),
+    policies=("lru+confluence", "lru+shotgun", "opt", "opt+confluence",
+              "opt+shotgun", "perfect-btb"))
 
 
 def fig5(h: Optional[Harness] = None) -> ExperimentResult:
@@ -254,56 +260,25 @@ def fig9(h: Optional[Harness] = None) -> ExperimentResult:
 # §4 evaluation
 # ----------------------------------------------------------------------
 
-def fig11(h: Optional[Harness] = None) -> ExperimentResult:
-    """Main result: Thermometer vs. priors vs. OPT (IPC speedup over LRU)."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig11", "IPC speedup (%) over LRU (with FDIP)",
-        ["app", "srrip", "ghrp", "hawkeye", "thermometer",
-         "thermometer_7979", "opt"],
-        notes=("Paper: Thermometer 8.7% average (0.4–64.9%), 83.6% of OPT's "
-               "10.4%; priors at most 1.5%.  The 7979-entry variant pays "
-               "for its 2 hint bits per entry with capacity."))
-    for app in h.config.apps:
-        trace = h.trace(app)
-        base = h.lru_sim(app)
-        hints = h.hints(app)
-        row: List = [app]
-        for name in PRIOR_POLICIES:
-            row.append(h.speedup_pct(h.run_sim(trace, name), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "thermometer", hints=hints), base))
-        hints_7979 = h.hints(app, btb_config=BTBConfig(entries=7979, ways=4))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "thermometer-7979", hints=hints_7979), base))
-        row.append(h.speedup_pct(h.run_sim(trace, "opt"), base))
-        result.rows.append(row)
-    _append_average(result, "Avg_no_verilator", skip_rows=("verilator",))
-    _append_average(result, "Avg", skip_rows=("Avg_no_verilator",))
-    return result
+#: Fig. 11, the main result: Thermometer vs. priors vs. OPT (IPC speedup
+#: over LRU).
+fig11 = PlannedFigure(
+    "fig11", "IPC speedup (%) over LRU (with FDIP)",
+    ("srrip", "ghrp", "hawkeye", "thermometer", "thermometer_7979", "opt"),
+    notes=("Paper: Thermometer 8.7% average (0.4–64.9%), 83.6% of OPT's "
+           "10.4%; priors at most 1.5%.  The 7979-entry variant pays "
+           "for its 2 hint bits per entry with capacity."),
+    policies=(*PRIOR_POLICIES, "thermometer", "thermometer-7979", "opt"),
+    averages=("Avg_no_verilator", "Avg"))
 
-
-def fig12(h: Optional[Harness] = None) -> ExperimentResult:
-    """BTB miss reduction over LRU."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig12", "BTB miss reduction (%) over LRU",
-        ["app", "srrip", "ghrp", "hawkeye", "thermometer", "opt"],
-        notes=("Paper: Thermometer removes 21.3% of all BTB misses vs 34% "
-               "for OPT (62.6% of optimal); priors reach at most 6.7%."))
-    for app in h.config.apps:
-        trace = h.trace(app)
-        base = h.run_misses(trace, "lru")
-        hints = h.hints(app)
-        row: List = [app]
-        for name in PRIOR_POLICIES:
-            row.append(h.miss_reduction_pct(h.run_misses(trace, name), base))
-        row.append(h.miss_reduction_pct(
-            h.run_misses(trace, "thermometer", hints=hints), base))
-        row.append(h.miss_reduction_pct(h.run_misses(trace, "opt"), base))
-        result.rows.append(row)
-    _append_average(result)
-    return result
+#: Fig. 12: BTB miss reduction over LRU.
+fig12 = PlannedFigure(
+    "fig12", "BTB miss reduction (%) over LRU",
+    ("srrip", "ghrp", "hawkeye", "thermometer", "opt"),
+    notes=("Paper: Thermometer removes 21.3% of all BTB misses vs 34% "
+           "for OPT (62.6% of optimal); priors reach at most 6.7%."),
+    policies=(*PRIOR_POLICIES, "thermometer", "opt"), mode="misses",
+    metric=Harness.miss_reduction_pct)
 
 
 def fig13(h: Optional[Harness] = None,
@@ -360,7 +335,9 @@ def fig14(h: Optional[Harness] = None) -> ExperimentResult:
                "traces — comparable to routine post-link-optimizer runs. "
                "Times here are for the synthetic traces' lengths."))
     for app in h.config.apps:
-        profile = h.profile(app)
+        # Profiled here, not taken from the harness: a profile read back
+        # from the store carries no elapsed time.
+        profile = profile_trace(h.trace(app), h.config.btb_config)
         result.rows.append([app, profile.elapsed_seconds,
                             profile.stats.accesses])
     _append_average(result)
@@ -583,23 +560,31 @@ def fig18(h: Optional[Harness] = None, count: int = 15,
 # ----------------------------------------------------------------------
 
 def _pct_of_opt(h: Harness, trace: BranchTrace, hints, btb_config,
-                params=None) -> Optional[Tuple[float, float]]:
+                memo: Dict, params=None) -> Optional[Tuple[float, float]]:
     """(thermometer, srrip) speedups as % of OPT's, for one config.
 
     Returns None when OPT itself gains under 0.3% — percent-of-nothing is
     noise (e.g. a 32K-entry BTB that already holds the whole footprint).
+    ``memo`` (one per trace) keeps the hint-free runs, which a sweep over
+    hint categories, or a config two sweeps share, would repeat.
     """
-    base = h.run_sim(trace, "lru", btb_config=btb_config, params=params)
-    opt = h.speedup_pct(
-        h.run_sim(trace, "opt", btb_config=btb_config, params=params), base)
+    params = params or h.config.params
+
+    def run(policy: str):
+        key = (policy, btb_config, params)
+        if key not in memo:
+            memo[key] = h.run_sim(trace, policy, btb_config=btb_config,
+                                  params=params)
+        return memo[key]
+
+    base = run("lru")
+    opt = h.speedup_pct(run("opt"), base)
     if opt <= 0.3:
         return None
     therm = h.speedup_pct(
         h.run_sim(trace, "thermometer", hints=hints, btb_config=btb_config,
                   params=params), base)
-    srrip = h.speedup_pct(
-        h.run_sim(trace, "srrip", btb_config=btb_config, params=params),
-        base)
+    srrip = h.speedup_pct(run("srrip"), base)
     return 100.0 * therm / opt, 100.0 * srrip / opt
 
 
@@ -622,16 +607,17 @@ def fig19(h: Optional[Harness] = None,
                "Configurations where OPT itself gains <0.3% are omitted."))
     for app in apps:
         trace = h.trace(app)
+        memo: Dict = {}
         for entries in entry_sweep:
             cfg = BTBConfig(entries=entries, ways=h.config.btb_config.ways)
             hints = h.hints(app, btb_config=cfg)
-            pair = _pct_of_opt(h, trace, hints, cfg)
+            pair = _pct_of_opt(h, trace, hints, cfg, memo)
             if pair is not None:
                 result.rows.append([f"entries={entries}", app, *pair])
         for ways in way_sweep:
             cfg = BTBConfig(entries=h.config.btb_config.entries, ways=ways)
             hints = h.hints(app, btb_config=cfg)
-            pair = _pct_of_opt(h, trace, hints, cfg)
+            pair = _pct_of_opt(h, trace, hints, cfg, memo)
             if pair is not None:
                 result.rows.append([f"ways={ways}", app, *pair])
     return result
@@ -664,50 +650,34 @@ def fig20(h: Optional[Harness] = None,
     for app in apps:
         trace = h.trace(app)
         temps = h.temperatures(app)
+        memo: Dict = {}
         for k in category_sweep:
             quantizer = ThresholdQuantizer(_thresholds_for_categories(k))
             hints = quantizer.quantize(
                 temps, default_category=min(1, k - 1))
-            pair = _pct_of_opt(h, trace, hints, h.config.btb_config)
+            pair = _pct_of_opt(h, trace, hints, h.config.btb_config, memo)
             if pair is not None:
                 result.rows.append([f"categories={k}", app, *pair])
         hints = h.hints(app)
         for ftq in ftq_sweep:
             params = h.config.params.with_ftq_entries(
                 ftq // h.config.params.ftq_block_instructions)
-            pair = _pct_of_opt(h, trace, hints, h.config.btb_config,
+            pair = _pct_of_opt(h, trace, hints, h.config.btb_config, memo,
                                params=params)
             if pair is not None:
                 result.rows.append([f"ftq={ftq}", app, *pair])
     return result
 
 
-def fig21(h: Optional[Harness] = None) -> ExperimentResult:
-    """Thermometer under state-of-the-art BTB prefetching (Twig)."""
-    h = h or Harness()
-    result = ExperimentResult(
-        "fig21", "IPC speedup (%) over LRU+Twig baseline",
-        ["app", "srrip", "thermometer", "opt"],
-        notes=("Paper: Thermometer+Twig gains 30.9% over LRU+Twig (95.9% "
-               "of OPT's 32.2%); prefetch fills make replacement quality "
-               "matter even more."))
-    for app in h.config.apps:
-        trace = h.trace(app)
-        twig = TwigPrefetcher.train(trace, h.config.btb_config)
-        base = h.run_sim(trace, "lru", prefetcher=twig)
-        hints = h.hints(app)
-        row: List = [app]
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "srrip", prefetcher=twig), base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "thermometer", hints=hints, prefetcher=twig),
-            base))
-        row.append(h.speedup_pct(
-            h.run_sim(trace, "opt", prefetcher=twig), base))
-        result.rows.append(row)
-    _append_average(result, "Avg_no_verilator", skip_rows=("verilator",))
-    _append_average(result, "Avg", skip_rows=("Avg_no_verilator",))
-    return result
+#: Fig. 21: Thermometer under state-of-the-art BTB prefetching (Twig).
+fig21 = PlannedFigure(
+    "fig21", "IPC speedup (%) over LRU+Twig baseline",
+    ("srrip", "thermometer", "opt"),
+    notes=("Paper: Thermometer+Twig gains 30.9% over LRU+Twig (95.9% "
+           "of OPT's 32.2%); prefetch fills make replacement quality "
+           "matter even more."),
+    policies=("srrip+twig", "thermometer+twig", "opt+twig"),
+    baseline="lru+twig", averages=("Avg_no_verilator", "Avg"))
 
 
 #: Every experiment, in paper order, for the reproduce driver.
@@ -718,3 +688,7 @@ ALL_EXPERIMENTS = {
     "fig15": fig15, "fig16": fig16, "fig17": fig17, "fig18": fig18,
     "fig19": fig19, "fig20": fig20, "fig21": fig21,
 }
+
+#: The figures whose cells are engine jobs (see :class:`PlannedFigure`).
+FIGURE_PLANS = {figure.name: figure for figure in ALL_EXPERIMENTS.values()
+                if isinstance(figure, PlannedFigure)}

@@ -7,34 +7,31 @@ traces):
 * ``--preset full``  — the lengths EXPERIMENTS.md was produced with.
 
 Select a subset with ``--only fig11,fig12``; write markdown with
-``--output results.md``.  ``--jobs N`` (default ``REPRO_JOBS``) runs whole
-figures in parallel worker processes; all workers share one persistent
+``--output results.md``.  The planned figures' cells (fig1-4, fig11,
+fig12, fig21) run as one engine run on ``--jobs N`` workers (default
+``REPRO_JOBS``), each job retried up to ``--max-retries`` times; the
+other figures then run inline, unretried.  All processes share one
 artifact store (``--cache-dir``, default ``REPRO_CACHE_DIR`` or
-``~/.cache/repro-thermometer``) so traces, OPT profiles, hint maps, and
-baseline runs are computed once per machine.  ``--no-cache`` disables the
-store.
+``~/.cache/repro-thermometer``; ``--no-cache`` disables it), which also
+keeps the engine run's manifest under ``runs/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Union
 
 from repro import runtime
-from repro.harness.engine import ArtifactStore
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.engine import ArtifactStore, ExperimentEngine
+from repro.harness.experiments import ALL_EXPERIMENTS, FIGURE_PLANS
 from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 
 __all__ = ["main", "run_experiments", "PRESETS"]
-
-log = logging.getLogger(__name__)
 
 PRESETS: Dict[str, dict] = {
     # length: per-app trace records; cbp/ipc: suite sizes.
@@ -64,24 +61,6 @@ def _harness_config(settings: dict,
     return HarnessConfig(length=settings["length"])
 
 
-def _run_one(name: str, preset: str, apps: Optional[List[str]],
-             cache_dir: Optional[str] = None,
-             config: Optional[runtime.RuntimeConfig] = None):
-    """Worker entry point (must be module-level for process pools); runs
-    under the parent's runtime ``config`` when one is given."""
-    if config is not None:
-        with runtime.override(config):
-            return _run_one(name, preset, apps, cache_dir)
-    settings = PRESETS[preset]
-    store = ArtifactStore(cache_dir) if cache_dir else None
-    harness = Harness(_harness_config(settings, apps), store=store)
-    start = time.perf_counter()
-    result = ALL_EXPERIMENTS[name](harness,
-                                   **_experiment_kwargs(name, settings))
-    stats = store.stats if store is not None else CacheStats()
-    return name, result, time.perf_counter() - start, stats
-
-
 def run_experiments(names: Optional[List[str]] = None,
                     preset: str = "full",
                     apps: Optional[List[str]] = None,
@@ -92,15 +71,11 @@ def run_experiments(names: Optional[List[str]] = None,
                     ) -> Dict[str, "ExperimentResult"]:
     """Run the named experiments (all by default) and stream their tables.
 
-    ``jobs > 1`` runs whole figures in parallel worker processes; a
-    figure whose worker raises or dies is retried on a fresh pool up to
-    ``max_retries`` times (default: the runtime config's) before
-    the whole reproduction fails, so one lost worker does not discard
-    every other figure's work.  ``cache_dir`` points every process at one
-    shared on-disk artifact store, so per-figure harnesses reuse each
-    other's traces, profiles, hints, and LRU baselines (and so do later
-    invocations — including those retries, which skip straight to the
-    missing artifacts).
+    The selected ``FIGURE_PLANS`` run first, as one engine run over the
+    de-duplicated union of their cells (``jobs`` workers, up to
+    ``max_retries`` retries per job, a manifest under
+    ``<cache_dir>/runs``); the other figures then run inline on one
+    harness, unretried.  Results keep ``names`` order.
     """
     settings = PRESETS[preset]
     names = names or list(ALL_EXPERIMENTS)
@@ -109,60 +84,44 @@ def run_experiments(names: Optional[List[str]] = None,
         raise ValueError(f"unknown experiments: {unknown}; available: "
                          f"{list(ALL_EXPERIMENTS)}")
     cache_dir = str(cache_dir) if cache_dir else None
-    results = {}
+    config = _harness_config(settings, apps)
+    plans = {name: FIGURE_PLANS[name].plan(config) for name in names
+             if name in FIGURE_PLANS}
     cache_stats = CacheStats()
-
-    def record(name, result, elapsed, stats):
-        results[name] = result
-        cache_stats.merge(stats)
+    cells = {}
+    if plans:
+        unique = list(dict.fromkeys(job for plan in plans.values()
+                                    for job in plan))
+        engine = ExperimentEngine(cache_dir=cache_dir, jobs=jobs,
+                                  max_retries=max_retries)
+        start = time.perf_counter()
+        done = engine.run(unique)
+        cells = {job: result.value for job, result in zip(unique, done)}
+        cache_stats.merge(engine.stats)
         # run_experiments is a library API streaming to a caller-chosen
         # file object, so it writes directly instead of logging.
-        print(result.render(), file=stream)
-        print(f"[{name} took {elapsed:.1f}s]\n", file=stream)
-        stream.flush()
-
-    if max_retries is None:
-        max_retries = runtime.current().max_retries
-    if jobs > 1:
-        # Retry rounds recreate the pool: a worker death breaks the whole
-        # ProcessPoolExecutor, so surviving figures are re-run (their
-        # artifacts are already in the shared store) on fresh processes.
-        queue = list(names)
-        for round_no in range(1 + max_retries):
-            failed: List[str] = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_one, name, preset, apps,
-                                       cache_dir, runtime.current())
-                           for name in queue]
-                for name, future in zip(queue, futures):
-                    try:
-                        record(*future.result())
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BaseException as exc:
-                        log.warning("figure %s failed in round %d "
-                                    "(%s: %s)", name, round_no,
-                                    type(exc).__name__, exc)
-                        failed.append(name)
-            queue = failed
-            if not queue:
-                break
-        if queue:
-            raise RuntimeError(
-                f"experiments failed after {1 + max_retries} "
-                f"attempt(s): {', '.join(queue)}")
-    else:
-        store = ArtifactStore(cache_dir) if cache_dir else None
-        harness = Harness(_harness_config(settings, apps), store=store)
-        for name in names:
-            start = time.perf_counter()
+        print(f"[engine run: {len(unique)} jobs for {', '.join(plans)}, "
+              f"{sum(r.cached for r in done)} from the store, "
+              f"{time.perf_counter() - start:.1f}s]\n", file=stream)
+    store = ArtifactStore(cache_dir) if cache_dir else None
+    harness = None
+    results = {}
+    for name in names:
+        start = time.perf_counter()
+        if name in plans:
+            result = FIGURE_PLANS[name].reduce(config, cells)
+            done_line = f"[{name}: {len(plans[name])} cells]"
+        else:
+            harness = harness or Harness(config, store=store)
             result = ALL_EXPERIMENTS[name](
                 harness, **_experiment_kwargs(name, settings))
-            record(name, result, time.perf_counter() - start,
-                   CacheStats())
-        if store is not None:
-            cache_stats.merge(store.stats)
+            done_line = f"[{name} took {time.perf_counter() - start:.1f}s]"
+        results[name] = result
+        print(result.render(), file=stream)
+        print(done_line + "\n", file=stream)
+        stream.flush()
     if cache_dir:
+        cache_stats.merge(store.stats)
         print(cache_stats.render(), file=stream)
         stream.flush()
     return results
@@ -181,16 +140,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", default=None,
                         help="also write results as markdown to this file")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="run figures in N parallel processes "
-                             "(default: REPRO_JOBS or 1)")
+                        help="run the planned figures' jobs in N "
+                             "parallel processes (default: REPRO_JOBS "
+                             "or 1)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent artifact store location (default: "
                              "REPRO_CACHE_DIR or ~/.cache/repro-thermometer)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent artifact store")
     parser.add_argument("--max-retries", type=int, default=None,
-                        help="re-run a figure whose worker failed up to N "
-                             "times (default: REPRO_MAX_RETRIES or 1)")
+                        help="retry each failed job of the engine run up "
+                             "to N times; inline figures are not retried "
+                             "(default: REPRO_MAX_RETRIES or 1)")
     parser.add_argument("--validate", action="store_true",
                         help="check the reproduction claims against the "
                              "results and exit non-zero on failures")

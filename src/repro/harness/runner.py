@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.btb.btb import BTB, BTBStats, run_btb
@@ -15,6 +15,7 @@ from repro.core.profiler import OptProfile, profile_trace
 from repro.core.temperature import TemperatureProfile
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
 from repro.frontend.simulator import FrontendSimulator, SimResult
+from repro.prefetch.twig import TwigPrefetcher
 from repro.telemetry.tracing import span
 from repro.trace.record import BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
@@ -40,9 +41,6 @@ class HarnessConfig:
     default_category: int = 1
     warmup_fraction: float = 0.2
 
-    def scaled(self, length: int) -> "HarnessConfig":
-        return replace(self, length=length)
-
 
 class Harness:
     """Caches traces, profiles, hints, and baseline runs across experiments.
@@ -65,6 +63,7 @@ class Harness:
         self._traces: Dict[Tuple[str, int], BranchTrace] = {}
         self._profiles: Dict[Tuple[str, int, BTBConfig], OptProfile] = {}
         self._lru_sims: Dict[Tuple[str, int], SimResult] = {}
+        self._twigs: Dict[Tuple[str, int], TwigPrefetcher] = {}
 
     def invalidate(self, app: Optional[str] = None,
                    input_id: Optional[int] = None) -> None:
@@ -83,7 +82,8 @@ class Harness:
                 return False
             return True
 
-        for cache in (self._traces, self._profiles, self._lru_sims):
+        for cache in (self._traces, self._profiles, self._lru_sims,
+                      self._twigs):
             for key in [k for k in cache if matches(k)]:
                 del cache[key]
 
@@ -139,6 +139,16 @@ class Harness:
                                        length=self.config.length))
             self._traces[key] = cached
         return cached
+
+    def twig(self, app: str, input_id: int = 0) -> TwigPrefetcher:
+        """The Twig prefetcher trained on ``app``'s trace under the
+        harness geometry, trained once and shared by every run that
+        uses it (prefetcher state never changes a run's result)."""
+        key = (app, input_id)
+        if key not in self._twigs:
+            self._twigs[key] = TwigPrefetcher.train(
+                self.trace(app, input_id), self.config.btb_config)
+        return self._twigs[key]
 
     def profile(self, app: str, input_id: int = 0,
                 btb_config: Optional[BTBConfig] = None) -> OptProfile:
@@ -244,12 +254,13 @@ class Harness:
             return sim.simulate(trace,
                                 warmup_fraction=self.config.warmup_fraction)
 
-    def speedup_pct(self, result: SimResult, baseline: SimResult) -> float:
+    @staticmethod
+    def speedup_pct(result: SimResult, baseline: SimResult) -> float:
         """IPC speedup in percent."""
         return 100.0 * result.speedup_over(baseline)
 
-    def miss_reduction_pct(self, stats: BTBStats,
-                           baseline: BTBStats) -> float:
+    @staticmethod
+    def miss_reduction_pct(stats: BTBStats, baseline: BTBStats) -> float:
         if baseline.misses == 0:
             return 0.0
         return 100.0 * (baseline.misses - stats.misses) / baseline.misses

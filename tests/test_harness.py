@@ -4,8 +4,9 @@ import io
 
 import pytest
 
+from repro.harness.engine import ArtifactStore
 from repro.harness.experiments import (ALL_EXPERIMENTS, fig1, fig3, fig11,
-                                       fig15, fig17,
+                                       fig14, fig15, fig17,
                                        _thresholds_for_categories)
 from repro.harness.reporting import ExperimentResult, format_table
 from repro.harness.runner import Harness, HarnessConfig
@@ -105,6 +106,18 @@ class TestExperiments:
         srrip = avg[result.columns.index("srrip")]
         assert opt >= therm >= srrip - 0.5
 
+    def test_fig14_times_profiles_already_in_the_store(self, tmp_path):
+        """A profile read back from the store carries no elapsed time, so
+        fig14 must time the profiling itself."""
+        config = HarnessConfig(apps=("tomcat", "python"), length=8000)
+        store = ArtifactStore(tmp_path)
+        for app in config.apps:
+            Harness(config, store=store).profile(app)
+        warm = Harness(config, store=store)
+        assert warm.profile("tomcat").elapsed_seconds == 0.0
+        result = fig14(warm)
+        assert all(row[1] > 0.0 for row in result.rows)
+
     def test_fig15_coverage_bounds(self, harness):
         result = fig15(harness)
         assert all(0.0 <= row[1] <= 100.0 for row in result.rows)
@@ -139,9 +152,16 @@ class TestReproduceDriver:
         with pytest.raises(ValueError, match="unknown experiments"):
             run_experiments(names=["fig99"], preset="quick")
 
-    def test_parallel_jobs_run(self):
+    def test_parallel_jobs_run(self, tmp_path):
+        """A planned figure runs on the engine's process pool, an inline
+        one after it, and results keep the requested order."""
         from repro.harness.reproduce import run_experiments
+        from repro.telemetry.manifest import read_run_manifest
         stream = io.StringIO()
-        results = run_experiments(names=["fig3", "fig14"], preset="quick",
-                                  apps=["python"], stream=stream, jobs=2)
-        assert set(results) == {"fig3", "fig14"}
+        results = run_experiments(names=["fig5", "fig12"], preset="quick",
+                                  apps=["python"], stream=stream, jobs=2,
+                                  cache_dir=tmp_path)
+        assert list(results) == ["fig5", "fig12"]
+        summary = read_run_manifest(tmp_path).summary
+        assert summary["runtime"]["executor"] == "pool"
+        assert summary["job_states"] == {"succeeded": 6}
