@@ -10,7 +10,7 @@ import numpy as np
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.btb.entry import BTBEntry
 from repro.btb.observer import BTBObserver
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy
+from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
 from repro.trace.record import BranchKind, BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 
@@ -64,12 +64,13 @@ class BTBStats:
 class BTB:
     """A set-associative branch target buffer with a pluggable policy.
 
-    Storage is flat numpy: one ``(num_sets, ways)`` array per field, so
-    whole-BTB inspection (``resident_pcs``, occupancy, snapshotting) is
-    vectorized.  The per-access tag match runs through a per-set pc → way
-    directory kept in lockstep with the tag array — constant-time instead
-    of a way scan — while the policy interface is unchanged, so every
-    registry policy runs as before.
+    Storage is one plain list per set and field (``_tags[s][w]``,
+    ``_targets``, ``_reused``, ``_fill_index``): the reference loop and
+    the replay kernels (:mod:`repro.btb.kernels`) read and mutate these
+    rows in place, and scalar list indexing is the cheapest access
+    Python has.  The per-access tag match runs through a per-set pc →
+    way directory kept in lockstep with the tag rows — constant-time
+    instead of a way scan.
 
     Structured observation: :meth:`add_observer` attaches a
     :class:`~repro.btb.observer.BTBObserver` that receives hit / fill /
@@ -85,10 +86,10 @@ class BTB:
         self.policy.bind(config.num_sets, config.ways)
         self.stats = BTBStats()
         nsets, ways = config.num_sets, config.ways
-        self._tags = np.full((nsets, ways), _INVALID, dtype=np.int64)
-        self._targets = np.zeros((nsets, ways), dtype=np.int64)
-        self._reused = np.zeros((nsets, ways), dtype=np.bool_)
-        self._fill_index = np.zeros((nsets, ways), dtype=np.int64)
+        self._tags = new_grid(nsets, ways, _INVALID)
+        self._targets = new_grid(nsets, ways, 0)
+        self._reused = new_grid(nsets, ways, False)
+        self._fill_index = new_grid(nsets, ways, 0)
         #: Per-set pc → way directory mirroring ``_tags``.
         self._dir: List[Dict[int, int]] = [{} for _ in range(nsets)]
         self._observers: List[BTBObserver] = []
@@ -111,7 +112,7 @@ class BTB:
         way = self._dir[s].get(pc)
         if way is None:
             return None
-        return int(self._targets[s, way])
+        return self._targets[s][way]
 
     def contains(self, pc: int) -> bool:
         return self.lookup(pc) is not None
@@ -138,7 +139,7 @@ class BTB:
             if targets_row[way] != target:
                 stats.target_mismatches += 1
                 targets_row[way] = target
-            self._reused[s, way] = True
+            self._reused[s][way] = True
             self.policy.on_hit(s, way, pc, index)
             if self._observers:
                 for observer in self._observers:
@@ -158,7 +159,7 @@ class BTB:
         s = self.config.set_index(pc)
         way = self._dir[s].get(pc)
         if way is not None:
-            self._targets[s, way] = target
+            self._targets[s][way] = target
             return False
         self.policy.prefetch_fill_in_progress = True
         try:
@@ -170,11 +171,11 @@ class BTB:
         tags = self._tags[s]
         directory = self._dir[s]
         if len(directory) < self.config.ways:
-            way = int((tags == _INVALID).argmax())
+            way = tags.index(_INVALID)
             tags[way] = pc
-            self._targets[s, way] = target
-            self._reused[s, way] = False
-            self._fill_index[s, way] = index
+            self._targets[s][way] = target
+            self._reused[s][way] = False
+            self._fill_index[s][way] = index
             directory[pc] = way
             self.stats.compulsory_fills += 1
             self.policy.on_fill(s, way, pc, index)
@@ -182,9 +183,7 @@ class BTB:
                 for observer in self._observers:
                     observer.on_fill(self, s, way, pc, target, index)
             return True
-        # The numpy tag row is handed to the policy as-is: materializing a
-        # list per miss (``tags.tolist()``) dominated the miss path, and no
-        # in-tree policy needs more than iteration/indexing over it.
+        # The live tag row is handed to the policy; policies only read it.
         victim = self.policy.choose_victim(s, tags, pc, index)
         if victim == BYPASS:
             self.stats.bypasses += 1
@@ -198,18 +197,18 @@ class BTB:
                 f"policy {self.policy.name!r} returned invalid victim way "
                 f"{victim} (ways={self.config.ways})")
         self.stats.evictions += 1
-        victim_pc = int(tags[victim])
+        victim_pc = tags[victim]
         if self._observers:
             for observer in self._observers:
                 observer.on_evict(self, s, victim, victim_pc, pc, index)
         self.policy.on_evict(s, victim, victim_pc,
-                             bool(self._reused[s, victim]))
+                             self._reused[s][victim])
         del directory[victim_pc]
         directory[pc] = victim
         tags[victim] = pc
-        self._targets[s, victim] = target
-        self._reused[s, victim] = False
-        self._fill_index[s, victim] = index
+        self._targets[s][victim] = target
+        self._reused[s][victim] = False
+        self._fill_index[s][victim] = index
         self.policy.on_fill(s, victim, pc, index)
         if self._observers:
             for observer in self._observers:
@@ -219,20 +218,20 @@ class BTB:
     # ------------------------------------------------------------------
     def entry(self, set_idx: int, way: int) -> Optional[BTBEntry]:
         """Materialize the entry stored at ``(set_idx, way)``, if valid."""
-        if self._tags[set_idx, way] == _INVALID:
+        pc = self._tags[set_idx][way]
+        if pc == _INVALID:
             return None
-        return BTBEntry(pc=int(self._tags[set_idx, way]),
-                        target=int(self._targets[set_idx, way]),
-                        fill_index=int(self._fill_index[set_idx, way]),
-                        reused=bool(self._reused[set_idx, way]))
+        return BTBEntry(pc=pc, target=self._targets[set_idx][way],
+                        fill_index=self._fill_index[set_idx][way],
+                        reused=self._reused[set_idx][way])
 
     def resident_pcs(self) -> List[int]:
-        """All valid tags currently stored (unordered) — vectorized."""
-        return self._tags[self._tags != _INVALID].tolist()
+        """All valid tags currently stored, set by set and way by way."""
+        return [pc for row in self._tags for pc in row if pc != _INVALID]
 
     @property
     def occupancy(self) -> int:
-        return int((self._tags != _INVALID).sum())
+        return sum(map(len, self._dir))
 
     def __repr__(self) -> str:
         return (f"BTB(entries={self.config.entries}, ways={self.config.ways}, "

@@ -59,7 +59,7 @@ class PartialTagBTB(BTB):
     def access(self, pc: int, target: int = 0, index: int = 0) -> bool:
         cfg = self.config
         s = cfg.set_index(pc)
-        tags_row = self._tags[s].tolist()
+        tags_row = self._tags[s]
         self.stats.accesses += 1
         self.last_hit_was_false = False
         wanted = self.partial_tag(pc)
@@ -77,14 +77,14 @@ class PartialTagBTB(BTB):
                     # the true identity takeover.
                     self.false_hits += 1
                     self.last_hit_was_false = True
-                    self._tags[s, way] = pc
+                    tags_row[way] = pc
                     directory = self._dir[s]
                     del directory[stored]
                     directory[pc] = way
-                elif self._targets[s, way] != target:
+                elif self._targets[s][way] != target:
                     self.stats.target_mismatches += 1
-                self._reused[s, way] = True
-                self._targets[s, way] = target
+                self._reused[s][way] = True
+                self._targets[s][way] = target
                 self.policy.on_hit(s, way, pc, index)
                 if self._observers:
                     for observer in self._observers:

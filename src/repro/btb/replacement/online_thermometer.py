@@ -105,7 +105,7 @@ class OnlineThermometerPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_idx: int, resident_pcs: Sequence[int],
                       incoming_pc: int, index: int) -> int:
-        temps = [self.temperature_of(int(pc)) for pc in resident_pcs]
+        temps = [self.temperature_of(pc) for pc in resident_pcs]
         incoming_temp = self.temperature_of(incoming_pc)
         coldest = min(incoming_temp, min(temps))
         candidates = [w for w in range(self.num_ways)

@@ -131,9 +131,14 @@ class ThresholdQuantizer:
 
     def quantize(self, profile: TemperatureProfile,
                  default_category: int = 0) -> HintMap:
+        """One ``searchsorted`` over every percentage: the left side
+        puts a value equal to a threshold in the colder category, like
+        :meth:`category`."""
+        values = np.fromiter(profile.percentages.values(), dtype=np.float64,
+                             count=len(profile.percentages))
+        categories = np.searchsorted(self.thresholds, values, side="left")
         return HintMap(
-            categories={pc: self.category(y)
-                        for pc, y in profile.percentages.items()},
+            categories=dict(zip(profile.percentages, categories.tolist())),
             num_categories=self.num_categories,
             default_category=default_category)
 

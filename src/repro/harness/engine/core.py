@@ -415,8 +415,11 @@ class ExperimentEngine:
     def _runtime_block(self, ctx: RunContext) -> Dict[str, Any]:
         """The run's switches for ``summary.json``, plus the ``executor``
         that ran it (absent when the run failed before one was chosen,
-        and in runs that predate the key)."""
+        and in runs that predate the key).  ``jobs`` is this engine's
+        worker count, which a ``--jobs`` flag or the ``jobs=`` argument
+        may have set apart from the ``REPRO_JOBS`` switch."""
         block = ctx.runtime.to_dict()
+        block["jobs"] = self.jobs
         name = getattr(self._ran_on, "name", "")
         if name:
             block["executor"] = name

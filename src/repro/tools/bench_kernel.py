@@ -80,17 +80,17 @@ DEFAULT_POLICIES = ("lru", "srrip", "thermometer", "opt")
 KERNEL_POLICIES = tuple(kernels.kernel_policy_names())
 
 #: Seed speedup floors for the replay breakdown, used when no committed
-#: ``BENCH_replay.json`` supplies its own ``floors``.  The acceptance bar
-#: is >= 2x for the set-partitioned kernels the paper's sweeps lean on
-#: hardest and a conservative margin under the measured speedup for the
-#: global-order kernels, whose learning-state bookkeeping keeps more of
-#: the reference loop's per-access work.
+#: ``BENCH_replay.json`` supplies its own ``floors``.  Each sits 12-38%
+#: under the speedup that file records.  The run-head kernels (which
+#: skip each run's tail) carry the highest floors; the per-access
+#: kernels, whose learning-state bookkeeping keeps more of the reference
+#: loop's work, the lowest.
 REPLAY_FLOORS = {
-    "lru": 2.0, "opt": 2.0, "thermometer": 1.25,
-    "mru": 2.0, "fifo": 2.0, "srrip": 2.0, "plru": 2.5,
-    "dip": 1.8, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
+    "lru": 2.8, "opt": 4.3, "thermometer": 2.0,
+    "mru": 2.6, "fifo": 2.1, "srrip": 2.7, "plru": 3.9,
+    "dip": 2.2, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
     "thermometer-dueling": 1.6, "thermometer-online": 1.4,
-    "random": 1.5, "brrip": 1.5,
+    "random": 2.3, "brrip": 2.3,
 }
 
 #: Seed speedup floors for the stage-decoupled ``simulate`` fast path

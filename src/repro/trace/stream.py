@@ -17,6 +17,11 @@ Columns (all numpy, one entry per BTB demand access):
 * ``next_use`` (lazy) — Belady next-use distances with the :data:`NEVER`
   sentinel, shared by OPT replacement and the OPT profiler.
 
+:meth:`AccessStream.partition` (lazy) regroups the stream per BTB set
+into *runs*, maximal stretches of one pc within one set's sub-stream
+(:class:`SetPartition`); the replay kernels iterate run heads instead
+of single accesses.
+
 Plain-int mirrors (``pcs_list`` etc.) are materialized lazily because
 scalar replay loops index plain ints 3-4× faster than numpy scalars.
 They are tuples, not lists: a tuple of ints holds no references the
@@ -91,50 +96,79 @@ def _ints(column: np.ndarray) -> tuple:
 
 
 class SetPartition:
-    """A stream re-partitioned into contiguous per-set sub-streams.
+    """A stream re-partitioned into per-set sub-streams of *runs*.
 
     BTB sets are architecturally independent: no access in set *s* can
     influence the outcome of an access in set *t*.  A stable argsort of
     the stream's ``set_indices`` therefore yields, for each set, its
     accesses *in original stream order* as one contiguous slice — the
-    layout the fast-path replay kernels (:mod:`repro.btb.kernels`)
-    iterate, with plain-int tuple mirrors so the per-access loop never
-    touches a numpy scalar.
+    layout the set-partitioned replay kernels (:mod:`repro.btb.kernels`)
+    iterate.
 
-    Attributes:
+    Within a set's sub-stream a **run** is a maximal stretch of one pc.
+    Every access after a run's head finds that pc resident (the head
+    just hit or filled it, and nothing else touched the set since), so
+    it is a hit under every replacement policy that does not bypass the
+    head.  The kernels therefore iterate run heads only and credit each
+    run's tail in bulk.  The columns below are policy-independent and
+    computed once per stream with numpy:
 
-    * ``order`` — permutation mapping partition position → original
-      stream position (``np.argsort(set_indices, kind="stable")``);
     * ``set_ids`` / ``starts`` — the sets that actually appear, in
       ascending order, with ``starts[g]:starts[g+1]`` delimiting set
-      ``set_ids[g]``'s slice of the sorted columns;
-    * ``pcs`` / ``targets`` / ``positions`` — sorted-column tuple
-      mirrors (``positions`` are original stream indices).
+      ``set_ids[g]``'s runs;
+    * ``heads`` / ``ends`` — stream positions of each run's first and
+      last access (read pcs and targets through the stream's mirrors);
+    * ``by_position`` — the same ``(heads, ends)`` pair with runs
+      ordered by head position, for kernels that replay in stream order;
+    * ``lengths`` / ``changes`` — per run, its access count and the
+      target changes inside it (hits whose stored target differs);
+    * ``repeats`` — stream positions of every non-head access, run by
+      run, so a kernel marks all tail hits with one numpy write.
+
+    ``heads``, ``ends`` and the two ``by_position`` columns are tuples
+    of plain ints (the per-run loops index them; see the module
+    docstring); the rest are int64 arrays.
     """
 
     def __init__(self, stream: "AccessStream"):
         set_indices = stream.set_indices
         n = len(set_indices)
-        self.order = np.argsort(set_indices, kind="stable")
-        sorted_sets = set_indices[self.order]
-        if n:
-            change = np.flatnonzero(sorted_sets[:-1] != sorted_sets[1:]) + 1
-            self.starts = np.concatenate(
-                ([0], change, [n])).astype(np.int64)
-            self.set_ids = sorted_sets[self.starts[:-1]]
-        else:
-            self.starts = np.zeros(1, dtype=np.int64)
-            self.set_ids = np.zeros(0, dtype=np.int64)
-        self.pcs: Tuple[int, ...] = _ints(stream.pcs[self.order])
-        self.targets: Tuple[int, ...] = _ints(stream.targets[self.order])
-        self.positions: Tuple[int, ...] = _ints(self.order)
+        order = np.argsort(set_indices, kind="stable")
+        pcs = stream.pcs[order]
+        # A pc maps to one set, so a pc change also marks every set edge.
+        head = np.ones(n, dtype=np.bool_)
+        head[1:] = pcs[1:] != pcs[:-1]
+        head_k = np.flatnonzero(head)
+        end_k = np.empty_like(head_k)
+        end_k[:-1] = head_k[1:] - 1
+        end_k[-1:] = n - 1
+        run_sets = set_indices[order[head_k]]
+        edges = np.flatnonzero(run_sets[1:] != run_sets[:-1]) + 1
+        self.starts = np.concatenate(
+            ([0], edges, [len(head_k)] if n else [])).astype(np.int64)
+        self.set_ids = run_sets[self.starts[:-1]]
+        heads, ends = order[head_k], order[end_k]
+        targets = stream.targets[order]
+        changed = np.zeros(n, dtype=np.int64)
+        changed[1:] = targets[1:] != targets[:-1]
+        changed[head_k] = 0
+        total = np.cumsum(changed)
+        self.heads: Tuple[int, ...] = _ints(heads)
+        self.ends: Tuple[int, ...] = _ints(ends)
+        by_head = np.argsort(heads)
+        self.by_position: Tuple[Tuple[int, ...], Tuple[int, ...]] = (
+            _ints(heads[by_head]), _ints(ends[by_head]))
+        self.lengths = end_k - head_k + 1
+        self.changes = total[end_k] - total[head_k]
+        self.repeats = order[~head]
 
     @property
     def num_populated_sets(self) -> int:
         return len(self.set_ids)
 
     def __len__(self) -> int:
-        return len(self.pcs)
+        """The number of accesses partitioned."""
+        return len(self.heads) + len(self.repeats)
 
 
 class AccessStream:

@@ -131,10 +131,10 @@ def test_fast_path_matches_reference_loop(policy_name, app):
     assert dataclasses.asdict(fast_btb.stats) == \
         dataclasses.asdict(reference_btb.stats)
     assert fast_btb.stats.accesses > 0
-    assert (fast_btb._tags == reference_btb._tags).all()
-    assert (fast_btb._targets == reference_btb._targets).all()
-    assert (fast_btb._reused == reference_btb._reused).all()
-    assert (fast_btb._fill_index == reference_btb._fill_index).all()
+    assert fast_btb._tags == reference_btb._tags
+    assert fast_btb._targets == reference_btb._targets
+    assert fast_btb._reused == reference_btb._reused
+    assert fast_btb._fill_index == reference_btb._fill_index
     assert fast_btb._dir == reference_btb._dir
     assert fast_btb.resident_pcs() == reference_btb.resident_pcs()
 

@@ -46,12 +46,17 @@ class TestGcShape:
         mirrors = [stream.pcs_list, stream.targets_list, stream.sets_list]
         columns = list(stream.trace_columns())
         part = stream.partition()
-        partition = [part.pcs, part.targets, part.positions]
+        runs = [part.heads, part.ends, *part.by_position]
         gc.collect()
-        for value in mirrors + columns + partition:
+        for value in mirrors + columns + runs:
             assert type(value) is tuple
             assert len(value) > 0
             assert untracked(value)
+        for column in (part.lengths, part.changes, part.repeats):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.int64
+            assert untracked(column)
+        assert len(part.repeats) > 0
 
     def test_pass_memo_columns_are_untracked(self, small_trace):
         clear_stream_cache()

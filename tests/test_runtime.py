@@ -343,6 +343,30 @@ class TestCoverageReport:
         assert "btb replay fast path: 1.00" in frame
         assert "simulate fast path: no dispatches" in frame
 
+    def test_runtime_block_records_the_engines_worker_count(
+            self, tmp_path, fresh_registry):
+        from repro.tools.top import render_run_frame
+
+        def switches(text: str) -> list:
+            line = next(line for line in text.splitlines()
+                        if line.strip().startswith("switches: "))
+            return line.split("switches: ", 1)[1].split(", ")
+
+        # REPRO_JOBS says 3; the engines were built with 2 and 1 workers.
+        with runtime.override(jobs=3):
+            pool = self._sweep(tmp_path / "pool")
+            engine = ExperimentEngine(cache_dir=tmp_path / "serial", jobs=1)
+            engine.run(SWEEP[:1])
+            serial = read_run_manifest(engine.last_manifest)
+        for manifest, jobs, executor in ((pool, 2, "pool"),
+                                         (serial, 1, "serial")):
+            block = manifest.summary["runtime"]
+            assert (block["jobs"], block["executor"]) == (jobs, executor)
+            for text in (render_report(manifest),
+                         render_run_frame(manifest.path)):
+                assert f"jobs={jobs}" in switches(text)
+                assert f"executor={executor}" in switches(text)
+
     def test_run_without_a_runtime_block_still_renders(self, tmp_path,
                                                        fresh_registry):
         manifest = self._sweep(tmp_path)

@@ -12,6 +12,7 @@ components — must force the reference loop.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -103,7 +104,8 @@ def _component_state(sim: FrontendSimulator) -> dict:
         "l2_warm": sim._l2_misses_at_warmup,
     }
     if sim.btb is not None:
-        state["btb"] = (sim.btb._tags.tolist(), sim.btb._targets.tolist(),
+        state["btb"] = (copy.deepcopy(sim.btb._tags),
+                        copy.deepcopy(sim.btb._targets),
                         dataclasses.asdict(sim.btb.stats))
     return state
 
