@@ -34,18 +34,21 @@ subclassed simulator or component, an unknown predictor type — returns
 reference loop (counting one ``sim/fallback/<reason>``; a fast run
 counts one ``sim/fast_path``).
 
-The direction and I-cache passes never see the BTB, so every simulation
+TAGE-lite runs on numpy-built per-level index/tag columns.  The
+direction and I-cache passes never see the BTB, so every simulation
 of one trace on identically-started components computes the same
 outcome column and end state.  A per-trace memo (:func:`clear_pass_memo`)
-keeps those results, so a figure that simulates many policies runs
-each pass once per trace.
+keeps those results, FDIP's per-trace inputs and compact end-state
+snapshots that a hit writes back by slice copy, so a figure that
+simulates many policies runs each pass once per trace.
 """
 
 from __future__ import annotations
 
 import pickle
 import re
-from typing import List, Optional
+from itertools import chain
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -216,94 +219,104 @@ def _direction_pass(predictor, pcs, kinds, taken,
     if ptype is AlwaysTakenPredictor:
         dir_wrong[cond_pos] = ~cond_taken
         return
-    cond_pcs = pcs[cond_pos].tolist()
-    cond_tk = cond_taken.tolist()
     if (ptype is TageLitePredictor
             and type(predictor._base) is BimodalPredictor
-            and not _patched(predictor._base, _PREDICTOR_HOOKS)):
-        _tage_pass(predictor, cond_pos.tolist(), cond_pcs, cond_tk,
+            and not _patched(predictor._base, _PREDICTOR_HOOKS)
+            and all(max(t.history_bits, t.table_bits, t.tag_bits) <= 62
+                    for t in predictor._tables)):
+        _tage_pass(predictor, cond_pos, pcs[cond_pos], cond_taken,
                    dir_wrong)
         return
     # Generic pass: identical call sequence, so any stock predictor's
-    # internal state evolves exactly as under the monolith.
+    # internal state evolves exactly as under the monolith.  It also
+    # covers TAGE geometries too wide for int64 columns.
     pt = predictor.predict_and_train
-    pos_list = cond_pos.tolist()
-    for j, pc in enumerate(cond_pcs):
-        if not pt(pc, cond_tk[j]):
-            dir_wrong[pos_list[j]] = True
+    for pos, pc, tk in zip(cond_pos.tolist(), pcs[cond_pos].tolist(),
+                           cond_taken.tolist()):
+        if not pt(pc, tk):
+            dir_wrong[pos] = True
 
 
-def _tage_pass(p: TageLitePredictor, pos_list: List[int],
-               cond_pcs: List[int], cond_tk: List[bool],
+def _tage_pass(p: TageLitePredictor, cond_pos: np.ndarray,
+               cond_pcs: np.ndarray, cond_taken: np.ndarray,
                dir_wrong: np.ndarray) -> None:
-    """TAGE-lite predict+train inlined over the conditional column."""
-    base = p._base
-    bc = base._counters
-    bmask = base._mask
-    tbls = [(t.tags, t.counters, t.useful,
-             (1 << t.history_bits) - 1,
-             (1 << t.table_bits) - 1,
-             (1 << t.tag_bits) - 1)
-            for t in p._tables]
-    levels = len(tbls)
-    probe_order = range(levels - 1, -1, -1)
-    hist = p._history
-    hist_mask = (1 << 64) - 1
+    """TAGE-lite predict+train over per-level index/tag columns, built
+    with numpy from the start history and the outcomes (every field fits
+    int64: dispatch checks <= 62 bits)."""
+    m = cond_pcs.size
+    words = cond_pcs >> 2
+    width = max((t.history_bits for t in p._tables), default=0)
+    # ext = the start history's low ``width`` bits (oldest first), then
+    # the outcomes; conditional j's history window is ext[j:j + width].
+    ext = np.empty(width + m, dtype=np.int64)
+    start = p._history
+    ext[:width] = [(start >> b) & 1 for b in range(width - 1, -1, -1)]
+    ext[width:] = cond_taken
+    bc = p._base._counters
+    cond_tk = cond_taken.tolist()
     last_prov: Optional[int] = None
     slot = p._provider_slot
-    for j, pc in enumerate(cond_pcs):
-        tk = cond_tk[j]
-        w = pc >> 2
-        prov = -1
-        pidx = 0
-        pred = False
-        for lvl in probe_order:
-            tags_l, ctr_l, use_l, hm, im, tm = tbls[lvl]
-            f = hist & hm
-            idx = (w ^ f ^ (f >> 3)) & im
-            if tags_l[idx] == (w ^ (f << 1)) & tm:
-                prov = lvl
-                pidx = idx
-                pred = ctr_l[idx] >= 4
-                break
-        if prov < 0:
-            bidx = w & bmask
-            v = bc[bidx]
-            pred = v >= 2
-            # Base training (2-bit saturating counter).
-            if tk:
-                if v < 3:
-                    bc[bidx] = v + 1
-            elif v > 0:
-                bc[bidx] = v - 1
-            last_prov = None
-        else:
-            tags_l, ctr_l, use_l = tbls[prov][:3]
-            v = ctr_l[pidx]
-            if tk:
-                if v < 7:
-                    ctr_l[pidx] = v + 1
-            elif v > 0:
-                ctr_l[pidx] = v - 1
-            if pred == tk and use_l[pidx] < 3:
-                use_l[pidx] = use_l[pidx] + 1
-            last_prov = prov
-            slot = pidx
-        if pred != tk:
-            dir_wrong[pos_list[j]] = True
-            # Usefulness-guarded allocation above the provider, with the
-            # pre-update history (exactly _allocate's probe).
-            for lvl in range(prov + 1, levels):
-                tags_l, ctr_l, use_l, hm, im, tm = tbls[lvl]
-                f = hist & hm
-                idx = (w ^ f ^ (f >> 3)) & im
-                if use_l[idx] == 0:
-                    tags_l[idx] = (w ^ (f << 1)) & tm
-                    ctr_l[idx] = 4 if tk else 3
+    wrong = []
+    # Blocks of 4096 conditionals bound the column lists' memory.
+    for lo in range(0, m, 4096):
+        hist = np.zeros(min(m - lo, 4096), dtype=np.int64)
+        for b in range(width, 0, -1):
+            hist |= ext[lo + b - 1:lo + b - 1 + hist.size] << (width - b)
+        w = words[lo:lo + hist.size]
+        levels = []
+        for t in p._tables:
+            f = hist & ((1 << t.history_bits) - 1)
+            idx = (w ^ f ^ (f >> 3)) & ((1 << t.table_bits) - 1)
+            tag = (w ^ (f << 1)) & ((1 << t.tag_bits) - 1)
+            levels.append((t.tags, t.counters, t.useful, idx.tolist(),
+                           tag.tolist()))
+        probe_order = list(enumerate(levels))[::-1]
+        base_idx = (w & p._base._mask).tolist()
+        for j, tk in enumerate(cond_tk[lo:lo + hist.size]):
+            for prov, (tags_l, ctr_l, use_l, idx_c, tag_c) in probe_order:
+                idx = idx_c[j]
+                if tags_l[idx] == tag_c[j]:
+                    v = ctr_l[idx]
+                    pred = v >= 4
+                    if tk:
+                        if v < 7:
+                            ctr_l[idx] = v + 1
+                    elif v > 0:
+                        ctr_l[idx] = v - 1
+                    if pred == tk and use_l[idx] < 3:
+                        use_l[idx] += 1
+                    last_prov = prov
+                    slot = idx
                     break
-                use_l[idx] = use_l[idx] - 1
-        hist = ((hist << 1) | (1 if tk else 0)) & hist_mask
-    p._history = hist
+            else:
+                prov = -1
+                bidx = base_idx[j]
+                v = bc[bidx]
+                pred = v >= 2
+                # Base training (2-bit saturating counter).
+                if tk:
+                    if v < 3:
+                        bc[bidx] = v + 1
+                elif v > 0:
+                    bc[bidx] = v - 1
+                last_prov = None
+            if pred != tk:
+                wrong.append(lo + j)
+                # Usefulness-guarded allocation above the provider, with
+                # the pre-update history (exactly _allocate's probe).
+                for tags_l, ctr_l, use_l, idx_c, tag_c in levels[prov + 1:]:
+                    idx = idx_c[j]
+                    if use_l[idx] == 0:
+                        tags_l[idx] = tag_c[j]
+                        ctr_l[idx] = 4 if tk else 3
+                        break
+                    use_l[idx] -= 1
+    dir_wrong[cond_pos[wrong]] = True
+    # Only the last 64 outcomes survive the 64-bit history register.
+    end = start
+    for tk in cond_tk[-64:]:
+        end = ((end << 1) | tk) & ((1 << 64) - 1)
+    p._history = end
     p._provider = last_prov
     p._provider_slot = slot
 
@@ -392,19 +405,20 @@ def _ibtb_pass(ibtb: IndirectBTB, pcs, targets, proc_pos: np.ndarray,
 
 
 def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
-                 warmup_end: int) -> List[float]:
+                 warmup_end: int) -> Tuple[List[int], List[float]]:
     """Fetch every record's block through the L1I/L2/LLC stack, inlined.
 
-    Returns the per-record fill latency column and snapshots
-    ``sim._l2_misses_at_warmup`` at the region boundary.  The per-set
-    MRU lists are the caches' own (mutated in place); counters are
-    accumulated locally and folded back once.
+    Returns the records with a fill and their fill latencies, and
+    snapshots ``sim._l2_misses_at_warmup`` at the region boundary.  The
+    per-set MRU lists are the caches' own (mutated in place); counters
+    are accumulated locally and folded back once.
     """
     icache = sim.icache
     n = len(ilens)
+    filled, values = [], []
     if icache.perfect:
         sim._l2_misses_at_warmup = icache.l2.misses
-        return [0.0] * n
+        return filled, values
     shift = icache._line_shift
     first = (next_fetch >> shift).tolist()
     last = ((next_fetch + ilens.astype(np.int64) * INSTRUCTION_BYTES - 1)
@@ -417,7 +431,6 @@ def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
     a1 = m1 = a2 = m2 = a3 = m3 = 0
     l2_misses_at_warmup = 0
     snapshot_at = warmup_end - 1
-    fills = [0.0] * n
     for i in range(n):
         line = first[i]
         line_last = last[i]
@@ -468,8 +481,9 @@ def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
             if line == line_last:
                 break
             line += 1
-        if total:
-            fills[i] = total
+        if total > 0.0:
+            filled.append(i)
+            values.append(total)
         if i == snapshot_at:
             l2_misses_at_warmup = m2
     if warmup_end == 0:
@@ -481,24 +495,27 @@ def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
     l2.misses += m2
     llc.accesses += a3
     llc.misses += m3
-    return fills
+    return filled, values
 
 
-def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
+def _fdip_pass(fdip: FDIPEngine, adv: Tuple[float, ...],
+               filled: np.ndarray, fill_values: np.ndarray,
                redirects: np.ndarray) -> np.ndarray:
     """Run the run-ahead credit over the whole trace; returns the
     per-record *exposed* fill latency column.
 
-    Credit only matters at *events* (a fill to absorb or a redirect);
-    between events it monotonically ramps to the capacity cap, so the
-    pass hops event to event and walks records only while the credit is
-    still ramping — identical arithmetic, a fraction of the iterations.
+    ``adv`` (each record's ``demand * gain``) and the I-cache fills come
+    from the pass memo.  Credit only matters at *events* (a fill to
+    absorb or a redirect); between events it monotonically ramps to the
+    capacity cap, so the pass hops event to event and walks records only
+    while the credit is still ramping — identical arithmetic, a fraction
+    of the iterations.
     """
-    n = demand.shape[0]
+    n = redirects.shape[0]
     exposed = np.zeros(n)
-    fills_np = np.asarray(fills)
-    events = np.flatnonzero((fills_np > 0.0) | (redirects > 0))
-    adv = (demand * fdip.gain).tolist()
+    fill_at = np.zeros(n)
+    fill_at[filled] = fill_values
+    events = np.flatnonzero((fill_at > 0.0) | (redirects > 0))
     credit = fdip.credit
     cap = fdip.capacity
     gain = fdip.gain
@@ -507,6 +524,7 @@ def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
     resets = fdip.resets
     ev_list = events.tolist()
     ev_red = redirects[events].tolist()
+    ev_fill = fill_at[events].tolist()
     cursor = 0
     for j, e in enumerate(ev_list):
         if credit < cap:
@@ -520,7 +538,7 @@ def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
                 k += 1
         c = credit + adv[e]
         credit = cap if c > cap else c
-        fill = fills[e]
+        fill = ev_fill[j]
         if fill:
             if credit >= fill:
                 hidden_acc += fill
@@ -562,7 +580,9 @@ def _fdip_pass(fdip: FDIPEngine, demand: np.ndarray, fills: List[float],
 # and the end state into the live components in place, so every object a
 # caller holds keeps its identity.  The key carries the component's type
 # and its pickled start state, so a warmed or foreign component is simply
-# a miss.  A Harness keeps every trace alive, hence the small LRU bound.
+# a miss.  End states are flat tuples of atoms and packed ints, which the
+# cyclic GC stops tracking.  A Harness keeps every trace alive, hence
+# the small LRU bound.
 
 _pass_memo = TraceMemo(capacity=8)
 
@@ -576,24 +596,71 @@ def _state_bytes(obj) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _restored(live, saved):
-    """``saved``'s state written into ``live`` in place when both are the
-    same type of list or plain object, else ``saved`` itself; nested lists
-    and objects keep their identity all the way down."""
-    if type(live) is not type(saved):
-        return saved
-    if type(saved) is list:
-        if saved and len(live) == len(saved) \
-                and (type(saved[0]) is list or hasattr(saved[0], "__dict__")):
-            saved = [_restored(a, b) for a, b in zip(live, saved)]
-        live[:] = saved
+def _compact(items: list):
+    """A flat list's plain int64 items packed at the narrowest width that
+    holds them (the first byte gives it), any other items as a tuple."""
+    if set(map(type, items)) <= {int}:
+        bound = max(max(items, default=0), ~min(items, default=0))
+        for width in (1, 2, 8):
+            if bound < 1 << (8 * width - 1):
+                return bytes([width]) + np.fromiter(
+                    items, f"<i{width}", len(items)).tobytes()
+    return tuple(items)
+
+
+def _items(saved) -> list:
+    if type(saved) is bytes:
+        return np.frombuffer(saved, f"<i{saved[0]}", offset=1).tolist()
+    return list(saved)
+
+
+def _snapshot(value, out: list) -> list:
+    """Append ``value``'s state to ``out`` as atoms, in the order
+    :func:`_restore` reads them: an object as its attribute count, then
+    each name and state; a list of objects as their states; a list of
+    rows as all items, then row lengths; other lists as their items."""
+    if type(value) is list:
+        if value and type(value[0]) is list:
+            out += (_compact(list(chain.from_iterable(value))),
+                    _compact(list(map(len, value))))
+        elif value and hasattr(value[0], "__dict__"):
+            for item in value:
+                _snapshot(item, out)
+        else:
+            out.append(_compact(value))
+    elif hasattr(value, "__dict__"):
+        out.append(len(vars(value)))
+        for name, item in vars(value).items():
+            out.append(name)
+            _snapshot(item, out)
+    else:
+        out.append(value)
+    return out
+
+
+def _restore(live, saved):
+    """Write the :func:`_snapshot` read from iterator ``saved`` back into
+    ``live`` in place; returns what the owner should hold (``live`` for
+    lists and objects, so every list and object keeps its identity)."""
+    if type(live) is list:
+        if live and type(live[0]) is list:
+            items, sizes, at = _items(next(saved)), _items(next(saved)), 0
+            for row, size in zip(live, sizes):
+                row[:] = items[at:at + size]
+                at += size
+        elif live and hasattr(live[0], "__dict__"):
+            for item in live:
+                _restore(item, saved)
+        else:
+            live[:] = _items(next(saved))
         return live
-    if hasattr(saved, "__dict__"):
+    if hasattr(live, "__dict__"):
         state = live.__dict__
-        for name, value in vars(saved).items():
-            state[name] = _restored(state.get(name), value)
+        for _ in range(next(saved)):
+            name = next(saved)
+            state[name] = _restore(state.get(name), saved)
         return live
-    return saved
+    return next(saved)
 
 
 def _memo_get(trace: BranchTrace, key):
@@ -611,38 +678,39 @@ def _shared_direction_pass(trace: BranchTrace, predictor,
     if hit is not None:
         wrong, end_state = hit
         dir_wrong[wrong] = True
-        _restored(predictor, pickle.loads(end_state))
+        _restore(predictor, iter(end_state))
         return
     _direction_pass(predictor, trace.pcs, trace.kinds, trace.taken,
                     dir_wrong)
     _pass_memo.put(trace, key,
-                   (np.flatnonzero(dir_wrong), _state_bytes(predictor)))
+                   (np.flatnonzero(dir_wrong),
+                    tuple(_snapshot(predictor, []))))
 
 
 def _shared_icache_pass(trace: BranchTrace, sim, next_fetch: np.ndarray,
-                        warmup_end: int) -> List[float]:
-    """:func:`_icache_pass` over ``trace``, memoized."""
+                        warmup_end: int, demand: np.ndarray) -> list:
+    """:func:`_icache_pass` over ``trace``, memoized with (and returning)
+    the per-trace inputs of :func:`_fdip_pass`."""
     icache = sim.icache
-    levels = (icache.l1i, icache.l2, icache.llc)
-    key = ("icache", warmup_end, type(icache),
-           _state_bytes(icache.__dict__))
+    levels = [icache.l1i, icache.l2, icache.llc]
+    gain = sim.fdip.gain
+    key = ("icache", warmup_end, sim.params.backend_cpi, gain,
+           type(icache), _state_bytes(icache.__dict__))
     hit = _memo_get(trace, key)
     if hit is not None:
-        filled, fill_values, l2_misses_at_warmup, end_state = hit
-        fills = [0.0] * len(trace.ilens)
-        for i, value in zip(filled, fill_values):
-            fills[i] = value
-        for live, saved in zip(levels, pickle.loads(end_state)):
-            _restored(live, saved)
-        sim._l2_misses_at_warmup = l2_misses_at_warmup
-        return fills
-    fills = _icache_pass(sim, next_fetch, trace.ilens, warmup_end)
-    filled = tuple(np.flatnonzero(np.asarray(fills)).tolist())
-    # Tuples of plain scalars, which the cyclic GC stops tracking.
-    _pass_memo.put(trace, key,
-                   (filled, tuple(fills[i] for i in filled),
-                    sim._l2_misses_at_warmup, _state_bytes(levels)))
-    return fills
+        end_state, sim._l2_misses_at_warmup, *fdip_inputs = hit
+        _restore(levels, iter(end_state))
+        return fdip_inputs
+    filled, fill_values = _icache_pass(sim, next_fetch, trace.ilens,
+                                       warmup_end)
+    # One float object per distinct instruction count, not per record.
+    lens, codes = np.unique(demand, return_inverse=True)
+    fdip_inputs = [
+        tuple(map((lens * gain).tolist().__getitem__, codes.tolist())),
+        np.array(filled, dtype=np.int64), np.array(fill_values)]
+    _pass_memo.put(trace, key, (tuple(_snapshot(levels, [])),
+                                sim._l2_misses_at_warmup, *fdip_inputs))
+    return fdip_inputs
 
 
 # ----------------------------------------------------------------------
@@ -677,52 +745,55 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
         stream = access_stream_for(trace, btb.config)
 
     with span("frontend.simulate"):
-        with span("frontend.warmup"):
-            pcs = trace.pcs
-            targets = trace.targets
-            kinds = trace.kinds
-            taken = trace.taken
-            ilens = trace.ilens
-            warmup_end = int(n * warmup_fraction)
+        pcs = trace.pcs
+        targets = trace.targets
+        kinds = trace.kinds
+        taken = trace.taken
+        ilens = trace.ilens
+        warmup_end = int(n * warmup_fraction)
 
-            # -- vectorized precompute ---------------------------------
-            demand = ilens * params.backend_cpi
-            next_fetch = np.empty(n, dtype=np.int64)
-            next_fetch[0] = pcs[0] - (int(ilens[0]) - 1) * INSTRUCTION_BYTES
-            if n > 1:
-                next_fetch[1:] = np.where(
-                    taken[:-1], targets[:-1],
-                    pcs[:-1] + INSTRUCTION_BYTES)
-            is_ret = kinds == _RETURN
-            access_mask = taken & ~is_ret
-            is_indirect = ((kinds == _CALL_INDIRECT)
-                           | (kinds == _UNCOND_INDIRECT))
+        # -- vectorized precompute -------------------------------------
+        demand = ilens * params.backend_cpi
+        next_fetch = np.empty(n, dtype=np.int64)
+        next_fetch[0] = pcs[0] - (int(ilens[0]) - 1) * INSTRUCTION_BYTES
+        if n > 1:
+            next_fetch[1:] = np.where(taken[:-1], targets[:-1],
+                                      pcs[:-1] + INSTRUCTION_BYTES)
+        is_ret = kinds == _RETURN
+        access_mask = taken & ~is_ret
+        is_indirect = ((kinds == _CALL_INDIRECT)
+                       | (kinds == _UNCOND_INDIRECT))
 
-            # -- independent outcome passes ----------------------------
-            dir_wrong = np.zeros(n, dtype=bool)
+        # -- independent outcome passes --------------------------------
+        dir_wrong = np.zeros(n, dtype=bool)
+        with span("frontend.direction"):
             _shared_direction_pass(trace, sim.predictor, dir_wrong)
 
-            ras_wrong = np.zeros(n, dtype=bool)
-            _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
+        ras_wrong = np.zeros(n, dtype=bool)
+        _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
 
-            if perfect_btb:
-                hit_rec = access_mask
-            else:
+        if perfect_btb:
+            hit_rec = access_mask
+        else:
+            with span("frontend.btb"):
                 hit_stream = _btb_pass(btb, stream)
-                hit_rec = np.zeros(n, dtype=bool)
-                hit_rec[stream.trace_positions] = hit_stream.astype(bool)
-            btb_miss = access_mask & ~hit_rec
+            hit_rec = np.zeros(n, dtype=bool)
+            hit_rec[stream.trace_positions] = hit_stream.astype(bool)
+        btb_miss = access_mask & ~hit_rec
 
-            ibtb_wrong = np.zeros(n, dtype=bool)
-            _ibtb_pass(sim.ibtb, pcs, targets,
-                       np.flatnonzero(is_indirect & taken & hit_rec),
-                       ibtb_wrong)
+        ibtb_wrong = np.zeros(n, dtype=bool)
+        _ibtb_pass(sim.ibtb, pcs, targets,
+                   np.flatnonzero(is_indirect & taken & hit_rec),
+                   ibtb_wrong)
 
-            fills = _shared_icache_pass(trace, sim, next_fetch, warmup_end)
+        with span("frontend.icache"):
+            fdip_inputs = _shared_icache_pass(trace, sim, next_fetch,
+                                              warmup_end, demand)
 
-            redirects = (dir_wrong.astype(np.int8) + ras_wrong
-                         + btb_miss + ibtb_wrong)
-            exposed = _fdip_pass(sim.fdip, demand, fills, redirects)
+        redirects = (dir_wrong.astype(np.int8) + ras_wrong
+                     + btb_miss + ibtb_wrong)
+        with span("frontend.fdip"):
+            exposed = _fdip_pass(sim.fdip, *fdip_inputs, redirects)
 
         # -- exact-order reduction over the measured region ------------
         with span("frontend.measure"):

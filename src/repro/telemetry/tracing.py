@@ -73,8 +73,12 @@ SPAN_NAMES = (
     "harness.misses",     # one BTB-only replay
     "core.opt_replay",    # the OPT replay inside profiling
     "frontend.simulate",  # the frontend model's simulate
-    "frontend.warmup",    # its warmup region
-    "frontend.measure",   # its measured region
+    "frontend.warmup",    # the reference loop's warmup region
+    "frontend.measure",   # its measured region (fast path: the reduction)
+    "frontend.direction",  # fast path: the direction pass (or memo hit)
+    "frontend.icache",    # fast path: the I-cache pass (or memo hit)
+    "frontend.btb",       # fast path: the BTB pass
+    "frontend.fdip",      # fast path: the FDIP pass
 )
 
 

@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness.engine import ExperimentEngine, SimJob
+from repro.harness.experiments import fig11
+from repro.harness.runner import HarnessConfig
 from repro.service.client import ServiceClient, request_once
 from repro.service.server import SimulationService
 from repro.telemetry import tracing
@@ -481,6 +483,29 @@ class TestSpanVocabulary:
             in_journal = sum(1 for record in journal
                              if record["name"] == name)
             assert in_manifest == in_journal > 0, name
+
+    def test_fig11_row_manifest_times_every_fast_path_pass(self, tmp_path):
+        """The fast simulate's four pass spans sit under
+        ``frontend.simulate``, once per simulate of a Fig. 11 row."""
+        jobs = fig11.plan(HarnessConfig(apps=("tomcat",), length=LENGTH))
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run(jobs)
+        spans = read_run_manifest(
+            engine.last_manifest).summary["telemetry"]["spans"]
+        self._check_names(spans, read_spans(engine.last_manifest))
+
+        def count(name):
+            return sum(rec["count"] for path, rec in spans.items()
+                       if path.split("/")[-1] == name)
+
+        simulates = count("frontend.simulate")
+        assert simulates == len(jobs) == 7
+        for name in ("frontend.direction", "frontend.icache",
+                     "frontend.btb", "frontend.fdip", "frontend.measure"):
+            assert count(name) == simulates, name
+            assert all("frontend.simulate/" + name in path
+                       for path in spans if path.endswith(name)), name
+        assert count("frontend.warmup") == 0
 
     def test_service_request_uses_the_same_names(self, tmp_path):
         async def scenario():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -398,6 +399,96 @@ def test_clear_stream_cache_empties_pass_memo():
     assert len(simk._pass_memo) == 2
     clear_stream_cache()
     assert len(simk._pass_memo) == 0
+
+
+def _reachable(obj) -> list:
+    """``obj`` and every list and plain object its state reaches, in a
+    stable order, for identity checks across a memo restore."""
+    found = [obj]
+    values = obj if type(obj) is list else list(vars(obj).values())
+    for value in values:
+        if type(value) is list or (hasattr(value, "__dict__")
+                                   and not dataclasses.is_dataclass(value)):
+            found += _reachable(value)
+    return found
+
+
+@pytest.mark.parametrize("predictor_cls",
+                         [AlwaysTakenPredictor, BimodalPredictor,
+                          GSharePredictor, PerceptronPredictor,
+                          PerfectPredictor, TageLitePredictor])
+def test_pass_memo_hit_per_predictor(registry, pass_calls, predictor_cls):
+    """A second fresh simulator on the same trace hits both shared
+    passes, matches the reference loop, and keeps every component
+    object (rows and nested objects included)."""
+    trace = make_app_trace("kafka", length=LENGTH)
+    FrontendSimulator(btb=BTB(CONFIG),
+                      predictor=predictor_cls()).simulate(trace)
+    runs = {}
+    for fast in (True, False):
+        sim = FrontendSimulator(btb=BTB(CONFIG), predictor=predictor_cls())
+        held = _reachable(sim.predictor) + _reachable(sim.icache)
+        with runtime.override(fast_sim=fast):
+            result = sim.simulate(trace)
+        after = _reachable(sim.predictor) + _reachable(sim.icache)
+        assert len(held) == len(after)
+        assert all(a is b for a, b in zip(held, after))
+        runs[fast] = (dataclasses.asdict(result), _component_state(sim),
+                      _predictor_state(sim.predictor))
+    assert runs[True] == runs[False]
+    assert pass_calls == {"direction": 1, "icache": 1}
+    assert registry.counters["sim/pass_memo_hits"] == 2
+    assert registry.counters["sim/pass_memo_misses"] == 2
+
+
+# ----------------------------------------------------------------------
+# Property: the TAGE column pass against predict_and_train
+# ----------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_tage_columns_match_predict_and_train(data):
+    """Random geometry, start history (bits above the longest window
+    included), prefilled tables with nonzero useful bits (so allocation
+    decrements them), and streams shorter and longer than the longest
+    history window."""
+    base_bits = data.draw(st.integers(2, 9), label="base_bits")
+    table_bits = data.draw(st.integers(1, 7), label="table_bits")
+    tag_bits = data.draw(st.integers(1, 12), label="tag_bits")
+    wide = data.draw(st.booleans(), label="wide")
+    predictor = TageLitePredictor(base_bits=base_bits,
+                                  table_bits=table_bits, tag_bits=tag_bits)
+    if wide:  # wider than the int64 columns: the generic pass's case
+        predictor._tables[-1].history_bits = 64
+    predictor._history = data.draw(st.integers(0, (1 << 64) - 1),
+                                   label="history")
+    size = 1 << table_bits
+    for table in predictor._tables:
+        table.tags[:] = data.draw(st.lists(
+            st.integers(0, (1 << tag_bits) - 1),
+            min_size=size, max_size=size))
+        table.counters[:] = data.draw(st.lists(
+            st.integers(0, 7), min_size=size, max_size=size))
+        table.useful[:] = data.draw(st.lists(
+            st.integers(0, 3), min_size=size, max_size=size))
+    length = data.draw(st.integers(0, 160), label="length")
+    raw = data.draw(st.lists(st.tuples(st.integers(0, 1 << 12),
+                                       st.booleans(), st.booleans()),
+                             min_size=length, max_size=length))
+    pcs = np.array([pc * 4 for pc, _, _ in raw], dtype=np.int64)
+    kinds = np.array([int(BranchKind.COND_DIRECT) if cond
+                      else int(BranchKind.UNCOND_DIRECT)
+                      for _, cond, _ in raw], dtype=np.uint8)
+    taken = np.array([tk for _, _, tk in raw], dtype=bool)
+    reference = copy.deepcopy(predictor)
+    expected = np.zeros(len(raw), dtype=bool)
+    for i, (pc, cond, tk) in enumerate(raw):
+        if cond:
+            expected[i] = not reference.predict_and_train(pc * 4, tk)
+    dir_wrong = np.zeros(len(raw), dtype=bool)
+    simk._direction_pass(predictor, pcs, kinds, taken, dir_wrong)
+    assert dir_wrong.tolist() == expected.tolist()
+    assert _predictor_state(predictor) == _predictor_state(reference)
 
 
 # ----------------------------------------------------------------------
