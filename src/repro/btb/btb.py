@@ -10,7 +10,9 @@ import numpy as np
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.btb.entry import BTBEntry
 from repro.btb.observer import BTBObserver
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
+from repro.btb.replacement.base import (BYPASS, RELEASED, ReplacementPolicy,
+                                       new_directories, new_grid,
+                                       release_directories, release_grids)
 from repro.trace.record import BranchKind, BranchTrace
 from repro.trace.stream import AccessStream, access_stream_for
 
@@ -72,6 +74,15 @@ class BTB:
     way directory kept in lockstep with the tag rows — constant-time
     instead of a way scan.
 
+    Storage lifetime: rows, directories and the policy's grids come
+    from a per-process free list (:func:`~repro.btb.replacement.base.new_grid`).
+    The code that owns a job's BTB — ``Harness.run_misses``,
+    ``Harness.run_sim`` and the OPT profiler — calls :meth:`release`
+    when the job is done with it, and the next BTB on that geometry
+    reuses the rows, refilled exactly as a fresh BTB's.  A released BTB
+    keeps its :attr:`stats`; any other use raises
+    :class:`~repro.btb.replacement.base.ReleasedStorageError`.
+
     Structured observation: :meth:`add_observer` attaches a
     :class:`~repro.btb.observer.BTBObserver` that receives hit / fill /
     evict / bypass events (this replaced the old ``eviction_listener``
@@ -91,8 +102,25 @@ class BTB:
         self._reused = new_grid(nsets, ways, False)
         self._fill_index = new_grid(nsets, ways, 0)
         #: Per-set pc → way directory mirroring ``_tags``.
-        self._dir: List[Dict[int, int]] = [{} for _ in range(nsets)]
+        self._dir: List[Dict[int, int]] = new_directories(nsets)
         self._observers: List[BTBObserver] = []
+
+    def release(self) -> None:
+        """Hand this BTB's rows, directories and policy grids to the
+        free list for the next BTB on this geometry.
+
+        Only the BTB's owner may call this, once, after its last use:
+        :attr:`stats` stays readable, every other use (an access, a
+        replay, a lookup, a second release) raises
+        :class:`~repro.btb.replacement.base.ReleasedStorageError`.
+        """
+        rows = (self._tags, self._targets, self._reused, self._fill_index)
+        directories = self._dir
+        self._tags = self._targets = self._reused = RELEASED
+        self._fill_index = self._dir = RELEASED
+        release_grids(*rows)
+        release_directories(directories)
+        self.policy.release()
 
     # ------------------------------------------------------------------
     # Observation
@@ -234,8 +262,10 @@ class BTB:
         return sum(map(len, self._dir))
 
     def __repr__(self) -> str:
+        occupancy = ("released" if self._dir is RELEASED
+                     else self.occupancy)
         return (f"BTB(entries={self.config.entries}, ways={self.config.ways}, "
-                f"policy={self.policy.name}, occupancy={self.occupancy})")
+                f"policy={self.policy.name}, occupancy={occupancy})")
 
 
 class IndirectBTB:

@@ -1550,12 +1550,13 @@ def count_fallback(reason: str) -> None:
 
 
 def _pristine(btb) -> bool:
-    stats = btb.stats
-    if (stats.accesses or stats.misses or stats.bypasses
-            or stats.compulsory_fills):
+    # Storage first: prefetch fills leave stats untouched but populate
+    # it, and a released BTB raises here, before any fallback counts.
+    if any(btb._dir):
         return False
-    # Prefetch fills leave stats untouched but populate storage.
-    return not any(btb._dir)
+    stats = btb.stats
+    return not (stats.accesses or stats.misses or stats.bypasses
+                or stats.compulsory_fills)
 
 
 def select_kernel(btb, stream: AccessStream) -> Optional[ReplayKernel]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["DIPPolicy"]
 
@@ -38,7 +38,7 @@ class DIPPolicy(ReplacementPolicy):
         self.bip_mru_probability = bip_mru_probability
 
     def _allocate(self) -> None:
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
+        self._stamps = self._grid(0)
         self._clock = 0
         self._psel = self.psel_max // 2
         self._bip_counter = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["FIFOPolicy", "RandomPolicy"]
 
@@ -16,7 +16,7 @@ class FIFOPolicy(ReplacementPolicy):
     name = "fifo"
 
     def _allocate(self) -> None:
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
+        self._stamps = self._grid(0)
         self._clock = 0
 
     def on_fill(self, set_idx: int, way: int, pc: int, index: int) -> None:

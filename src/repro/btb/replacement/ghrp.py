@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
+from repro.btb.replacement.base import BYPASS, ReplacementPolicy
 
 __all__ = ["GHRPPolicy"]
 
@@ -54,9 +54,9 @@ class GHRPPolicy(ReplacementPolicy):
         self._tables = [[0] * size for _ in range(self.num_tables)]
         self._history = 0
         # Per-way metadata.
-        self._signature = new_grid(self.num_sets, self.num_ways, 0)
-        self._dead = new_grid(self.num_sets, self.num_ways, False)
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
+        self._signature = self._grid(0)
+        self._dead = self._grid(False)
+        self._stamps = self._grid(0)
         self._clock = 0
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["HawkeyePolicy"]
 
@@ -82,8 +82,8 @@ class HawkeyePolicy(ReplacementPolicy):
         self._counters = [4] * size
         self._optgen = {s: _OptGen(self.num_ways, self.window_factor)
                         for s in range(0, self.num_sets, self.sample_every)}
-        self._rrpv = new_grid(self.num_sets, self.num_ways, _RRPV_MAX)
-        self._friendly = new_grid(self.num_sets, self.num_ways, False)
+        self._rrpv = self._grid(_RRPV_MAX)
+        self._friendly = self._grid(False)
 
     # ------------------------------------------------------------------
     def _predictor_index(self, pc: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["LRUPolicy", "MRUPolicy"]
 
@@ -19,7 +19,7 @@ class LRUPolicy(ReplacementPolicy):
     name = "lru"
 
     def _allocate(self) -> None:
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
+        self._stamps = self._grid(0)
         self._clock = 0
 
     def _touch(self, set_idx: int, way: int) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
+from repro.btb.replacement.base import BYPASS, ReplacementPolicy
 
 __all__ = ["OnlineThermometerPolicy"]
 
@@ -56,7 +56,7 @@ class OnlineThermometerPolicy(ReplacementPolicy):
         size = 1 << self.table_bits
         self._taken = [0] * size
         self._hits = [0] * size
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
+        self._stamps = self._grid(0)
         self._clock = 0
 
     # ------------------------------------------------------------------

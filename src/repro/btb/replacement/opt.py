@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
+from repro.btb.replacement.base import BYPASS, ReplacementPolicy
 from repro.trace.stream import (NEVER, AccessStream,
                                 compute_next_use_indices)
 
@@ -104,7 +104,7 @@ class BeladyOptimalPolicy(ReplacementPolicy):
     # ------------------------------------------------------------------
     def _allocate(self) -> None:
         # Next-use distance of the entry resident in each way.
-        self._resident_next = new_grid(self.num_sets, self.num_ways, NEVER)
+        self._resident_next = self._grid(NEVER)
         self._last_index = 0
 
     def _advance(self, index: int) -> int:

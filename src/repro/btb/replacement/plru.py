@@ -37,8 +37,7 @@ class TreePLRUPolicy(ReplacementPolicy):
         # ways - 1 internal nodes per set, stored heap-style: node 0 is the
         # root; children of node i are 2i+1 and 2i+2.  A bit value of 0
         # points left, 1 points right; the victim path follows the bits.
-        self._bits: List[List[int]] = [[0] * (self.num_ways - 1)
-                                       for _ in range(self.num_sets)]
+        self._bits: List[List[int]] = self._grid(0, self.num_ways - 1)
 
     # ------------------------------------------------------------------
     def _touch(self, set_idx: int, way: int) -> None:

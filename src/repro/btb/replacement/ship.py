@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["SHiPPolicy"]
 
@@ -34,9 +34,9 @@ class SHiPPolicy(ReplacementPolicy):
 
     def _allocate(self) -> None:
         self._shct = [1] * (1 << self.table_bits)   # weakly no-reuse
-        self._rrpv = new_grid(self.num_sets, self.num_ways, self.rrpv_max)
-        self._signature = new_grid(self.num_sets, self.num_ways, 0)
-        self._outcome = new_grid(self.num_sets, self.num_ways, False)
+        self._rrpv = self._grid(self.rrpv_max)
+        self._signature = self._grid(0)
+        self._outcome = self._grid(False)
 
     def _index(self, pc: int) -> int:
         mask = (1 << self.table_bits) - 1

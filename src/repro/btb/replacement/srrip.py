@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.btb.replacement.base import ReplacementPolicy, new_grid
+from repro.btb.replacement.base import ReplacementPolicy
 
 __all__ = ["SRRIPPolicy", "BRRIPPolicy"]
 
@@ -35,7 +35,7 @@ class SRRIPPolicy(ReplacementPolicy):
         self.rrpv_insert = self.rrpv_max - 1
 
     def _allocate(self) -> None:
-        self._rrpv = new_grid(self.num_sets, self.num_ways, self.rrpv_max)
+        self._rrpv = self._grid(self.rrpv_max)
 
     def on_hit(self, set_idx: int, way: int, pc: int, index: int) -> None:
         self._rrpv[set_idx][way] = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.btb.replacement.base import BYPASS, ReplacementPolicy, new_grid
+from repro.btb.replacement.base import BYPASS, ReplacementPolicy
 
 __all__ = ["ThermometerPolicy"]
 
@@ -61,8 +61,8 @@ class ThermometerPolicy(ReplacementPolicy):
 
     # ------------------------------------------------------------------
     def _allocate(self) -> None:
-        self._stamps = new_grid(self.num_sets, self.num_ways, 0)
-        self._temps = new_grid(self.num_sets, self.num_ways, 0)
+        self._stamps = self._grid(0)
+        self._temps = self._grid(0)
         self._clock = 0
 
     def temperature_of(self, pc: int) -> int:

@@ -179,14 +179,16 @@ def profile_trace(trace: BranchTrace,
     ``stream`` may supply the trace's shared columnar access stream for
     ``config`` (otherwise the memoized one is looked up); ``policy`` may
     supply a pre-built OPT policy (it must have been built from this
-    trace's access stream).
+    trace's access stream).  When the policy is built here, the replay's
+    BTB is released to the storage free list before returning.
     """
     if stream is None:
         stream = access_stream_for(trace, config)
     elif stream.config != config:
         raise ValueError(
             f"stream was built for {stream.config}, not {config}")
-    if policy is None:
+    owned = policy is None
+    if owned:
         policy = BeladyOptimalPolicy.from_access_stream(
             stream, bypass_enabled=bypass_enabled)
     btb = BTB(config, policy)
@@ -232,6 +234,9 @@ def profile_trace(trace: BranchTrace,
              profile.bypasses) = (_column(c) for c in columns)
         profile.elapsed_seconds = time.perf_counter() - start
     profile.stats = btb.stats
+    if owned:
+        # Nothing outside this call sees the BTB or its policy.
+        btb.release()
     registry.count("profiler/replays")
     registry.count("profiler/accesses", stats.accesses)
     registry.count("profiler/static_branches", profile.num_branches)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.btb.replacement.base import RELEASED, new_grid, release_grids
 from repro.frontend.params import FrontendParams
 
 __all__ = ["CacheModel", "InstructionHierarchy"]
@@ -28,10 +29,20 @@ class CacheModel:
         self.num_sets = size_bytes // (ways * line_bytes)
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
-        # Per-set list of line numbers in MRU→LRU order.
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per-set list of line numbers in MRU→LRU order (empty rows from
+        # the storage free list; see :meth:`release`).
+        self._sets: List[List[int]] = new_grid(self.num_sets, 0, None)
         self.accesses = 0
         self.misses = 0
+
+    def release(self) -> None:
+        """Empty the set rows and hand them to the storage free list
+        (:func:`~repro.btb.replacement.base.release_grids`); only the
+        cache's owner may call this, and any later access raises."""
+        rows, self._sets = self._sets, RELEASED
+        for row in rows:
+            row.clear()
+        release_grids(rows)
 
     def access_line(self, line: int) -> bool:
         """Access a line number; returns True on hit, filling on miss."""
@@ -79,6 +90,11 @@ class InstructionHierarchy:
         self._lat = _Latencies(params.l2_latency, params.llc_latency,
                                params.memory_latency)
         self._line_shift = params.line_bytes.bit_length() - 1
+
+    def release(self) -> None:
+        """:meth:`CacheModel.release` for every level."""
+        for level in (self.l1i, self.l2, self.llc):
+            level.release()
 
     def fetch_line_latency(self, address: int) -> float:
         """Latency (beyond the pipelined L1I hit) to fetch the line holding

@@ -122,6 +122,21 @@ def _ordered_sum(values: np.ndarray) -> float:
     return _python_sum(values)
 
 
+# A ``+=`` accumulator that starts at +0.0 is never -0.0, and x + 0.0 == x
+# for every such x, so dropping zero entries before the scan leaves the
+# sum bit-identical; the sparse stall columns shrink to a few percent.
+
+def _nonzero_sum(values: np.ndarray) -> float:
+    """:func:`_ordered_sum` of ``values`` with its zeros dropped."""
+    return _ordered_sum(values[values != 0.0])
+
+
+def _penalty_sum(charged: np.ndarray, penalty: float) -> float:
+    """:func:`_ordered_sum` of ``np.where(charged, penalty, 0.0)``: the
+    nonzero entries are ``count_nonzero(charged)`` copies of ``penalty``."""
+    return _ordered_sum(np.full(np.count_nonzero(charged), float(penalty)))
+
+
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
@@ -818,14 +833,22 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             charges[:, 3] = tgt_charge[w:]
 
             result = SimResult(trace_name=trace.name)
+            # Every record charges a nonzero demand, so masking the
+            # zeros out of ``charges`` (about two thirds of it) costs
+            # more than the shorter scan saves; the sparse columns drop
+            # theirs.
             result.cycles = _ordered_sum(charges.ravel())
             result.instructions = int(ilens[w:].sum())
             result.base_cycles = _ordered_sum(demand[w:])
-            result.icache_stall_cycles = _ordered_sum(exposed[w:])
-            result.mispredict_stall_cycles = _ordered_sum(dir_charge[w:])
-            result.btb_stall_cycles = _ordered_sum(btb_charge[w:])
-            result.indirect_stall_cycles = _ordered_sum(ind_charge[w:])
-            result.ras_stall_cycles = _ordered_sum(ras_charge[w:])
+            result.icache_stall_cycles = _nonzero_sum(exposed[w:])
+            result.mispredict_stall_cycles = _penalty_sum(
+                dir_wrong[w:], params.mispredict_penalty)
+            result.btb_stall_cycles = _penalty_sum(
+                btb_miss[w:], params.btb_miss_penalty)
+            result.indirect_stall_cycles = _penalty_sum(
+                ibtb_wrong[w:], params.indirect_penalty)
+            result.ras_stall_cycles = _penalty_sum(
+                ras_wrong[w:], params.ras_penalty)
             result.mispredicts = int(np.count_nonzero(dir_wrong[w:]))
             result.ras_mispredicts = int(np.count_nonzero(ras_wrong[w:]))
             result.indirect_mispredicts = int(

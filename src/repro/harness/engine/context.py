@@ -51,6 +51,9 @@ class RunContext:
     on_result: Optional[Callable[[JobResult], None]] = None
     #: Telemetry snapshot taken when the run opened (None: disabled).
     parent_before: Optional[dict] = None
+    #: This process's GC collections per generation when the run opened
+    #: (None: telemetry disabled).
+    gc_before: Optional[List[int]] = None
     #: Root trace context of this run (None: telemetry disabled) — every
     #: job's pickled context is a child of it.
     trace: Optional[Any] = None

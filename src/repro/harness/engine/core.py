@@ -29,7 +29,8 @@ from repro.harness.engine.executor import (AsyncExecutor, Executor,
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
 from repro.harness.reporting import CacheStats
-from repro.telemetry.metrics import get_registry, snapshot_delta
+from repro.telemetry.metrics import (count_gc_collections, gc_collections,
+                                     get_registry, snapshot_delta)
 from repro.telemetry.tracing import (TraceContext, child_context,
                                      new_span_id, span_record)
 
@@ -187,7 +188,9 @@ class ExperimentEngine:
                           resumed_from=resumed_from, on_result=on_result,
                           trace=run_trace,
                           parent_before=(registry.snapshot()
-                                         if registry.enabled else None))
+                                         if registry.enabled else None),
+                          gc_before=(gc_collections()
+                                     if registry.enabled else None))
 
     def _prepare(self, ctx: RunContext) -> List[int]:
         """Serve store hits; journal and return what is left to run."""
@@ -417,12 +420,20 @@ class ExperimentEngine:
         that ran it (absent when the run failed before one was chosen,
         and in runs that predate the key).  ``jobs`` is this engine's
         worker count, which a ``--jobs`` flag or the ``jobs=`` argument
-        may have set apart from the ``REPRO_JOBS`` switch."""
+        may have set apart from the ``REPRO_JOBS`` switch.
+        ``gc_collections`` sums the run's cyclic-GC collections per
+        generation over this process and its workers (absent when
+        telemetry is off)."""
         block = ctx.runtime.to_dict()
         block["jobs"] = self.jobs
         name = getattr(self._ran_on, "name", "")
         if name:
             block["executor"] = name
+        if ctx.gc_before is not None:
+            counters = (self.last_run_telemetry or {}).get("counters", {})
+            block["gc_collections"] = {
+                f"gen{g}": int(counters.get(f"gc/collections/gen{g}", 0))
+                for g in range(len(ctx.gc_before))}
         return block
 
     def _write_manifest(self, ctx: RunContext, failure: Optional[dict],
@@ -433,6 +444,9 @@ class ExperimentEngine:
         registry = get_registry()
         wall = ctx.wall_seconds()
         results = [r for r in ctx.results if r is not None]
+        if ctx.gc_before is not None:
+            # This process's share; workers counted theirs per job.
+            count_gc_collections(registry, ctx.gc_before)
         parent_delta = (snapshot_delta(registry.snapshot(),
                                        ctx.parent_before)
                         if ctx.parent_before is not None else {})

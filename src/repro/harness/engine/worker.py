@@ -23,7 +23,8 @@ from repro.harness.engine.store import (ArtifactStore,
                                         STORE_VERSION)
 from repro.harness.runner import Harness, HarnessConfig
 from repro.runtime import RuntimeConfig, current, override
-from repro.telemetry.metrics import get_registry, snapshot_delta
+from repro.telemetry.metrics import (count_gc_collections, gc_collections,
+                                     get_registry, snapshot_delta)
 from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import collect_spans, span
 from repro.testing.faults import corrupt_file, inject
@@ -65,6 +66,10 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
         inject(fault, in_worker=in_worker)
     baseline = copy.deepcopy(store.stats) if store is not None else None
     telemetry_before = registry.snapshot() if registry.enabled else None
+    # A worker process's collections reach the run only through this
+    # job's delta; in the engine's own process the run counts them once.
+    gc_before = (gc_collections()
+                 if in_worker and telemetry_before is not None else None)
     start = time.perf_counter()
     cached = False
     # The job span's identity is the context pickled into the job, so a
@@ -106,6 +111,8 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     elapsed = time.perf_counter() - start
     stats = (_stats_delta(store.stats, baseline)
              if store is not None else CacheStats())
+    if gc_before is not None:
+        count_gc_collections(registry, gc_before)
     telemetry = (snapshot_delta(registry.snapshot(), telemetry_before)
                  if telemetry_before is not None else {})
     return JobResult(job=job, value=value, cached=cached,

@@ -232,10 +232,15 @@ class Harness:
     def run_misses(self, trace: BranchTrace, policy_name: str,
                    btb_config: Optional[BTBConfig] = None,
                    hints: Optional[HintMap] = None) -> BTBStats:
-        """Replay only the BTB (no timing) — fast path for miss figures."""
+        """Replay only the BTB (no timing) — fast path for miss figures.
+
+        The BTB is this call's own: its storage goes back to the free
+        list (:meth:`BTB.release`) once the stats are read."""
         with span("harness.misses"):
             btb = self.build_btb(policy_name, trace, btb_config, hints)
-            return run_btb(trace, btb)
+            stats = run_btb(trace, btb)
+            btb.release()
+            return stats
 
     def run_sim(self, trace: BranchTrace, policy_name: Optional[str] = "lru",
                 btb_config: Optional[BTBConfig] = None,
@@ -243,7 +248,9 @@ class Harness:
                 params: Optional[FrontendParams] = None,
                 prefetcher=None, **oracle_flags) -> SimResult:
         """Full timing simulation; ``policy_name=None`` with
-        ``perfect_btb=True`` runs the perfect-BTB oracle."""
+        ``perfect_btb=True`` runs the perfect-BTB oracle.  The BTB and
+        the I-cache rows are released after the run (the result keeps
+        only their counts)."""
         with span("harness.sim"):
             params = params or self.config.params
             btb = None
@@ -251,8 +258,12 @@ class Harness:
                 btb = self.build_btb(policy_name, trace, btb_config, hints)
             sim = FrontendSimulator(params=params, btb=btb,
                                     prefetcher=prefetcher, **oracle_flags)
-            return sim.simulate(trace,
-                                warmup_fraction=self.config.warmup_fraction)
+            result = sim.simulate(
+                trace, warmup_fraction=self.config.warmup_fraction)
+            sim.icache.release()
+            if btb is not None:
+                btb.release()
+            return result
 
     @staticmethod
     def speedup_pct(result: SimResult, baseline: SimResult) -> float:

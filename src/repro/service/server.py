@@ -75,11 +75,14 @@ class _Subscriber:
     """One request's view of a (possibly shared) batch."""
 
     def __init__(self, indices: List[int],
-                 on_result: Optional[Callable[[JobResult], None]]):
+                 on_result: Optional[Callable[[JobResult], None]],
+                 spans: Optional[List[dict]] = None):
         #: Batch indices this request asked for, in request order.
         self.indices = indices
         self.wanted = set(indices)
         self.on_result = on_result
+        #: Where the batch span goes if this subscriber journals it.
+        self.spans = spans
 
     def emit(self, result: JobResult) -> None:
         if self.on_result is not None and result.index in self.wanted:
@@ -101,8 +104,8 @@ class _Batch:
             asyncio.get_running_loop().create_future())
 
     def add(self, jobs: List[SimJob],
-            on_result: Optional[Callable[[JobResult], None]]
-            ) -> _Subscriber:
+            on_result: Optional[Callable[[JobResult], None]],
+            spans: Optional[List[dict]] = None) -> _Subscriber:
         indices = []
         for job in jobs:
             key = job.cache_key()
@@ -112,7 +115,7 @@ class _Batch:
                 self.jobs.append(job)
                 self.key_to_index[key] = index
             indices.append(index)
-        subscriber = _Subscriber(indices, on_result)
+        subscriber = _Subscriber(indices, on_result, spans)
         self.subscribers.append(subscriber)
         return subscriber
 
@@ -165,12 +168,19 @@ class SimulationService:
     # ------------------------------------------------------------------
     async def submit(self, tenant: str, jobs: List[SimJob],
                      on_result: Optional[Callable[[JobResult],
-                                                  None]] = None
+                                                  None]] = None,
+                     spans: Optional[List[dict]] = None
                      ) -> Dict[str, Any]:
         """Run ``jobs`` for ``tenant``, coalescing with concurrent
         submissions; streams terminal results through ``on_result`` and
         returns the run summary.  Raises :class:`ServiceRunError` when
-        any of *this request's* jobs failed."""
+        any of *this request's* jobs failed.
+
+        A caller that journals its own request span passes ``spans``:
+        the batch's ``service.batch`` record may then be appended to
+        that list instead of being journaled, so that the caller writes
+        both in one append (the first such subscriber of a batch gets
+        it; without one the batch journals its span itself)."""
         self._requests += 1
         registry = get_registry()
         registry.count(_per_tenant("service/requests", tenant))
@@ -183,7 +193,7 @@ class SimulationService:
         else:
             self._coalesced += 1
             registry.count(_per_tenant("service/coalesced", tenant))
-        subscriber = batch.add(jobs, on_result)
+        subscriber = batch.add(jobs, on_result, spans)
         results, summary, error = await asyncio.shield(batch.done)
         summary = dict(summary,
                        jobs=len(subscriber.indices),
@@ -295,7 +305,8 @@ class SimulationService:
         """One span covering the batch's whole life (window open → run
         finished), journaled into its run's ``events.jsonl`` next to
         the engine's spans — this is the coalescing layer's node in the
-        exported trace."""
+        exported trace.  It goes to the first subscriber that journals
+        its request span (see :meth:`submit`), or is appended here."""
         if not get_registry().enabled or not run_meta.get("manifest"):
             return
         carried = next((job.trace_context for job in batch.jobs
@@ -311,6 +322,10 @@ class SimulationService:
                   "requests": len(batch.subscribers),
                   "run_id": run_meta.get("run_id")},
             error=error is not None)
+        for subscriber in batch.subscribers:
+            if subscriber.spans is not None:
+                subscriber.spans.append(record)
+                return
         try:
             append_spans(Path(run_meta["manifest"]), [record],
                          self.store.namespace(tenant).append)
@@ -477,9 +492,14 @@ class SimulationService:
                                 "row": job_row(result)})
 
             pump_task = asyncio.ensure_future(pump())
+            # The batch span, if this request journals it (one append
+            # with the request span below).
+            spans: Optional[List[dict]] = (
+                [] if req_ctx is not None else None)
             try:
                 summary = await self.submit(tenant, jobs,
-                                            on_result=queue.put_nowait)
+                                            on_result=queue.put_nowait,
+                                            spans=spans)
                 done = dict(summary, id=request_id, event="done")
             except ServiceRunError as exc:
                 done = dict(exc.summary, id=request_id, event="done",
@@ -496,7 +516,7 @@ class SimulationService:
                 # run it landed in, it is the parent every batch / run /
                 # job span of this request links up to.
                 try:
-                    append_spans(Path(done["manifest"]), [
+                    append_spans(Path(done["manifest"]), spans + [
                         span_record(
                             "service.request", req_ctx, arrival_epoch,
                             elapsed,

@@ -668,10 +668,14 @@ def _switch_text(value: Any) -> str:
 
 
 def runtime_lines(summary: dict) -> List[str]:
-    """The run's runtime switches and its BTB-replay and simulate
-    fast-path coverage, one line each (``report`` and ``top``)."""
+    """The run's runtime switches, its BTB-replay and simulate fast-path
+    coverage and its GC collections, one line each (``report`` and
+    ``top``)."""
     switches = summary.get("runtime")
+    collections = None
     if isinstance(switches, dict):
+        switches = dict(switches)
+        collections = switches.pop("gc_collections", None)
         lines = ["switches: " + ", ".join(
             f"{name}={_switch_text(value)}"
             for name, value in switches.items())]
@@ -687,6 +691,12 @@ def runtime_lines(summary: dict) -> List[str]:
                             for reason, n in fallbacks.items()) or "none"
         lines.append(f"{label} fast path: {share:.2f} of {total} "
                      f"(fallbacks: {reasons})")
+    if isinstance(collections, dict):
+        lines.append("gc collections: " + ", ".join(
+            f"{generation}={n}" for generation, n in collections.items())
+            + f" ({sum(collections.values())} total)")
+    else:
+        lines.append("gc collections: not recorded")
     return lines
 
 

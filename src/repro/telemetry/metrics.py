@@ -28,6 +28,7 @@ full catalogue.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
@@ -36,8 +37,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["BucketMismatchError", "Histogram", "MetricsRegistry",
-           "get_registry", "set_registry", "merge_snapshots",
-           "snapshot_delta", "to_prometheus_text",
+           "count_gc_collections", "gc_collections", "get_registry",
+           "set_registry", "merge_snapshots", "snapshot_delta",
+           "to_prometheus_text",
            "DEFAULT_BUCKETS", "LATENCY_BUCKETS"]
 
 #: Default histogram bucket upper bounds (power-of-4 ladder); values above
@@ -294,6 +296,21 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     for snap in snapshots:
         acc.merge_snapshot(snap)
     return acc.snapshot()
+
+
+def gc_collections() -> List[int]:
+    """This process's cyclic-GC collections so far, per generation."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def count_gc_collections(registry: "MetricsRegistry",
+                         before: Sequence[int]) -> None:
+    """Count the collections run since ``before`` (a
+    :func:`gc_collections` reading) as ``gc/collections/gen<N>``."""
+    for generation, (now, then) in enumerate(zip(gc_collections(),
+                                                 before)):
+        if now != then:
+            registry.count(f"gc/collections/gen{generation}", now - then)
 
 
 def snapshot_delta(after: dict, before: dict) -> dict:

@@ -383,3 +383,51 @@ class TestCoverageReport:
         summary_path.write_text(json.dumps(summary))
         text = render_report(read_run_manifest(manifest.path))
         assert "switches: not recorded" in text
+
+
+class TestGCCollections:
+    """``summary.json``'s ``runtime.gc_collections`` sums the run's GC
+    collections over the engine's process and its workers."""
+
+    @staticmethod
+    def _collecting_jobs(monkeypatch):
+        """Make every job attempt run one full collection."""
+        import gc
+
+        import repro.harness.engine.worker as worker
+        real = worker.execute_job
+
+        def collecting(*args, **kwargs):
+            gc.collect()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(worker, "execute_job", collecting)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_job_attempts_collections_are_counted(
+            self, tmp_path, monkeypatch, fresh_registry, jobs):
+        # Pool workers are forked after the patch, so they run it too;
+        # their collections reach the run only through the job deltas.
+        self._collecting_jobs(monkeypatch)
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=jobs)
+        engine.run(SWEEP)
+        manifest = read_run_manifest(engine.last_manifest)
+        collections = manifest.summary["runtime"]["gc_collections"]
+        assert set(collections) == {"gen0", "gen1", "gen2"}
+        assert collections["gen2"] >= len(SWEEP)
+        counters = manifest.summary["telemetry"]["counters"]
+        assert collections["gen2"] == counters["gc/collections/gen2"]
+        text = render_report(manifest)
+        assert f"gen2={collections['gen2']}" in text
+        assert "gc collections: gen0=" in text
+
+    def test_disabled_telemetry_records_no_gc_counts(self, tmp_path):
+        previous = set_registry(MetricsRegistry(enabled=False))
+        try:
+            engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+            engine.run(SWEEP[:1])
+        finally:
+            set_registry(previous)
+        manifest = read_run_manifest(engine.last_manifest)
+        assert "gc_collections" not in manifest.summary["runtime"]
+        assert "gc collections: not recorded" in render_report(manifest)

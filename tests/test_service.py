@@ -456,3 +456,43 @@ class TestUsageAccounting:
         assert get_registry().counters["store/usage_scans"] == 1
         ns = service.store.namespace("alice")
         assert ns.usage_bytes() == ns._scan_usage()
+
+    def test_warm_request_journals_its_spans_in_one_append(
+            self, tmp_path, monkeypatch):
+        import repro.service.server as server_module
+        root = tmp_path / "svc"
+        ExperimentEngine(store=ArtifactStore(root).namespace("alice"),
+                         jobs=1).run([
+                             SimJob(app="tomcat", policy="lru",
+                                    length=LENGTH, mode="misses")])
+        appends = []
+        real = server_module.append_spans
+
+        def spy(run_dir, records, append):
+            appends.append([record["name"] for record in records])
+            return real(run_dir, records, append)
+
+        monkeypatch.setattr(server_module, "append_spans", spy)
+        service = SimulationService(root, jobs=1, coalesce_window=0.0)
+        events, _metrics = asyncio.run(self._requests(
+            service, *[sweep_request(["lru"])] * 3))
+        assert all(request_events[-1]["ok"] for request_events in events)
+        assert appends == [["service.batch", "service.request"]] * 3
+        for request_events in events:
+            names = [span["name"] for span in
+                     read_spans(Path(request_events[-1]["manifest"]))]
+            assert names.index("service.batch") < names.index(
+                "service.request")
+
+    def test_direct_submit_still_journals_the_batch_span(self, tmp_path):
+        from repro.telemetry.tracing import TraceContext
+        service = SimulationService(tmp_path / "svc", jobs=1,
+                                    coalesce_window=0.0)
+        context = TraceContext("t" * 32, "s" * 16, None)
+        job = SimJob(app="tomcat", policy="lru", length=LENGTH,
+                     mode="misses", trace_context=context)
+        summary = asyncio.run(service.submit("alice", [job]))
+        names = [span["name"] for span in
+                 read_spans(Path(summary["manifest"]))]
+        assert names.count("service.batch") == 1
+        assert "service.request" not in names

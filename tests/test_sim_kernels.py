@@ -532,3 +532,29 @@ def test_property_fast_matches_reference(raw, warm):
                                                 warmup_fraction=warm)),
                 _component_state(sim))
     assert results[True] == results[False]
+
+
+def _loop_sum(values) -> float:
+    """The reference simulator's accumulation: one ``+=`` per entry."""
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+    max_size=300))
+def test_ordered_sum_with_interleaved_zeros_equals_the_loop(values):
+    """Dropping the zeros before the scan (``frontend.measure``'s sparse
+    columns) leaves the left-to-right sum bit-identical."""
+    array = np.array(values, dtype=float)
+    expected = _loop_sum(values)
+    assert simk._ordered_sum(array) == expected
+    assert simk._nonzero_sum(array) == expected
+    charged = array != 0.0
+    for penalty in (0, 3, 14.5, 0.1):
+        assert simk._penalty_sum(charged, penalty) == _loop_sum(
+            np.where(charged, penalty, 0.0).tolist())
