@@ -100,8 +100,8 @@ class OptProfile:
     def __getstate__(self) -> Dict[str, object]:
         # Timing is provenance, not identity: the content-addressed
         # store must serialize the same profiling recipe to the same
-        # bytes on every host (the fabric's peer fetch and differential
-        # tests depend on it), so wall clock stays out of the pickle.
+        # bytes in every process and run, so wall clock stays out of the
+        # pickle.
         # Freshly computed profiles still expose their elapsed time.
         state = dict(self.__dict__)
         state["elapsed_seconds"] = 0.0

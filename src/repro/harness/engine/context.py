@@ -58,7 +58,7 @@ class RunContext:
     #: job's pickled context is a child of it.
     trace: Optional[Any] = None
     #: The runtime config snapshotted when the run opened: shipped with
-    #: every worker batch and fabric lease, recorded in ``summary.json``.
+    #: every worker batch, recorded in ``summary.json``.
     runtime: RuntimeConfig = field(default_factory=current_runtime)
     started: float = field(default_factory=time.perf_counter)
     started_epoch: float = field(default_factory=time.time)

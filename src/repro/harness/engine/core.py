@@ -84,11 +84,9 @@ class ExperimentEngine:
     accepts a pre-built :class:`ArtifactStore` — in particular a tenant
     namespace from :meth:`ArtifactStore.namespace`, which scopes the
     run's artifacts *and* its manifests under that tenant's root;
-    ``executor=`` swaps the execution strategy (any
-    :class:`~repro.harness.engine.executor.Executor`); ``on_result=``
-    streams terminal :class:`JobResult`\\ s as they land; and
-    :meth:`run_async` runs the whole sweep cooperatively on an asyncio
-    loop.
+    ``on_result=`` streams terminal :class:`JobResult`\\ s as they land;
+    and :meth:`run_async` runs the whole sweep cooperatively on an
+    asyncio loop.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None,
@@ -99,8 +97,7 @@ class ExperimentEngine:
                  job_timeout: Optional[float] = None,
                  backoff_base: Optional[float] = None,
                  backoff_cap: float = 8.0,
-                 store: Optional[ArtifactStore] = None,
-                 executor: Optional[Executor] = None):
+                 store: Optional[ArtifactStore] = None):
         config = runtime.current()
         self.jobs = config.jobs if jobs is None else max(1, int(jobs))
         if store is not None:
@@ -137,7 +134,6 @@ class ExperimentEngine:
             self.manifest_dir = None
         if not write_manifest:
             self.manifest_dir = None
-        self._executor = executor
         #: The most recent run's manifest directory (None until a run
         #: completes with manifests enabled).
         self.last_manifest: Optional[Path] = None
@@ -302,20 +298,7 @@ class ExperimentEngine:
         ctx.close_journal()
         self._write_manifest(ctx, failure, run_span)
 
-    def set_executor(self, executor: Optional[Executor]) -> None:
-        """Swap the execution strategy for subsequent runs.
-
-        The library seam for executors that must be wired back to their
-        engine *after* it exists — the fabric coordinator builds the
-        engine first, then installs a
-        :class:`~repro.fabric.coordinator.FabricExecutor` pointing at
-        both.  ``None`` restores the default jobs-count-based choice.
-        """
-        self._executor = executor
-
     def _select_executor(self, pending: Sequence[int]) -> Executor:
-        if self._executor is not None:
-            return self._executor
         if self.jobs > 1 and len(pending) > 1:
             return ProcessPoolJobExecutor(self)
         return SerialExecutor(self)

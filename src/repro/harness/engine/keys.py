@@ -1,10 +1,9 @@
 """Shared job-identity helpers: policy variants, geometry, batches.
 
-Two places need to agree on "which jobs replay the same stream": the
-process pool's worker batches (:func:`plan_batches`) and the fabric's
-lease groups (:mod:`repro.fabric.coordinator`); in both, the jobs of one
-group share one harness, trace and profile.  Both call
-:func:`batch_key`, and ``tests/test_group_keys.py`` pins the semantics.
+The process pool's worker batches (:func:`plan_batches`) group the
+jobs that replay the same stream: the jobs of one batch share one
+harness, trace and profile.  :func:`batch_key` decides the grouping,
+and ``tests/test_group_keys.py`` pins its semantics.
 
 The subtlety the helpers encode: ``thermometer-7979`` names the
 iso-storage variant of Fig. 11, which replays the 7979-entry geometry

@@ -307,8 +307,8 @@ class ArtifactStore:
     def drop_usage(self) -> None:
         """Forget the counter (here and in every ancestor store) so the
         next read re-seeds it with one full scan — for after writes this
-        process did not make, e.g. a run whose pool workers or fabric
-        hosts wrote through their own store objects."""
+        process did not make, e.g. a run whose pool workers wrote
+        through their own store objects."""
         with self._lock:
             self._usage_bytes = None
         self._changed()
@@ -487,38 +487,7 @@ class ArtifactStore:
         interleaved puts cannot each pass the check and overshoot the
         quota together.
         """
-        self._write_blob(kind, key, self._encode(obj))
-
-    def read_blob(self, kind: str, key: str) -> Optional[bytes]:
-        """The artifact's raw on-disk envelope (magic + digest +
-        payload), or None when absent.
-
-        No stats, no validation: this is the *serving* side of the
-        fabric's peer fetch-by-digest — bytes ship verbatim and the
-        consumer's :meth:`get` (after :meth:`adopt_blob`) is what
-        verifies the integrity digest.
-        """
-        try:
-            return self.path(kind, key).read_bytes()
-        except OSError:
-            return None
-
-    def adopt_blob(self, kind: str, key: str, blob: bytes) -> None:
-        """Adopt an already-encoded envelope byte-verbatim (the write
-        side of peer fetch and of the coordinator's result mirroring).
-
-        Adopting instead of re-pickling guarantees every copy of an
-        artifact across fabric hosts is byte-identical.  The envelope is
-        self-verifying, so nothing is validated here: a corrupt adopted
-        blob is caught — and quarantined — by the next :meth:`get`,
-        exactly like local bit rot.  Quota accounting matches
-        :meth:`put`.
-        """
-        self._write_blob(kind, key, bytes(blob))
-
-    def _write_blob(self, kind: str, key: str, blob: bytes) -> None:
-        """Shared atomic-write path of :meth:`put` / :meth:`adopt_blob`
-        (quota reservation, temp-file rename, usage/stats updates)."""
+        blob = self._encode(obj)
         path = self.path(kind, key)
         size = len(blob)
         reserved: Optional[int] = None

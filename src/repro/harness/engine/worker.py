@@ -58,10 +58,8 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     plan = current().fault_plan
     if index is not None and plan is not None:
         fault = plan.fault_for(index, attempt)
-    # ``corrupt`` applies after the compute (below); ``partition`` is a
-    # transport fault the fabric worker performs itself before calling
-    # in here — with no fabric link to sever it is inert.
-    if fault is not None and fault.kind not in ("corrupt", "partition"):
+    # ``corrupt`` applies after the compute (below).
+    if fault is not None and fault.kind != "corrupt":
         registry.count("faults/injected")
         inject(fault, in_worker=in_worker)
     baseline = copy.deepcopy(store.stats) if store is not None else None

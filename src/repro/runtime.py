@@ -10,8 +10,8 @@ latest override winning.  A malformed value raises ``ValueError`` naming
 the variable and the accepted spellings.
 
 The engine snapshots :func:`current` when a run starts, records it in
-the run's ``summary.json`` and ships it with every pool batch and fabric
-lease, whose worker applies it with :func:`override`.  It is never part
+the run's ``summary.json`` and ships it with every pool batch, whose
+worker applies it with :func:`override`.  It is never part
 of a job's cache key.
 """
 
@@ -157,7 +157,7 @@ class RuntimeConfig:
         return Path.home() / ".cache" / "repro-thermometer"
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready primitives (``summary.json``, fabric lease frames)."""
+        """JSON-ready primitives (``summary.json``)."""
         out = dict(vars(self))
         for name in _PATH_FIELDS:
             if out[name] is not None:
@@ -165,20 +165,6 @@ class RuntimeConfig:
         if self.fault_plan is not None:
             out["fault_plan"] = self.fault_plan.to_dict()
         return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RuntimeConfig":
-        """Inverse of :meth:`to_dict`; missing keys take defaults, and
-        keys that name no switch (the run's ``executor``, a retired
-        switch) are ignored."""
-        values = {name: payload[name] for name in _SWITCHES
-                  if name in payload}
-        for name in _PATH_FIELDS:
-            if values.get(name) is not None:
-                values[name] = Path(values[name])
-        if values.get("fault_plan") is not None:
-            values["fault_plan"] = FaultPlan.from_dict(values["fault_plan"])
-        return cls(**values)
 
 
 _lock = threading.Lock()

@@ -1,44 +1,39 @@
-"""Line-JSON framing shared by every wire consumer in the repo.
+"""Line-JSON framing for the simulation service's wire.
 
 One JSON object per ``\\n``-terminated line is the repo's only wire
-format — the simulation service (:mod:`repro.service`), its client, and
-the distributed sweep fabric (:mod:`repro.fabric`) all speak it.  This
-module owns the *transport-agnostic* mechanics every one of those
-endpoints used to hand-roll: encoding, decoding, incremental buffering
-of partial reads, oversized-frame protection, and torn-frame detection
-at EOF.
+format — the simulation service (:mod:`repro.service`) and its client
+speak it.  This module owns the *transport-agnostic* mechanics both
+endpoints need: encoding, decoding, incremental buffering of partial
+reads, oversized-frame protection, and torn-frame detection at EOF.
 
 :class:`LineFrameBuffer` is the core: feed it whatever byte chunks the
-transport produced (asyncio ``read()``, blocking ``recv()``, a test's
-hand-cut slices) and it hands back complete decoded frames, buffering
-torn lines until their remainder arrives.  A line longer than
+transport produced (asyncio ``read()``, a test's hand-cut slices) and
+it hands back complete decoded frames, buffering torn lines until their
+remainder arrives.  A line longer than
 ``max_frame_bytes`` raises :class:`FrameTooLargeError` and the buffer
 *resynchronizes* at the next newline, so one oversized frame cannot
 wedge the connection; a connection that closes with a partial line still
 buffered is a torn frame (:meth:`LineFrameBuffer.eof`).
 
-:class:`SocketFrameReader` / :func:`send_frame` wrap the same buffer
-around a blocking socket for the fabric's synchronous endpoints; the
-asyncio :class:`~repro.service.client.ServiceClient` drives the buffer
-itself from ``StreamReader.read`` chunks.
+The asyncio :class:`~repro.service.client.ServiceClient` drives the
+buffer from ``StreamReader.read`` chunks; the server reads each request
+line with ``readline`` and decodes it with :func:`decode_line`.
 """
 
 from __future__ import annotations
 
 import json
-import socket
-import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["FrameTooLargeError", "LineFrameBuffer", "MAX_FRAME_BYTES",
-           "ProtocolError", "SocketFrameReader", "TornFrameError",
-           "decode_line", "encode_line", "send_frame"]
+           "ProtocolError", "TornFrameError", "decode_line",
+           "encode_line"]
 
-#: Default per-frame ceiling.  Generous — the largest legitimate frames
-#: are the fabric's base64 artifact payloads (a long trace's pickle) —
-#: while still bounding what one malformed or hostile line can make an
-#: endpoint buffer.
+#: Default per-frame ceiling.  Generous — a legitimate event line (one
+#: job's result, a run's ``done`` summary with its merged telemetry) is
+#: orders of magnitude smaller, so the bound never limits a real
+#: response — while still bounding what one malformed or hostile line
+#: can make an endpoint buffer.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -154,55 +149,3 @@ class LineFrameBuffer:
             raise TornFrameError(
                 f"connection closed mid-frame ({torn} byte(s) of a "
                 f"partial line buffered)")
-
-
-def send_frame(sock: socket.socket, obj: Dict[str, Any],
-               lock: Optional[threading.Lock] = None) -> None:
-    """Write one frame to a blocking socket (optionally serialized by
-    ``lock`` so concurrent senders — a heartbeat thread next to a
-    request loop — never interleave bytes mid-line)."""
-    data = encode_line(obj)
-    if lock is None:
-        sock.sendall(data)
-        return
-    with lock:
-        sock.sendall(data)
-
-
-class SocketFrameReader:
-    """Blocking frame reader over a connected socket.
-
-    ``read_frame()`` returns the next frame, or None on a clean EOF; a
-    dirty EOF (bytes of a partial line buffered) raises
-    :class:`TornFrameError`.  Decode errors propagate from the
-    underlying :class:`LineFrameBuffer` with the buffer resynchronized,
-    so a server loop may log and continue.
-    """
-
-    #: Bytes per ``recv`` — large enough that artifact-sized frames do
-    #: not crawl, small enough not to matter for control traffic.
-    CHUNK = 256 * 1024
-
-    def __init__(self, sock: socket.socket,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
-        self._sock = sock
-        self._buffer = LineFrameBuffer(max_frame_bytes)
-        self._frames: Deque[Dict[str, Any]] = deque()
-        self._eof = False
-
-    def read_frame(self) -> Optional[Dict[str, Any]]:
-        while not self._frames:
-            if self._eof:
-                return None
-            try:
-                data = self._sock.recv(self.CHUNK)
-            except OSError:
-                # A severed/reset socket is an EOF for framing purposes;
-                # whether it tore a frame is what eof() reports.
-                data = b""
-            if not data:
-                self._eof = True
-                self._buffer.eof()
-                return None
-            self._frames.extend(self._buffer.feed(data))
-        return self._frames.popleft()

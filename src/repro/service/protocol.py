@@ -70,8 +70,8 @@ from typing import Any, Dict, List, Optional
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.harness.engine import SimJob
 # Framing (encode/decode, buffering, oversized/torn-frame handling)
-# lives in repro.service.framing, shared with the fabric's wire layer;
-# re-exported here so protocol consumers keep their historical imports.
+# lives in repro.service.framing; re-exported here so protocol consumers
+# keep their historical imports.
 from repro.service.framing import (ProtocolError, decode_line,
                                    encode_line)
 

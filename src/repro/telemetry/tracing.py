@@ -29,8 +29,8 @@ concurrent asyncio tasks and executor threads can neither nest under
 nor steal each other's spans.  Workers ship their collected records
 home in ``JobResult.span_records``; the parent journals them into the
 run's ``events.jsonl`` next to the job-state rows.  Regions timed after
-the fact (the engine run, a service request or batch, a fabric lease)
-build their record with :func:`span_record`.
+the fact (the engine run, a service request or batch) build their
+record with :func:`span_record`.
 
 Every span name is in :data:`SPAN_NAMES`.  The one on/off gate is the
 process registry's ``enabled`` flag (a ``MetricsRegistry(enabled=False)``
@@ -62,7 +62,6 @@ SPAN_NAMES = (
     "engine.job",         # one job attempt in whichever process runs it
     "service.request",    # one wire request (journal record)
     "service.batch",      # one coalesced batch (journal record)
-    "fabric.lease",       # one lease on a fabric host (journal record)
     "store.get",          # a job's result lookup
     "store.put",          # a job's result write
     "store.fetch",        # get-or-compute of an intermediate artifact

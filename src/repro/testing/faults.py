@@ -13,19 +13,13 @@ and *how* a worker should misbehave:
 * ``die``     — the worker process SIGKILLs itself mid-batch, so the
   parent sees a broken process pool (downgraded to ``raise`` when the
   job runs in-process rather than in a worker).
-* ``partition`` — a *transport* fault: a fabric worker host severs its
-  coordinator socket before running the job and keeps computing its
-  lease locally (see :mod:`repro.fabric.worker`), so the coordinator
-  must detect the silent host and re-lease the orphaned group.  Outside
-  the fabric there is no link to sever, so the engine's job path treats
-  a scheduled ``partition`` as inert (the job runs normally).
 
 The active plan is the runtime config's ``fault_plan``
 (:mod:`repro.runtime`): set ``REPRO_FAULT_PLAN`` to inline JSON or
 ``@/path/to/plan.json``, or run a block under
 ``runtime.override(fault_plan=plan)``.  The engine ships the config with
-every worker batch and fabric lease, so plans reach *real*
-``ProcessPoolExecutor`` workers and fabric hosts, not a mock.
+every worker batch, so plans reach *real* ``ProcessPoolExecutor``
+workers, not a mock.
 :meth:`FaultPlan.random` builds a seeded, reproducible plan for chaos
 runs: the seed is the only thing a CI log needs to record to replay the
 exact failure schedule.
@@ -52,7 +46,7 @@ log = logging.getLogger(__name__)
 __all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "InjectedFault",
            "corrupt_file", "inject"]
 
-FAULT_KINDS = ("raise", "hang", "corrupt", "die", "partition")
+FAULT_KINDS = ("raise", "hang", "corrupt", "die")
 
 
 class InjectedFault(RuntimeError):
@@ -161,13 +155,10 @@ def inject(fault: Fault, in_worker: bool = False) -> None:
 
     ``corrupt`` is not applied here — the caller mangles the stored
     artifact *after* computing it (see
-    :func:`repro.harness.engine.run_job`).  ``partition`` is not applied
-    here either: it is a transport fault the fabric worker host performs
-    itself (severing its coordinator socket) before the job ever reaches
-    this function.  ``hang`` returns after its sleep unless a deadline
-    signal interrupts it; ``die`` SIGKILLs the process only when
-    ``in_worker`` is true, otherwise it degrades to a ``raise`` so
-    in-process runs are not killed.
+    :func:`repro.harness.engine.run_job`).  ``hang`` returns after its
+    sleep unless a deadline signal interrupts it; ``die`` SIGKILLs the
+    process only when ``in_worker`` is true, otherwise it degrades to a
+    ``raise`` so in-process runs are not killed.
     """
     if fault.kind == "raise":
         raise InjectedFault(f"injected failure at job {fault.index}")

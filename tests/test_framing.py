@@ -1,19 +1,16 @@
-"""The shared line-JSON framing layer and its two socket consumers.
+"""The line-JSON framing layer of the simulation service's wire.
 
 :mod:`repro.service.framing` is the one wire format in the repo — the
-asyncio service client and the fabric's blocking endpoints both decode
-through :class:`LineFrameBuffer`.  These are the regression tests for
-the failure modes that used to be hand-rolled per endpoint: torn reads
+asyncio service client decodes through :class:`LineFrameBuffer`.  These
+are the regression tests for its failure modes: torn reads
 reassembling, oversized frames raising *and resynchronizing*, and a
-connection dying mid-line being reported as a torn frame on both the
-blocking (:class:`SocketFrameReader`) and asyncio
-(:class:`~repro.service.client.ServiceClient`) paths.
+connection dying mid-line being reported as a torn frame on the
+:class:`~repro.service.client.ServiceClient` path.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +18,8 @@ from hypothesis import strategies as st
 
 from repro.service.client import ServiceClient
 from repro.service.framing import (FrameTooLargeError, LineFrameBuffer,
-                                   ProtocolError, SocketFrameReader,
-                                   TornFrameError, decode_line,
-                                   encode_line, send_frame)
+                                   ProtocolError, TornFrameError,
+                                   decode_line, encode_line)
 
 
 class TestLineFrameBuffer:
@@ -215,47 +211,6 @@ class TestFramingFuzz:
             buf.eof()
         except TornFrameError:
             pass
-
-
-class TestSocketFrameReader:
-    @pytest.fixture()
-    def pair(self):
-        a, b = socket.socketpair()
-        yield a, b
-        a.close()
-        b.close()
-
-    def test_torn_sends_reassemble(self, pair):
-        a, b = pair
-        reader = SocketFrameReader(b)
-        a.sendall(b'{"x": ')
-        a.sendall(b'1}\n')
-        assert reader.read_frame() == {"x": 1}
-        a.close()
-        assert reader.read_frame() is None
-
-    def test_send_frame_is_readable_verbatim(self, pair):
-        a, b = pair
-        send_frame(a, {"op": "lease", "host": "h0"})
-        assert (SocketFrameReader(b).read_frame()
-                == {"op": "lease", "host": "h0"})
-
-    def test_connection_severed_mid_frame_is_torn(self, pair):
-        a, b = pair
-        reader = SocketFrameReader(b)
-        a.sendall(b'{"partial": ')
-        a.close()
-        with pytest.raises(TornFrameError):
-            reader.read_frame()
-
-    def test_oversized_frame_raises_then_resynchronizes(self, pair):
-        a, b = pair
-        reader = SocketFrameReader(b, max_frame_bytes=64)
-        a.sendall(b"y" * 200 + b'\n')
-        with pytest.raises(FrameTooLargeError):
-            reader.read_frame()
-        a.sendall(b'{"ok": 1}\n')
-        assert reader.read_frame() == {"ok": 1}
 
 
 def _scripted_server(payload: bytes):

@@ -1,8 +1,8 @@
 """The shared job-identity helpers (:mod:`repro.harness.engine.keys`).
 
-These keys are what the process pool's worker batches and the fabric's
-lease groups agree on; their semantics are pinned here so a refactor in
-one consumer cannot silently diverge from the other.
+These keys decide which jobs share one process-pool worker batch (one
+harness, trace and profile); their semantics are pinned here so a
+refactor of the batch planner cannot silently change the grouping.
 """
 
 from __future__ import annotations

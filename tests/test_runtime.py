@@ -1,6 +1,6 @@
 """The runtime config: one parser for every ``REPRO_*`` switch, in-process
 overrides, and the config travelling with each batch to pool workers
-and fabric hosts (and into ``summary.json``)."""
+(and into ``summary.json``)."""
 
 from __future__ import annotations
 
@@ -16,14 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro import runtime
-from repro.fabric import FabricCoordinator
-from repro.fabric.worker import worker_main
 from repro.harness.engine import ExperimentEngine, SimJob
 from repro.runtime import _SWITCHES, RuntimeConfig
 from repro.telemetry.manifest import (fast_path_coverage, read_events,
-                                      read_run_manifest, render_report)
+                                      read_run_manifest, read_spans,
+                                      render_report)
 from repro.telemetry.metrics import MetricsRegistry, set_registry
-from repro.testing.faults import Fault, FaultPlan
+from repro.testing.faults import FAULT_KINDS, Fault, FaultPlan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,9 +39,13 @@ BAD_VALUES = [
     ("REPRO_PROFILE", "perf"),
     ("REPRO_FAULT_PLAN", "{not json"),
     ("REPRO_FAULT_PLAN", "@/nonexistent/plan.json"),
+    # ``partition`` was a kind of the deleted distributed sweep; a plan
+    # written for it is now outside input naming an unknown kind.
+    ("REPRO_FAULT_PLAN", '{"faults": [{"kind": "partition", "index": 0}]}'),
 ]
 BAD_IDS = ["jobs-abc", "jobs-0", "timeout-soon", "fast-sim-maybe",
-           "profile-perf", "plan-bad-json", "plan-missing-file"]
+           "profile-perf", "plan-bad-json", "plan-missing-file",
+           "plan-retired-kind"]
 
 
 @pytest.fixture
@@ -109,17 +112,24 @@ class TestParsing:
             cache_dir=tmp_path, jobs=2, job_timeout=1.5, fast_sim=False,
             profile="cprofile", profile_dir=tmp_path / "p",
             fault_plan=FaultPlan(faults=(Fault("raise", 1),), seed=4))
-        payload = json.loads(json.dumps(config.to_dict()))
-        assert RuntimeConfig.from_dict(payload) == config
-        # summary.json adds the executor, and older runs carry the
-        # retired shm switch; neither names a field.
-        payload.update(executor="pool", shm=True)
-        assert RuntimeConfig.from_dict(payload) == config
+        # summary.json records the config as JSON-ready primitives.
+        payload = config.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["cache_dir"] == str(tmp_path)
+        assert payload["fault_plan"] == config.fault_plan.to_dict()
 
     @pytest.mark.parametrize("var,raw", BAD_VALUES, ids=BAD_IDS)
     def test_malformed_value_names_the_variable(self, var, raw):
         with pytest.raises(ValueError, match=var):
             RuntimeConfig.from_env({var: raw})
+
+    def test_retired_fault_kind_names_the_valid_kinds(self):
+        var, raw = BAD_VALUES[BAD_IDS.index("plan-retired-kind")]
+        with pytest.raises(ValueError) as info:
+            RuntimeConfig.from_env({var: raw})
+        message = str(info.value)
+        assert "'partition'" in message
+        assert all(repr(kind) in message for kind in FAULT_KINDS)
 
 
 class TestCliErrors:
@@ -256,37 +266,6 @@ class TestShipping:
         assert block["fault_plan"] == self.PLAN.to_dict()
         assert block["executor"] == "pool"
 
-    def test_fabric_host_runs_under_the_coordinators_config(
-            self, tmp_path, fresh_registry):
-        # The host is a spawned process started before the override.
-        coord = FabricCoordinator(tmp_path / "fabric", hosts=1,
-                                  max_retries=1)
-        address = coord.bind()
-        host = multiprocessing.get_context("spawn").Process(
-            target=worker_main,
-            args=(address, str(tmp_path / "fabric" / "hosts" / "h0")),
-            kwargs={"host_id": "h0", "linger": 0.0}, daemon=True)
-        host.start()
-        try:
-            coord.start()
-            with runtime.override(fast_replay=False, fault_plan=self.PLAN):
-                results = coord.run(SWEEP[:2])
-        finally:
-            coord.finish()
-            host.join(timeout=30)
-            if host.is_alive():
-                host.terminate()
-            coord.close()
-        assert all(r.state == "succeeded" for r in results)
-        assert _injected_failures(coord.engine) == [0]
-        counters = coord.engine.last_run_telemetry["counters"]
-        assert counters["btb/fallback/disabled"] >= 2
-        assert "btb/fast_path" not in counters
-        block = _runtime_block(coord.engine)
-        assert block["fast_replay"] is False
-        assert block["fault_plan"] == self.PLAN.to_dict()
-        assert block["executor"] == "fabric"
-
     def test_serial_and_async_runs_record_their_executor(self, tmp_path,
                                                          fresh_registry):
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
@@ -383,6 +362,40 @@ class TestCoverageReport:
         summary_path.write_text(json.dumps(summary))
         text = render_report(read_run_manifest(manifest.path))
         assert "switches: not recorded" in text
+
+    def test_run_of_the_retired_fabric_still_renders(self, tmp_path,
+                                                     fresh_registry):
+        """Runs made by the deleted distributed sweep recorded
+        ``executor=fabric``, could carry ``partition`` faults in their
+        plan and journaled ``fabric.lease`` spans; report, top and the
+        trace export show them as recorded."""
+        from repro.tools import trace_export
+        from repro.tools.top import render_run_frame
+        manifest = self._sweep(tmp_path)
+        summary_path = manifest.path / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["runtime"]["executor"] = "fabric"
+        summary["runtime"]["fault_plan"] = {
+            "seed": 7, "faults": [{"kind": "partition", "index": 0,
+                                   "attempts": [0], "seconds": 5.0}]}
+        summary_path.write_text(json.dumps(summary))
+        run_span = next(row for row in read_spans(manifest.path)
+                        if row["name"] == "engine.run")
+        lease = dict(run_span, name="fabric.lease", span_id="f" * 16,
+                     parent_id=run_span["span_id"], args={"host": "h0"})
+        with open(manifest.path / "events.jsonl", "a") as fh:
+            fh.write(json.dumps(lease) + "\n")
+
+        for text in (render_report(read_run_manifest(manifest.path)),
+                     render_run_frame(manifest.path)):
+            assert "executor=fabric" in text
+            assert "fault_plan=1 fault(s) seed 7" in text
+        out = tmp_path / "trace.json"
+        assert trace_export.main([str(manifest.path), "-o", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        leases = [e for e in events if e["name"] == "fabric.lease"]
+        assert len(leases) == 1
+        assert leases[0]["args"]["parent_id"] == run_span["span_id"]
 
 
 class TestGCCollections:
