@@ -27,17 +27,22 @@ policy couples:
 
 **Run heads.**  Within one set's sub-stream, a *run* is a maximal
 stretch of one pc (:class:`~repro.trace.stream.SetPartition`).  Every
-access after a run's head finds that pc resident, so it is a hit that
-touches only its own set's state.  The set-partitioned kernels and the
-DIP, random and BRRIP kernels iterate run heads only: a run's last
-access sets the way's target and recency, ``reused`` becomes True, and
-the tail's hits, target changes and ``hits_out`` marks are credited in
-bulk (:meth:`ReplayKernel._finish`).  Two edge rules keep that exact: a
-Thermometer head that is bypassed bypasses its whole run (the
-temperature and the set are unchanged), and OPT never bypasses a head
-with a tail (its next use is the very next access to its set).  SHiP,
-GHRP, Hawkeye and the dueling/online Thermometer train global state on
-every hit, so they keep per-access loops.
+access after a run's head finds that pc resident, so it is a hit.
+Every kernel does a head's full step and applies the run's last target
+and recency to the way at once; ``reused`` becomes True, and the tail's
+hits, target changes and ``hits_out`` marks are credited in bulk
+(:meth:`ReplayKernel._finish`).  A tail keeps only the work that can
+change global state: none for the set-partitioned kernels and DIP,
+random, BRRIP and the dueling Thermometer, which iterate heads only;
+the first reuse for SHiP; the sampled-set training and the run end's
+predictor read for Hawkeye; a detrain (plus the run end's dead
+prediction) for GHRP; a hit count for the online Thermometer
+(:class:`GlobalOrderKernel` gives each rule).  The edge rules that keep
+this exact: a Thermometer head that is bypassed bypasses its whole run
+(the temperature and the set are unchanged); OPT never bypasses a head
+with a tail (its next use is the very next access to its set); and in
+GHRP and the dueling and online Thermometers, a bypassed head leaves
+its run *open*, so the run's tails step one by one as misses.
 
 Every registry policy has a kernel; the dispatch-matrix test
 (``tests/test_fast_kernels.py``) fails if a new one arrives without.
@@ -89,7 +94,8 @@ records no per-access outcomes).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Type
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -143,6 +149,81 @@ def _set_rows(btb, part: SetPartition):
     for g, s in enumerate(part.set_ids.tolist()):
         yield (s, starts[g], starts[g + 1], dirs[s], tags[s], tgts[s],
                reused[s], fillidx[s])
+
+
+def _column(values) -> array:
+    """An int column (stream positions, table indices) as a compact
+    ``array('i')``: scalar loops index it as fast as a tuple, at four
+    bytes an entry."""
+    return array("i", np.asarray(values, dtype=np.intc).tobytes())
+
+
+def _first_tails(part: SetPartition) -> Tuple[np.ndarray, np.ndarray]:
+    """Stream position of each run's first tail (runs with a tail only),
+    and the offset of each run's tails in ``part.repeats``."""
+    tails = part.lengths - 1
+    offsets = np.cumsum(tails) - tails
+    return part.repeats[offsets[tails > 0]], offsets
+
+
+class _RunTails:
+    """The tails of a run, looked up by the stream-order index of its
+    head (``k`` over :attr:`SetPartition.by_position`).
+
+    A kernel needs them only when a head with a tail is bypassed: that
+    run stays *open* (its pc is not resident), so its tails are misses
+    the kernel replays access by access.  The lookup is built on first
+    use, so a replay without such a bypass pays nothing."""
+
+    def __init__(self, part: SetPartition):
+        self.part = part
+        self.runs: List[int] = []
+        self._rank = self._offsets = None
+
+    def open(self, k: int) -> np.ndarray:
+        """Record run ``k`` as open and return its tails' positions."""
+        part = self.part
+        if self._rank is None:
+            self._rank = np.argsort(np.array(part.heads))
+            self._offsets = _first_tails(part)[1]
+        r = int(self._rank[k])
+        self.runs.append(r)
+        start = self._offsets[r]
+        return part.repeats[start:start + part.lengths[r] - 1]
+
+    def mask(self) -> Optional[np.ndarray]:
+        """The open runs as :meth:`ReplayKernel._finish`'s ``bypassed``
+        column, or None."""
+        if not self.runs:
+            return None
+        bypassed = np.zeros(len(self.part.heads), dtype=np.bool_)
+        bypassed[self.runs] = True
+        return bypassed
+
+
+def _restamp(stamps, dirs, part: SetPartition, clock0: int,
+             bypass_positions: List[int]) -> int:
+    """Turn the stream positions a kernel stored as recency stamps into
+    the reference's clock values; returns the end clock.
+
+    The policy clock ticks on every access but a bypass, so the clock
+    after the access at position ``p`` is ``clock0 + p + 1`` minus the
+    bypasses at or before ``p``.  Within one set, position order is
+    clock order (a touch is never a bypass), so the kernel's victim
+    scans compare positions exactly like stamps.  Storage starts empty
+    and fills ways in order, so a set's touched ways are its first
+    ``len(dir)``; the others keep their start stamps."""
+    filled = [(s, len(dirs[s])) for s in part.set_ids.tolist()]
+    positions = [p for s, m in filled for p in stamps[s][:m]]
+    touched = np.array(positions, dtype=np.int64)
+    clocks = (touched + (clock0 + 1)
+              - np.searchsorted(bypass_positions, touched, side="right"))
+    clocks = clocks.tolist()
+    k = 0
+    for s, m in filled:
+        stamps[s][:m] = clocks[k:k + m]
+        k += m
+    return clock0 + len(part) - len(bypass_positions)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +310,7 @@ class LRUKernel(ReplayKernel):
         stamps = btb.policy._stamps
         hits = evictions = compulsory = mismatches = 0
         for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
-            touch = [-1] * W
+            touch = stamps[s]  # stream positions until _restamp
             nfilled = 0
             for r in range(a, b):
                 p = heads[r]
@@ -258,13 +339,7 @@ class LRUKernel(ReplayKernel):
                     fillidx[way] = p
                 tgt[way] = tgts[e]
                 touch[way] = e
-            srow = stamps[s]
-            for w in ways:
-                if touch[w] >= 0:
-                    # Every access touches exactly once, so the clock at
-                    # stream position p is p + 1.
-                    srow[w] = touch[w] + 1
-        btb.policy._clock = len(part)
+        btb.policy._clock = _restamp(stamps, btb._dir, part, 0, [])
         self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
                      mismatches)
 
@@ -546,17 +621,14 @@ class ThermometerKernel(ReplayKernel):
         bypass_enabled = policy.bypass_enabled
         static_tb = policy.tiebreak == "static"
         temps_grid = policy._temps
+        stamps = policy._stamps
         covered = uncovered = 0
         hits = evictions = compulsory = mismatches = 0
         #: Runs whose head was bypassed.
         bypassed_runs: List[int] = []
-        #: (set, filled ways) per set, and the stream positions of those
-        #: ways' last touches in set order.
-        filled: List[tuple] = []
-        last_touches: List[int] = []
         for s, a, b, dct, tag, tgt, reused, fillidx in _set_rows(btb, part):
             wtemps = temps_grid[s]
-            touch = [-1] * W
+            touch = stamps[s]  # stream positions until _restamp
             nfilled = 0
             for r in range(a, b):
                 p = heads[r]
@@ -609,10 +681,6 @@ class ThermometerKernel(ReplayKernel):
                 fillidx[way] = p
                 wtemps[way] = t_in
                 touch[way] = e
-            filled.append((s, nfilled))
-            last_touches += touch[:nfilled]
-        n = len(part)
-        touched = np.array(last_touches, dtype=np.int64)
         bypassed = None
         bypass_positions = np.zeros(0, dtype=np.int64)
         if bypassed_runs:
@@ -624,19 +692,9 @@ class ThermometerKernel(ReplayKernel):
             bypass_positions = np.sort(np.concatenate((
                 np.array([heads[r] for r in bypassed_runs], dtype=np.int64),
                 part.repeats[np.repeat(bypassed, part.lengths - 1)])))
-        # Bypasses are the only accesses that do not tick the policy
-        # clock: the clock at position p is p + 1 minus the bypasses at
-        # or before p.
-        clocks = touched + 1 - np.searchsorted(bypass_positions, touched,
-                                               side="right")
-        stamps = policy._stamps
-        clocks = clocks.tolist()
-        k = 0
-        for s, m in filled:
-            stamps[s][:m] = clocks[k:k + m]
-            k += m
         bypasses = len(bypass_positions)
-        policy._clock = n - bypasses
+        policy._clock = _restamp(stamps, btb._dir, part, 0,
+                                 bypass_positions)
         policy.covered_decisions += covered
         policy.uncovered_decisions += uncovered
         self._finish(btb, part, hits_out, hits, evictions, bypasses,
@@ -746,11 +804,31 @@ class GlobalOrderKernel(ReplayKernel):
     faithfully rather than reconstructed analytically, any starting
     state is acceptable and :meth:`matches` stays permissive.
 
-    DIP, random and BRRIP touch only their own set's state on a hit, so
-    their passes visit run heads in stream order
-    (:attr:`~repro.trace.stream.SetPartition.by_position`) and apply
-    each run's tail at its head: the tail's accesses all precede the
-    set's next head.
+    Each pass still skips the run tails' work that global state cannot
+    see.  A head takes the full step and applies its run's last target,
+    reuse bit and recency at once; what is left of a tail depends on
+    the policy:
+
+    * DIP, random, BRRIP and the dueling Thermometer touch only their
+      own set's state on a hit, so they visit run heads in stream order
+      (:attr:`~repro.trace.stream.SetPartition.by_position`): all of a
+      run's tail precedes the set's next head.
+    * SHiP changes global state only on a fill's first reuse, so it
+      visits heads and each run's first tail.
+    * Hawkeye trains its predictor only in sampled sets, and an
+      unsampled hit just re-reads it, so it visits heads, every access
+      of a sampled set, and the run ends of the other sets.
+    * GHRP detrains a signature on every hit, and the online
+      Thermometer counts every hit, so they walk every access, but a
+      tail does only that (:attr:`~repro.trace.stream.SetPartition.tail`).
+
+    The kernels with bypass (GHRP and the dueling and online
+    Thermometers) keep one more rule: a bypassed head leaves its pc out
+    of the set, so its run is *open* and its tails are misses again.
+    They take the full step, as single-access runs, and count themselves
+    (:class:`_RunTails`).  Recency clocks tick on every access but a
+    bypass, so these kernels stamp stream positions and convert them
+    once at the end (:func:`_restamp`).
     """
 
 
@@ -836,13 +914,23 @@ class DIPKernel(GlobalOrderKernel):
 
 
 class SHIPKernel(GlobalOrderKernel):
-    """SHiP: RRIP aging per set, signature counters shared globally."""
+    """SHiP: RRIP aging per set, signature counters shared globally.
+
+    A hit zeroes its way's RRPV, and only a fill's first reuse bumps the
+    SHCT counter of its signature, so the pass visits heads and each
+    run's first tail in stream order."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
+        tail = part.tail
+        heads_at = np.flatnonzero(np.frombuffer(tail, np.uint8) == 0)
+        events = np.concatenate((heads_at, _first_tails(part)[0]))
+        events.sort()
+        ends = part.by_position[1]
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
@@ -855,8 +943,24 @@ class SHIPKernel(GlobalOrderKernel):
         cmax = policy.counter_max
         rmax = policy.rrpv_max
         tags, tgts, reused, fillidx, dirs = _rows(btb)
+        #: The way of each set's current run.
+        run_way = [0] * len(dirs)
         hits = evictions = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
+        k = 0
+        for i in _column(events):
+            s = sets[i]
+            if tail[i]:
+                # The run's first reuse: the reference hit's SHCT step.
+                way = run_way[s]
+                orow = outcome[s]
+                if not orow[way]:
+                    orow[way] = True
+                    idx = sig[s][way]
+                    if shct[idx] < cmax:
+                        shct[idx] += 1
+                continue
+            e = ends[k]
+            k += 1
             pc = pcs[i]
             dct = dirs[s]
             way = dct.get(pc)
@@ -865,10 +969,9 @@ class SHIPKernel(GlobalOrderKernel):
                 if hits_out is not None:
                     hits_out[i] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[i]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 rrpv[s][way] = 0
                 orow = outcome[s]
@@ -877,6 +980,7 @@ class SHIPKernel(GlobalOrderKernel):
                     idx = sig[s][way]
                     if shct[idx] < cmax:
                         shct[idx] += 1
+                run_way[s] = way
                 continue
             tag = tags[s]
             if len(dct) < W:
@@ -902,16 +1006,22 @@ class SHIPKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
+            tgts[s][way] = tgts_in[e]
             fillidx[s][way] = i
             word = pc >> 2
             idx = (word ^ (word >> tb)) & mask
             sig[s][way] = idx
             outcome[s][way] = False
-            rrpv[s][way] = rmax - 1 if shct[idx] > 0 else rmax
-        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
-                          mismatches)
+            if e != i:
+                # The tail's hits promote the way at once.
+                reused[s][way] = True
+                rrpv[s][way] = 0
+                run_way[s] = way
+            else:
+                reused[s][way] = False
+                rrpv[s][way] = rmax - 1 if shct[idx] > 0 else rmax
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 class GHRPKernel(GlobalOrderKernel):
@@ -927,13 +1037,17 @@ class GHRPKernel(GlobalOrderKernel):
     the counter reads and writes, the dead and stamp rows, and the victim
     scan.  A way's signature is carried as the index of the access that
     set it; the signatures themselves are written back at the end.
+
+    A run tail detrains the signature of its run's previous access (a
+    column too) and nothing else, except that the run's end re-reads
+    the dead prediction: the reads before it are overwritten unseen.
     """
 
     @staticmethod
     def _fold_columns(policy, pcs: np.ndarray):
         """Post-update signatures of every access, and per-table fold
         indices of the post-update and pre-update signatures (the bypass
-        check reads the latter), as compact ``array('q')`` columns."""
+        check reads the latter), as compact columns."""
         tb = policy.table_bits
         if policy.num_tables > tb + 1:
             # The reference's fold shifts by table_bits - t.
@@ -952,8 +1066,7 @@ class GHRPKernel(GlobalOrderKernel):
         mask = (1 << tb) - 1
 
         def folds(sg):
-            return [array("q", ((sg ^ (sg >> (tb - t)) ^ (t * 0x9E37))
-                                & mask).tobytes())
+            return [_column((sg ^ (sg >> (tb - t)) ^ (t * 0x9E37)) & mask)
                     for t in range(policy.num_tables)]
 
         signatures = (words ^ (history << 1)) & 0x3FFFFFF
@@ -965,29 +1078,87 @@ class GHRPKernel(GlobalOrderKernel):
         pcs = stream.pcs_list
         if not pcs:
             return  # the reference folds nothing, so it cannot raise
+        part = stream.partition()
         tgts_in = stream.targets_list
         sets = stream.sets_list
+        tail, end = part.tail, part.end
+        ends = part.by_position[1]
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
         tables = policy._tables
         dead = policy._dead
         stamps = policy._stamps
-        clock = policy._clock
         cmax = policy.counter_max
         dthresh = policy.dead_threshold
         bypass_on = policy.bypass_enabled
         history, signatures, post, pre = self._fold_columns(policy,
                                                             stream.pcs)
+        # Each tail's detrain indices: the post-update folds of its
+        # run's previous access (the head, for a run's first tail).
+        repeats = part.repeats
+        first_at = _first_tails(part)[1][part.lengths > 1]
+        previous = np.empty_like(repeats)
+        previous[1:] = repeats[:-1]
+        previous[first_at] = np.array(part.heads)[part.lengths > 1]
+        drain = []
+        for fold in post:
+            column = np.zeros(len(pcs), dtype=np.intc)
+            column[repeats] = np.frombuffer(fold, np.intc)[previous]
+            drain.append(_column(column))
         post_tabs = list(zip(tables, post))
         pre_tabs = list(zip(tables, pre))
+        drain_tabs = list(zip(tables, drain))
+        three = len(tables) == 3
+        if three:
+            # The default geometry, with the tail's detrain written out.
+            (t0, d0), (t1, d1), (t2, d2) = drain_tabs
         # Index of the access whose signature each way carries.  Storage
         # starts empty, so every way read below was set in this replay.
         sig_at = [[-1] * W for _ in range(len(dead))]
+        run_way = [0] * len(dead)
         tags, tgts, reused, fillidx, dirs = _rows(btb)
-        hits = evictions = bypasses = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
+        #: Tails on the short path; an open run's are cleared.
+        short = bytearray(tail)
+        open_runs = _RunTails(part)
+        bypassed_at: List[int] = []
+        hits = evictions = compulsory = mismatches = 0
+        k = 0
+        for i in range(len(pcs)):
+            if short[i]:
+                if three:
+                    idx = d0[i]
+                    v = t0[idx]
+                    if v > 0:
+                        t0[idx] = v - 1
+                    idx = d1[i]
+                    v = t1[idx]
+                    if v > 0:
+                        t1[idx] = v - 1
+                    idx = d2[i]
+                    v = t2[idx]
+                    if v > 0:
+                        t2[idx] = v - 1
+                else:
+                    for table, col in drain_tabs:
+                        idx = col[i]
+                        v = table[idx]
+                        if v > 0:
+                            table[idx] = v - 1
+                if end[i]:
+                    s = sets[i]
+                    total = 0
+                    for table, col in post_tabs:
+                        total += table[col[i]]
+                    dead[s][run_way[s]] = total >= dthresh
+                continue
+            s = sets[i]
             pc = pcs[i]
+            if tail[i]:
+                e = i  # an open run's tail steps on its own
+            else:
+                e = ends[k]
+                k += 1
             dct = dirs[s]
             way = dct.get(pc)
             if way is not None:
@@ -995,10 +1166,9 @@ class GHRPKernel(GlobalOrderKernel):
                 if hits_out is not None:
                     hits_out[i] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[i]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 # on_hit: detrain the previous signature, then re-tag
                 # with the post-update-history signature.
@@ -1009,13 +1179,15 @@ class GHRPKernel(GlobalOrderKernel):
                     v = table[idx]
                     if v > 0:
                         table[idx] = v - 1
-                at[way] = i
-                total = 0
-                for table, col in post_tabs:
-                    total += table[col[i]]
-                dead[s][way] = total >= dthresh
-                clock += 1
-                stamps[s][way] = clock
+                at[way] = e
+                stamps[s][way] = e
+                if e == i:
+                    total = 0
+                    for table, col in post_tabs:
+                        total += table[col[i]]
+                    dead[s][way] = total >= dthresh
+                else:
+                    run_way[s] = way
                 continue
             tag = tags[s]
             if len(dct) < W:
@@ -1029,7 +1201,10 @@ class GHRPKernel(GlobalOrderKernel):
                     for table, col in pre_tabs:
                         total += table[col[i]]
                     if total >= dthresh:
-                        bypasses += 1
+                        bypassed_at.append(i)
+                        if e != i:
+                            np.frombuffer(short, np.uint8)[
+                                open_runs.open(k - 1)] = 0
                         continue
                 drow = dead[s]
                 srow = stamps[s]
@@ -1046,25 +1221,28 @@ class GHRPKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != i
             fillidx[s][way] = i
-            sig_at[s][way] = i
-            total = 0
-            for table, col in post_tabs:
-                total += table[col[i]]
-            dead[s][way] = total >= dthresh
-            clock += 1
-            stamps[s][way] = clock
+            sig_at[s][way] = e
+            stamps[s][way] = e
+            if e == i:
+                total = 0
+                for table, col in post_tabs:
+                    total += table[col[i]]
+                dead[s][way] = total >= dthresh
+            else:
+                run_way[s] = way
         sig = policy._signature
         for s, at in enumerate(sig_at):
             for w, j in enumerate(at):
                 if j >= 0:
                     sig[s][w] = int(signatures[j])
         policy._history = history
-        policy._clock = clock
-        self._write_stats(btb, len(pcs), hits, evictions, bypasses,
-                          compulsory, mismatches)
+        policy._clock = _restamp(stamps, dirs, part, policy._clock,
+                                 bypassed_at)
+        self._finish(btb, part, hits_out, hits, evictions, len(bypassed_at),
+                     compulsory, mismatches, bypassed=open_runs.mask())
 
 
 class HawkeyeKernel(GlobalOrderKernel):
@@ -1072,26 +1250,38 @@ class HawkeyeKernel(GlobalOrderKernel):
     counters trained in stream order.
 
     Each access's predictor index is a precomputed column, and OPTgen is
-    consulted only for the sampled sets (a per-set lookup made once)."""
+    consulted only for the sampled sets (a per-set lookup made once).
+    A tail in an unsampled set only re-reads the predictor into its
+    way's friendly bit and RRPV, and only the run end's read survives,
+    so the pass visits heads, every access of a sampled set, and the
+    run ends of the other sets."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
+        tail, end = part.tail, part.end
+        ends = part.by_position[1]
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
         counters = policy._counters
         gens = [policy._optgen.get(s) for s in range(len(policy._rrpv))]
+        sampled = np.array([g is not None for g in gens], dtype=np.bool_)
+        events = np.flatnonzero((np.frombuffer(tail, np.uint8) == 0)
+                                | (np.frombuffer(end, np.uint8) != 0)
+                                | sampled[stream.set_indices])
         rrpv = policy._rrpv
         friendly = policy._friendly
         pbits = policy.predictor_bits
         words = stream.pcs >> 2
-        pidx = array("q", ((words ^ (words >> pbits))
-                           & ((1 << pbits) - 1)).tobytes())
+        pidx = _column((words ^ (words >> pbits)) & ((1 << pbits) - 1))
         age_cap = _RRPV_MAX - 1
         tags, tgts, reused, fillidx, dirs = _rows(btb)
+        #: The way of each set's current run.
+        run_way = [0] * len(dirs)
         hits = evictions = compulsory = mismatches = 0
 
         def sample(gen, pc, p):
@@ -1105,24 +1295,40 @@ class HawkeyeKernel(GlobalOrderKernel):
             elif v > 0:
                 counters[p] = v - 1
 
-        for i, s in enumerate(sets):
+        k = 0
+        for i in _column(events):
+            s = sets[i]
+            p = pidx[i]
+            gen = gens[s]
+            if tail[i]:
+                if gen is not None:
+                    sample(gen, pcs[i], p)
+                    if not end[i]:
+                        continue
+                way = run_way[s]
+                fr = counters[p] >= 4
+                friendly[s][way] = fr
+                rrpv[s][way] = 0 if fr else _RRPV_MAX
+                continue
+            e = ends[k]
+            k += 1
             pc = pcs[i]
             dct = dirs[s]
             way = dct.get(pc)
-            p = pidx[i]
-            gen = gens[s]
             if way is not None:
                 hits += 1
                 if hits_out is not None:
                     hits_out[i] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[i]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 if gen is not None:
                     sample(gen, pc, p)
+                if e != i:
+                    run_way[s] = way
+                    continue
                 fr = counters[p] >= 4
                 friendly[s][way] = fr
                 rrpv[s][way] = 0 if fr else _RRPV_MAX
@@ -1154,9 +1360,11 @@ class HawkeyeKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != i
             fillidx[s][way] = i
+            if e != i:
+                run_way[s] = way
             if gen is not None:
                 sample(gen, pc, p)
             fr = counters[p] >= 4
@@ -1168,16 +1376,21 @@ class HawkeyeKernel(GlobalOrderKernel):
                 rr[way] = 0
             else:
                 rr[way] = _RRPV_MAX
-        self._write_stats(btb, len(pcs), hits, evictions, 0, compulsory,
-                          mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, 0, compulsory,
+                     mismatches)
 
 
 class DuelingThermometerKernel(GlobalOrderKernel):
     """Set-dueling Thermometer: leader roles are static, but follower
-    behavior flips with the global PSEL counter."""
+    behavior flips with the global PSEL counter.
+
+    A hit only re-stamps its way, so the pass visits run heads in stream
+    order.  PSEL moves on fills and bypasses, so an open run's tails are
+    merged back into that order as they come due."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
@@ -1187,7 +1400,6 @@ class DuelingThermometerKernel(GlobalOrderKernel):
         stamps = policy._stamps
         temps = policy._temps
         role = policy._role
-        clock = policy._clock
         psel = policy._psel
         psel_max = policy.psel_max
         mid = psel_max // 2
@@ -1202,9 +1414,27 @@ class DuelingThermometerKernel(GlobalOrderKernel):
         bypass_on = policy.bypass_enabled
         static_tb = policy.tiebreak == "static"
         tags, tgts, reused, fillidx, dirs = _rows(btb)
+        open_runs = _RunTails(part)
+        #: Tail positions of the open runs, as a heap.
+        due: List[int] = []
+
+        def steps():
+            """``(position, run end, head index)`` in stream order: the
+            run heads, with each open run's tails as runs of one."""
+            for k, (p, e) in enumerate(zip(*part.by_position)):
+                while due and due[0] < p:
+                    i = heappop(due)
+                    yield i, i, k
+                yield p, e, k
+            while due:
+                i = heappop(due)
+                yield i, i, 0
+
+        bypassed_at: List[int] = []
         covered = uncovered = 0
-        hits = evictions = bypasses = compulsory = mismatches = 0
-        for i, s in enumerate(sets):
+        hits = evictions = compulsory = mismatches = 0
+        for i, e, k in steps():
+            s = sets[i]
             pc = pcs[i]
             dct = dirs[s]
             way = dct.get(pc)
@@ -1213,13 +1443,11 @@ class DuelingThermometerKernel(GlobalOrderKernel):
                 if hits_out is not None:
                     hits_out[i] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[i]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
-                clock += 1
-                stamps[s][way] = clock
+                stamps[s][way] = e
                 continue
             tag = tags[s]
             srow = stamps[s]
@@ -1244,13 +1472,16 @@ class DuelingThermometerKernel(GlobalOrderKernel):
                     cands = [w for w in ways if trow[w] == coldest]
                     if not cands:
                         if bypass_on:
-                            bypasses += 1
+                            bypassed_at.append(i)
                             # on_bypass counts as a leader miss.
                             if r == _DUEL_THERMO:
                                 if psel < psel_max:
                                     psel += 1
                             elif r == _DUEL_LRU and psel > 0:
                                 psel -= 1
+                            if e != i:
+                                for t in open_runs.open(k).tolist():
+                                    heappush(due, t)
                             continue
                         cands = ways
                     way = (cands[0] if static_tb
@@ -1261,43 +1492,48 @@ class DuelingThermometerKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != i
             fillidx[s][way] = i
-            clock += 1
-            srow[way] = clock
+            srow[way] = e
             trow[way] = hget(pc, default)
             if r == _DUEL_THERMO:
                 if psel < psel_max:
                     psel += 1
             elif r == _DUEL_LRU and psel > 0:
                 psel -= 1
-        policy._clock = clock
+        policy._clock = _restamp(stamps, dirs, part, policy._clock,
+                                 bypassed_at)
         policy._psel = psel
         policy.covered_decisions += covered
         policy.uncovered_decisions += uncovered
-        self._write_stats(btb, len(pcs), hits, evictions, bypasses,
-                          compulsory, mismatches)
+        self._finish(btb, part, hits_out, hits, evictions, len(bypassed_at),
+                     compulsory, mismatches, bypassed=open_runs.mask())
 
 
 class OnlineThermometerKernel(GlobalOrderKernel):
     """Online Thermometer: globally shared (taken, hit) counter tables
-    updated on every event."""
+    updated on every event.  A run tail only counts a hit in its pc's
+    slot (a precomputed column)."""
 
     def replay(self, btb, stream: AccessStream,
                hits_out: Optional[bytearray] = None) -> None:
+        part = stream.partition()
         pcs = stream.pcs_list
         tgts_in = stream.targets_list
         sets = stream.sets_list
+        tail = part.tail
+        ends = part.by_position[1]
         W = btb.config.ways
         ways = range(W)
         policy = btb.policy
         taken = policy._taken
         hitc = policy._hits
         stamps = policy._stamps
-        clock = policy._clock
         tb = policy.table_bits
         mask = (1 << tb) - 1
+        words = stream.pcs >> 2
+        slots = _column((words ^ (words >> tb)) & mask)
         cmax = policy.counter_max
         warm = policy.warm_floor
         thresholds = policy.thresholds
@@ -1305,7 +1541,11 @@ class OnlineThermometerKernel(GlobalOrderKernel):
         middle = nth // 2 + (nth % 2)
         bypass_on = policy.bypass_enabled
         tags, tgts, reused, fillidx, dirs = _rows(btb)
-        hits = evictions = bypasses = compulsory = mismatches = 0
+        #: Tails on the short path; an open run's are cleared.
+        short = bytearray(tail)
+        open_runs = _RunTails(part)
+        bypassed_at: List[int] = []
+        hits = evictions = compulsory = mismatches = 0
 
         def temp(x):
             word = x >> 2
@@ -1319,29 +1559,40 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                     return category
             return nth
 
-        for i, s in enumerate(sets):
+        k = 0
+        for i in range(len(pcs)):
+            slot = slots[i]
+            if short[i]:
+                if taken[slot] >= cmax:
+                    taken[slot] >>= 1
+                    hitc[slot] >>= 1
+                taken[slot] += 1
+                hitc[slot] += 1
+                continue
+            s = sets[i]
             pc = pcs[i]
+            if tail[i]:
+                e = i  # an open run's tail steps on its own
+            else:
+                e = ends[k]
+                k += 1
             dct = dirs[s]
             way = dct.get(pc)
-            word = pc >> 2
-            slot = (word ^ (word >> tb)) & mask
             if way is not None:
                 hits += 1
                 if hits_out is not None:
                     hits_out[i] = 1
                 row = tgts[s]
-                t = tgts_in[i]
-                if row[way] != t:
+                if row[way] != tgts_in[i]:
                     mismatches += 1
-                    row[way] = t
+                row[way] = tgts_in[e]
                 reused[s][way] = True
                 if taken[slot] >= cmax:
                     taken[slot] >>= 1
                     hitc[slot] >>= 1
                 taken[slot] += 1
                 hitc[slot] += 1
-                clock += 1
-                stamps[s][way] = clock
+                stamps[s][way] = e
                 continue
             tag = tags[s]
             srow = stamps[s]
@@ -1359,11 +1610,14 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                 cands = [w for w in ways if temps_l[w] == coldest]
                 if not cands:
                     if bypass_on:
-                        bypasses += 1
+                        bypassed_at.append(i)
                         if taken[slot] >= cmax:
                             taken[slot] >>= 1
                             hitc[slot] >>= 1
                         taken[slot] += 1
+                        if e != i:
+                            np.frombuffer(short, np.uint8)[
+                                open_runs.open(k - 1)] = 0
                         continue
                     cands = ways
                 way = min(cands, key=srow.__getitem__)
@@ -1371,18 +1625,18 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                 del dct[tag[way]]
             dct[pc] = way
             tag[way] = pc
-            tgts[s][way] = tgts_in[i]
-            reused[s][way] = False
+            tgts[s][way] = tgts_in[e]
+            reused[s][way] = e != i
             fillidx[s][way] = i
             if taken[slot] >= cmax:
                 taken[slot] >>= 1
                 hitc[slot] >>= 1
             taken[slot] += 1
-            clock += 1
-            srow[way] = clock
-        policy._clock = clock
-        self._write_stats(btb, len(pcs), hits, evictions, bypasses,
-                          compulsory, mismatches)
+            srow[way] = e
+        policy._clock = _restamp(stamps, dirs, part, policy._clock,
+                                 bypassed_at)
+        self._finish(btb, part, hits_out, hits, evictions, len(bypassed_at),
+                     compulsory, mismatches, bypassed=open_runs.mask())
 
 
 class RandomKernel(GlobalOrderKernel):

@@ -17,7 +17,9 @@ buffered is a torn frame (:meth:`LineFrameBuffer.eof`).
 
 The asyncio :class:`~repro.service.client.ServiceClient` drives the
 buffer from ``StreamReader.read`` chunks; the server reads each request
-line with ``readline`` and decodes it with :func:`decode_line`.
+line from a ``StreamReader`` whose limit is :data:`MAX_FRAME_BYTES`
+(dropping and reporting a longer one) and decodes it with
+:func:`decode_line`.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.harness.engine import (ArtifactStore, ExperimentEngine,
                                   ExperimentError, JobResult, SimJob,
                                   validate_namespace)
+from repro.service.framing import FrameTooLargeError, MAX_FRAME_BYTES
 from repro.service.protocol import (ProtocolError, decode_line,
                                     encode_line, jobs_from_request)
 from repro.telemetry.manifest import (append_spans, job_row,
@@ -407,12 +408,12 @@ class SimulationService:
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
+                    if not line.strip():
+                        continue
                     request = decode_line(line)
                 except ProtocolError as exc:
                     await send({"id": None, "event": "error",
@@ -426,7 +427,7 @@ class SimulationService:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except asyncio.CancelledError:
-            # Loop shutdown while this connection idled in readline();
+            # Loop shutdown while this connection idled reading a line;
             # end the task quietly instead of surfacing the cancel
             # through the stream protocol's done-callback.
             pass
@@ -544,7 +545,8 @@ class SimulationService:
         """Bind and return the server (``port=0`` picks a free port —
         read it back from ``server.sockets[0]``)."""
         self._server = await asyncio.start_server(self.handle_connection,
-                                                  host, port)
+                                                  host, port,
+                                                  limit=MAX_FRAME_BYTES)
         return self._server
 
     async def serve_forever(self) -> None:
@@ -555,6 +557,29 @@ class SimulationService:
         except asyncio.CancelledError:
             if not self._shutdown:
                 raise
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (empty at EOF).
+
+    A line longer than the reader's limit (:data:`MAX_FRAME_BYTES` on
+    the service's connections) is read through its newline and dropped,
+    then reported as :class:`FrameTooLargeError`, so the connection goes
+    on with the next line."""
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            overrun = True
+            await reader.readexactly(exc.consumed)
+            continue
+        if overrun:
+            raise FrameTooLargeError(
+                f"request line exceeds {MAX_FRAME_BYTES} bytes")
+        return line
 
 
 async def serve(cache_dir: Union[str, Path], host: str = "127.0.0.1",

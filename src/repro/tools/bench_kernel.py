@@ -83,16 +83,13 @@ DEFAULT_POLICIES = ("lru", "srrip", "thermometer", "opt")
 KERNEL_POLICIES = tuple(kernels.kernel_policy_names())
 
 #: Seed speedup floors for the replay breakdown, used when no committed
-#: ``BENCH_replay.json`` supplies its own ``floors``.  Each sits 12-38%
-#: under the speedup that file records.  The run-head kernels (which
-#: skip each run's tail) carry the highest floors; the per-access
-#: kernels, whose learning-state bookkeeping keeps more of the reference
-#: loop's work, the lowest.
+#: ``BENCH_replay.json`` supplies its own ``floors``.  Each sits 23-39%
+#: under the speedup that file records.
 REPLAY_FLOORS = {
     "lru": 2.8, "opt": 4.3, "thermometer": 2.0,
     "mru": 2.6, "fifo": 2.1, "srrip": 2.7, "plru": 3.9,
-    "dip": 2.2, "ship": 1.5, "ghrp": 2.5, "hawkeye": 1.6,
-    "thermometer-dueling": 1.6, "thermometer-online": 1.4,
+    "dip": 2.2, "ship": 2.1, "ghrp": 4.4, "hawkeye": 2.1,
+    "thermometer-dueling": 2.0, "thermometer-online": 1.8,
     "random": 2.3, "brrip": 2.3,
 }
 

@@ -123,11 +123,16 @@ class SetPartition:
     * ``lengths`` / ``changes`` — per run, its access count and the
       target changes inside it (hits whose stored target differs);
     * ``repeats`` — stream positions of every non-head access, run by
-      run, so a kernel marks all tail hits with one numpy write.
+      run, so a kernel marks all tail hits with one numpy write;
+    * ``tail`` / ``end`` — one byte per access, indexed by stream
+      position: 1 if the access is a run's tail (not its head), and 1
+      if it is a run's last access, for kernels that walk the stream in
+      order and give tails a short path.
 
     ``heads``, ``ends`` and the two ``by_position`` columns are tuples
     of plain ints (the per-run loops index them; see the module
-    docstring); the rest are int64 arrays.
+    docstring); ``tail`` and ``end`` are ``bytes``; the rest are int64
+    arrays.
     """
 
     def __init__(self, stream: "AccessStream"):
@@ -161,6 +166,12 @@ class SetPartition:
         self.lengths = end_k - head_k + 1
         self.changes = total[end_k] - total[head_k]
         self.repeats = order[~head]
+        flags = np.zeros(n, dtype=np.uint8)
+        flags[self.repeats] = 1
+        self.tail = flags.tobytes()
+        flags[:] = 0
+        flags[ends] = 1
+        self.end = flags.tobytes()
 
     @property
     def num_populated_sets(self) -> int:

@@ -311,12 +311,28 @@ class _Sites:
         return [self.branch(site) for site in range(start, stop)]
 
 
+def _check_range(name: str, bounds: Tuple[int, int]) -> None:
+    """Reject an empty inclusive ``(lo, hi)`` range up front.
+
+    Integer draws below are ``lo + rng._randbelow(hi - lo + 1)``: the
+    value ``rng.randint(lo, hi)`` returns from the same generator state,
+    without its two wrapper frames per draw.  ``_randbelow`` does not
+    check its argument (it loops forever on 0), so the ranges taken from
+    parameters are checked here, as ``randint`` would have."""
+    lo, hi = bounds
+    if hi < lo:
+        raise ValueError(f"empty range for {name}: {bounds!r}")
+
+
 class _Layout:
     """Deterministic static code layout for one workload: regions over a
     :class:`_Sites` table, plus the table's columns as numpy arrays for
     the emitter's gather."""
 
     def __init__(self, params: LayoutParams, seed: int):
+        for name in ("block_len", "warm_func_branches",
+                     "hot_loop_branches"):
+            _check_range(name, getattr(params, name))
         rng = random.Random(seed)
         self.params = params
         self._trip_hi = params.loop_trips_max
@@ -352,7 +368,9 @@ class _Layout:
 
     def _draw_blocks(self, rng: random.Random, count: int) -> List[int]:
         lo, hi = self.params.block_len
-        return [rng.randint(lo, hi) for _ in range(count)]
+        below = rng._randbelow
+        width = hi - lo + 1
+        return [lo + below(width) for _ in range(count)]
 
     def _draw_bias(self, rng: random.Random) -> float:
         if rng.random() < self.params.hard_branch_fraction:
@@ -376,7 +394,7 @@ class _Layout:
     def _build_funcs(self, rng: random.Random) -> None:
         lo, hi = self.params.warm_func_branches
         for _ in range(self.params.n_warm_funcs):
-            n = rng.randint(lo, hi)
+            n = lo + rng._randbelow(hi - lo + 1)
             blocks = self._draw_blocks(rng, n + 1)
             base = self._alloc_region(sum(blocks) + 4)
             pcs, targets, ret_pc = self._straight_line(base, blocks, n)
@@ -391,7 +409,7 @@ class _Layout:
     def _build_loops(self, rng: random.Random) -> None:
         lo, hi = self.params.hot_loop_branches
         for loop_idx in range(self.params.n_hot_loops):
-            n = rng.randint(lo, hi)
+            n = lo + rng._randbelow(hi - lo + 1)
             blocks = self._draw_blocks(rng, n + 1)
             base = self._alloc_region(sum(blocks) + 4)
             has_indirect = (rng.random() < self.params.indirect_loop_fraction)
@@ -507,6 +525,7 @@ class _Emitter:
     """
 
     def __init__(self, lay: _Layout, mix: MixParams, rng: random.Random):
+        _check_range("cold_burst_len", mix.cold_burst_len)
         self._lay = lay
         self._mix = mix
         self._rng = rng
@@ -588,13 +607,13 @@ class _Emitter:
 
     def _emit_cold_burst(self) -> None:
         lo, hi = self._mix.cold_burst_len
-        burst = self._rng.randint(lo, hi)
+        burst = lo + self._rng._randbelow(hi - lo + 1)
         n_cold = self._lay.n_cold
         if not n_cold:
             return
         if self._rng.random() < self._mix.cold_revisit:
             # Replay a recent stretch rather than advancing.
-            back = self._rng.randint(burst, 4 * burst)
+            back = burst + self._rng._randbelow(3 * burst + 1)
             start = (self._cold_cursor - back) % n_cold
         else:
             start = self._cold_cursor
@@ -610,7 +629,7 @@ class _Emitter:
 
     def _emit_loop_visit(self, loop: _Loop) -> None:
         lo, hi = loop.trips
-        iters = max(1, round(self._rng.randint(lo, hi)
+        iters = max(1, round((lo + self._rng._randbelow(hi - lo + 1))
                              * self._mix.trip_scale))
         # Indirect dispatch targets are sticky for the duration of a visit
         # (batches of same-typed work), which is what makes real indirect

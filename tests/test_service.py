@@ -357,6 +357,56 @@ class TestProtocol:
         assert error["event"] == "error"
         assert status["event"] == "status"
 
+    def _send_lines(self, tmp_path, *lines):
+        """Send raw ``lines`` on one connection, then a status request;
+        return every event line received, through the status reply."""
+        service = SimulationService(tmp_path / "svc", jobs=1,
+                                    coalesce_window=0.0)
+
+        async def scenario():
+            server = await service.start("127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    host, port, limit=2 ** 20)
+                for line in lines:
+                    writer.write(line)
+                writer.write(json.dumps({"id": "after",
+                                         "op": "status"}).encode()
+                             + b"\n")
+                await writer.drain()
+                events = []
+                while not events or events[-1].get("id") != "after":
+                    events.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                return events
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        return asyncio.run(scenario())
+
+    def test_request_line_over_64_kib_is_served(self, tmp_path):
+        """A 200 kB request line is under the wire bound: it is served,
+        and so is the request behind it."""
+        padded = {"id": "big", "op": "status", "pad": "x" * 200_000}
+        events = self._send_lines(tmp_path,
+                                  json.dumps(padded).encode() + b"\n")
+        assert [(e["id"], e["event"]) for e in events] == \
+            [("big", "status"), ("after", "status")]
+
+    def test_request_line_over_the_frame_bound_is_one_error(self,
+                                                            tmp_path):
+        """A line over MAX_FRAME_BYTES is dropped with one error event,
+        and the connection serves the next request."""
+        from repro.service.framing import MAX_FRAME_BYTES
+        line = b'{"id": "huge", "pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n'
+        events = self._send_lines(tmp_path, line)
+        assert [(e["id"], e["event"]) for e in events] == \
+            [(None, "error"), ("after", "status")]
+        assert str(MAX_FRAME_BYTES) in events[0]["error"]
+
     def test_connection_level_error_does_not_end_a_request(self,
                                                            tmp_path):
         """An id-null error (some other line on the connection was

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic workload generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.trace.record import BranchKind
@@ -49,6 +51,16 @@ class TestTraceShape:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             make_workload().generate(length=-1)
+
+    @pytest.mark.parametrize("field", ("block_len", "warm_func_branches",
+                                       "hot_loop_branches"))
+    def test_empty_draw_range_rejected(self, field):
+        # Draws bypass randint's own check, which would raise here.
+        spec = make_workload().spec
+        spec = dataclasses.replace(spec, layout=dataclasses.replace(
+            spec.layout, **{field: (5, 3)}))
+        with pytest.raises(ValueError, match="empty range"):
+            SyntheticWorkload(spec).generate(length=100)
 
     def test_trace_validates(self):
         make_workload().generate().validate()
