@@ -13,7 +13,7 @@ separately usable layers:
 * :mod:`~repro.harness.engine.worker` — process-pool entry points.
 * :mod:`~repro.harness.engine.context` — per-run :class:`RunContext`
   state machine (journal, retries, result streaming).
-* :mod:`~repro.harness.engine.executor` — serial / process-pool / async
+* :mod:`~repro.harness.engine.executor` — serial / process-pool
   execution strategies behind one :class:`Executor` interface.
 * :mod:`~repro.harness.engine.core` — the :class:`ExperimentEngine`
   façade tying it together (and :meth:`ExperimentEngine.run_async`,
@@ -34,18 +34,16 @@ from repro.harness.engine.keys import (batch_key, effective_btb_config,
                                        plan_batches)
 from repro.harness.engine.jobs import (HINTED_POLICIES, JobResult,
                                        JobState, JobTimeoutError, SimJob,
-                                       _stats_delta, backoff_delay,
-                                       execute_job, job_deadline)
-from repro.harness.engine.worker import (_execute_guarded, run_job,
-                                         run_job_batch)
+                                       backoff_delay, execute_job,
+                                       job_deadline)
+from repro.harness.engine.worker import run_job, run_job_batch
 from repro.harness.engine.context import RunContext
-from repro.harness.engine.executor import (AsyncExecutor, Executor,
-                                           ProcessPoolJobExecutor,
+from repro.harness.engine.executor import (Executor, ProcessPoolJobExecutor,
                                            SerialExecutor)
 from repro.harness.engine.core import ExperimentEngine, ExperimentError
 
-__all__ = ["ArtifactStore", "AsyncExecutor", "Executor",
-           "ExperimentEngine", "ExperimentError", "JobResult", "JobState",
+__all__ = ["ArtifactStore", "Executor", "ExperimentEngine",
+           "ExperimentError", "JobResult", "JobState",
            "JobTimeoutError", "ProcessPoolJobExecutor",
            "QUARANTINE_DIR", "QuotaExceededError", "RunContext",
            "SerialExecutor", "SimJob", "STORE_VERSION", "TENANTS_DIR",

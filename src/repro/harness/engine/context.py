@@ -4,7 +4,7 @@ A ``RunContext`` owns one run's mutable state — job states, attempt
 counts, results, the incremental journal, the telemetry baseline, and
 the retry policy — and exposes the two transitions executors perform:
 :meth:`start_attempt` and :meth:`record_outcome`.  Keeping the state
-machine here means every executor (serial, process-pool, async) shares
+machine here means every executor (serial, process-pool) shares
 identical retry/journal/telemetry semantics, and the engine façade only
 has to open a context, hand it to an executor, and write the manifest.
 
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import logging
 import random
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
 from repro.harness.reporting import CacheStats
@@ -66,6 +67,8 @@ class RunContext:
     retried: Set[int] = field(default_factory=set)
     #: Jobs already counted in ``engine/jobs/timed_out`` (once per job).
     timed_out: Set[int] = field(default_factory=set)
+    #: Set (from any thread) to start no further attempt.
+    stop: threading.Event = field(default_factory=threading.Event)
 
     def __post_init__(self) -> None:
         if not self.states:

@@ -13,18 +13,19 @@ the one-call ``engine.run(jobs)`` surface everything else in the repo
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import functools
 import logging
 import random
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import runtime
 from repro.harness.engine.context import RunContext
-from repro.harness.engine.executor import (AsyncExecutor, Executor,
-                                           ProcessPoolJobExecutor,
+from repro.harness.engine.executor import (Executor, ProcessPoolJobExecutor,
                                            SerialExecutor)
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
 from repro.harness.engine.store import ArtifactStore, STORE_VERSION
@@ -85,8 +86,8 @@ class ExperimentEngine:
     namespace from :meth:`ArtifactStore.namespace`, which scopes the
     run's artifacts *and* its manifests under that tenant's root;
     ``on_result=`` streams terminal :class:`JobResult`\\ s as they land;
-    and :meth:`run_async` runs the whole sweep cooperatively on an
-    asyncio loop.
+    and :meth:`run_async` is the same run as a coroutine, its misses on
+    one event-loop worker thread.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None,
@@ -261,9 +262,8 @@ class ExperimentEngine:
                      "and skipped", ctx.resumed_from,
                      len(ctx.jobs) - len(ctx.pending()), len(ctx.jobs))
 
-    def _finish_run(self, ctx: RunContext,
-                    failure: Optional[dict]) -> List[JobResult]:
-        """Close out a run (manifest + failure policy); returns results."""
+    def _finish_run(self, ctx: RunContext) -> List[JobResult]:
+        """Apply a closed run's failure policy; returns its results."""
         failed = ctx.failed()
         if failed:
             jobs = ctx.jobs
@@ -284,24 +284,31 @@ class ExperimentEngine:
                           for i in failed])
         return ctx.results  # type: ignore[return-value]
 
-    def _close_run(self, ctx: RunContext, failure: Optional[dict]) -> None:
-        """Close the run's root span and journal; write the manifest."""
-        run_span = None
-        if ctx.trace is not None:
-            run_span = span_record(
-                "engine.run", ctx.trace, ctx.started_epoch,
-                ctx.wall_seconds(),
-                args={"run_id": ctx.run_id, "jobs": len(ctx.jobs)},
-                error=failure is not None)
-            if ctx.journal is not None:
-                ctx.journal.write_span(run_span)
-        ctx.close_journal()
-        self._write_manifest(ctx, failure, run_span)
-
-    def _select_executor(self, pending: Sequence[int]) -> Executor:
-        if self.jobs > 1 and len(pending) > 1:
-            return ProcessPoolJobExecutor(self)
-        return SerialExecutor(self)
+    @contextlib.contextmanager
+    def _running(self, ctx: RunContext):
+        """Close the run's root span and journal and write the manifest
+        however the body ends; an exception (a cancel included) is the
+        run's failure, and is re-raised."""
+        failure: Optional[dict] = None
+        self._ran_on = None
+        try:
+            yield
+        except BaseException as exc:
+            failure = {"where": type(self).__name__,
+                       "error": f"{type(exc).__name__}: {exc}"}
+            raise
+        finally:
+            run_span = None
+            if ctx.trace is not None:
+                run_span = span_record(
+                    "engine.run", ctx.trace, ctx.started_epoch,
+                    ctx.wall_seconds(),
+                    args={"run_id": ctx.run_id, "jobs": len(ctx.jobs)},
+                    error=failure is not None)
+                if ctx.journal is not None:
+                    ctx.journal.write_span(run_span)
+            ctx.close_journal()
+            self._write_manifest(ctx, failure, run_span)
 
     # ------------------------------------------------------------------
     # Run
@@ -322,50 +329,46 @@ class ExperimentEngine:
         a resumed run only repeats the unfinished work.
         """
         ctx = self._begin_run(jobs, resume, on_result)
-        failure: Optional[dict] = None
-        self._ran_on = None
-        try:
+        with self._running(ctx):
             pending = self._prepare(ctx)
-            self._ran_on = self._select_executor(pending)
+            self._ran_on = (ProcessPoolJobExecutor(self)
+                            if self.jobs > 1 and len(pending) > 1
+                            else SerialExecutor(self))
             self._ran_on.execute(ctx, pending)
-        except BaseException as exc:
-            failure = {"where": type(self).__name__,
-                       "error": f"{type(exc).__name__}: {exc}"}
-            raise
-        finally:
-            self._close_run(ctx, failure)
-        return self._finish_run(ctx, failure)
+        return self._finish_run(ctx)
 
     async def run_async(self, jobs: Sequence[SimJob],
                         resume: Optional[str] = None,
                         on_result: Optional[Callable[[JobResult],
-                                                     None]] = None,
-                        concurrency: int = 1) -> List[JobResult]:
-        """:meth:`run` as a coroutine, attempts on event-loop threads.
-
-        Identical semantics (states, retries, journal, manifest, the
-        :class:`ExperimentError` contract) with cooperative execution:
-        the event loop keeps running while jobs compute, and terminal
-        results stream through ``on_result`` as they land — this is the
-        seam :mod:`repro.service` builds its coalescing sweeps on.
-        ``concurrency`` bounds simultaneous attempts (see
-        :class:`~repro.harness.engine.executor.AsyncExecutor` for why it
-        defaults to 1).
-        """
+                                                     None]] = None
+                        ) -> List[JobResult]:
+        """:meth:`run` as a coroutine: hits are served on the event loop,
+        misses run serially on one event-loop thread (whatever ``jobs``
+        says), and ``on_result`` is called on the loop in record order.
+        A cancel waits for the attempt in flight and starts no other, so
+        no result reaches ``on_result`` after the CancelledError."""
         ctx = self._begin_run(jobs, resume, on_result)
-        failure: Optional[dict] = None
-        self._ran_on = None
-        try:
+        with self._running(ctx):
             pending = self._prepare(ctx)
-            self._ran_on = AsyncExecutor(self, concurrency)
-            await self._ran_on.execute(ctx, pending)
-        except BaseException as exc:
-            failure = {"where": type(self).__name__,
-                       "error": f"{type(exc).__name__}: {exc}"}
-            raise
-        finally:
-            self._close_run(ctx, failure)
-        return self._finish_run(ctx, failure)
+            self._ran_on = SerialExecutor(self)
+            if pending:
+                loop = asyncio.get_running_loop()
+                if on_result is not None:
+                    ctx.on_result = functools.partial(
+                        loop.call_soon_threadsafe, on_result)
+                work = loop.run_in_executor(None, self._ran_on.execute,
+                                            ctx, pending)
+                try:
+                    await asyncio.shield(work)
+                except asyncio.CancelledError:
+                    ctx.stop.set()
+                    # The thread's results reach the loop before its
+                    # completion does.
+                    while not work.done():
+                        with contextlib.suppress(asyncio.CancelledError):
+                            await asyncio.wait([work])
+                    raise
+        return self._finish_run(ctx)
 
     # ------------------------------------------------------------------
     # Resume

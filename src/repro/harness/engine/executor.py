@@ -6,20 +6,16 @@ RunContext` state machine — ``start_attempt`` → guarded execution →
 journal, and telemetry semantics are identical regardless of *where*
 attempts run:
 
-* :class:`SerialExecutor` — in the calling thread, one harness per
-  machine config (bit-identical to driving a :class:`Harness` by hand).
+* :class:`SerialExecutor` — in the calling thread (``run_async``: one
+  event-loop thread), one harness per machine config (bit-identical to
+  driving a :class:`Harness` by hand).
 * :class:`ProcessPoolJobExecutor` — batches over a process pool with
   worker-death re-sharding; each worker builds its batch's trace and
   access stream from the store.
-* :class:`AsyncExecutor` — attempts on ``loop.run_in_executor`` threads
-  so an asyncio service can interleave engine runs with its event loop
-  (cooperative: results stream back between attempts, backoff awaits
-  instead of blocking).
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -34,8 +30,7 @@ from repro.telemetry.metrics import get_registry
 
 log = logging.getLogger(__name__)
 
-__all__ = ["AsyncExecutor", "Executor", "ProcessPoolJobExecutor",
-           "SerialExecutor"]
+__all__ = ["Executor", "ProcessPoolJobExecutor", "SerialExecutor"]
 
 
 class Executor:
@@ -69,7 +64,8 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Run attempts inline, reusing one harness per machine config."""
+    """Run attempts inline, reusing one harness per machine config;
+    ``ctx.stop`` ends the run before its next attempt."""
 
     name = "serial"
 
@@ -81,6 +77,8 @@ class SerialExecutor(Executor):
         while queue:
             retry: List[int] = []
             for i in queue:
+                if ctx.stop.is_set():
+                    return
                 job = ctx.jobs[i]
                 config = job.harness_config()
                 harness = harnesses.get(config)
@@ -95,7 +93,7 @@ class SerialExecutor(Executor):
                 ctx.start_attempt(i)
                 result = _execute_guarded(
                     job, index=i, attempt=ctx.attempts[i] - 1,
-                    store=engine.store, harness=harness, salt=engine.salt,
+                    store=engine.store, harness=harness,
                     job_timeout=engine.job_timeout, in_worker=False)
                 if ctx.record_outcome(i, result):
                     retry.append(i)
@@ -174,65 +172,5 @@ class ProcessPoolJobExecutor(Executor):
                             retry.append(i)
             if retry:
                 time.sleep(self._backoff(ctx, round_no))
-            queue = retry
-            round_no += 1
-
-
-class AsyncExecutor(Executor):
-    """Run attempts on event-loop worker threads (``run_in_executor``).
-
-    Built for the asyncio service: the loop stays responsive while jobs
-    compute, terminal results stream through ``ctx.on_result`` as they
-    land, and retry backoff ``await``s instead of blocking.
-
-    ``concurrency`` bounds simultaneous attempts and defaults to 1: one
-    compute thread already saturates a core on the pure-Python
-    simulators.  Above 1, each job's telemetry delta may include a
-    neighbour's concurrent counts (the registry is process-global) —
-    raise it only for I/O-bound (fully cached) sweeps.
-    """
-
-    name = "async"
-
-    def __init__(self, engine, concurrency: int = 1) -> None:
-        super().__init__(engine)
-        self.concurrency = max(1, int(concurrency))
-
-    async def execute(self, ctx: RunContext,
-                      pending: Sequence[int]) -> None:
-        engine = self.engine
-        loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(self.concurrency)
-        harnesses: Dict[HarnessConfig, Harness] = {}
-        queue = list(pending)
-        round_no = 0
-        while queue:
-            retry: List[int] = []
-
-            async def attempt(i: int) -> None:
-                job = ctx.jobs[i]
-                config = job.harness_config()
-                harness = harnesses.get(config)
-                if harness is None:
-                    harness = Harness(config, store=engine.store)
-                    harnesses[config] = harness
-                if ctx.attempts[i] > 0:
-                    harness.invalidate(job.app, job.input_id)
-                async with semaphore:
-                    ctx.start_attempt(i)
-                    result = await loop.run_in_executor(
-                        None, lambda: _execute_guarded(
-                            job, index=i, attempt=ctx.attempts[i] - 1,
-                            store=engine.store, harness=harness,
-                            salt=engine.salt,
-                            job_timeout=engine.job_timeout,
-                            in_worker=False))
-                if ctx.record_outcome(i, result):
-                    retry.append(i)
-
-            await asyncio.gather(*(attempt(i) for i in queue))
-            if retry:
-                retry.sort()
-                await asyncio.sleep(self._backoff(ctx, round_no))
             queue = retry
             round_no += 1

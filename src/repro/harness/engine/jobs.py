@@ -18,7 +18,7 @@ import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.btb.config import BTBConfig, DEFAULT_BTB_CONFIG
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS, FrontendParams
@@ -73,9 +73,9 @@ def job_deadline(seconds: Optional[float]):
     :class:`JobTimeoutError` on expiry.
 
     Interval timers only work on the main thread of a POSIX process (true
-    for pool workers and the serial engine path); elsewhere — including
-    the async executor's worker threads — and for a None/zero budget,
-    this is a no-op.
+    for pool workers and :meth:`ExperimentEngine.run`'s serial path);
+    elsewhere — including the event-loop thread that ``run_async`` runs
+    its misses on — and for a None/zero budget, this is a no-op.
     """
     if not seconds or seconds <= 0:
         yield

@@ -34,13 +34,11 @@ log = logging.getLogger(__name__)
 __all__ = ["run_job", "run_job_batch"]
 
 
-def run_job(job: SimJob, cache_root: Optional[str] = None,
-            salt: str = STORE_VERSION,
-            store: Optional[ArtifactStore] = None,
+def run_job(job: SimJob, store: Optional[ArtifactStore] = None,
             harness: Optional[Harness] = None, *,
             index: Optional[int] = None, attempt: int = 0,
             in_worker: bool = False) -> JobResult:
-    """Worker entry point (module-level so process pools can pickle it).
+    """Run one job (each executor's attempts go through it).
 
     Checks the store for the finished result first; on a miss, computes it
     through a harness whose intermediate artifacts (trace, profile, hints)
@@ -51,8 +49,6 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
     injected fault (if any) fires on this exact attempt, on the real
     execution path.
     """
-    if store is None and cache_root is not None:
-        store = ArtifactStore(cache_root, salt=salt)
     registry = get_registry()
     fault = None
     plan = current().fault_plan
@@ -121,7 +117,6 @@ def run_job(job: SimJob, cache_root: Optional[str] = None,
 def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
                      store: Optional[ArtifactStore] = None,
                      harness: Optional[Harness] = None,
-                     salt: str = STORE_VERSION,
                      job_timeout: Optional[float] = None,
                      in_worker: bool = False) -> JobResult:
     """One attempt that *always* returns a :class:`JobResult`.
@@ -138,7 +133,7 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
         try:
             with job_deadline(job_timeout):
                 result = run_job(job, store=store, harness=harness,
-                                 salt=salt, index=index, attempt=attempt,
+                                 index=index, attempt=attempt,
                                  in_worker=in_worker)
         except JobTimeoutError as exc:
             result = JobResult(job=job, value=None, cached=False,
@@ -203,7 +198,7 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                 harnesses[config] = harness
             results.append(_execute_guarded(
                 job, index=index, attempt=attempt, store=store,
-                harness=harness, salt=salt, job_timeout=job_timeout,
+                harness=harness, job_timeout=job_timeout,
                 in_worker=True))
     # The profile hook records its gauges after every per-job delta was
     # taken; piggy-back them on the last result so they reach the parent.

@@ -126,19 +126,22 @@ class _Batch:
 
 
 class SimulationService:
-    """Multi-tenant, coalescing front door to the experiment engine."""
+    """Multi-tenant, coalescing front door to the experiment engine.
+
+    Runs are in-process (:meth:`ExperimentEngine.run_async`), with no
+    per-attempt deadline; ``jobs`` is accepted only as 1."""
 
     def __init__(self, cache_dir: Union[str, Path],
                  jobs: int = 1, coalesce_window: float = 0.05,
                  quotas: Optional[Dict[str, int]] = None,
-                 max_retries: Optional[int] = None,
-                 job_timeout: Optional[float] = None):
+                 max_retries: Optional[int] = None):
+        if jobs != 1:
+            raise ValueError(f"jobs={jobs!r}: the service runs its "
+                             f"jobs in-process, so only jobs=1 works")
         self.store = ArtifactStore(cache_dir)
-        self.jobs = max(1, int(jobs))
         self.coalesce_window = max(0.0, float(coalesce_window))
         self.quotas = dict(quotas or {})
         self.max_retries = max_retries
-        self.job_timeout = job_timeout
         self._engines: Dict[str, ExperimentEngine] = {}
         self._batches: Dict[str, _Batch] = {}
         self._run_locks: Dict[str, asyncio.Lock] = {}
@@ -157,10 +160,9 @@ class SimulationService:
         if engine is None:
             namespace = self.store.namespace(
                 tenant, quota_bytes=self.quotas.get(tenant))
-            engine = ExperimentEngine(store=namespace,
-                                      jobs=self.jobs,
+            engine = ExperimentEngine(store=namespace, jobs=1,
                                       max_retries=self.max_retries,
-                                      job_timeout=self.job_timeout)
+                                      job_timeout=0)
             self._engines[tenant] = engine
         return engine
 
@@ -244,8 +246,7 @@ class SimulationService:
             # One run at a time per tenant: engines are reused across
             # batches and record last_run_id/last_manifest/telemetry as
             # instance state, so an overlapping run_async would clobber
-            # this batch's summary (and break AsyncExecutor's
-            # concurrency=1 telemetry assumption).
+            # this batch's summary.
             async with self._run_locks.setdefault(tenant,
                                                   asyncio.Lock()):
                 # Queue wait: window open -> tenant run lock acquired

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional
 
 from repro import runtime
 
@@ -112,12 +111,3 @@ def setup_logging(verbosity: int = 0,
     _replace_handler(out, out_handler)
     out.propagate = False  # results must not duplicate onto stderr
     out.setLevel(logging.WARNING if verbosity <= -2 else logging.INFO)
-
-
-def get_logger(name: Optional[str] = None) -> logging.Logger:
-    """A logger under the ``repro`` namespace (diagnostics channel)."""
-    if not name:
-        return logging.getLogger("repro")
-    if name.startswith("repro"):
-        return logging.getLogger(name)
-    return logging.getLogger(f"repro.{name}")

@@ -11,8 +11,8 @@ Runs the same (apps × policies) miss sweep twice:
   kernel's sweep path).
 
 Both modes run with telemetry disabled.  A separate replay-only sweep
-(traces/hints/streams precomputed, off/on/traced passes interleaved over
-at least 60 rounds, compared by their median per-round ratio) measures
+(traces/hints/streams precomputed, ~0.5 s off/on/traced passes interleaved
+over at least 60 rounds, compared by their median per-round ratio) measures
 the metrics registry's cost on the hot path as
 ``telemetry_overhead_pct`` and the trace-span machinery's cost (a
 collection scope plus one journaled ``span`` per replay — the worker
@@ -101,6 +101,9 @@ REPLAY_FLOORS = {
 #: entry enforces a >= 3x bar across the full sweep.
 SIM_FLOORS = dict({app: 2.2 for app in app_names()}, geomean=3.0)
 
+#: Shortest timing per side and round of :func:`_measure_overhead`.
+OVERHEAD_UNIT_SECONDS = 0.5
+
 
 def _hints_for(harness: Harness, app: str, policy: str):
     if policy in ("thermometer", "thermometer-dueling"):
@@ -151,8 +154,9 @@ def _measure_overhead(apps, policies, length: int,
     side additionally opens one
     :func:`~repro.telemetry.tracing.collect_spans` scope and a
     per-replay ``engine.job`` span — exactly what the worker's job path
-    adds.  One slow sweep of tens of milliseconds moves a best-of-few
-    reading past the budget; the median ratio of many rounds does not.
+    adds.  A sweep is too short to time against host noise, so a round
+    sums each side over interleaved sweeps filling
+    :data:`OVERHEAD_UNIT_SECONDS`; the returned seconds are per sweep.
     """
     from repro.telemetry.tracing import collect_spans, span
     prepared = []
@@ -183,16 +187,21 @@ def _measure_overhead(apps, policies, length: int,
             return time.perf_counter() - start
 
     sweep()  # warm the stream memo and first-touch allocations
+    reps = max(1, math.ceil(OVERHEAD_UNIT_SECONDS / max(sweep(), 1e-9)))
     sides = [sweep, on_sweep, traced_sweep]
     seconds: Dict[object, List[float]] = {side: [] for side in sides}
     for r in range(rounds):
-        for side in sides[r % 3:] + sides[:r % 3]:
-            gc.collect()
-            set_registry(MetricsRegistry(enabled=side is not sweep))
-            seconds[side].append(side())
+        total = dict.fromkeys(sides, 0.0)
+        for k in range(r * reps, (r + 1) * reps):
+            for side in sides[k % 3:] + sides[:k % 3]:
+                gc.collect()
+                set_registry(MetricsRegistry(enabled=side is not sweep))
+                total[side] += side()
+        for side in sides:
+            seconds[side].append(total[side])
     off, on, traced = (seconds[side] for side in sides)
     median = statistics.median
-    return (median(off), median(on), median(traced),
+    return (median(off) / reps, median(on) / reps, median(traced) / reps,
             100.0 * (median(a / b for a, b in zip(on, off)) - 1.0),
             100.0 * (median(a / b for a, b in zip(traced, off)) - 1.0))
 

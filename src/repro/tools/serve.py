@@ -4,11 +4,12 @@ Serve a multi-tenant artifact store on a local socket::
 
     python -m repro.tools.serve --cache-dir /tmp/repro-cache --port 7979
     python -m repro.tools.serve --cache-dir /tmp/repro-cache \\
-        --quota alice=268435456 --quota bob=268435456 --jobs 2
+        --quota alice=268435456 --quota bob=268435456
 
 Clients speak one JSON object per line (see ``docs/SERVICE.md`` and
 :mod:`repro.service.protocol`); concurrent requests for the same
-tenant coalesce into one engine run, with identical jobs deduplicated.
+tenant coalesce into one engine run, with identical jobs deduplicated;
+misses run in-process, one at a time.
 
 ``--smoke`` runs a self-test instead of serving: it binds an ephemeral
 port, submits two concurrent coalescible sweep requests plus one under
@@ -29,6 +30,7 @@ from repro.service.client import request_once
 from repro.service.server import SimulationService, serve
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
+from repro.telemetry.manifest import read_run_manifest, read_spans
 
 __all__ = ["main"]
 
@@ -47,10 +49,9 @@ def _parse_quotas(entries: List[str]) -> Dict[str, int]:
     return quotas
 
 
-async def _smoke(cache_dir: str, jobs: int) -> int:
+async def _smoke(cache_dir: str) -> int:
     """Self-test: coalescing + tenant isolation over a real socket."""
-    service = SimulationService(cache_dir, jobs=jobs,
-                                coalesce_window=0.25)
+    service = SimulationService(cache_dir, coalesce_window=0.25)
     server = await service.start("127.0.0.1", 0)
     host, port = server.sockets[0].getsockname()[:2]
     emit(f"smoke: service on {host}:{port}")
@@ -76,6 +77,10 @@ async def _smoke(cache_dir: str, jobs: int) -> int:
               "requests were coalesced into one batch")
         check(done_a.get("run_id") == done_b.get("run_id"),
               "coalesced requests shared one engine run")
+        ran = (read_run_manifest(done_a["manifest"]).summary["runtime"]
+               if done_a.get("manifest") else {})
+        check((ran.get("executor"), ran.get("jobs")) == ("serial", 1),
+              "coalesced run recorded executor serial, jobs 1")
         check(done_a.get("batch_jobs") == 2,
               f"identical jobs deduplicated to 2 batch jobs "
               f"(got {done_a.get('batch_jobs')})")
@@ -119,7 +124,6 @@ async def _smoke(cache_dir: str, jobs: int) -> int:
 
         if done_a.get("manifest"):
             emit(f"smoke: run manifest at {done_a['manifest']}")
-            from repro.telemetry.manifest import read_spans
             from repro.telemetry.metrics import get_registry
             if get_registry().enabled:
                 spans = read_spans(done_a["manifest"])
@@ -147,15 +151,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks a free port (announced on stdout)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per engine run")
     parser.add_argument("--window", type=float, default=0.05,
                         help="request-coalescing window in seconds")
     parser.add_argument("--quota", action="append", default=[],
                         metavar="TENANT=BYTES",
                         help="per-tenant store quota (repeatable)")
     parser.add_argument("--max-retries", type=int, default=None)
-    parser.add_argument("--job-timeout", type=float, default=None)
     parser.add_argument("--smoke", action="store_true",
                         help="run the coalescing/tenancy self-test and "
                              "exit instead of serving")
@@ -168,12 +169,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.error("%s", exc)
         return 2
     if args.smoke:
-        return asyncio.run(_smoke(args.cache_dir, jobs=args.jobs))
+        return asyncio.run(_smoke(args.cache_dir))
     try:
         asyncio.run(serve(args.cache_dir, host=args.host, port=args.port,
-                          jobs=args.jobs, coalesce_window=args.window,
-                          quotas=quotas, max_retries=args.max_retries,
-                          job_timeout=args.job_timeout))
+                          coalesce_window=args.window, quotas=quotas,
+                          max_retries=args.max_retries))
     except KeyboardInterrupt:
         emit("interrupted; shutting down")
     return 0

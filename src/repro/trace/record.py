@@ -175,9 +175,6 @@ class BranchTrace:
         """Total dynamic instruction count represented by the trace."""
         return int(self.ilens.sum())
 
-    def taken_mask(self) -> np.ndarray:
-        return self.taken
-
     def taken_view(self) -> "BranchTrace":
         """The sub-stream of taken branches — the BTB access stream.
 

@@ -44,7 +44,7 @@ import weakref
 
 import numpy as np
 
-from repro.trace.record import INSTRUCTION_BYTES, BranchKind, BranchTrace
+from repro.trace.record import BranchKind, BranchTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
@@ -173,10 +173,6 @@ class SetPartition:
         flags[ends] = 1
         self.end = flags.tobytes()
 
-    @property
-    def num_populated_sets(self) -> int:
-        return len(self.set_ids)
-
     def __len__(self) -> int:
         """The number of accesses partitioned."""
         return len(self.heads) + len(self.repeats)
@@ -285,11 +281,6 @@ class AccessStream:
                                    _ints(t.kinds), _ints(t.taken),
                                    _ints(t.ilens))
         return self._trace_columns
-
-    @property
-    def fallthroughs(self) -> np.ndarray:
-        """Fall-through address of every *trace* record."""
-        return self.trace.pcs + INSTRUCTION_BYTES
 
     def __repr__(self) -> str:
         return (f"AccessStream({self.trace.name!r}, accesses={len(self)}, "

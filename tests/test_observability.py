@@ -538,27 +538,60 @@ class TestSpanVocabulary:
 
 class TestAsyncCancellation:
     def test_cancel_mid_run_still_writes_a_failed_manifest(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        """The cancel lands while job 1 computes: job 1 finishes and is
+        delivered, no later attempt starts, nothing reaches ``on_result``
+        after the CancelledError, and the manifest records the cancel."""
+        import repro.harness.engine.executor as executor_module
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
         jobs = [SimJob(app=app, policy="lru", mode="misses",
                        length=LENGTH)
                 for app in ("tomcat", "python", "clang", "kafka")]
+        started = []
+        real = executor_module._execute_guarded
+        real_execute = executor_module.SerialExecutor.execute
+        in_flight = {}
+
+        def execute(self, ctx, pending):
+            in_flight["ctx"] = ctx
+            return real_execute(self, ctx, pending)
+
+        def attempt(job, *, index, **kwargs):
+            started.append(index)
+            if index == 1:
+                # Hold the attempt in flight until the cancel stops the
+                # run.
+                loop, event = in_flight["loop"], in_flight["event"]
+                loop.call_soon_threadsafe(event.set)
+                assert in_flight["ctx"].stop.wait(timeout=60)
+            return real(job, index=index, **kwargs)
+
+        monkeypatch.setattr(executor_module.SerialExecutor, "execute",
+                            execute)
+        monkeypatch.setattr(executor_module, "_execute_guarded", attempt)
+        seen = []
 
         async def scenario():
-            first_result = asyncio.Event()
+            in_flight.update(loop=asyncio.get_running_loop(),
+                             event=asyncio.Event())
             task = asyncio.ensure_future(engine.run_async(
-                jobs, on_result=lambda r: first_result.set()))
-            await asyncio.wait_for(first_result.wait(), timeout=60)
+                jobs, on_result=lambda r: seen.append(r.index)))
+            await asyncio.wait_for(in_flight["event"].wait(), timeout=60)
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
+            delivered = list(seen)
+            await asyncio.sleep(0.2)
+            return delivered
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) == seen == [0, 1]
+        assert started == [0, 1]
         manifest = read_run_manifest(engine.last_manifest)
         assert manifest.summary["status"] == "failed"
         states = manifest.summary["job_states"]
-        assert states.get("succeeded", 0) >= 1
-        assert sum(states.values()) == len(jobs)
+        assert states == {"succeeded": 2, "pending": 2}
+        assert [row["index"] for row in read_events(engine.last_manifest)
+                if row["state"] == "running"] == [0, 1]
         # The cancel is recorded as the run's failure.
         errors = json.dumps(manifest.summary.get("exceptions", []))
         assert "CancelledError" in errors

@@ -271,8 +271,10 @@ class TestShipping:
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
         engine.run(SWEEP[:1])
         assert _runtime_block(engine)["executor"] == "serial"
-        asyncio.run(engine.run_async(SWEEP[:1]))
-        assert _runtime_block(engine)["executor"] == "async"
+        engine = ExperimentEngine(cache_dir=tmp_path / "async", jobs=2)
+        asyncio.run(engine.run_async(SWEEP[:2]))
+        # run_async runs its misses serially, whatever ``jobs`` says.
+        assert _runtime_block(engine)["executor"] == "serial"
 
 
 class TestCoverageReport:
@@ -367,7 +369,8 @@ class TestCoverageReport:
                                                      fresh_registry):
         """Runs made by the deleted distributed sweep recorded
         ``executor=fabric``, could carry ``partition`` faults in their
-        plan and journaled ``fabric.lease`` spans; report, top and the
+        plan and journaled ``fabric.lease`` spans; runs of the deleted
+        async executor recorded ``executor=async``.  Report, top and the
         trace export show them as recorded."""
         from repro.tools import trace_export
         from repro.tools.top import render_run_frame
@@ -396,6 +399,14 @@ class TestCoverageReport:
         leases = [e for e in events if e["name"] == "fabric.lease"]
         assert len(leases) == 1
         assert leases[0]["args"]["parent_id"] == run_span["span_id"]
+
+        summary["runtime"]["executor"] = "async"
+        summary_path.write_text(json.dumps(summary))
+        for text in (render_report(read_run_manifest(manifest.path)),
+                     render_run_frame(manifest.path)):
+            assert "executor=async" in text
+        assert trace_export.main([str(manifest.path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
 
 
 class TestGCCollections:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,82 @@ class TestDifferentialEquivalence:
         key = lambda r: (r["app"], r["policy"])
         assert (sorted(rows, key=key)
                 == sorted(manifest.rows, key=key))
+
+
+class TestInProcessRuns:
+    """``run_async`` is :meth:`ExperimentEngine.run` with one thread hop
+    for the misses, and the only way the service runs jobs."""
+
+    JOBS = [SimJob(app="tomcat", policy=policy, length=LENGTH,
+                   mode="misses")
+            for policy in ("lru", "srrip", "opt")]
+
+    @staticmethod
+    async def _run_async(engine, jobs, calls):
+        """``engine.run_async(jobs)``, noting per delivered result its
+        index, whether it was a hit, and whether it came on the loop."""
+        loop_thread = threading.get_ident()
+        return await engine.run_async(jobs, on_result=lambda r: calls.append(
+            (r.index, r.cached, threading.get_ident() == loop_thread)))
+
+    def test_run_async_matches_run_on_a_fresh_store(self, tmp_path):
+        cli = ExperimentEngine(cache_dir=tmp_path / "run", jobs=1)
+        expected = cli.run(self.JOBS)
+        engine = ExperimentEngine(cache_dir=tmp_path / "async", jobs=1)
+        calls = []
+        results = asyncio.run(self._run_async(engine, self.JOBS, calls))
+        assert [r.state for r in results] == [r.state for r in expected]
+        assert (canonical_rows(read_run_manifest(engine.last_manifest).rows)
+                == canonical_rows(read_run_manifest(cli.last_manifest).rows))
+        files = artifact_files(tmp_path / "async")
+        assert files and files == artifact_files(tmp_path / "run")
+        assert calls == [(0, False, True), (1, False, True),
+                         (2, False, True)]
+
+    def test_on_result_comes_on_the_loop_for_hits_and_misses(
+            self, tmp_path):
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run(self.JOBS[1:2])
+        calls = []
+        asyncio.run(self._run_async(engine, self.JOBS, calls))
+        # The hit is served before dispatch, then the misses in order.
+        assert calls == [(1, True, True), (0, False, True),
+                         (2, False, True)]
+
+    def test_all_hit_run_never_leaves_the_loop(self, tmp_path):
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
+        engine.run(self.JOBS)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            def refuse(*args):
+                raise AssertionError("an all-hit run used an executor")
+
+            loop.run_in_executor = refuse
+            try:
+                return await engine.run_async(self.JOBS)
+            finally:
+                del loop.run_in_executor
+
+        results = asyncio.run(scenario())
+        assert all(r.cached for r in results)
+        summary = read_run_manifest(engine.last_manifest).summary
+        assert summary["runtime"]["executor"] == "serial"
+
+    def test_service_takes_no_worker_count(self, tmp_path):
+        with pytest.raises(ValueError, match="in-process"):
+            SimulationService(tmp_path, jobs=2)
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"],
+                                      ["--job-timeout", "5"]])
+    def test_serve_has_no_worker_or_deadline_flag(self, tmp_path, flag,
+                                                  capsys):
+        from repro.tools import serve
+        with pytest.raises(SystemExit) as exc:
+            serve.main(["--cache-dir", str(tmp_path), "--smoke"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCoalescing:
