@@ -1245,6 +1245,43 @@ class GHRPKernel(GlobalOrderKernel):
                      compulsory, mismatches, bypassed=open_runs.mask())
 
 
+def _optgen_access(gen, pc: int) -> Optional[bool]:
+    """:meth:`~repro.btb.replacement.hawkeye._OptGen.access` on ``gen``'s
+    own state.  The reuse interval ``[t0, t)`` is shorter than the
+    window, so its occupancy slots are one slice of ``gen._occ``, or two
+    when the interval wraps the window; each is checked with ``max`` and
+    incremented by one list comprehension.  Most reuses are a run's
+    next access (``t - t0 == 1``), a single slot."""
+    t = gen.time
+    gen.time = t + 1
+    window = gen.window
+    occ = gen._occ
+    now = t % window
+    occ[now] = 0
+    last_time = gen.last_time
+    t0 = last_time.get(pc)
+    last_time[pc] = t
+    if t0 is None or t - t0 >= window:
+        return None
+    ways = gen.ways
+    start = t0 % window
+    if t - t0 == 1:
+        if occ[start] >= ways:
+            return False
+        occ[start] += 1
+        return True
+    if start < now:
+        if max(occ[start:now]) >= ways:
+            return False
+        occ[start:now] = [x + 1 for x in occ[start:now]]
+        return True
+    if max(occ[start:]) >= ways or (now and max(occ[:now]) >= ways):
+        return False
+    occ[start:] = [x + 1 for x in occ[start:]]
+    occ[:now] = [x + 1 for x in occ[:now]]
+    return True
+
+
 class HawkeyeKernel(GlobalOrderKernel):
     """Hawkeye: per-sampled-set OPTgen, globally shared predictor
     counters trained in stream order.
@@ -1285,7 +1322,7 @@ class HawkeyeKernel(GlobalOrderKernel):
         hits = evictions = compulsory = mismatches = 0
 
         def sample(gen, pc, p):
-            verdict = gen.access(pc)
+            verdict = _optgen_access(gen, pc)
             if verdict is None:
                 return
             v = counters[p]

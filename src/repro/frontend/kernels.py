@@ -38,17 +38,29 @@ TAGE-lite runs on numpy-built per-level index/tag columns.  The
 direction and I-cache passes never see the BTB, so every simulation
 of one trace on identically-started components computes the same
 outcome column and end state.  A per-trace memo (:func:`clear_pass_memo`)
-keeps those results, FDIP's per-trace inputs and compact end-state
-snapshots that a hit writes back by slice copy, so a figure that
-simulates many policies runs each pass once per trace.
+keeps those results (the mispredicted positions; the fill positions and
+latencies) and compact end-state snapshots that a hit writes back by
+slice copy, so a figure that simulates many policies runs each pass
+once per trace.  Its key names each component's start state by a token
+from a small pool of exact start-state copies (:class:`_StartStates`),
+a C-speed list compare instead of a pickle per call.
+
+Only BTB-dependent work runs per call: the BTB, IBTB and FDIP passes
+and the reduction.  The FDIP pass is segment-parallel on numpy columns
+(:func:`_fdip_pass`): a redirect drains the credit, so redirects cut
+the trace into independent segments that step in lockstep, each with
+the reference engine's sequential arithmetic, and a segment that
+reaches the cap stays there until its redirect.
 """
 
 from __future__ import annotations
 
 import pickle
 import re
-from itertools import chain
-from typing import List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from itertools import chain, count
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -420,35 +432,50 @@ def _ibtb_pass(ibtb: IndirectBTB, pcs, targets, proc_pos: np.ndarray,
 
 
 def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
-                 warmup_end: int) -> Tuple[List[int], List[float]]:
+                 warmup_end: int) -> Tuple[np.ndarray, np.ndarray]:
     """Fetch every record's block through the L1I/L2/LLC stack, inlined.
 
     Returns the records with a fill and their fill latencies, and
     snapshots ``sim._l2_misses_at_warmup`` at the region boundary.  The
     per-set MRU lists are the caches' own (mutated in place); counters
     are accumulated locally and folded back once.
+
+    A record whose first line is the line the previous record ended on
+    starts with a guaranteed L1 MRU hit (nothing touched the cache in
+    between), which only counts an access: the walk starts on the next
+    line, and a record that fetches only that line is never visited.
     """
     icache = sim.icache
-    n = len(ilens)
-    filled, values = [], []
     if icache.perfect:
         sim._l2_misses_at_warmup = icache.l2.misses
-        return filled, values
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     shift = icache._line_shift
-    first = (next_fetch >> shift).tolist()
-    last = ((next_fetch + ilens.astype(np.int64) * INSTRUCTION_BYTES - 1)
-            >> shift).tolist()
+    first = next_fetch >> shift
+    last = (next_fetch + ilens.astype(np.int64) * INSTRUCTION_BYTES - 1) \
+        >> shift
+    mru = np.zeros(len(ilens), dtype=bool)
+    mru[1:] = first[1:] == last[:-1]
+    first += mru
+    walk = np.flatnonzero(first <= last)
+    # Skipped records never miss, so the L2 misses at the warmup
+    # boundary are those of the walked records before it.
+    split = int(np.searchsorted(walk, warmup_end))
+    first_l = first[walk].tolist()
+    last_l = last[walk].tolist()
     l1, l2, llc = icache.l1i, icache.l2, icache.llc
     s1, n1, w1 = l1._sets, l1.num_sets, l1.ways
     s2, n2, w2 = l2._sets, l2.num_sets, l2.ways
     s3, n3, w3 = llc._sets, llc.num_sets, llc.ways
     lat2, lat3, latm = icache._lat.l2, icache._lat.llc, icache._lat.memory
-    a1 = m1 = a2 = m2 = a3 = m3 = 0
+    a1 = int(np.count_nonzero(mru))
+    m1 = a2 = m2 = a3 = m3 = 0
     l2_misses_at_warmup = 0
-    snapshot_at = warmup_end - 1
-    for i in range(n):
-        line = first[i]
-        line_last = last[i]
+    filled, values = [], []
+    for j in range(len(first_l)):
+        if j == split:
+            l2_misses_at_warmup = m2
+        line = first_l[j]
+        line_last = last_l[j]
         total = 0.0
         while True:
             a1 += 1
@@ -497,10 +524,10 @@ def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
                 break
             line += 1
         if total > 0.0:
-            filled.append(i)
+            filled.append(j)
             values.append(total)
-        if i == snapshot_at:
-            l2_misses_at_warmup = m2
+    if split == len(first_l):
+        l2_misses_at_warmup = m2
     if warmup_end == 0:
         l2_misses_at_warmup = 0
     sim._l2_misses_at_warmup = l2.misses + l2_misses_at_warmup
@@ -510,79 +537,109 @@ def _icache_pass(sim, next_fetch: np.ndarray, ilens: np.ndarray,
     l2.misses += m2
     llc.accesses += a3
     llc.misses += m3
-    return filled, values
+    return walk[filled], np.array(values)
 
 
-def _fdip_pass(fdip: FDIPEngine, adv: Tuple[float, ...],
-               filled: np.ndarray, fill_values: np.ndarray,
-               redirects: np.ndarray) -> np.ndarray:
+#: Below this many open segments, :func:`_fdip_pass` walks the rest
+#: record by record: a lockstep step costs about as much as a dozen
+#: scalar records.
+_LOCKSTEP_MIN = 16
+
+
+def _fdip_pass(fdip: FDIPEngine, adv: np.ndarray, filled: np.ndarray,
+               fill_values: np.ndarray, redirects: np.ndarray) -> np.ndarray:
     """Run the run-ahead credit over the whole trace; returns the
     per-record *exposed* fill latency column.
 
-    ``adv`` (each record's ``demand * gain``) and the I-cache fills come
-    from the pass memo.  Credit only matters at *events* (a fill to
-    absorb or a redirect); between events it monotonically ramps to the
-    capacity cap, so the pass hops event to event and walks records only
-    while the credit is still ramping — identical arithmetic, a fraction
-    of the iterations.
+    ``adv`` is each record's ``demand * gain``, ``filled`` and
+    ``fill_values`` the I-cache fills in record order, ``redirects``
+    each record's redirect count.  A redirect drains the credit to zero,
+    so redirects cut the trace into independent *segments*: the first
+    starts from ``fdip.credit``, every other from 0.0 on the record
+    after a redirect.  All segments step in lockstep by their offset,
+    each with its own sequential arithmetic (``min(cap, c + adv)``, then
+    the record's fill, if any, through ``absorb``), so every float is
+    the reference engine's.
+
+    When ``adv`` and ``gain`` are non-negative the cap absorbs: at the
+    cap an advance or an exposure bump returns to the cap, so a segment
+    leaves the lockstep once it reaches the cap, and each fill it has
+    not walked hides ``min(cap, fill)``.  Every fill starts with that
+    at-cap split and the walk overwrites the ones it reaches.
+    ``hidden_latency`` and ``exposed_latency`` are ordered sums over the
+    fills, from their current values.
     """
     n = redirects.shape[0]
-    exposed = np.zeros(n)
-    fill_at = np.zeros(n)
-    fill_at[filled] = fill_values
-    events = np.flatnonzero((fill_at > 0.0) | (redirects > 0))
-    credit = fdip.credit
     cap = fdip.capacity
     gain = fdip.gain
-    hidden_acc = fdip.hidden_latency
-    exposed_acc = fdip.exposed_latency
-    resets = fdip.resets
-    ev_list = events.tolist()
-    ev_red = redirects[events].tolist()
-    ev_fill = fill_at[events].tolist()
-    cursor = 0
-    for j, e in enumerate(ev_list):
-        if credit < cap:
-            k = cursor
-            while k < e:
-                c = credit + adv[k]
-                if c >= cap:
-                    credit = cap
-                    break
-                credit = c
-                k += 1
-        c = credit + adv[e]
-        credit = cap if c > cap else c
-        fill = ev_fill[j]
-        if fill:
-            if credit >= fill:
-                hidden_acc += fill
-                exposed_acc += 0.0
-            else:
-                exp = fill - credit
-                hidden_acc += credit
-                exposed_acc += exp
-                exposed[e] = exp
-                c = credit + exp * gain
-                credit = cap if c > cap else c
-        r = ev_red[j]
-        if r:
-            credit = 0.0
-            resets += r
-        cursor = e + 1
-    if credit < cap:
-        k = cursor
-        while k < n:
-            c = credit + adv[k]
-            if c >= cap:
-                credit = cap
+    fill_at = np.zeros(n)
+    fill_at[filled] = fill_values
+    hidden = np.zeros(n)
+    exposed = np.zeros(n)
+    absorbs = not gain < 0 and bool((adv >= 0.0).all())
+    if absorbs:
+        at_cap = np.where(fill_values < cap, fill_values, cap)
+        hidden[filled] = at_cap
+        exposed[filled] = fill_values - at_cap
+    cut = np.flatnonzero(redirects != 0)
+    pos = np.concatenate(([0], cut + 1))
+    ends = np.concatenate((cut, [n - 1]))
+    if cut.size and cut[-1] == n - 1:   # the one possible empty segment
+        pos, ends = pos[:-1], ends[:-1]
+    credit = np.zeros(pos.size)
+    credit[0] = fdip.credit     # record 0 always opens the first segment
+    last = n - 1
+    end_credit = 0.0
+    # min(cap, x) is ``x if x < cap else cap`` and min(credit, fill) is
+    # ``fill if fill < credit else credit``, NaN and signed zeros included.
+    while pos.size >= _LOCKSTEP_MIN:
+        x = credit + adv[pos]
+        credit = np.where(x < cap, x, cap)
+        at = np.flatnonzero(fill_at[pos])
+        if at.size:
+            where = pos[at]
+            c, fill = credit[at], fill_at[where]
+            hid = np.where(fill < c, fill, c)
+            exp = fill - hid
+            hidden[where] = hid
+            exposed[where] = exp
+            bump = np.flatnonzero(exp)
+            if bump.size:
+                x = c[bump] + exp[bump] * gain
+                credit[at[bump]] = np.where(x < cap, x, cap)
+        stop = pos == ends
+        if absorbs:
+            stop |= credit == cap
+        if stop.any():
+            if stop[-1] and ends[-1] == last:
+                end_credit = credit[-1]
+            keep = ~stop
+            pos, ends, credit = pos[keep], ends[keep], credit[keep]
+        pos += 1
+    for p, e, c in zip(pos.tolist(), ends.tolist(), credit.tolist()):
+        while True:
+            x = c + adv[p]
+            c = x if x < cap else cap
+            fill = fill_at[p]
+            if fill:
+                hid = fill if fill < c else c
+                exp = fill - hid
+                hidden[p] = hid
+                exposed[p] = exp
+                if exp:
+                    x = c + exp * gain
+                    c = x if x < cap else cap
+            if p == e or (absorbs and c == cap):
                 break
-            credit = c
-            k += 1
-    fdip.credit = credit
-    fdip.hidden_latency = hidden_acc
-    fdip.exposed_latency = exposed_acc
-    fdip.resets = resets
+            p += 1
+        if e == last:
+            end_credit = c
+    fdip.hidden_latency = _ordered_sum(
+        np.concatenate(([fdip.hidden_latency], hidden[filled])))
+    fdip.exposed_latency = _ordered_sum(
+        np.concatenate(([fdip.exposed_latency], exposed[filled])))
+    fdip.credit = 0.0 if redirects[last] else float(end_credit)
+    fdip.resets += int(redirects.sum())
     return exposed
 
 
@@ -593,18 +650,114 @@ def _fdip_pass(fdip: FDIPEngine, adv: Tuple[float, ...],
 # component start state[, warmup_end]) -> (output column, component end
 # state).  A memo hit replays both: the output into the caller's column
 # and the end state into the live components in place, so every object a
-# caller holds keeps its identity.  The key carries the component's type
-# and its pickled start state, so a warmed or foreign component is simply
-# a miss.  End states are flat tuples of atoms and packed ints, which the
-# cyclic GC stops tracking.  A Harness keeps every trace alive, hence
-# the small LRU bound.
+# caller holds keeps its identity.  The key names the component's start
+# state by a token from :class:`_StartStates`, so a warmed or foreign
+# component is simply a miss.  End states are flat tuples of atoms and
+# packed ints, which the cyclic GC stops tracking.  A Harness keeps
+# every trace alive, hence the small LRU bound.
 
 _pass_memo = TraceMemo(capacity=8)
+
+
+class _Unflattenable(Exception):
+    """A state :func:`_flatten` cannot compare exactly (a dict, an
+    array, a list of floats, ...)."""
+
+
+def _frozen_list(items: list) -> list:
+    """A private deep copy of a list of ints or of such lists."""
+    kinds = set(map(type, items))
+    if kinds <= {int}:
+        return items[:]
+    if kinds == {list}:
+        return [_frozen_list(row) for row in items]
+    raise _Unflattenable
+
+
+def _flatten(value, out: list, frozen: bool) -> list:
+    """Append ``value``'s state to ``out`` in a fixed walk order: an
+    object as its type, attribute count, then each name and state; a
+    list of objects as its length and their states; another list as
+    itself (``frozen``: as a private deep copy of its ints); a scalar as
+    its type and value (a float as its hex spelling, so ``-0.0`` and
+    ``0.0`` differ)."""
+    kind = type(value)
+    if kind is list:
+        if value and hasattr(value[0], "__dict__"):
+            out.append(len(value))
+            for item in value:
+                _flatten(item, out, frozen)
+        else:
+            out.append(_frozen_list(value) if frozen else value)
+    elif kind in (int, bool, str, type(None)):
+        out += (kind, value)
+    elif kind is float:
+        out += (kind, value.hex())
+    elif (hasattr(value, "__dict__") and not callable(value)
+          and kind.__module__ != "builtins"):
+        state = vars(value)
+        out += (kind, len(state))
+        for name, item in state.items():
+            out.append(name)
+            _flatten(item, out, frozen)
+    else:
+        raise _Unflattenable
+    return out
+
+
+class _StartStates:
+    """Tokens that name distinct component start states exactly.
+
+    The pool keeps a private flat copy of each start state it has named
+    (LRU, a few); a live component gets an entry's token when its flat
+    state compares equal to that copy.  The compare runs in C, list by
+    list, and costs a fraction of pickling the state; a fresh component
+    matches the copy every other fresh one of its kind left.  Lists
+    compare their ints by value; a state with anything the walk cannot
+    copy exactly is named by its type and pickled ``__dict__`` instead.
+    Tokens are never reused, so a key holding an evicted token can only
+    miss.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[int, list]" = OrderedDict()
+        self._next = count()
+        self._lock = threading.Lock()
+
+    def token(self, component):
+        try:
+            live = _flatten(component, [], False)
+        except _Unflattenable:
+            return type(component), _state_bytes(component.__dict__)
+        with self._lock:
+            for token, saved in reversed(self._entries.items()):
+                if saved == live:
+                    self._entries.move_to_end(token)
+                    return token
+        try:
+            saved = _flatten(component, [], True)
+        except _Unflattenable:
+            return type(component), _state_bytes(component.__dict__)
+        with self._lock:
+            token = next(self._next)
+            self._entries[token] = saved
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return token
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_start_states = _StartStates(capacity=4)
 
 
 def clear_pass_memo() -> None:
     """Drop every memoized pass result (``clear_stream_cache`` does too)."""
     _pass_memo.clear()
+    _start_states.clear()
 
 
 def _state_bytes(obj) -> bytes:
@@ -688,7 +841,7 @@ def _memo_get(trace: BranchTrace, key):
 def _shared_direction_pass(trace: BranchTrace, predictor,
                            dir_wrong: np.ndarray) -> None:
     """:func:`_direction_pass` over ``trace``, memoized."""
-    key = ("direction", type(predictor), _state_bytes(predictor.__dict__))
+    key = ("direction", _start_states.token(predictor))
     hit = _memo_get(trace, key)
     if hit is not None:
         wrong, end_state = hit
@@ -703,29 +856,23 @@ def _shared_direction_pass(trace: BranchTrace, predictor,
 
 
 def _shared_icache_pass(trace: BranchTrace, sim, next_fetch: np.ndarray,
-                        warmup_end: int, demand: np.ndarray) -> list:
-    """:func:`_icache_pass` over ``trace``, memoized with (and returning)
-    the per-trace inputs of :func:`_fdip_pass`."""
+                        warmup_end: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_icache_pass` over ``trace``, memoized: returns the fill
+    records and latencies that :func:`_fdip_pass` absorbs."""
     icache = sim.icache
     levels = [icache.l1i, icache.l2, icache.llc]
-    gain = sim.fdip.gain
-    key = ("icache", warmup_end, sim.params.backend_cpi, gain,
-           type(icache), _state_bytes(icache.__dict__))
+    key = ("icache", warmup_end, _start_states.token(icache))
     hit = _memo_get(trace, key)
     if hit is not None:
-        end_state, sim._l2_misses_at_warmup, *fdip_inputs = hit
+        end_state, sim._l2_misses_at_warmup, filled, fill_values = hit
         _restore(levels, iter(end_state))
-        return fdip_inputs
+        return filled, fill_values
     filled, fill_values = _icache_pass(sim, next_fetch, trace.ilens,
                                        warmup_end)
-    # One float object per distinct instruction count, not per record.
-    lens, codes = np.unique(demand, return_inverse=True)
-    fdip_inputs = [
-        tuple(map((lens * gain).tolist().__getitem__, codes.tolist())),
-        np.array(filled, dtype=np.int64), np.array(fill_values)]
     _pass_memo.put(trace, key, (tuple(_snapshot(levels, [])),
-                                sim._l2_misses_at_warmup, *fdip_inputs))
-    return fdip_inputs
+                                sim._l2_misses_at_warmup, filled,
+                                fill_values))
+    return filled, fill_values
 
 
 # ----------------------------------------------------------------------
@@ -785,7 +932,8 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
             _shared_direction_pass(trace, sim.predictor, dir_wrong)
 
         ras_wrong = np.zeros(n, dtype=bool)
-        _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
+        with span("frontend.ras"):
+            _ras_pass(sim.ras, pcs, targets, kinds, taken, ras_wrong)
 
         if perfect_btb:
             hit_rec = access_mask
@@ -797,40 +945,39 @@ def try_fast_simulate(sim, trace: BranchTrace, warmup_fraction: float,
         btb_miss = access_mask & ~hit_rec
 
         ibtb_wrong = np.zeros(n, dtype=bool)
-        _ibtb_pass(sim.ibtb, pcs, targets,
-                   np.flatnonzero(is_indirect & taken & hit_rec),
-                   ibtb_wrong)
+        with span("frontend.ibtb"):
+            _ibtb_pass(sim.ibtb, pcs, targets,
+                       np.flatnonzero(is_indirect & taken & hit_rec),
+                       ibtb_wrong)
 
         with span("frontend.icache"):
-            fdip_inputs = _shared_icache_pass(trace, sim, next_fetch,
-                                              warmup_end, demand)
+            filled, fill_values = _shared_icache_pass(trace, sim,
+                                                      next_fetch, warmup_end)
 
         redirects = (dir_wrong.astype(np.int8) + ras_wrong
                      + btb_miss + ibtb_wrong)
         with span("frontend.fdip"):
-            exposed = _fdip_pass(sim.fdip, *fdip_inputs, redirects)
+            exposed = _fdip_pass(sim.fdip, demand * sim.fdip.gain, filled,
+                                 fill_values, redirects)
 
         # -- exact-order reduction over the measured region ------------
-        with span("frontend.measure"):
-            dir_charge = np.where(dir_wrong, params.mispredict_penalty, 0.0)
-            ras_charge = np.where(ras_wrong, params.ras_penalty, 0.0)
-            btb_charge = np.where(btb_miss, params.btb_miss_penalty, 0.0)
-            ind_charge = np.where(ibtb_wrong, params.indirect_penalty, 0.0)
-            # At most one target-stage charge per record, so summing the
-            # disjoint columns is a chain of +0.0 identities.
-            tgt_charge = btb_charge + ras_charge + ind_charge
-
+        with span("frontend.reduce"):
             w = warmup_end
             # The monolith's per-record order: demand, exposed I-cache
             # fill, direction penalty, target penalty.  Skipped stages
             # charge 0.0, and x + 0.0 is an IEEE identity for these
             # non-negative accumulators, so the flattened (n, 4) scan
-            # reproduces ``cycles`` bit for bit.
-            charges = np.empty((n - w, 4))
+            # reproduces ``cycles`` bit for bit.  At most one
+            # target-stage charge applies per record, so the three
+            # target columns write disjoint entries of one column.
+            charges = np.zeros((n - w, 4))
             charges[:, 0] = demand[w:]
             charges[:, 1] = exposed[w:]
-            charges[:, 2] = dir_charge[w:]
-            charges[:, 3] = tgt_charge[w:]
+            charges[dir_wrong[w:], 2] = params.mispredict_penalty
+            tgt_charge = charges[:, 3]
+            tgt_charge[btb_miss[w:]] = params.btb_miss_penalty
+            tgt_charge[ras_wrong[w:]] = params.ras_penalty
+            tgt_charge[ibtb_wrong[w:]] = params.indirect_penalty
 
             result = SimResult(trace_name=trace.name)
             # Every record charges a nonzero demand, so masking the

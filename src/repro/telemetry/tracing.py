@@ -73,11 +73,14 @@ SPAN_NAMES = (
     "core.opt_replay",    # the OPT replay inside profiling
     "frontend.simulate",  # the frontend model's simulate
     "frontend.warmup",    # the reference loop's warmup region
-    "frontend.measure",   # its measured region (fast path: the reduction)
+    "frontend.measure",   # the reference loop's measured region
     "frontend.direction",  # fast path: the direction pass (or memo hit)
-    "frontend.icache",    # fast path: the I-cache pass (or memo hit)
+    "frontend.ras",       # fast path: the RAS pass
     "frontend.btb",       # fast path: the BTB pass
+    "frontend.ibtb",      # fast path: the IBTB pass
+    "frontend.icache",    # fast path: the I-cache pass (or memo hit)
     "frontend.fdip",      # fast path: the FDIP pass
+    "frontend.reduce",    # fast path: the ordered reduction
 )
 
 

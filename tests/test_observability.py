@@ -485,8 +485,9 @@ class TestSpanVocabulary:
             assert in_manifest == in_journal > 0, name
 
     def test_fig11_row_manifest_times_every_fast_path_pass(self, tmp_path):
-        """The fast simulate's four pass spans sit under
-        ``frontend.simulate``, once per simulate of a Fig. 11 row."""
+        """The fast simulate's pass and reduction spans sit under
+        ``frontend.simulate``, once per simulate of a Fig. 11 row; the
+        reference loop's region spans never appear."""
         jobs = fig11.plan(HarnessConfig(apps=("tomcat",), length=LENGTH))
         engine = ExperimentEngine(cache_dir=tmp_path, jobs=1)
         engine.run(jobs)
@@ -500,12 +501,13 @@ class TestSpanVocabulary:
 
         simulates = count("frontend.simulate")
         assert simulates == len(jobs) == 7
-        for name in ("frontend.direction", "frontend.icache",
-                     "frontend.btb", "frontend.fdip", "frontend.measure"):
+        for name in ("frontend.direction", "frontend.ras", "frontend.btb",
+                     "frontend.ibtb", "frontend.icache", "frontend.fdip",
+                     "frontend.reduce"):
             assert count(name) == simulates, name
             assert all("frontend.simulate/" + name in path
                        for path in spans if path.endswith(name)), name
-        assert count("frontend.warmup") == 0
+        assert count("frontend.warmup") == count("frontend.measure") == 0
 
     def test_service_request_uses_the_same_names(self, tmp_path):
         async def scenario():

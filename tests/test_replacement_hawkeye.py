@@ -1,9 +1,11 @@
 """Unit tests for the Hawkeye policy and its OPTgen component."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.btb.btb import BTB
 from repro.btb.config import BTBConfig
+from repro.btb.kernels import _optgen_access
 from repro.btb.replacement.hawkeye import HawkeyePolicy, _OptGen
 
 
@@ -102,3 +104,51 @@ class TestHawkeyePolicy:
         policy._rrpv[0][0] = 7     # make 0x4 the victim
         btb.access(0xC, 0, 2)
         assert policy._counters[idx] < before
+
+
+class TestKernelOptGen:
+    """The Hawkeye kernel's slice-based OPTgen against ``_OptGen.access``
+    (the oracle), on two generators fed the same accesses."""
+
+    @staticmethod
+    def _replay(pcs, ways, window_factor):
+        oracle = _OptGen(ways=ways, window_factor=window_factor)
+        kernel = _OptGen(ways=ways, window_factor=window_factor)
+        for pc in pcs:
+            assert _optgen_access(kernel, pc) is oracle.access(pc), pc
+            assert (kernel.time, kernel.last_time, kernel._occ) \
+                == (oracle.time, oracle.last_time, oracle._occ)
+        return oracle
+
+    def test_interval_that_wraps_the_window(self):
+        # window 8: pc 1 at t=6, reused at t=10 -> slots 6, 7, 0, 1.
+        pcs = [2, 3, 4, 5, 2, 3, 1, 4, 5, 3, 1]
+        gen = self._replay(pcs, ways=2, window_factor=4)
+        assert gen.window == 8 and gen.last_time[1] == 10
+
+    @pytest.mark.parametrize("start", [0, 3, 7])
+    def test_reuse_at_window_minus_one(self, start):
+        """``t - t0 == window - 1`` is the longest interval OPTgen
+        judges; from ``start`` > 0 it also wraps the window."""
+        window = 8
+        between = [100 + i for i in range(window - 2)]
+        pcs = [200 + i for i in range(start)] + [1] + between + [1]
+        gen = self._replay(pcs, ways=2, window_factor=4)
+        assert gen.window == window
+        assert gen.last_time[1] - start == window - 1
+
+    def test_saturated_wrapped_interval_misses(self):
+        # One way, window 8: pc 7's reuse takes slot 7, inside pc 1's
+        # wrapped interval (slots 6, 7, 0), so pc 1 misses and no slot
+        # is incremented.
+        pcs = [9] * 6 + [1, 7, 7]
+        gen = self._replay(pcs, ways=1, window_factor=8)
+        occ = list(gen._occ)
+        assert _optgen_access(gen, 1) is False
+        assert gen._occ == occ[:1] + [0] + occ[2:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(pcs=st.lists(st.integers(0, 9), max_size=120),
+           ways=st.integers(1, 3), window_factor=st.integers(1, 4))
+    def test_property_matches_oracle(self, pcs, ways, window_factor):
+        self._replay(pcs, ways, window_factor)

@@ -31,6 +31,7 @@ from repro.frontend.branch_predictor import (AlwaysTakenPredictor,
                                              PerceptronPredictor,
                                              PerfectPredictor,
                                              TageLitePredictor)
+from repro.frontend.fdip import FDIPEngine
 from repro.frontend.params import DEFAULT_FRONTEND_PARAMS
 from repro.frontend.simulator import FrontendSimulator
 from repro.harness.runner import Harness, HarnessConfig
@@ -441,6 +442,42 @@ def test_pass_memo_hit_per_predictor(registry, pass_calls, predictor_cls):
     assert registry.counters["sim/pass_memo_misses"] == 2
 
 
+class _Knob:
+    """A component whose state is one float and one list."""
+
+    def __init__(self, value=0.0):
+        self.value = value
+        self.rows = [[1, 2], [3]]
+
+
+def test_start_state_tokens_name_states_exactly():
+    """Equal start states share a token; a warmed, foreign or
+    sign-flipped state gets its own; a state the walk cannot copy is
+    named by its pickled ``__dict__``."""
+    pool = simk._StartStates(capacity=4)
+    fresh = pool.token(TageLitePredictor())
+    assert pool.token(TageLitePredictor()) == fresh
+    warmed = TageLitePredictor()
+    warmed.predict_and_train(0x40, True)
+    assert pool.token(warmed) not in (fresh, None)
+    assert pool.token(GSharePredictor()) != fresh
+    assert pool.token(_Knob(0.0)) != pool.token(_Knob(-0.0))
+    knob = _Knob()
+    token = pool.token(knob)
+    knob.rows[1].append(4)      # the pool kept a copy, not the live rows
+    assert pool.token(knob) != token
+    assert pool.token(_Knob()) == token
+    ibtb_key = pool.token(FrontendSimulator().ibtb)    # holds a dict
+    assert type(ibtb_key) is tuple and type(ibtb_key[1]) is bytes
+
+
+def test_start_state_tokens_are_never_reused():
+    pool = simk._StartStates(capacity=1)
+    first = pool.token(_Knob(1.0))
+    pool.token(_Knob(2.0))                      # evicts the first copy
+    assert pool.token(_Knob(1.0)) not in (first, pool.token(_Knob(2.0)))
+
+
 # ----------------------------------------------------------------------
 # Property: the TAGE column pass against predict_and_train
 # ----------------------------------------------------------------------
@@ -548,7 +585,7 @@ def _loop_sum(values) -> float:
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
     max_size=300))
 def test_ordered_sum_with_interleaved_zeros_equals_the_loop(values):
-    """Dropping the zeros before the scan (``frontend.measure``'s sparse
+    """Dropping the zeros before the scan (``frontend.reduce``'s sparse
     columns) leaves the left-to-right sum bit-identical."""
     array = np.array(values, dtype=float)
     expected = _loop_sum(values)
@@ -558,3 +595,110 @@ def test_ordered_sum_with_interleaved_zeros_equals_the_loop(values):
     for penalty in (0, 3, 14.5, 0.1):
         assert simk._penalty_sum(charged, penalty) == _loop_sum(
             np.where(charged, penalty, 0.0).tolist())
+
+
+# ----------------------------------------------------------------------
+# Property: the segment-parallel FDIP pass against FDIPEngine
+# ----------------------------------------------------------------------
+
+def _fdip_reference(engine, demand, fills, redirects):
+    """The reference loop's FDIP calls: advance, absorb, then one
+    redirect per redirect the record raised."""
+    exposed = []
+    for d, fill, r in zip(demand, fills, redirects):
+        engine.advance(d)
+        exposed.append(engine.absorb(fill) if fill else 0.0)
+        for _ in range(r):
+            engine.redirect()
+    return exposed
+
+
+def _fdip_engine(start_credit, gain, capacity):
+    engine = FDIPEngine(DEFAULT_FRONTEND_PARAMS)
+    if gain is not None:
+        engine.gain = gain
+    if capacity is not None:
+        engine.capacity = capacity
+    if start_credit == "cap":
+        engine.credit = engine.capacity
+    else:
+        engine.credit = start_credit
+    # A warmed engine carries statistics as well as credit.
+    engine.hidden_latency, engine.exposed_latency = 31.7, 4.25
+    engine.resets = 3
+    return engine
+
+
+def _check_fdip_pass(demand, fills, redirects, start_credit=0.0, gain=None,
+                     capacity=None, lockstep_min=simk._LOCKSTEP_MIN):
+    """``lockstep_min`` 1 runs every step in lockstep, a huge one walks
+    every segment record by record."""
+    reference = _fdip_engine(start_credit, gain, capacity)
+    expected = _fdip_reference(reference, demand, fills, redirects)
+    engine = _fdip_engine(start_credit, gain, capacity)
+    filled = np.flatnonzero(np.array(fills, dtype=float))
+    default, simk._LOCKSTEP_MIN = simk._LOCKSTEP_MIN, lockstep_min
+    try:
+        exposed = simk._fdip_pass(
+            engine, np.array(demand, dtype=float) * engine.gain, filled,
+            np.array(fills, dtype=float)[filled],
+            np.array(redirects, dtype=np.int8))
+    finally:
+        simk._LOCKSTEP_MIN = default
+    assert exposed.tolist() == expected
+    assert vars(engine) == vars(reference)
+
+
+#: Per-record demands as the simulator makes them (ilen * backend_cpi),
+#: fills from the hierarchy's latencies (some above the 67.2-cycle cap)
+#: and sums of them, and 0-2 redirects per record.
+fdip_records = st.lists(
+    st.tuples(st.integers(1, 24).map(lambda ilen: ilen * 0.35),
+              st.sampled_from([0.0, 0.0, 0.0, 12.0, 40.0, 150.0, 162.0,
+                               52.0]),
+              st.sampled_from([0, 0, 0, 1, 1, 2])),
+    min_size=1, max_size=400)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=fdip_records,
+       start_credit=st.sampled_from([0.0, 3.7, 60.0, "cap", 500.0]),
+       gain=st.sampled_from([None, 0.0, 0.5, -1.0]),
+       capacity=st.sampled_from([None, 0.0, 7.0]),
+       lockstep_min=st.sampled_from([1, 16, 10 ** 9]))
+def test_property_fdip_pass_matches_engine(records, start_credit, gain,
+                                           capacity, lockstep_min):
+    """Every per-record exposed latency and the engine's end state are
+    bit-identical to the scalar engine's, through the lockstep, the
+    record-by-record tail, or both; a negative gain turns off the cap
+    shortcut (the cap no longer absorbs)."""
+    demand, fills, redirects = map(list, zip(*records))
+    _check_fdip_pass(demand, fills, redirects, start_credit, gain,
+                     capacity, lockstep_min)
+
+
+@pytest.mark.parametrize("lockstep_min", [1, 10 ** 9])
+@pytest.mark.parametrize("case", [
+    "redirect_at_first", "redirect_at_last", "back_to_back",
+    "fill_and_redirect", "fill_above_capacity", "no_redirects"])
+def test_fdip_pass_edge_cases(case, lockstep_min):
+    n = 40
+    demand = [0.35 * (1 + i % 7) for i in range(n)]
+    fills = [150.0 if i % 5 == 2 else 0.0 for i in range(n)]
+    redirects = [1 if i % 9 == 4 else 0 for i in range(n)]
+    if case == "redirect_at_first":
+        redirects[0] = 1
+    elif case == "redirect_at_last":
+        redirects[-1] = 2
+    elif case == "back_to_back":
+        redirects[10:16] = [1, 2, 1, 1, 1, 1]
+    elif case == "fill_and_redirect":
+        fills[4] = fills[13] = 40.0        # records 4 and 13 redirect
+    elif case == "fill_above_capacity":
+        fills = [500.0 if f else 0.0 for f in fills]
+    else:
+        redirects = [0] * n
+    for start_credit in (0.0, 12.5, "cap"):
+        for gain, capacity in ((None, None), (0.0, None), (None, 0.0)):
+            _check_fdip_pass(demand, fills, redirects, start_credit, gain,
+                             capacity, lockstep_min)
