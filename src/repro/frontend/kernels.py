@@ -728,14 +728,11 @@ class _StartStates:
     def token(self, component):
         try:
             live = _flatten(component, [], False)
-        except _Unflattenable:
-            return type(component), _state_bytes(component.__dict__)
-        with self._lock:
-            for token, saved in reversed(self._entries.items()):
-                if saved == live:
-                    self._entries.move_to_end(token)
-                    return token
-        try:
+            with self._lock:
+                for token, saved in reversed(self._entries.items()):
+                    if saved == live:
+                        self._entries.move_to_end(token)
+                        return token
             saved = _flatten(component, [], True)
         except _Unflattenable:
             return type(component), _state_bytes(component.__dict__)

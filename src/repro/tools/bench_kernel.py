@@ -96,10 +96,10 @@ REPLAY_FLOORS = {
 #: Seed speedup floors for the stage-decoupled ``simulate`` fast path
 #: (``repro.frontend.kernels``) against the reference ``_replay_region``
 #: loop, used when no committed ``BENCH_sim.json`` supplies its own
-#: ``floors``.  Measured speedups sit around 2.7-5.4x per app; the
+#: ``floors``.  Measured speedups sit around 3.8-5.6x per app; the
 #: per-app floor keeps headroom for CI-runner noise and the ``geomean``
-#: entry enforces a >= 3x bar across the full sweep.
-SIM_FLOORS = dict({app: 2.2 for app in app_names()}, geomean=3.0)
+#: entry enforces a >= 3.6x bar across the full sweep.
+SIM_FLOORS = dict({app: 2.8 for app in app_names()}, geomean=3.6)
 
 #: Shortest timing per side and round of :func:`_measure_overhead`.
 OVERHEAD_UNIT_SECONDS = 0.5
