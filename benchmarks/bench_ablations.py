@@ -7,6 +7,11 @@ Each ablation isolates one ingredient of Algorithm 1 on the same workload:
 * quantizer: empirical thresholds vs equal-population bins (§3.3's naive
   alternative);
 * default category for unprofiled branches.
+
+Two more compare Thermometer with its alternatives on another workload:
+
+* policy zoo — every implemented policy;
+* online vs offline Thermometer — the value of the OPT profile.
 """
 
 from repro.btb.btb import BTB, run_btb
@@ -15,6 +20,8 @@ from repro.core.hints import ThresholdQuantizer, UniformQuantizer
 from repro.harness.reporting import format_table
 
 APP = "cassandra"
+#: The workload of the policy-zoo and online-vs-offline comparisons.
+ZOO_APP = "kafka"
 
 
 def _misses(harness, policy):
@@ -99,3 +106,47 @@ def test_ablation_default_category(benchmark, harness):
     assert max(misses) < lru
     # And the choice of default must stay a second-order effect.
     assert max(misses) - min(misses) < 0.15 * lru
+
+
+def test_policy_zoo(benchmark, harness):
+    trace = harness.trace(ZOO_APP)
+    hints = harness.hints(ZOO_APP)
+
+    def run():
+        rows = []
+        for name in ("lru", "plru", "fifo", "random", "srrip", "brrip",
+                     "dip", "ship", "ghrp", "hawkeye",
+                     "thermometer-online"):
+            stats = harness.run_misses(trace, name)
+            rows.append([name, stats.misses])
+        rows.append(["thermometer",
+                     harness.run_misses(trace, "thermometer",
+                                        hints=hints).misses])
+        rows.append(["opt", harness.run_misses(trace, "opt").misses])
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    print()
+    print(format_table(["policy", "misses"],
+                       sorted(rows, key=lambda r: r[1], reverse=True)))
+    misses = dict(rows)
+    assert misses["opt"] == min(misses.values())
+    assert misses["thermometer"] < min(
+        v for k, v in misses.items() if k not in ("thermometer", "opt"))
+
+
+def test_online_vs_offline_thermometer(benchmark, harness):
+    trace = harness.trace(ZOO_APP)
+    hints = harness.hints(ZOO_APP)
+
+    def run():
+        online = harness.run_misses(trace, "thermometer-online").misses
+        offline = harness.run_misses(trace, "thermometer",
+                                     hints=hints).misses
+        lru = harness.run_misses(trace, "lru").misses
+        return lru, online, offline
+
+    lru, online, offline = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(f"\nlru={lru} online={online} offline={offline}")
+    # The offline profile buys a clear margin over in-hardware estimation.
+    assert offline < online <= lru * 1.02

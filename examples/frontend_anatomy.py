@@ -10,12 +10,13 @@ Run:  python examples/frontend_anatomy.py [app]
 
 import sys
 
-from repro import BTB, BTBConfig, make_app_trace, simulate
-from repro.analysis import limit_study
+from repro import BTB, BTBConfig, Harness, HarnessConfig, simulate
 from repro.btb import LRUPolicy
+from repro.harness import experiments
 
 app = sys.argv[1] if len(sys.argv) > 1 else "mysql"
-trace = make_app_trace(app, length=80_000)
+harness = Harness(HarnessConfig(apps=(app,), length=80_000))
+trace = harness.trace(app)
 
 baseline = simulate(trace, btb=BTB(BTBConfig(), LRUPolicy()))
 print(baseline.breakdown())
@@ -24,8 +25,10 @@ print(f"\nBTB: hit rate {baseline.btb_stats.hit_rate:.1%}, "
       f"L2 instruction MPKI {baseline.l2_instruction_mpki:.2f}; "
       f"FDIP hid {baseline.fdip_hide_rate:.0%} of I-cache fill latency")
 
-study = limit_study(trace)
-pct = study.as_percentages()
+# Fig. 2's planned cells on this one app: each oracle's IPC speedup (%)
+# over the LRU baseline.
+limits = experiments.fig2(harness)
+pct = dict(zip(limits.columns[1:], limits.row(app)[1:]))
 print(f"\nlimit study ({app}):")
 print(f"  perfect BTB      +{pct['perfect_btb']:.1f}%")
 print(f"  perfect I-cache  +{pct['perfect_icache']:.1f}%")

@@ -11,23 +11,10 @@ from repro.analysis.hit_to_taken import (dynamic_cdf_curve,
 from repro.analysis.correlation import (BranchFeatures, CorrelationResult,
                                         branch_property_correlations)
 from repro.analysis.bypass import bypass_ratio_by_class
-from repro.analysis.limits import LimitStudyResult, limit_study
-from repro.analysis.phases import (PhaseSelection, basic_block_vectors,
-                                   kmeans, sampled_profile,
-                                   select_representatives)
-from repro.analysis.threec import MissClassification, classify_misses
 
 __all__ = [
     "BranchFeatures",
     "CorrelationResult",
-    "LimitStudyResult",
-    "MissClassification",
-    "PhaseSelection",
-    "basic_block_vectors",
-    "classify_misses",
-    "kmeans",
-    "sampled_profile",
-    "select_representatives",
     "ReuseVarianceSummary",
     "branch_property_correlations",
     "bypass_ratio_by_class",
@@ -35,7 +22,6 @@ __all__ = [
     "forward_set_reuse_distances",
     "hit_to_taken_curve",
     "holistic_variance",
-    "limit_study",
     "set_reuse_distance_sequences",
     "temperature_regions",
     "transient_variance",

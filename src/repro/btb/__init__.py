@@ -11,11 +11,6 @@ from repro.btb.entry import BTBEntry
 from repro.btb.btb import (BTB, BTBStats, IndirectBTB, btb_access_stream,
                            replay_stream, run_btb)
 from repro.btb.observer import BTBEvent, BTBObserver, EventRecorder
-from repro.btb.block_btb import BlockBTB, BlockBTBStats, run_block_btb
-from repro.btb.compressed import PartialTagBTB, iso_storage_compressed_config
-from repro.btb.hierarchy import TwoLevelBTB, TwoLevelStats
-from repro.btb.storage import (BTBEntryLayout, BTBStorageModel,
-                               iso_storage_entries)
 from repro.btb.replacement import (BYPASS, BeladyOptimalPolicy, DIPPolicy,
                                    FIFOPolicy, GHRPPolicy, HawkeyePolicy,
                                    LRUPolicy, MRUPolicy,
@@ -34,18 +29,11 @@ __all__ = [
     "BTBStats",
     "BYPASS",
     "EventRecorder",
-    "BlockBTB",
-    "BlockBTBStats",
-    "BTBEntryLayout",
-    "PartialTagBTB",
-    "BTBStorageModel",
     "BeladyOptimalPolicy",
     "DIPPolicy",
     "OnlineThermometerPolicy",
     "SHiPPolicy",
     "TreePLRUPolicy",
-    "TwoLevelBTB",
-    "TwoLevelStats",
     "DEFAULT_BTB_CONFIG",
     "FIFOPolicy",
     "GHRPPolicy",
@@ -58,11 +46,8 @@ __all__ = [
     "SRRIPPolicy",
     "ThermometerPolicy",
     "btb_access_stream",
-    "iso_storage_compressed_config",
-    "iso_storage_entries",
     "make_policy",
     "policy_names",
     "replay_stream",
-    "run_block_btb",
     "run_btb",
 ]

@@ -328,8 +328,9 @@ def replay_stream(stream: AccessStream, btb,
     This is the single replay kernel shared by :func:`run_btb`, the OPT
     profiler, and the harness miss paths.  When ``btb`` is a plain
     :class:`BTB` on the stream's geometry, the stream's precomputed set
-    indices feed the hot path directly; any other model (partial-tag,
-    block-based, hierarchies) is driven through its own ``access``.
+    indices feed the hot path directly; any other model (a subclass,
+    another geometry, or any object with an ``access`` method) is driven
+    through its own ``access``.
 
     Returns ``btb.stats``; with ``record_per_branch`` also returns a dict
     pc → [accesses, hits] used by the profiling pipeline.

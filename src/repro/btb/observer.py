@@ -3,15 +3,12 @@
 The BTB models emit four structured events — hit, fill, evict, bypass —
 through a uniform :class:`BTBObserver` protocol.  This replaces the old
 ad-hoc ``BTB.eviction_listener`` callable (which exposed only evictions,
-with a positional signature every consumer had to memorize) and is the one
-observability seam shared by :class:`~repro.btb.btb.BTB`,
-:class:`~repro.btb.compressed.PartialTagBTB`,
-:class:`~repro.btb.block_btb.BlockBTB`, and
-:class:`~repro.btb.hierarchy.TwoLevelBTB`.
+with a positional signature every consumer had to memorize) and is the
+observability seam of :class:`~repro.btb.btb.BTB`.
 
 Observers attach with ``btb.add_observer(observer)``; every event carries
-the emitting BTB (so one observer can watch several levels of a
-hierarchy), the set and way involved, the branch pc, and the position of
+the emitting BTB (so one observer can watch several BTBs), the set and
+way involved, the branch pc, and the position of
 the triggering access in the BTB access stream.  All hooks default to
 no-ops — subclass and override only the events you need.
 """

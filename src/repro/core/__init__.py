@@ -16,8 +16,6 @@ from repro.core.hints import (HintMap, ThresholdQuantizer, UniformQuantizer,
                               DEFAULT_THRESHOLDS)
 from repro.core.pipeline import ThermometerPipeline, thermometer_policy_for
 from repro.core.crossval import cross_validate_thresholds
-from repro.core.merging import merge_profiles, merge_temperatures, \
-    profile_drift
 
 __all__ = [
     "BranchProfile",
@@ -32,9 +30,6 @@ __all__ = [
     "UniformQuantizer",
     "WARM",
     "cross_validate_thresholds",
-    "merge_profiles",
-    "merge_temperatures",
-    "profile_drift",
     "profile_trace",
     "temperature_class_name",
     "thermometer_policy_for",

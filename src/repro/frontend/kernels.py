@@ -214,11 +214,9 @@ def fast_sim_supported(sim) -> Optional[str]:
         if btb is None:
             return "no BTB and not perfect_btb"
         if type(btb) is not BTB:
-            return "subclassed BTB (e.g. partial-tag false-hit model)"
+            return "subclassed BTB"
         if btb._observers:
             return "BTB observers attached"
-        if hasattr(btb, "last_hit_was_false"):
-            return "instance-level false-hit attribute"
     return None
 
 

@@ -115,10 +115,6 @@ class FrontendSimulator:
         self.ras = ReturnAddressStack(params.ras_entries)
         self.fdip = FDIPEngine(params)
         self._l2_misses_at_warmup = 0
-        # Whether the BTB models partial-tag aliasing (PartialTagBTB
-        # defines the attribute in __init__) — probed once here and per
-        # simulate() instead of getattr-ing on every taken branch.
-        self._btb_false_hits = hasattr(btb, "last_hit_was_false")
 
     # ------------------------------------------------------------------
     # Pipeline stages.  Each stage consumes plain-int scalars from the
@@ -186,13 +182,6 @@ class FrontendSimulator:
             result.btb_stall_cycles += params.btb_miss_penalty
             self.fdip.redirect()
             return params.btb_miss_penalty
-        if self._btb_false_hits and btb.last_hit_was_false:
-            # Partial-tag alias: the BTB served a wrong target
-            # (compressed-BTB model) — execute-time redirect.
-            result.indirect_stall_cycles += params.indirect_penalty
-            result.indirect_mispredicts += 1
-            self.fdip.redirect()
-            return params.indirect_penalty
         if kind in (_UNCOND_INDIRECT, _CALL_INDIRECT):
             if not self.ibtb.predict_and_update(pc, target):
                 result.indirect_stall_cycles += params.indirect_penalty
@@ -266,8 +255,6 @@ class FrontendSimulator:
         btb = self.btb
         if stream is not None and stream.trace is not trace:
             raise ValueError("stream was built from a different trace")
-        # Re-probe in case the BTB was swapped after construction.
-        self._btb_false_hits = hasattr(btb, "last_hit_was_false")
         if stream is None and btb is not None:
             config = getattr(btb, "config", None)
             if config is not None:

@@ -15,10 +15,6 @@ from repro.harness.engine import (ArtifactStore, ExperimentEngine,
                                   ExperimentError, JobResult, JobState,
                                   SimJob)
 from repro.harness.reporting import CacheStats, ExperimentResult, format_table
-from repro.harness.charts import (bar_chart, grouped_bar_chart,
-                                  result_chart, sparkline)
-from repro.harness.stats import (ReplicationResult, replicate,
-                                 speedup_replication)
 from repro.harness import experiments
 
 __all__ = [
@@ -31,14 +27,7 @@ __all__ = [
     "HarnessConfig",
     "JobResult",
     "JobState",
-    "ReplicationResult",
     "SimJob",
-    "bar_chart",
     "experiments",
     "format_table",
-    "grouped_bar_chart",
-    "replicate",
-    "result_chart",
-    "sparkline",
-    "speedup_replication",
 ]

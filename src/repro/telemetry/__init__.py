@@ -1,6 +1,6 @@
 """Unified telemetry: metrics, tracing, run manifests, structured logging.
 
-Five pieces, designed to be cheap enough to leave on by default
+Four pieces, designed to be cheap enough to leave on by default
 (a ``MetricsRegistry(enabled=False)`` installed with
 :func:`set_registry` turns recording off entirely):
 
@@ -16,10 +16,6 @@ Five pieces, designed to be cheap enough to leave on by default
   with a :class:`TraceContext` — triples that pickle into jobs and
   cross the process-pool boundary, exported by
   ``python -m repro.tools.trace_export``;
-* :mod:`repro.telemetry.observer` — :class:`TelemetryObserver`, a
-  :class:`~repro.btb.observer.BTBObserver` that folds the hit / fill /
-  evict / bypass event seam into eviction-age and per-set-occupancy
-  histograms;
 * :mod:`repro.telemetry.manifest` — per-run **run manifests**
   (``manifest.jsonl`` + ``summary.json``) written next to the artifact
   store by :class:`~repro.harness.engine.ExperimentEngine`, rendered by
@@ -44,7 +40,6 @@ from repro.telemetry.metrics import (BucketMismatchError, DEFAULT_BUCKETS,
                                      MetricsRegistry, get_registry,
                                      merge_snapshots, set_registry,
                                      snapshot_delta, to_prometheus_text)
-from repro.telemetry.observer import TelemetryObserver
 from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import (SPAN_NAMES, TraceContext,
                                      collect_spans, span)
@@ -57,7 +52,6 @@ __all__ = [
     "MetricsRegistry",
     "RunManifest",
     "SPAN_NAMES",
-    "TelemetryObserver",
     "TraceContext",
     "add_logging_args",
     "collect_spans",

@@ -15,9 +15,6 @@ from repro.workloads.generator import (LayoutParams, MixParams,
                                        WorkloadSpec)
 from repro.workloads.datacenter import (APPLICATIONS, app_names, app_spec,
                                         make_app_trace, make_app_workload)
-from repro.workloads.patterns import (cyclic_trace, sawtooth_trace,
-                                      scan_trace, two_phase_trace,
-                                      zipf_trace)
 from repro.workloads.suites import (make_cbp5_suite, make_ipc1_suite,
                                     make_suite_trace)
 
@@ -35,9 +32,4 @@ __all__ = [
     "make_cbp5_suite",
     "make_ipc1_suite",
     "make_suite_trace",
-    "cyclic_trace",
-    "sawtooth_trace",
-    "scan_trace",
-    "two_phase_trace",
-    "zipf_trace",
 ]

@@ -1,5 +1,5 @@
 """Tests for the §2 characterization analyses: hit-to-taken curves,
-correlations, bypass ratios, and limit studies."""
+correlations, bypass ratios, and the Fig. 2 limit study."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from repro.analysis.correlation import branch_property_correlations
 from repro.analysis.hit_to_taken import (dynamic_cdf_curve,
                                          hit_to_taken_curve,
                                          temperature_regions)
-from repro.analysis.limits import limit_study
 from repro.btb.config import BTBConfig
 from repro.core.profiler import profile_trace
+from repro.harness import experiments
+from repro.harness.runner import Harness, HarnessConfig
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +97,27 @@ class TestBypass:
         assert len(ratios) == 3
 
 
-class TestLimitStudy:
-    def test_oracles_all_speed_up(self, app_trace):
-        study = limit_study(app_trace)
-        assert study.baseline_ipc > 0
-        assert study.perfect_btb_speedup > 0
-        assert study.perfect_icache_speedup > 0
-        assert study.perfect_bp_speedup > 0
+@pytest.fixture(scope="module")
+def limit_harness():
+    return Harness(HarnessConfig(apps=("tomcat",), length=30_000))
 
-    def test_percent_view(self, app_trace):
-        study = limit_study(app_trace)
-        pct = study.as_percentages()
-        assert pct["perfect_btb"] == pytest.approx(
-            100 * study.perfect_btb_speedup)
+
+@pytest.fixture(scope="module")
+def limits(limit_harness):
+    return experiments.fig2(limit_harness)
+
+
+class TestLimitStudy:
+    def test_oracles_all_speed_up(self, limit_harness, limits):
+        assert limit_harness.lru_sim("tomcat").ipc > 0
+        speedups = dict(zip(limits.columns[1:], limits.row("tomcat")[1:]))
+        assert set(speedups) == {"perfect_btb", "perfect_bp",
+                                 "perfect_icache"}
+        assert all(speedup > 0 for speedup in speedups.values()), speedups
+
+    def test_percent_view(self, limit_harness, limits):
+        perfect_btb = limit_harness.run_sim(
+            limit_harness.trace("tomcat"), None, perfect_btb=True)
+        assert limits.row("tomcat")[limits.columns.index("perfect_btb")] \
+            == pytest.approx(100 * perfect_btb.speedup_over(
+                limit_harness.lru_sim("tomcat")))

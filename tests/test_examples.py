@@ -1,6 +1,7 @@
 """The example scripts must run to completion (they are the documented
 entry points for new users)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,11 @@ def test_examples_directory_contents():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert "quickstart.py" in names
     assert len(names) >= 3
+    # An example no test runs can rot unnoticed: every one must be run
+    # by a test in this file.
+    run = set(re.findall(r'run_example\("([^"]+)"',
+                         Path(__file__).read_text()))
+    assert names <= run, f"examples no test runs: {sorted(names - run)}"
 
 
 def test_quickstart():

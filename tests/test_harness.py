@@ -46,6 +46,25 @@ class TestReporting:
             result.row("nope")
 
 
+class TestCSV:
+    @staticmethod
+    def demo_result():
+        return ExperimentResult("figX", "demo", ["app", "a", "b"],
+                                [["x", 3.0, 1.0], ["y", 2.0, 4.0],
+                                 ["Avg", 2.5, 2.5]])
+
+    def test_roundtrip_values(self):
+        csv_text = self.demo_result().to_csv()
+        lines = csv_text.strip().splitlines()
+        assert lines[0] == "app,a,b"
+        assert lines[1] == "x,3.0,1.0"
+
+    def test_save_csv(self, tmp_path):
+        path = tmp_path / "r.csv"
+        self.demo_result().save_csv(path)
+        assert path.read_text().startswith("app,a,b")
+
+
 class TestRunner:
     def test_default_config_is_not_shared(self):
         """Regression: the default config used to be one module-level

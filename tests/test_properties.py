@@ -198,19 +198,6 @@ def test_plru_never_evicts_most_recently_touched(pcs, ways):
         last_touched = address
 
 
-# -- storage model --------------------------------------------------------
-
-@given(st.integers(min_value=4, max_value=1 << 16),
-       st.integers(min_value=0, max_value=8))
-def test_iso_storage_monotone_and_bounded(entries, hint_bits):
-    from repro.btb.storage import iso_storage_entries
-    result = iso_storage_entries(entries, hint_bits=hint_bits)
-    assert result <= entries
-    assert result % 4 == 0
-    if hint_bits == 0:
-        assert result >= (entries // 4) * 4
-
-
 # -- temperature/bypass bookkeeping ---------------------------------------
 
 @settings(max_examples=25, deadline=None)
