@@ -94,6 +94,7 @@ records no per-access outcomes).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -513,10 +514,12 @@ class OPTKernel(ReplayKernel):
     def matches(cls, policy, stream: AccessStream) -> bool:
         # The policy must have been built from this stream's own
         # next-use column (from_access_stream / the registry path) and
-        # not advanced yet.
-        return (policy._last_index == 0
-                and stream._next_use is not None
-                and policy._next_use is stream._next_use)
+        # not advanced yet.  Every geometry of a trace shares one column
+        # (next use depends on the pc sequence only); select_kernel
+        # already rejected a BTB of another geometry.
+        next_use = stream.core._next_use
+        return (policy._last_index == 0 and next_use is not None
+                and policy._next_use is next_use)
 
     def replay(self, btb, stream: AccessStream,
                outcomes: Optional[bytearray] = None,
@@ -1584,18 +1587,6 @@ class OnlineThermometerKernel(GlobalOrderKernel):
         bypassed_at: List[int] = []
         hits = evictions = compulsory = mismatches = 0
 
-        def temp(x):
-            word = x >> 2
-            slot = (word ^ (word >> tb)) & mask
-            tk = taken[slot]
-            if tk < warm:
-                return middle
-            ratio = 100.0 * hitc[slot] / tk
-            for category, bound in enumerate(thresholds):
-                if ratio <= bound:
-                    return category
-            return nth
-
         k = 0
         for i in range(len(pcs)):
             slot = slots[i]
@@ -1638,14 +1629,26 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                 compulsory += 1
             else:
                 # choose_victim reads the counters *before* this miss is
-                # recorded, exactly like the reference ordering.
-                temps_l = [temp(tag[w]) for w in ways]
-                coldest = temp(pc)
-                m = min(temps_l)
-                if m < coldest:
-                    coldest = m
-                cands = [w for w in ways if temps_l[w] == coldest]
-                if not cands:
+                # recorded, exactly like the reference ordering.  One
+                # scan finds the coldest resident class and its least
+                # recently used way; the ascending thresholds make
+                # bisect_left the first bound with ratio <= bound.
+                coldest = nth + 1
+                for w in ways:
+                    word = tag[w] >> 2
+                    wslot = (word ^ (word >> tb)) & mask
+                    tk = taken[wslot]
+                    t = (middle if tk < warm else
+                         bisect_left(thresholds, 100.0 * hitc[wslot] / tk))
+                    if t < coldest or (t == coldest and srow[w] < oldest):
+                        coldest = t
+                        oldest = srow[w]
+                        way = w
+                tk = taken[slot]
+                t = (middle if tk < warm else
+                     bisect_left(thresholds, 100.0 * hitc[slot] / tk))
+                if t < coldest:
+                    # The incoming pc is colder than every resident.
                     if bypass_on:
                         bypassed_at.append(i)
                         if taken[slot] >= cmax:
@@ -1656,8 +1659,7 @@ class OnlineThermometerKernel(GlobalOrderKernel):
                             np.frombuffer(short, np.uint8)[
                                 open_runs.open(k - 1)] = 0
                         continue
-                    cands = ways
-                way = min(cands, key=srow.__getitem__)
+                    way = min(ways, key=srow.__getitem__)
                 evictions += 1
                 del dct[tag[way]]
             dct[pc] = way

@@ -18,6 +18,8 @@ import contextlib
 import functools
 import logging
 import random
+import resource
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -409,7 +411,8 @@ class ExperimentEngine:
         may have set apart from the ``REPRO_JOBS`` switch.
         ``gc_collections`` sums the run's cyclic-GC collections per
         generation over this process and its workers (absent when
-        telemetry is off)."""
+        telemetry is off).  ``peak_rss_mb`` is this process's peak
+        resident set so far (``ru_maxrss``; workers not included)."""
         block = ctx.runtime.to_dict()
         block["jobs"] = self.jobs
         name = getattr(self._ran_on, "name", "")
@@ -420,6 +423,11 @@ class ExperimentEngine:
             block["gc_collections"] = {
                 f"gen{g}": int(counters.get(f"gc/collections/gen{g}", 0))
                 for g in range(len(ctx.gc_before))}
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # KiB on Linux, bytes on macOS; MB here are MiB, as in
+        # perfbench's peak_rss_mb.
+        unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+        block["peak_rss_mb"] = round(peak / unit, 1)
         return block
 
     def _write_manifest(self, ctx: RunContext, failure: Optional[dict],
@@ -463,9 +471,9 @@ class ExperimentEngine:
                     {"where": (f"job {result.index} "
                                f"({result.job.app}/{result.job.policy})"),
                      "error": result.error or result.state})
-        run_dir = self.manifest_dir / ctx.run_id
         logged = (self.store is not None and failure is None
                   and not any(ctx.attempts))
+        run_dir = None if logged else self.manifest_dir / ctx.run_id
         namespaces = None
         if self.store is not None:
             if not logged:

@@ -211,6 +211,9 @@ class ArtifactStore:
                             if quota_bytes is not None else None)
         self.stats = CacheStats()
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``root`` as a string, for the read path's ``os.path.join``
+        #: (a warm hit builds no ``Path``).
+        self._root_str = str(self.root)
         self._lock = threading.RLock()
         #: (kind, key) → lock serializing in-flight fetch computes.
         self._flights: Dict[Tuple[str, str], threading.Lock] = {}
@@ -401,7 +404,8 @@ class ArtifactStore:
         except Exception:
             return None, "unpickle"
 
-    def _quarantine(self, kind: str, key: str, path: Path) -> None:
+    def _quarantine(self, kind: str, key: str,
+                    path: Union[str, Path]) -> None:
         """Move a corrupt file out of the addressable tree (atomic
         rename; falls back to unlink) so it can never satisfy a get."""
         target = self.quarantine_path(kind, key)
@@ -419,7 +423,7 @@ class ArtifactStore:
             with self._lock:
                 size = _file_size(path)
                 try:
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:
                     return
                 self._add_usage(-size)
@@ -440,9 +444,12 @@ class ArtifactStore:
         the compute path's own read to count (and quarantine).
         """
         registry = get_registry()
-        path = self.path(kind, key)
+        # self.path(kind, key) as a string: pathlib's argument parsing
+        # was a measurable share of a warm request.
+        path = os.path.join(self._root_str, kind, key[:2], key + ".pkl")
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as f:
+                blob = f.read()
         except OSError:
             if probe:
                 return None

@@ -669,13 +669,14 @@ def _switch_text(value: Any) -> str:
 
 def runtime_lines(summary: dict) -> List[str]:
     """The run's runtime switches, its BTB-replay and simulate fast-path
-    coverage and its GC collections, one line each (``report`` and
-    ``top``)."""
+    coverage, its GC collections and its peak memory, one line each
+    (``report`` and ``top``)."""
     switches = summary.get("runtime")
-    collections = None
+    collections = peak_rss = None
     if isinstance(switches, dict):
         switches = dict(switches)
         collections = switches.pop("gc_collections", None)
+        peak_rss = switches.pop("peak_rss_mb", None)
         lines = ["switches: " + ", ".join(
             f"{name}={_switch_text(value)}"
             for name, value in switches.items())]
@@ -697,6 +698,8 @@ def runtime_lines(summary: dict) -> List[str]:
             + f" ({sum(collections.values())} total)")
     else:
         lines.append("gc collections: not recorded")
+    lines.append(f"peak rss: {peak_rss} MB" if peak_rss is not None
+                 else "peak rss: not recorded")
     return lines
 
 

@@ -8,14 +8,20 @@ re-derived that sequence (and its per-access set indices and next-use
 distances) with its own per-record Python loop; :class:`AccessStream`
 computes the columns once, vectorized, and every layer shares them.
 
-Columns (all numpy, one entry per BTB demand access):
+A stream has two layers:
 
-* ``pcs`` / ``targets`` / ``kinds`` — the access-stream records;
-* ``set_indices`` — each access's BTB set under one
-  :class:`~repro.btb.config.BTBConfig` (a stream is config-specific);
-* ``trace_positions`` — index of each access in the originating trace;
-* ``next_use`` (lazy) — Belady next-use distances with the :data:`NEVER`
-  sentinel, shared by OPT replacement and the OPT profiler.
+* one read-only :class:`AccessCore` per trace holds everything that does
+  not depend on the BTB geometry — ``access_mask``, ``trace_positions``,
+  ``pcs`` / ``targets`` / ``kinds``, the lazy Belady ``next_use``
+  distances (with the :data:`NEVER` sentinel, shared by OPT replacement
+  and the OPT profiler), ``occurrences()``, ``trace_columns()`` and the
+  ``pcs_list`` / ``targets_list`` mirrors.  Its numpy columns are not
+  writeable, because every geometry of the trace reads the same arrays;
+* each :class:`AccessStream` is a per-geometry view of a core: it adds
+  ``set_indices`` (each access's set under one
+  :class:`~repro.btb.config.BTBConfig`), the ``sets_list`` mirror and
+  the lazy :class:`SetPartition`, and reads every other column through
+  the core.
 
 :meth:`AccessStream.partition` (lazy) regroups the stream per BTB set
 into *runs*, maximal stretches of one pc within one set's sub-stream
@@ -28,10 +34,14 @@ They are tuples, not lists: a tuple of ints holds no references the
 cyclic garbage collector must follow, so CPython stops tracking it after
 the first collection it survives, and the millions of slots a sweep's
 memoized streams hold are never walked again.  Every consumer only
-indexes them.
+indexes them.  Each mirror is *interned*: equal values share one int
+object (:func:`_ints`), so a mirror costs one pointer per access plus
+one int per distinct value, not one int per access.
 
-:func:`access_stream_for` memoizes streams per ``(trace, config)`` so a
-sweep over many policies builds each stream exactly once.
+:func:`access_stream_for` memoizes streams per ``(trace, config)``, and
+every stream of a trace shares the one core that :func:`access_core_for`
+memoizes per trace, so a sweep over many policies and geometries builds
+each column exactly once.
 """
 
 from __future__ import annotations
@@ -49,8 +59,9 @@ from repro.trace.record import BranchKind, BranchTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (btb -> trace)
     from repro.btb.config import BTBConfig
 
-__all__ = ["AccessStream", "NEVER", "SetPartition", "TraceMemo",
-           "access_stream_for", "clear_stream_cache",
+__all__ = ["AccessCore", "AccessStream", "NEVER", "SetPartition",
+           "TraceMemo", "access_core_for", "access_stream_for",
+           "clear_stream_cache",
            "compute_next_use_indices", "compute_set_indices"]
 
 #: Sentinel next-use index meaning "never accessed again" (shared with
@@ -89,10 +100,29 @@ def compute_set_indices(pcs: np.ndarray, config: "BTBConfig") -> np.ndarray:
                        dtype=np.int64, count=len(pcs))
 
 
+def _objects(column: np.ndarray) -> np.ndarray:
+    """``column`` as an object array of plain Python scalars; indexing
+    it (and ``tolist()``) hands out those very objects."""
+    objs = np.empty(len(column), dtype=object)
+    objs[:] = column.tolist()
+    return objs
+
+
 def _ints(column: np.ndarray) -> tuple:
-    """``column`` as a tuple of plain Python scalars (see the module
-    docstring for why not a list)."""
-    return tuple(column.tolist())
+    """``column`` as a tuple of plain Python scalars in which equal
+    values share one object (see the module docstring for why a tuple).
+
+    Without interning every entry is its own int (28-32 bytes); a
+    stream's pcs repeat hundreds of times each, so one object per
+    distinct value is most of a mirror's memory saved."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return tuple(_objects(values)[inverse].tolist())
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column``, marked read-only (it is shared between geometries)."""
+    column.flags.writeable = False
+    return column
 
 
 class SetPartition:
@@ -131,8 +161,11 @@ class SetPartition:
 
     ``heads``, ``ends`` and the two ``by_position`` columns are tuples
     of plain ints (the per-run loops index them; see the module
-    docstring); ``tail`` and ``end`` are ``bytes``; the rest are int64
-    arrays.
+    docstring); ``by_position`` holds the very int objects of ``heads``
+    and ``ends``, reordered, so the two orders cost one set of ints.
+    ``tail`` and ``end`` are ``bytes``; the rest are int64 arrays.  A
+    partition belongs to one geometry's :class:`AccessStream`; it reads
+    the trace's columns through that stream's shared core.
     """
 
     def __init__(self, stream: "AccessStream"):
@@ -158,11 +191,15 @@ class SetPartition:
         changed[1:] = targets[1:] != targets[:-1]
         changed[head_k] = 0
         total = np.cumsum(changed)
-        self.heads: Tuple[int, ...] = _ints(heads)
-        self.ends: Tuple[int, ...] = _ints(ends)
+        # Run positions are distinct, so there is nothing to intern;
+        # by_position reorders the heads/ends objects instead.
+        head_objs, end_objs = _objects(heads), _objects(ends)
+        self.heads: Tuple[int, ...] = tuple(head_objs.tolist())
+        self.ends: Tuple[int, ...] = tuple(end_objs.tolist())
         by_head = np.argsort(heads)
         self.by_position: Tuple[Tuple[int, ...], Tuple[int, ...]] = (
-            _ints(heads[by_head]), _ints(ends[by_head]))
+            tuple(head_objs[by_head].tolist()),
+            tuple(end_objs[by_head].tolist()))
         self.lengths = end_k - head_k + 1
         self.changes = total[end_k] - total[head_k]
         self.repeats = order[~head]
@@ -178,51 +215,36 @@ class SetPartition:
         return len(self.heads) + len(self.repeats)
 
 
-class AccessStream:
-    """Columnar view of one trace's BTB demand-access stream under one
-    BTB geometry.
+class AccessCore:
+    """The geometry-independent columns of one trace's BTB demand-access
+    stream, shared read-only by every :class:`AccessStream` of the trace.
 
-    Build directly, or through :func:`access_stream_for` to share one
-    instance across every replay consumer of a ``(trace, config)`` pair.
+    Get it through :func:`access_core_for` (every stream does), so a
+    trace's geometries share one set of columns and mirrors.
     """
 
-    def __init__(self, trace: BranchTrace, config: "BTBConfig"):
+    def __init__(self, trace: BranchTrace):
         self.trace = trace
-        self.config = config
         mask = trace.taken & (trace.kinds != int(BranchKind.RETURN))
-        self.access_mask = mask
-        self.trace_positions = np.flatnonzero(mask)
-        self.pcs = trace.pcs[mask]
-        self.targets = trace.targets[mask]
-        self.kinds = trace.kinds[mask]
-        self.set_indices = compute_set_indices(self.pcs, config)
+        self.access_mask = _frozen(mask)
+        self.trace_positions = _frozen(np.flatnonzero(mask))
+        self.pcs = _frozen(trace.pcs[mask])
+        self.targets = _frozen(trace.targets[mask])
+        self.kinds = _frozen(trace.kinds[mask])
         # Lazily materialized derivatives.
         self._next_use: Optional[np.ndarray] = None
-        self._partition: Optional[SetPartition] = None
         self._occurrences: Optional[Dict[int, List[int]]] = None
         self._pcs_list: Optional[Tuple[int, ...]] = None
         self._targets_list: Optional[Tuple[int, ...]] = None
-        self._sets_list: Optional[Tuple[int, ...]] = None
         self._trace_columns = None
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.pcs)
 
     @property
     def next_use(self) -> np.ndarray:
-        """Belady next-use index per access (:data:`NEVER` = dead)."""
+        """Belady next-use index per access (:data:`NEVER` = dead).  It
+        depends on the pc sequence only, so every geometry shares it."""
         if self._next_use is None:
-            self._next_use = compute_next_use_indices(self.pcs)
+            self._next_use = _frozen(compute_next_use_indices(self.pcs))
         return self._next_use
-
-    def partition(self) -> SetPartition:
-        """The per-set partition of this stream, memoized like
-        :attr:`next_use` so every fast-path replay of a sweep shares one
-        stable sort."""
-        if self._partition is None:
-            self._partition = SetPartition(self)
-        return self._partition
 
     def occurrences(self) -> Dict[int, List[int]]:
         """pc → ascending stream positions (prefetch-fill OPT fallback)."""
@@ -236,6 +258,82 @@ class AccessStream:
                     positions.append(i)
             self._occurrences = occ
         return self._occurrences
+
+    @property
+    def pcs_list(self) -> Tuple[int, ...]:
+        if self._pcs_list is None:
+            self._pcs_list = _ints(self.pcs)
+        return self._pcs_list
+
+    @property
+    def targets_list(self) -> Tuple[int, ...]:
+        if self._targets_list is None:
+            self._targets_list = _ints(self.targets)
+        return self._targets_list
+
+    def trace_columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The *full* trace as plain-scalar tuple columns ``(pcs, targets,
+        kinds, taken, ilens)`` (``taken`` holds bools) — the frontend
+        simulator's per-record feed."""
+        if self._trace_columns is None:
+            t = self.trace
+            self._trace_columns = (_ints(t.pcs), _ints(t.targets),
+                                   _ints(t.kinds), _ints(t.taken),
+                                   _ints(t.ilens))
+        return self._trace_columns
+
+
+class AccessStream:
+    """Columnar view of one trace's BTB demand-access stream under one
+    BTB geometry.
+
+    The geometry-independent columns (``access_mask``,
+    ``trace_positions``, ``pcs`` / ``targets`` / ``kinds``,
+    ``next_use``, ``occurrences()``, ``trace_columns()`` and the
+    ``pcs_list`` / ``targets_list`` mirrors) are the trace's shared,
+    read-only :class:`AccessCore` (``core``); a stream adds only
+    ``set_indices``, the ``sets_list`` mirror and its
+    :class:`SetPartition`.
+
+    Build directly, or through :func:`access_stream_for` to share one
+    instance across every replay consumer of a ``(trace, config)`` pair.
+    """
+
+    def __init__(self, trace: BranchTrace, config: "BTBConfig"):
+        core = access_core_for(trace)
+        self.core = core
+        self.trace = trace
+        self.config = config
+        self.access_mask = core.access_mask
+        self.trace_positions = core.trace_positions
+        self.pcs = core.pcs
+        self.targets = core.targets
+        self.kinds = core.kinds
+        self.set_indices = compute_set_indices(self.pcs, config)
+        # Lazily materialized derivatives.
+        self._partition: Optional[SetPartition] = None
+        self._sets_list: Optional[Tuple[int, ...]] = None
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.pcs)
+
+    @property
+    def next_use(self) -> np.ndarray:
+        """Belady next-use index per access (:data:`NEVER` = dead)."""
+        return self.core.next_use
+
+    def partition(self) -> SetPartition:
+        """The per-set partition of this stream, memoized like
+        :attr:`next_use` so every fast-path replay of a sweep shares one
+        stable sort."""
+        if self._partition is None:
+            self._partition = SetPartition(self)
+        return self._partition
+
+    def occurrences(self) -> Dict[int, List[int]]:
+        """pc → ascending stream positions (prefetch-fill OPT fallback)."""
+        return self.core.occurrences()
 
     def next_use_of(self, pc: int, index: int) -> int:
         """Next use of ``pc`` strictly after stream position ``index``.
@@ -255,15 +353,11 @@ class AccessStream:
     # -- scalar-loop mirrors -------------------------------------------
     @property
     def pcs_list(self) -> Tuple[int, ...]:
-        if self._pcs_list is None:
-            self._pcs_list = _ints(self.pcs)
-        return self._pcs_list
+        return self.core.pcs_list
 
     @property
     def targets_list(self) -> Tuple[int, ...]:
-        if self._targets_list is None:
-            self._targets_list = _ints(self.targets)
-        return self._targets_list
+        return self.core.targets_list
 
     @property
     def sets_list(self) -> Tuple[int, ...]:
@@ -272,15 +366,9 @@ class AccessStream:
         return self._sets_list
 
     def trace_columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """The *full* trace as plain-scalar tuple columns ``(pcs, targets,
-        kinds, taken, ilens)`` (``taken`` holds bools) — the frontend
-        simulator's per-record feed."""
-        if self._trace_columns is None:
-            t = self.trace
-            self._trace_columns = (_ints(t.pcs), _ints(t.targets),
-                                   _ints(t.kinds), _ints(t.taken),
-                                   _ints(t.ilens))
-        return self._trace_columns
+        """The full trace's plain-scalar columns
+        (:meth:`AccessCore.trace_columns`)."""
+        return self.core.trace_columns()
 
     def __repr__(self) -> str:
         return (f"AccessStream({self.trace.name!r}, accesses={len(self)}, "
@@ -348,13 +436,33 @@ class TraceMemo:
 #: or two (trace, config) pairs at a time, so a small LRU suffices.
 _streams = TraceMemo(capacity=16)
 
+#: Weak references to cores, one per trace.  The streams that use a
+#: core keep it alive, so a trace whose streams :data:`_streams` evicted
+#: holds no columns; the capacity matches, so every memoized stream's
+#: core stays findable for a second geometry.
+_cores = TraceMemo(capacity=16)
+
+
+def access_core_for(trace: BranchTrace) -> AccessCore:
+    """The shared :class:`AccessCore` of ``trace``: memoized per trace
+    identity while any stream still uses it, and dropped from the memo
+    by :func:`clear_stream_cache`."""
+    ref = _cores.get(trace, None)
+    core = ref() if ref is not None else None
+    if core is None:
+        core = AccessCore(trace)
+        _cores.put(trace, None, weakref.ref(core))
+    return core
+
 
 def access_stream_for(trace: BranchTrace,
                       config: "BTBConfig") -> AccessStream:
     """The shared :class:`AccessStream` for ``(trace, config)``.
 
     Memoized per trace identity, so every policy replayed over the same
-    in-memory trace reuses one set of columns.
+    in-memory trace reuses one set of columns; streams of one trace
+    under different geometries share its :class:`AccessCore`
+    (:func:`access_core_for`) and differ only in their set columns.
     """
     stream = _streams.get(trace, config)
     if stream is None:
@@ -364,7 +472,8 @@ def access_stream_for(trace: BranchTrace,
 
 
 def clear_stream_cache() -> None:
-    """Drop every memoized stream, and every other :class:`TraceMemo`
-    entry (tests and benchmarks)."""
+    """Drop every memoized stream and core, and every other
+    :class:`TraceMemo` entry (tests and benchmarks); streams built
+    afterwards share no column with earlier ones."""
     for memo in list(_trace_memos):
         memo.clear()

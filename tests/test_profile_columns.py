@@ -60,8 +60,11 @@ class TestGcShape:
 
     def test_pass_memo_columns_are_untracked(self, small_trace):
         clear_stream_cache()
-        FrontendSimulator(btb=BTB(BTBConfig(entries=64, ways=4))).simulate(
-            small_trace, warmup_fraction=0.2)
+        # Only the fast simulate path memoizes passes; pin it on so the
+        # REPRO_FAST_SIM=0 differential legs check the same memo.
+        with runtime.override(fast_sim=True):
+            FrontendSimulator(btb=BTB(BTBConfig(entries=64, ways=4))
+                              ).simulate(small_trace, warmup_fraction=0.2)
         entries = list(simk._pass_memo._entries.values())
         assert entries, "the simulation memoized no pass"
         gc.collect()

@@ -445,6 +445,16 @@ class TestGCCollections:
         assert f"gen2={collections['gen2']}" in text
         assert "gc collections: gen0=" in text
 
+    def test_peak_rss_is_recorded_and_reported(self, tmp_path):
+        engine = ExperimentEngine(cache_dir=tmp_path, jobs=2)
+        engine.run(SWEEP)
+        manifest = read_run_manifest(engine.last_manifest)
+        runtime_block = manifest.summary["runtime"]
+        assert runtime_block["executor"] == "pool"
+        peak = runtime_block["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+        assert f"peak rss: {peak} MB" in render_report(manifest)
+
     def test_disabled_telemetry_records_no_gc_counts(self, tmp_path):
         previous = set_registry(MetricsRegistry(enabled=False))
         try:

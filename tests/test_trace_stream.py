@@ -110,7 +110,7 @@ class TestAccessStream:
         assert pcs == tuple(trace.pcs.tolist())
         assert taken == tuple(trace.taken.tolist())
         assert len(kinds) == len(trace) == len(ilens) == len(targets)
-        assert stream.trace_columns() is stream._trace_columns  # memoized
+        assert stream.trace_columns() is stream.core._trace_columns  # memoized
 
     def test_empty_trace(self):
         trace = BranchTrace.from_records([], name="empty")
