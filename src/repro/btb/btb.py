@@ -321,8 +321,7 @@ def btb_access_stream(trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
     return trace.pcs[mask], trace.targets[mask]
 
 
-def replay_stream(stream: AccessStream, btb,
-                  record_per_branch: bool = False):
+def replay_stream(stream: AccessStream, btb) -> BTBStats:
     """Replay one columnar access stream through any BTB model.
 
     This is the single replay kernel shared by :func:`run_btb`, the OPT
@@ -330,54 +329,28 @@ def replay_stream(stream: AccessStream, btb,
     :class:`BTB` on the stream's geometry, the stream's precomputed set
     indices feed the hot path directly; any other model (a subclass,
     another geometry, or any object with an ``access`` method) is driven
-    through its own ``access``.
+    through its own ``access``.  Returns ``btb.stats``.
 
-    Returns ``btb.stats``; with ``record_per_branch`` also returns a dict
-    pc → [accesses, hits] used by the profiling pipeline.
-
-    When the replay is unobserved (no :class:`BTBObserver` attached, no
-    per-branch recording) and the policy has a fast-path kernel
-    (:mod:`repro.btb.kernels`), that kernel executes the replay —
-    bit-identical stats and final state, a fraction of the per-access
-    interpreter work.  Anything else takes the reference loop below and
-    counts one ``btb/fallback/<reason>``.
+    When the replay is unobserved (no :class:`BTBObserver` attached) and
+    the policy has a fast-path kernel (:mod:`repro.btb.kernels`), that
+    kernel executes the replay — bit-identical stats and final state, a
+    fraction of the per-access interpreter work.  Anything else takes
+    the reference loop below and counts one ``btb/fallback/<reason>``.
     """
     from repro.btb import kernels
-    if record_per_branch:
-        kernels.count_fallback("per-branch")
-    elif kernels.try_fast_replay(stream, btb) is not None:
+    if kernels.try_fast_replay(stream, btb) is not None:
         return btb.stats
-    fast = (type(btb) is BTB and btb.config == stream.config)
     pcs = stream.pcs_list
     targets = stream.targets_list
-    if not record_per_branch:
-        if fast:
-            access = btb._access_with_set
-            for i, s in enumerate(stream.sets_list):
-                access(s, pcs[i], targets[i], i)
-        else:
-            access = btb.access
-            for i, pc in enumerate(pcs):
-                access(pc, targets[i], i)
-        return btb.stats
-    per_branch: Dict[int, List[int]] = {}
-    if fast:
+    if type(btb) is BTB and btb.config == stream.config:
         access = btb._access_with_set
-        sets = stream.sets_list
+        for i, s in enumerate(stream.sets_list):
+            access(s, pcs[i], targets[i], i)
     else:
         access = btb.access
-        sets = None
-    for i, pc in enumerate(pcs):
-        hit = (access(sets[i], pc, targets[i], i) if sets is not None
-               else access(pc, targets[i], i))
-        counts = per_branch.get(pc)
-        if counts is None:
-            counts = [0, 0]
-            per_branch[pc] = counts
-        counts[0] += 1
-        if hit:
-            counts[1] += 1
-    return btb.stats, per_branch
+        for i, pc in enumerate(pcs):
+            access(pc, targets[i], i)
+    return btb.stats
 
 
 def replay_stream_multi(stream: AccessStream, btbs) -> List[BTBStats]:
@@ -389,17 +362,17 @@ def replay_stream_multi(stream: AccessStream, btbs) -> List[BTBStats]:
     return [replay_stream(stream, btb) for btb in btbs]
 
 
-def run_btb(trace_or_stream: Union[BranchTrace, AccessStream], btb,
-            record_per_branch: bool = False):
-    """Replay a trace's BTB access stream through ``btb``.
+def run_btb(trace_or_stream: Union[BranchTrace, AccessStream],
+            btb) -> BTBStats:
+    """Replay a trace's BTB access stream through ``btb``; returns the
+    BTB's stats.
 
     Accepts either a :class:`~repro.trace.record.BranchTrace` (the shared
     :class:`~repro.trace.stream.AccessStream` for ``btb.config`` is looked
-    up or built) or an already-built stream.  Returns the BTB's stats;
-    with ``record_per_branch`` also returns a dict pc → [accesses, hits].
+    up or built) or an already-built stream.
     """
     if isinstance(trace_or_stream, AccessStream):
         stream = trace_or_stream
     else:
         stream = access_stream_for(trace_or_stream, btb.config)
-    return replay_stream(stream, btb, record_per_branch=record_per_branch)
+    return replay_stream(stream, btb)

@@ -85,10 +85,9 @@ registry, and every replay sent to the reference loop counts one
 ``btb/fallback/<reason>``.
 :func:`select_kernel` decides every reason (``foreign-model``,
 ``observers-attached``, ``disabled``, ``no-kernel``,
-``instance-patched``, ``not-pristine``) except ``per-branch``
-(``replay_stream`` asked for per-branch counts, which no kernel keeps)
-and ``no-outcome-kernel`` (the OPT profiler got a policy whose kernel
-records no per-access outcomes).
+``instance-patched``, ``not-pristine``) except ``no-outcome-kernel``
+(the OPT profiler got a policy whose kernel records no per-access
+outcomes).
 """
 
 from __future__ import annotations

@@ -137,9 +137,11 @@ class ExperimentEngine:
             self.manifest_dir = None
         if not write_manifest:
             self.manifest_dir = None
-        #: The most recent run's manifest directory (None until a run
-        #: completes with manifests enabled).
-        self.last_manifest: Optional[Path] = None
+        #: The most recent run's manifest directory, or for a run that
+        #: computed nothing its run-log address as a ``str`` (see
+        #: :func:`~repro.telemetry.manifest.log_run`); None until a run
+        #: completes with manifests enabled.
+        self.last_manifest: Union[Path, str, None] = None
         #: The most recent run's id (set at run start, so it is available
         #: even when the run fails — it is what ``resume=`` takes).
         self.last_run_id: Optional[str] = None

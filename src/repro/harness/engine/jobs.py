@@ -245,7 +245,7 @@ def execute_job(job: SimJob, harness: Optional[Harness] = None,
 
 def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:
     """This job's contribution to a (possibly shared) store's stats."""
-    delta = CacheStats(
+    return CacheStats(
         hits=current.hits - baseline.hits,
         misses=current.misses - baseline.misses,
         corrupt=current.corrupt - baseline.corrupt,
@@ -256,12 +256,3 @@ def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:
                         - baseline.quota_rejected),
         bytes_read=current.bytes_read - baseline.bytes_read,
         bytes_written=current.bytes_written - baseline.bytes_written)
-    for name, secs in current.stage_seconds.items():
-        diff = secs - baseline.stage_seconds.get(name, 0.0)
-        if diff > 0.0:
-            delta.stage_seconds[name] = diff
-    for name, count in current.stage_counts.items():
-        diff = count - baseline.stage_counts.get(name, 0)
-        if diff > 0:
-            delta.stage_counts[name] = diff
-    return delta

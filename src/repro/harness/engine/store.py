@@ -51,7 +51,6 @@ import pickle
 import re
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
@@ -586,8 +585,7 @@ class ArtifactStore:
                 pass
 
     def fetch(self, kind: str, key: str, compute: Callable[[], Any]) -> Any:
-        """get-or-compute-and-put, timing the compute under stage
-        ``kind``.
+        """get-or-compute-and-put.
 
         Single-flight: when several threads fetch the same key
         concurrently, one runs ``compute`` and the rest block on it,
@@ -610,11 +608,7 @@ class ArtifactStore:
                         fspan.set(coalesced=True)
                     return cached
                 fspan.set(hit=False)
-                start = time.perf_counter()
                 value = compute()
-                elapsed = time.perf_counter() - start
-                with self._lock:
-                    self.stats.add_stage(kind, elapsed)
                 try:
                     self.put(kind, key, value)
                 except QuotaExceededError:

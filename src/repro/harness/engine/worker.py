@@ -25,7 +25,6 @@ from repro.harness.runner import Harness, HarnessConfig
 from repro.runtime import RuntimeConfig, current, override
 from repro.telemetry.metrics import (count_gc_collections, gc_collections,
                                      get_registry, snapshot_delta)
-from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import collect_spans, span
 from repro.testing.faults import corrupt_file, inject
 
@@ -83,8 +82,7 @@ def run_job(job: SimJob, store: Optional[ArtifactStore] = None,
             cached = value is not None
             jspan.set(cached=cached)
             if value is None:
-                with store.stats.stage(job.mode):
-                    value = execute_job(job, harness=harness, store=store)
+                value = execute_job(job, harness=harness, store=store)
                 try:
                     with span("store.put", kind=job.mode):
                         store.put(job.mode, key, value)
@@ -173,9 +171,7 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     ``runtime`` is the engine's :class:`~repro.runtime.RuntimeConfig`
     for the run; the batch runs under it (see
     :func:`repro.runtime.override`), so a worker uses the parent's
-    switches and fault plan whatever its start method.  Its ``profile``
-    switch wraps the batch in a deep profiler (see
-    :mod:`repro.telemetry.profile_hooks`).
+    switches and fault plan whatever its start method.
     """
     if runtime is not None:
         with override(runtime):
@@ -189,25 +185,13 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                     else [0] * len(jobs))
     harnesses: Dict[HarnessConfig, Harness] = {}
     results: List[JobResult] = []
-    with worker_profile(cache_root):
-        for job, index, attempt in zip(jobs, index_list, attempt_list):
-            config = job.harness_config()
-            harness = harnesses.get(config)
-            if harness is None:
-                harness = Harness(config, store=store)
-                harnesses[config] = harness
-            results.append(_execute_guarded(
-                job, index=index, attempt=attempt, store=store,
-                harness=harness, job_timeout=job_timeout,
-                in_worker=True))
-    # The profile hook records its gauges after every per-job delta was
-    # taken; piggy-back them on the last result so they reach the parent.
-    registry = get_registry()
-    if results and registry.enabled and registry.gauges:
-        profile_gauges = {name: value
-                          for name, value in registry.gauges.items()
-                          if name.startswith("profile/")}
-        if profile_gauges:
-            results[-1].telemetry.setdefault("gauges", {}).update(
-                profile_gauges)
+    for job, index, attempt in zip(jobs, index_list, attempt_list):
+        config = job.harness_config()
+        harness = harnesses.get(config)
+        if harness is None:
+            harness = Harness(config, store=store)
+            harnesses[config] = harness
+        results.append(_execute_guarded(
+            job, index=index, attempt=attempt, store=store,
+            harness=harness, job_timeout=job_timeout, in_worker=True))
     return results

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -35,9 +33,11 @@ def format_table(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 @dataclass
 class CacheStats:
-    """Artifact-store accounting: hit/miss counters, I/O volume, and
-    per-stage compute wall time (seconds spent *building* artifacts that
-    were not in the cache)."""
+    """Artifact-store accounting: hit/miss counters and I/O volume.
+
+    Compute time is not kept here: every artifact compute runs under a
+    ``harness.<kind>`` span (:mod:`repro.telemetry.tracing`), and the
+    CLIs print the run's span table."""
 
     hits: int = 0
     misses: int = 0
@@ -55,29 +55,6 @@ class CacheStats:
     quota_rejected: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    #: stage name (``trace``/``profile``/``hints``/``sim``/``misses``) →
-    #: cumulative seconds spent computing artifacts of that stage.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: stage name → number of artifacts computed (cache misses filled).
-    stage_counts: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str):
-        """Time one artifact computation under stage ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_stage(name, time.perf_counter() - start)
-
-    def add_stage(self, name: str, seconds: float) -> None:
-        """Record one computed artifact of stage ``name`` taking
-        ``seconds`` (the :meth:`stage` context manager's primitive; the
-        store also calls it directly so the accounting can happen under
-        its lock rather than around the compute)."""
-        self.stage_seconds[name] = (self.stage_seconds.get(name, 0.0)
-                                    + seconds)
-        self.stage_counts[name] = self.stage_counts.get(name, 0) + 1
 
     def merge(self, other: "CacheStats") -> None:
         """Fold another stats object (e.g. from a worker process) in."""
@@ -89,10 +66,6 @@ class CacheStats:
         self.quota_rejected += getattr(other, "quota_rejected", 0)
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
-        for name, secs in other.stage_seconds.items():
-            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + secs
-        for name, count in other.stage_counts.items():
-            self.stage_counts[name] = self.stage_counts.get(name, 0) + count
 
     def to_dict(self) -> Dict:
         """Plain-JSON rendering (the manifest/namespace-summary shape)."""
@@ -105,8 +78,6 @@ class CacheStats:
             "quota_rejected": self.quota_rejected,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
-            "stage_seconds": dict(self.stage_seconds),
-            "stage_counts": dict(self.stage_counts),
         }
 
     @property
@@ -118,20 +89,14 @@ class CacheStats:
         return self.hits / self.total if self.total else 0.0
 
     def render(self) -> str:
-        """Human-readable summary (one header line + a per-stage table)."""
-        header = (f"artifact cache: {self.hits} hits / {self.misses} misses"
-                  f" ({100.0 * self.hit_rate:.0f}% hit rate, "
-                  f"{self.corrupt} corrupt / "
-                  f"{self.digest_failures} digest failures / "
-                  f"{self.quarantined} quarantined), "
-                  f"{self.bytes_read / 1e6:.1f} MB read, "
-                  f"{self.bytes_written / 1e6:.1f} MB written")
-        if not self.stage_seconds:
-            return header
-        rows = [[name, self.stage_counts.get(name, 0), secs]
-                for name, secs in sorted(self.stage_seconds.items())]
-        table = format_table(["stage", "computed", "seconds"], rows)
-        return header + "\n" + table
+        """Human-readable one-line summary."""
+        return (f"artifact cache: {self.hits} hits / {self.misses} misses"
+                f" ({100.0 * self.hit_rate:.0f}% hit rate, "
+                f"{self.corrupt} corrupt / "
+                f"{self.digest_failures} digest failures / "
+                f"{self.quarantined} quarantined), "
+                f"{self.bytes_read / 1e6:.1f} MB read, "
+                f"{self.bytes_written / 1e6:.1f} MB written")
 
 
 @dataclass

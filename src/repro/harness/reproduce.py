@@ -30,6 +30,9 @@ from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
+from repro.telemetry.manifest import span_table
+from repro.telemetry.metrics import (get_registry, merge_snapshots,
+                                     snapshot_delta)
 
 __all__ = ["main", "run_experiments", "PRESETS"]
 
@@ -75,8 +78,11 @@ def run_experiments(names: Optional[List[str]] = None,
     de-duplicated union of their cells (``jobs`` workers, up to
     ``max_retries`` retries per job, a manifest under
     ``<cache_dir>/runs``); the other figures then run inline on one
-    harness, unretried.  Results keep ``names`` order.
+    harness, unretried.  Results keep ``names`` order.  The closing
+    span table covers both: the engine run's merged telemetry plus the
+    inline figures' registry delta.
     """
+    run_start = time.perf_counter()
     settings = PRESETS[preset]
     names = names or list(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
@@ -88,6 +94,7 @@ def run_experiments(names: Optional[List[str]] = None,
     plans = {name: FIGURE_PLANS[name].plan(config) for name in names
              if name in FIGURE_PLANS}
     cache_stats = CacheStats()
+    telemetry = []
     cells = {}
     if plans:
         unique = list(dict.fromkeys(job for plan in plans.values()
@@ -98,6 +105,7 @@ def run_experiments(names: Optional[List[str]] = None,
         done = engine.run(unique)
         cells = {job: result.value for job, result in zip(unique, done)}
         cache_stats.merge(engine.stats)
+        telemetry.append(engine.last_run_telemetry)
         # run_experiments is a library API streaming to a caller-chosen
         # file object, so it writes directly instead of logging.
         print(f"[engine run: {len(unique)} jobs for {', '.join(plans)}, "
@@ -106,6 +114,8 @@ def run_experiments(names: Optional[List[str]] = None,
     store = ArtifactStore(cache_dir) if cache_dir else None
     harness = None
     results = {}
+    registry = get_registry()
+    inline_before = registry.snapshot() if registry.enabled else None
     for name in names:
         start = time.perf_counter()
         if name in plans:
@@ -120,10 +130,16 @@ def run_experiments(names: Optional[List[str]] = None,
         print(result.render(), file=stream)
         print(done_line + "\n", file=stream)
         stream.flush()
+    if inline_before is not None:
+        telemetry.append(snapshot_delta(registry.snapshot(), inline_before))
     if cache_dir:
         cache_stats.merge(store.stats)
         print(cache_stats.render(), file=stream)
-        stream.flush()
+    spans = span_table(merge_snapshots(telemetry),
+                       time.perf_counter() - run_start)
+    if spans:
+        print(spans, file=stream)
+    stream.flush()
     return results
 
 

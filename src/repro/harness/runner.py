@@ -118,9 +118,10 @@ class Harness:
                           thresholds=tuple(self.config.thresholds),
                           default_category=self.config.default_category,
                           warmup_fraction=self.config.warmup_fraction)
+            # _fetch opens this compute's harness.sim span.
             cached = self._fetch(
                 "sim", fields,
-                lambda: self.run_sim(self.trace(app, input_id), "lru"))
+                lambda: self._simulate(self.trace(app, input_id), "lru"))
             self._lru_sims[key] = cached
         return cached
 
@@ -252,18 +253,27 @@ class Harness:
         the I-cache rows are released after the run (the result keeps
         only their counts)."""
         with span("harness.sim"):
-            params = params or self.config.params
-            btb = None
-            if not oracle_flags.get("perfect_btb"):
-                btb = self.build_btb(policy_name, trace, btb_config, hints)
-            sim = FrontendSimulator(params=params, btb=btb,
-                                    prefetcher=prefetcher, **oracle_flags)
-            result = sim.simulate(
-                trace, warmup_fraction=self.config.warmup_fraction)
-            sim.icache.release()
-            if btb is not None:
-                btb.release()
-            return result
+            return self._simulate(trace, policy_name, btb_config, hints,
+                                  params, prefetcher, **oracle_flags)
+
+    def _simulate(self, trace: BranchTrace, policy_name: Optional[str],
+                  btb_config: Optional[BTBConfig] = None,
+                  hints: Optional[HintMap] = None,
+                  params: Optional[FrontendParams] = None,
+                  prefetcher=None, **oracle_flags) -> SimResult:
+        """:meth:`run_sim` without its span."""
+        params = params or self.config.params
+        btb = None
+        if not oracle_flags.get("perfect_btb"):
+            btb = self.build_btb(policy_name, trace, btb_config, hints)
+        sim = FrontendSimulator(params=params, btb=btb,
+                                prefetcher=prefetcher, **oracle_flags)
+        result = sim.simulate(
+            trace, warmup_fraction=self.config.warmup_fraction)
+        sim.icache.release()
+        if btb is not None:
+            btb.release()
+        return result
 
     @staticmethod
     def speedup_pct(result: SimResult, baseline: SimResult) -> float:

@@ -31,8 +31,6 @@ __all__ = ["RuntimeConfig", "current", "load", "override"]
 
 _TRUE = ("1", "true", "on", "yes")
 _FALSE = ("0", "false", "off", "no")
-_PROFILE_MODES = ("cprofile", "tracemalloc")
-_PATH_FIELDS = ("cache_dir", "profile_dir")
 
 
 # Parsers, one per kind of value; the caller skips unset and blank values.
@@ -68,15 +66,6 @@ def _seconds(name: str, raw: str) -> Optional[float]:
     return value or None
 
 
-def _profile(name: str, raw: str) -> Optional[str]:
-    if raw.lower() in _PROFILE_MODES:
-        return raw.lower()
-    if raw.lower() in _FALSE + ("none",):
-        return None
-    raise ValueError(f"{name}={raw!r}: expected one of "
-                     f"{', '.join(_PROFILE_MODES)} (or 0/off/none)")
-
-
 def _fault_plan(name: str, raw: str) -> FaultPlan:
     text = raw
     if raw.startswith("@"):
@@ -104,8 +93,6 @@ _SWITCHES = {
     "job_timeout": ("REPRO_JOB_TIMEOUT", _seconds),
     "fast_replay": ("REPRO_FAST_REPLAY", _bool),
     "fast_sim": ("REPRO_FAST_SIM", _bool),
-    "profile": ("REPRO_PROFILE", _profile),
-    "profile_dir": ("REPRO_PROFILE_DIR", _path),
     "fault_plan": ("REPRO_FAULT_PLAN", _fault_plan),
     "test_fast": ("REPRO_TEST_FAST", _bool),
 }
@@ -127,10 +114,6 @@ class RuntimeConfig:
     fast_replay: bool = True
     #: ``simulate`` may take its fast path (:mod:`repro.frontend.kernels`).
     fast_sim: bool = True
-    #: Profiler around each worker batch: cprofile, tracemalloc or None.
-    profile: Optional[str] = None
-    #: Profiler output directory (None: ``<cache root>/profiles``).
-    profile_dir: Optional[Path] = None
     #: The fault-injection plan (:mod:`repro.testing.faults`), or None.
     fault_plan: Optional[FaultPlan] = None
     #: Test and CI runs: the engine's default retry backoff is 0.
@@ -159,9 +142,8 @@ class RuntimeConfig:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready primitives (``summary.json``)."""
         out = dict(vars(self))
-        for name in _PATH_FIELDS:
-            if out[name] is not None:
-                out[name] = str(out[name])
+        if self.cache_dir is not None:
+            out["cache_dir"] = str(self.cache_dir)
         if self.fault_plan is not None:
             out["fault_plan"] = self.fault_plan.to_dict()
         return out

@@ -329,7 +329,7 @@ class SimulationService:
                 subscriber.spans.append(record)
                 return
         try:
-            append_spans(Path(run_meta["manifest"]), [record],
+            append_spans(run_meta["manifest"], [record],
                          self.store.namespace(tenant).append)
         except OSError:  # pragma: no cover - disk-full etc.
             log.debug("could not journal batch span", exc_info=True)
@@ -518,7 +518,7 @@ class SimulationService:
                 # run it landed in, it is the parent every batch / run /
                 # job span of this request links up to.
                 try:
-                    append_spans(Path(done["manifest"]), spans + [
+                    append_spans(done["manifest"], spans + [
                         span_record(
                             "service.request", req_ctx, arrival_epoch,
                             elapsed,

@@ -25,8 +25,7 @@ Four pieces, designed to be cheap enough to leave on by default
 
 See ``docs/TELEMETRY.md`` for metric names and the manifest schema,
 ``docs/OBSERVABILITY.md`` for tracing and the live-metrics surface, and
-``docs/ENGINE.md`` ("Environment variables") for the runtime switches,
-including the worker profiler (``REPRO_PROFILE``).
+``docs/ENGINE.md`` ("Environment variables") for the runtime switches.
 """
 
 from repro.telemetry.logconfig import (add_logging_args, emit,
@@ -40,7 +39,6 @@ from repro.telemetry.metrics import (BucketMismatchError, DEFAULT_BUCKETS,
                                      MetricsRegistry, get_registry,
                                      merge_snapshots, set_registry,
                                      snapshot_delta, to_prometheus_text)
-from repro.telemetry.profile_hooks import worker_profile
 from repro.telemetry.tracing import (SPAN_NAMES, TraceContext,
                                      collect_spans, span)
 

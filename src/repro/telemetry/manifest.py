@@ -45,8 +45,6 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from repro.telemetry.metrics import merge_snapshots
-
 
 def _format_table(columns, rows) -> str:
     # Imported lazily: repro.harness transitively imports repro.telemetry
@@ -59,7 +57,8 @@ __all__ = ["RunJournal", "RunManifest", "MANIFEST_VERSION", "RUN_LOG",
            "job_row", "log_run", "new_run_id", "read_events",
            "read_jobs_index", "read_run_manifest", "read_spans",
            "render_report", "resolve_run_dir", "run_history",
-           "runtime_lines", "synthesize_summary", "write_run_manifest"]
+           "runtime_lines", "span_table", "synthesize_summary",
+           "write_run_manifest"]
 
 #: 2: summary gained ``status`` / ``resumed_from`` / ``job_states``;
 #: rows gained ``state`` / ``attempt`` / ``error``; run directories
@@ -76,24 +75,6 @@ def new_run_id() -> str:
     """A sortable, collision-free (per machine) run identifier."""
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     return f"{stamp}-{os.getpid()}-{next(_RUN_COUNTER):04d}"
-
-
-def _cache_stats_dict(stats) -> Dict[str, Any]:
-    """A ``CacheStats``-shaped object as plain JSON."""
-    if stats is None:
-        return {}
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "corrupt": stats.corrupt,
-        "digest_failures": getattr(stats, "digest_failures", 0),
-        "quarantined": getattr(stats, "quarantined", 0),
-        "quota_rejected": getattr(stats, "quota_rejected", 0),
-        "bytes_read": stats.bytes_read,
-        "bytes_written": stats.bytes_written,
-        "stage_seconds": dict(stats.stage_seconds),
-        "stage_counts": dict(stats.stage_counts),
-    }
 
 
 def _btb_stats_dict(value) -> Optional[Dict[str, Any]]:
@@ -124,7 +105,7 @@ def job_row(result) -> Dict[str, Any]:
         "seconds": round(float(result.seconds), 6),
         "state": getattr(result, "state", "succeeded"),
         "attempt": getattr(result, "attempt", 0),
-        "cache": _cache_stats_dict(result.stats),
+        "cache": result.stats.to_dict() if result.stats else {},
         "telemetry": getattr(result, "telemetry", {}) or {},
     }
     error = getattr(result, "error", None)
@@ -143,9 +124,9 @@ def write_run_manifest(directory: Union[str, Path],
                        results: Sequence,
                        wall_seconds: float,
                        workers: int,
-                       run_id: Optional[str] = None,
+                       run_id: Optional[str] = None, *,
+                       telemetry: dict,
                        cache_stats=None,
-                       telemetry: Optional[dict] = None,
                        exceptions: Optional[List[dict]] = None,
                        status: str = "completed",
                        resumed_from: Optional[str] = None,
@@ -156,11 +137,9 @@ def write_run_manifest(directory: Union[str, Path],
     ``directory/<run_id>``; returns the run directory.
 
     ``results`` are finished jobs (possibly empty when the run failed);
+    ``telemetry`` is the run's merged registry snapshot (the engine's
+    own delta plus, for pool runs, its workers' job deltas);
     ``cache_stats`` is the run-local merged :class:`CacheStats`;
-    ``telemetry`` is the run's already-merged registry snapshot — when
-    omitted, the per-job deltas carried by the rows are merged instead
-    (correct for worker-produced results; a serial caller should pass
-    its own parent delta, which already contains the jobs' activity).
     ``status`` is the run's terminal state (``completed`` for a clean
     run, ``failed`` when any job or the run itself did not finish,
     ``resumed`` for a clean run that continued ``resumed_from``);
@@ -178,8 +157,8 @@ def write_run_manifest(directory: Union[str, Path],
     with open(run_dir / "manifest.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    summary = _summary(rows, wall_seconds, workers, run_id, cache_stats,
-                       telemetry, exceptions, status, resumed_from,
+    summary = _summary(rows, wall_seconds, workers, telemetry, run_id,
+                       cache_stats, exceptions, status, resumed_from,
                        job_states, namespaces, runtime)
     tmp = run_dir / "summary.json.tmp"
     tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -188,14 +167,11 @@ def write_run_manifest(directory: Union[str, Path],
     return run_dir
 
 
-def _summary(rows, wall_seconds, workers, run_id, cache_stats=None,
-             telemetry=None, exceptions=None, status="completed",
+def _summary(rows, wall_seconds, workers, telemetry, run_id,
+             cache_stats=None, exceptions=None, status="completed",
              resumed_from=None, job_states=None, namespaces=None,
              runtime=None) -> Dict[str, Any]:
     """``summary.json`` over ``rows``; also a run-log line's body."""
-    if telemetry is None:
-        telemetry = merge_snapshots(
-            [row["telemetry"] for row in rows if row["telemetry"]])
     busy = sum(row["seconds"] for row in rows)
     workers = max(1, int(workers))
     summary = {
@@ -209,7 +185,7 @@ def _summary(rows, wall_seconds, workers, run_id, cache_stats=None,
         "busy_seconds": round(busy, 6),
         "worker_utilization": (round(busy / (wall_seconds * workers), 4)
                                if wall_seconds > 0 else 0.0),
-        "cache": _cache_stats_dict(cache_stats),
+        "cache": cache_stats.to_dict() if cache_stats else {},
         "telemetry": telemetry,
         "exceptions": list(exceptions or []),
         "status": status,
@@ -227,24 +203,27 @@ def _summary(rows, wall_seconds, workers, run_id, cache_stats=None,
 
 def log_run(directory: Union[str, Path], results: Sequence,
             keys: Sequence[str], run_id: str,
-            append: Callable[[Path, bytes], None], *,
+            append: Callable[[Path, bytes], None], *, telemetry: dict,
             spans: Sequence[Dict[str, Any]] = (),
-            trace_id: Optional[str] = None, **summary_fields) -> Path:
+            trace_id: Optional[str] = None, **summary_fields) -> str:
     """Append a run that computed nothing to ``directory/hits.jsonl``:
-    one line holding its summary (``summary_fields`` as for
-    :func:`write_run_manifest`), ``kind``, append time ``t``,
+    one line holding its summary (``telemetry`` and ``summary_fields``
+    as for :func:`write_run_manifest`), ``kind``, append time ``t``,
     ``trace_id``, ``spans`` and ``rows`` (each with ``index`` and store
-    ``key``).  Returns its address, ``directory/<run_id>``."""
+    ``key``).  Returns its address, ``directory/<run_id>``, as a
+    ``str``: on Python 3.11 a ``Path`` interns every part, which on a
+    service's warm path is one new run id per request."""
     directory = Path(directory).expanduser()
     rows = [dict(job_row(result), key=key, index=i)
             for i, (result, key) in enumerate(zip(results, keys))]
-    record = _summary(rows, run_id=run_id, **summary_fields)
+    record = _summary(rows, telemetry=telemetry, run_id=run_id,
+                      **summary_fields)
     record.update(kind="run", t=round(time.time(), 6), trace_id=trace_id,
                   spans=list(spans), rows=rows)
     directory.mkdir(parents=True, exist_ok=True)
     append(directory / RUN_LOG,
            (json.dumps(record, separators=(",", ":")) + "\n").encode())
-    return directory / run_id
+    return os.path.join(directory, run_id)
 
 
 class RunJournal:
@@ -420,10 +399,13 @@ def append_spans(run_dir: Union[str, Path],
     service's per-request and per-batch spans land here."""
     if not records:
         return
-    run_dir = Path(run_dir).expanduser()
-    logged = not run_dir.is_dir()
-    path = run_dir.parent / RUN_LOG if logged else run_dir / "events.jsonl"
-    extra = {"run_id": run_dir.name} if logged else {}
+    # String paths throughout: see log_run.
+    run_dir = os.path.expanduser(run_dir)
+    if os.path.isdir(run_dir):
+        path, extra = os.path.join(run_dir, "events.jsonl"), {}
+    else:
+        head, run_id = os.path.split(run_dir)
+        path, extra = os.path.join(head, RUN_LOG), {"run_id": run_id}
     data = "".join(json.dumps({"kind": "span", **record, **extra},
                               sort_keys=True) + "\n"
                    for record in records)
@@ -582,17 +564,15 @@ def read_run_manifest(path: Union[str, Path]) -> RunManifest:
 # Rendering
 # ----------------------------------------------------------------------
 
-def _span_table(summary: dict, wall: float, top: int) -> str:
-    spans = summary.get("telemetry", {}).get("spans", {})
+def span_table(telemetry: Optional[dict], wall: float,
+               top: int = 12) -> str:
+    """The ``top`` span paths of a registry snapshot by seconds, with
+    each one's share of ``wall`` ("" when no span was recorded): where
+    a run's compute time went (``report``, ``simulate``,
+    ``reproduce``)."""
+    spans = (telemetry or {}).get("spans") or {}
     if not spans:
-        stage_seconds = summary.get("cache", {}).get("stage_seconds", {})
-        if not stage_seconds:
-            return ""
-        rows = sorted(stage_seconds.items(), key=lambda kv: -kv[1])[:top]
-        counts = summary.get("cache", {}).get("stage_counts", {})
-        return _format_table(
-            ["stage", "computed", "seconds"],
-            [[name, counts.get(name, 0), secs] for name, secs in rows])
+        return ""
     ranked = sorted(spans.items(), key=lambda kv: -kv[1]["seconds"])[:top]
     rows = []
     for path, rec in ranked:
@@ -759,9 +739,9 @@ def render_report(manifest: RunManifest, top: int = 12) -> str:
                 f"{ns_cache.get('quota_rejected', 0)} quota-rejected")
     lines.extend(["", "-- runtime and fast-path coverage --"])
     lines.extend("  " + line for line in runtime_lines(s))
-    spans = _span_table(s, wall, top)
+    spans = span_table(s.get("telemetry"), wall, top)
     if spans:
-        lines.extend(["", "-- slowest stages --", spans])
+        lines.extend(["", "-- slowest spans --", spans])
     policies = _policy_table(manifest.rows)
     if policies:
         lines.extend(["", "-- per-policy event rates --", policies])

@@ -55,13 +55,12 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 class BucketMismatchError(ValueError):
-    """Two histograms whose bucket boundaries cannot be reconciled.
+    """Two histograms of one name with different bucket boundaries.
 
-    Raised instead of silently mis-merging snapshots produced by
-    registries with different bucket layouts (e.g. a worker running an
-    older release).  When one layout is a strict coarsening of the other
-    — every boundary of one appears in the other — the merge re-buckets
-    to the coarser layout instead of raising.
+    Raised instead of silently mis-merging: each histogram name is
+    created with one bounds tuple, so a mismatch is a bug, and the
+    message names both layouts (and, from
+    :meth:`MetricsRegistry.merge_snapshot`, the histogram).
     """
 
 
@@ -114,54 +113,13 @@ class Histogram:
                 return float(bound)
         return math.inf
 
-    def rebucket(self, bounds: Sequence[float]) -> "Histogram":
-        """This histogram re-bucketed onto coarser ``bounds``.
-
-        Legal only when ``bounds`` is a subset of this histogram's
-        boundaries — then every source bucket maps wholly into one
-        destination bucket and no observation is misplaced.  Raises
-        :class:`BucketMismatchError` otherwise.
-        """
-        bounds = tuple(bounds)
-        if bounds == self.bounds:
-            return self
-        if not set(bounds) <= set(self.bounds):
-            raise BucketMismatchError(
-                f"cannot re-bucket {self.bounds} onto {bounds}: the "
-                f"target bounds are not a subset of the source bounds")
-        target = Histogram(bounds=bounds)
-        for i, n in enumerate(self.counts):
-            if not n:
-                continue
-            if i < len(self.bounds):
-                upper = self.bounds[i]
-                j = next((k for k, b in enumerate(bounds) if upper <= b),
-                         len(bounds))
-            else:
-                j = len(bounds)  # overflow stays overflow
-            target.counts[j] += n
-        target.count = self.count
-        target.sum = self.sum
-        return target
-
     def merge(self, other: "Histogram") -> None:
-        """Add ``other`` bucket-wise.  Mismatched bounds re-bucket to
-        the coarser layout when one is a subset of the other, and raise
-        :class:`BucketMismatchError` (with both layouts named) when
-        neither is."""
-        other_bounds = tuple(other.bounds)
-        if other_bounds != self.bounds:
-            if set(self.bounds) <= set(other_bounds):
-                other = other.rebucket(self.bounds)
-            elif set(other_bounds) <= set(self.bounds):
-                coarse = self.rebucket(other_bounds)
-                self.bounds = coarse.bounds
-                self.counts = coarse.counts
-            else:
-                raise BucketMismatchError(
-                    f"cannot merge histograms with incompatible bounds: "
-                    f"{self.bounds} vs {other_bounds} (neither layout "
-                    f"is a coarsening of the other)")
+        """Add ``other`` bucket-wise; raises :class:`BucketMismatchError`
+        (with both layouts named) when the bounds differ."""
+        if tuple(other.bounds) != self.bounds:
+            raise BucketMismatchError(
+                f"cannot merge histograms with different bounds: "
+                f"{self.bounds} vs {tuple(other.bounds)}")
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.count += other.count

@@ -11,7 +11,7 @@
 Operational tools around the pipeline:
 
 * ``python -m repro.tools.report`` — render an engine run manifest
-  (slowest stages, cache effectiveness, per-policy event rates);
+  (slowest spans, cache effectiveness, per-policy event rates);
 * ``python -m repro.tools.bench_kernel`` — benchmark the shared replay
   kernel and check the telemetry overhead budget.
 

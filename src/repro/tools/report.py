@@ -4,7 +4,7 @@ Every :class:`~repro.harness.engine.ExperimentEngine` run with a cache
 directory writes a manifest under ``<cache root>/runs/<run id>/``; this
 tool renders one back — artifact-cache effectiveness, the runtime
 switches with BTB-replay and simulate fast-path coverage, slowest
-stages, per-policy BTB event rates, and any exceptions::
+spans, per-policy BTB event rates, and any exceptions::
 
     python -m repro.tools.report                      # latest run
     python -m repro.tools.report ~/.cache/repro-thermometer
@@ -42,7 +42,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(latest run wins; default: REPRO_CACHE_DIR "
                              "or ~/.cache/repro-thermometer)")
     parser.add_argument("--top", type=int, default=12,
-                        help="rows in the slowest-stages table")
+                        help="rows in the slowest-spans table")
     parser.add_argument("--jsonl", action="store_true",
                         help="dump the raw per-job manifest rows instead "
                              "of tables")

@@ -32,6 +32,7 @@ from repro.frontend.simulator import simulate as run_timing
 from repro.harness.reporting import format_table
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
+from repro.telemetry.manifest import span_table
 from repro.trace.formats import read_trace
 from repro.trace.stream import access_stream_for
 from repro.workloads import app_names
@@ -121,6 +122,9 @@ def _run_sweep(args) -> int:
          f"({args.jobs} worker{'s' if args.jobs != 1 else ''})")
     if cache_dir:
         emit(engine.stats.render())
+    spans = span_table(engine.last_run_telemetry, elapsed)
+    if spans:
+        emit(spans)
     if engine.last_manifest is not None:
         log.info("run manifest: %s (render with "
                  "python -m repro.tools.report %s)",

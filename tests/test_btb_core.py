@@ -10,7 +10,7 @@ from repro.btb.replacement.base import BYPASS, ReplacementPolicy
 from repro.btb.replacement.lru import LRUPolicy
 from repro.trace.record import BranchKind, BranchTrace
 
-from tests.helpers import branch, trace_of_pcs
+from tests.helpers import branch
 
 
 class TestBTBBasics:
@@ -183,13 +183,6 @@ class TestAccessStream:
         stats = run_btb(small_trace, btb)
         pcs, _ = btb_access_stream(small_trace)
         assert stats.accesses == len(pcs)
-
-    def test_run_btb_per_branch_records(self, tiny_config):
-        trace = trace_of_pcs([0x40, 0x40, 0x44])
-        stats, per_branch = run_btb(trace, BTB(tiny_config),
-                                    record_per_branch=True)
-        assert per_branch[0x40] == [2, 1]       # two accesses, one hit
-        assert per_branch[0x44] == [1, 0]
 
 
 class TestIndirectBTB:

@@ -132,8 +132,15 @@ class TestParallelEquivalence:
             # No result was cached, so every store hit is a trace read.
             assert not any(r.cached for r in par_results)
             assert sum(r.stats.hits for r in par_results) >= len(apps)
-            assert sum(r.stats.stage_counts.get("trace", 0)
-                       for r in par_results) == 0
+            # ... and no worker computed one (each pool result carries
+            # its worker's span counts).
+            computed = {}
+            for result in par_results:
+                for path, rec in result.telemetry["spans"].items():
+                    leaf = path.rsplit("/", 1)[-1]
+                    computed[leaf] = computed.get(leaf, 0) + rec["count"]
+            assert computed.get("harness.misses") == len(jobs)
+            assert "harness.trace" not in computed
         assert [r.job for r in par_results] == jobs
         assert [r.value for r in par_results] == [r.value
                                                   for r in ser_results]

@@ -4,10 +4,10 @@ The kernels in :mod:`repro.btb.kernels` must be *invisible*: whenever
 ``replay_stream`` takes the fast path, the resulting stats, BTB storage,
 per-set directory, and policy-internal state must be bit-identical to
 the reference per-access loop — and anything the kernels cannot model
-exactly (observers, per-branch recording, subclassed policies, a
-pre-touched BTB) must force the slow path.  The property tests drive
-randomized streams through every kernel policy on both paths and diff
-everything that is reachable afterwards.
+exactly (observers, subclassed policies, a pre-touched BTB) must force
+the slow path.  The property tests drive randomized streams through
+every kernel policy on both paths and diff everything that is reachable
+afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import runtime
 from repro.btb import kernels
-from repro.btb.btb import BTB, replay_stream, run_btb
+from repro.btb.btb import BTB, run_btb
 from repro.btb.config import BTBConfig
 from repro.btb.observer import EventRecorder
 from repro.btb.replacement.ghrp import GHRPPolicy
@@ -237,16 +237,6 @@ def test_observer_forces_slow_path(monkeypatch):
     assert calls == [False, True], "unobserved replay should take it"
     assert dataclasses.asdict(plain_stats) == \
         dataclasses.asdict(observed_stats)
-
-
-def test_record_per_branch_forces_slow_path(monkeypatch):
-    trace = make_app_trace("tomcat", length=3000)
-    stream = access_stream_for(trace, CONFIG)
-    calls = _spy(monkeypatch)
-    stats, per_branch = replay_stream(stream, BTB(CONFIG, make_policy("lru")),
-                                      record_per_branch=True)
-    assert not calls
-    assert per_branch and stats.accesses > 0
 
 
 def test_kill_switch_disables_dispatch():

@@ -20,7 +20,7 @@ import pytest
 
 from repro.harness.engine import ExperimentEngine, SimJob
 from repro.harness.experiments import fig11
-from repro.harness.runner import HarnessConfig
+from repro.harness.runner import Harness, HarnessConfig
 from repro.service.client import ServiceClient, request_once
 from repro.service.server import SimulationService
 from repro.telemetry import tracing
@@ -29,8 +29,8 @@ from repro.telemetry.manifest import (read_events, read_run_manifest,
                                       synthesize_summary)
 from repro.telemetry.metrics import (BucketMismatchError, Histogram,
                                      LATENCY_BUCKETS, MetricsRegistry,
-                                     merge_snapshots, set_registry,
-                                     to_prometheus_text)
+                                     get_registry, merge_snapshots,
+                                     set_registry, to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
                                      collect_spans, new_root_context, span)
 from repro.tools.trace_export import spans_to_chrome_trace
@@ -198,38 +198,6 @@ class TestPrometheusText:
 # ----------------------------------------------------------------------
 
 class TestHistogramCompatibility:
-    def test_rebucket_to_coarser_subset(self):
-        hist = Histogram(bounds=(1.0, 2.0, 5.0))
-        for value in (0.5, 1.5, 3.0, 99.0):
-            hist.observe(value)
-        coarse = hist.rebucket((2.0, 5.0))
-        assert coarse.bounds == (2.0, 5.0)
-        assert coarse.counts == [2, 1, 1]
-        assert coarse.count == hist.count
-        assert coarse.sum == hist.sum
-
-    def test_rebucket_rejects_non_subset(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        hist.observe(0.5)
-        with pytest.raises(BucketMismatchError):
-            hist.rebucket((1.5,))
-
-    def test_merge_rebuckets_when_one_layout_refines_the_other(self):
-        fine = Histogram(bounds=(1.0, 2.0, 5.0))
-        coarse = Histogram(bounds=(2.0, 5.0))
-        for value in (0.5, 3.0):
-            fine.observe(value)
-        coarse.observe(1.5)
-        fine.merge(coarse)  # self is finer: re-buckets itself
-        assert fine.bounds == (2.0, 5.0)
-        assert fine.count == 3
-        coarse2 = Histogram(bounds=(2.0,))
-        coarse2.observe(1.0)
-        coarse2.merge(Histogram(bounds=(1.0, 2.0), counts=[1, 0, 0],
-                                count=1, sum=0.5))
-        assert coarse2.bounds == (2.0,)
-        assert coarse2.count == 2
-
     def test_merge_incompatible_layouts_names_both(self):
         a = Histogram(bounds=(1.0, 10.0))
         b = Histogram(bounds=(2.0, 20.0))
@@ -508,6 +476,34 @@ class TestSpanVocabulary:
             assert all("frontend.simulate/" + name in path
                        for path in spans if path.endswith(name)), name
         assert count("frontend.warmup") == count("frontend.measure") == 0
+
+    def test_cold_simulate_counts_one_span_per_artifact_written(
+            self, tmp_path, capsys):
+        """Each artifact a cold ``simulate`` sweep computes counts once,
+        under its ``harness.<kind>`` span, and the sweep prints the span
+        table ``report`` prints."""
+        from repro.tools.simulate import main
+        assert main(["--apps", "tomcat,python",
+                     "--policies", "lru,thermometer",
+                     "--length", str(LENGTH), "--jobs", "2",
+                     "--cache-dir", str(tmp_path)]) == 0
+        spans = read_run_manifest(tmp_path).summary["telemetry"]["spans"]
+        for kind in ("trace", "profile", "hints"):
+            written = len(list((tmp_path / kind).rglob("*.pkl")))
+            counted = sum(rec["count"] for path, rec in spans.items()
+                          if path.split("/")[-1] == "harness." + kind)
+            assert counted == written == 2, kind
+        out = capsys.readouterr().out
+        assert re.search(r"^span +count +seconds +of wall +errors$", out,
+                         re.MULTILINE)
+        assert "engine.job/harness.misses" in out
+
+    def test_lru_baseline_counts_one_sim_span(self):
+        Harness(HarnessConfig(apps=("tomcat",), length=LENGTH)).lru_sim(
+            "tomcat")
+        spans = get_registry().snapshot()["spans"]
+        assert {path: rec["count"] for path, rec in spans.items()
+                if path.endswith("harness.sim")} == {"harness.sim": 1}
 
     def test_service_request_uses_the_same_names(self, tmp_path):
         async def scenario():

@@ -95,8 +95,9 @@ class TestAllHitRun:
                    for r in results)
         assert _run_dirs(runs) == dirs_before
         assert len(_log_lines(runs)) == 1
-        assert warm.last_manifest == runs / warm.last_run_id
-        assert not warm.last_manifest.exists()
+        # A logged run's address is a str (see manifest.log_run).
+        assert warm.last_manifest == str(runs / warm.last_run_id)
+        assert not Path(warm.last_manifest).exists()
 
         logged = read_run_manifest(warm.last_manifest)
         directory = read_run_manifest(as_dir / warm.last_run_id)
@@ -128,7 +129,7 @@ class TestAllHitRun:
     def test_report_and_resolve_find_the_logged_run(self, warm, capsys):
         from repro.tools.report import main
         warm.run(_jobs("lru"))
-        assert resolve_run_dir(warm.cache_dir) == warm.last_manifest
+        assert resolve_run_dir(warm.cache_dir) == Path(warm.last_manifest)
         assert main([str(warm.cache_dir)]) == 0
         assert f"== run {warm.last_run_id} " in capsys.readouterr().out
 
@@ -188,7 +189,7 @@ class TestResumeAndLatest:
         first_dir = warm.last_manifest
         warm.run(_jobs("lru"))
         logged = warm.last_manifest
-        assert run_history(warm.manifest_dir)[-2:] == [first_dir, logged]
+        assert run_history(warm.manifest_dir)[-2:] == [first_dir, Path(logged)]
         # A directory written after the logged line is the latest.
         later = time.time() + 5
         os.utime(first_dir / "summary.json", (later, later))
@@ -274,7 +275,7 @@ class TestRunLogBoundary:
     @pytest.fixture()
     def logged(self, warm):
         warm.run(_jobs("lru"))
-        return warm.last_manifest
+        return Path(warm.last_manifest)
 
     def _append(self, runs: Path, data: bytes) -> None:
         with open(runs / RUN_LOG, "ab") as fh:

@@ -36,7 +36,7 @@ BAD_VALUES = [
     ("REPRO_JOBS", "0"),
     ("REPRO_JOB_TIMEOUT", "soon"),
     ("REPRO_FAST_SIM", "maybe"),
-    ("REPRO_PROFILE", "perf"),
+    ("REPRO_MAX_RETRIES", "-1"),
     ("REPRO_FAULT_PLAN", "{not json"),
     ("REPRO_FAULT_PLAN", "@/nonexistent/plan.json"),
     # ``partition`` was a kind of the deleted distributed sweep; a plan
@@ -44,7 +44,7 @@ BAD_VALUES = [
     ("REPRO_FAULT_PLAN", '{"faults": [{"kind": "partition", "index": 0}]}'),
 ]
 BAD_IDS = ["jobs-abc", "jobs-0", "timeout-soon", "fast-sim-maybe",
-           "profile-perf", "plan-bad-json", "plan-missing-file",
+           "retries-negative", "plan-bad-json", "plan-missing-file",
            "plan-retired-kind"]
 
 
@@ -73,8 +73,20 @@ class TestParsing:
         assert RuntimeConfig.from_env({"REPRO_SHM": "1"}) == RuntimeConfig()
 
     def test_one_field_per_switch(self):
-        assert len(_SWITCHES) == 10
+        assert len(_SWITCHES) == 8
         assert set(_SWITCHES) == set(RuntimeConfig().to_dict())
+
+    def test_engine_doc_lists_exactly_the_switches(self):
+        """docs/ENGINE.md's "Environment variables" table has one row
+        per switch, naming its variable and field."""
+        text = (SRC.parent / "docs" / "ENGINE.md").read_text()
+        section = text.split("## Environment variables", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        rows = [tuple(cell.strip().strip("`")
+                      for cell in line.split("|")[1:3])
+                for line in section.splitlines() if line.startswith("| `")]
+        assert sorted(rows) == sorted((var, name) for name, (var, _)
+                                      in _SWITCHES.items())
 
     @pytest.mark.parametrize("raw,expected", [
         ("1", True), ("true", True), ("ON", True), ("yes", True),
@@ -95,22 +107,17 @@ class TestParsing:
     def test_numbers_paths_and_modes(self, tmp_path):
         config = RuntimeConfig.from_env({
             "REPRO_JOBS": "3", "REPRO_MAX_RETRIES": "0",
-            "REPRO_JOB_TIMEOUT": "2.5", "REPRO_PROFILE": "tracemalloc",
-            "REPRO_CACHE_DIR": str(tmp_path)})
+            "REPRO_JOB_TIMEOUT": "2.5", "REPRO_CACHE_DIR": str(tmp_path)})
         assert (config.jobs, config.max_retries, config.job_timeout) == \
             (3, 0, 2.5)
-        assert config.profile == "tracemalloc"
         assert config.cache_dir == tmp_path
         assert config.store_root == tmp_path
         assert RuntimeConfig.from_env(
             {"REPRO_JOB_TIMEOUT": "0"}).job_timeout is None
-        assert RuntimeConfig.from_env(
-            {"REPRO_PROFILE": "off"}).profile is None
 
     def test_dict_round_trip(self, tmp_path):
         config = RuntimeConfig(
             cache_dir=tmp_path, jobs=2, job_timeout=1.5, fast_sim=False,
-            profile="cprofile", profile_dir=tmp_path / "p",
             fault_plan=FaultPlan(faults=(Fault("raise", 1),), seed=4))
         # summary.json records the config as JSON-ready primitives.
         payload = config.to_dict()

@@ -29,29 +29,23 @@ class TestWriteReadRoundTrip:
         results = [_fake_result("a", "lru", 1.0, {"n": 2}),
                    _fake_result("b", "lru", 3.0, {"n": 5})]
         run_dir = write_run_manifest(tmp_path, results, wall_seconds=4.0,
-                                     workers=2)
+                                     workers=2,
+                                     telemetry={"counters": {"n": 7}})
         manifest = read_run_manifest(run_dir)
-        assert manifest.summary["telemetry"]["counters"]["n"] == 7
+        # The summary records the run's snapshot as given (the engine
+        # merges the rows' deltas); it does not merge the rows again.
+        assert manifest.summary["telemetry"] == {"counters": {"n": 7}}
         assert manifest.summary["jobs"] == 2
         assert manifest.summary["busy_seconds"] == pytest.approx(4.0)
         assert manifest.summary["worker_utilization"] == pytest.approx(0.5)
         assert [row["app"] for row in manifest.rows] == ["a", "b"]
 
-    def test_explicit_telemetry_wins_over_rows(self, tmp_path):
-        """The engine passes its already-merged snapshot; rows must not be
-        double-counted on top of it."""
-        results = [_fake_result("a", "lru", 1.0, {"n": 2})]
-        run_dir = write_run_manifest(
-            tmp_path, results, wall_seconds=1.0, workers=1,
-            telemetry={"counters": {"n": 2}, "gauges": {},
-                       "histograms": {}, "spans": {}})
-        manifest = read_run_manifest(run_dir)
-        assert manifest.summary["telemetry"]["counters"]["n"] == 2
-
     def test_resolves_cache_root_to_latest_run(self, tmp_path):
         runs = tmp_path / "runs"
-        first = write_run_manifest(runs, [], 1.0, 1, run_id="a-run")
-        second = write_run_manifest(runs, [], 1.0, 1, run_id="b-run")
+        first = write_run_manifest(runs, [], 1.0, 1, run_id="a-run",
+                                   telemetry={})
+        second = write_run_manifest(runs, [], 1.0, 1, run_id="b-run",
+                                    telemetry={})
         assert read_run_manifest(tmp_path).path == second
         assert read_run_manifest(first).run_id == "a-run"
         assert read_run_manifest(second / "summary.json").run_id == "b-run"
