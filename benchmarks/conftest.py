@@ -5,11 +5,10 @@ trace length (override with ``REPRO_BENCH_LENGTH``; the full-length campaign
 is ``python -m repro.harness.reproduce --preset full``).  The harness is
 session-scoped so traces, OPT profiles, and LRU baselines are computed once
 and shared across figures, exactly as the reproduce driver does — and it is
-backed by one persistent artifact store, so those artifacts survive the
-process and warm the *next* benchmark session too.  Set ``REPRO_CACHE_DIR``
-to control where the store lives (default: a per-session temp directory, so
-stale timings from a previous code revision can never leak into results);
-set ``REPRO_BENCH_CACHE=persist`` to use the user-level default store.
+backed by one artifact store.  By default it is a per-session temp
+directory, so stale timings from a previous code revision can never leak
+into results; set ``REPRO_CACHE_DIR`` to use a persistent store instead,
+whose artifacts then warm the *next* benchmark session too.
 """
 
 from __future__ import annotations
@@ -32,12 +31,8 @@ BENCH_IPC_COUNT = int(os.environ.get("REPRO_BENCH_IPC", "5"))
 @pytest.fixture(scope="session")
 def artifact_store(tmp_path_factory) -> ArtifactStore:
     """One warm artifact store shared by every figure benchmark."""
-    config = runtime.current()
-    if (config.cache_dir is not None
-            or os.environ.get("REPRO_BENCH_CACHE") == "persist"):
-        root = config.store_root
-    else:
-        root = tmp_path_factory.mktemp("artifact-store")
+    root = (runtime.current().cache_dir
+            or tmp_path_factory.mktemp("artifact-store"))
     return ArtifactStore(root)
 
 

@@ -14,12 +14,11 @@ from repro.harness.runner import Harness, HarnessConfig
 from repro.harness.engine import (ArtifactStore, ExperimentEngine,
                                   ExperimentError, JobResult, JobState,
                                   SimJob)
-from repro.harness.reporting import CacheStats, ExperimentResult, format_table
+from repro.harness.reporting import ExperimentResult, format_table
 from repro.harness import experiments
 
 __all__ = [
     "ArtifactStore",
-    "CacheStats",
     "ExperimentEngine",
     "ExperimentError",
     "ExperimentResult",

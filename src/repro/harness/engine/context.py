@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
-from repro.harness.reporting import CacheStats
 from repro.runtime import RuntimeConfig, current as current_runtime
 from repro.telemetry.metrics import get_registry
 
@@ -40,8 +39,6 @@ class RunContext:
     jobs: List[SimJob]
     run_id: str
     max_retries: int = 0
-    #: The engine-level stats object successful results merge into.
-    stats: CacheStats = field(default_factory=CacheStats)
     states: List[str] = field(default_factory=list)
     attempts: List[int] = field(default_factory=list)
     results: List[Optional[JobResult]] = field(default_factory=list)
@@ -52,6 +49,10 @@ class RunContext:
     on_result: Optional[Callable[[JobResult], None]] = None
     #: Telemetry snapshot taken when the run opened (None: disabled).
     parent_before: Optional[dict] = None
+    #: Every recorded attempt's telemetry delta, retried attempts
+    #: included (what a pool run merges: its workers' registries die
+    #: with them).
+    attempt_telemetry: List[dict] = field(default_factory=list)
     #: This process's GC collections per generation when the run opened
     #: (None: telemetry disabled).
     gc_before: Optional[List[int]] = None
@@ -132,7 +133,6 @@ class RunContext:
         reaches the journal through :meth:`attach_journal`."""
         self.results[i] = result
         self.states[i] = result.state
-        self.stats.merge(result.stats)
         get_registry().count(f"engine/jobs/{result.state}")
         self._emit(result)
 
@@ -149,14 +149,15 @@ class RunContext:
         registry = get_registry()
         job = self.jobs[i]
         result.index = i
-        # Spans are journaled for *every* attempt, retried ones included:
-        # a retry's trace shows the failed attempt next to the one that
-        # replaced it.
+        # Spans and telemetry are kept for *every* attempt, retried ones
+        # included: a retry's trace shows the failed attempt next to the
+        # one that replaced it, and its counts stay in the run's totals.
         self._journal_spans(result)
+        if result.telemetry:
+            self.attempt_telemetry.append(result.telemetry)
         if result.state == JobState.SUCCEEDED:
             self.states[i] = JobState.SUCCEEDED
             self.results[i] = result
-            self.stats.merge(result.stats)
             registry.count("engine/jobs/succeeded")
             self.event(i, JobState.SUCCEEDED, attempt=result.attempt,
                        cached=result.cached,

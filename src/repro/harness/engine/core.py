@@ -30,8 +30,8 @@ from repro.harness.engine.context import RunContext
 from repro.harness.engine.executor import (Executor, ProcessPoolJobExecutor,
                                            SerialExecutor)
 from repro.harness.engine.jobs import JobResult, JobState, SimJob
-from repro.harness.engine.store import ArtifactStore, STORE_VERSION
-from repro.harness.reporting import CacheStats
+from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
+                                        fold_cache)
 from repro.telemetry.metrics import (count_gc_collections, gc_collections,
                                      get_registry, snapshot_delta)
 from repro.telemetry.tracing import (TraceContext, child_context,
@@ -116,7 +116,6 @@ class ExperimentEngine:
                               if cache_dir else None)
             self.store = (ArtifactStore(self.cache_dir, salt=self.salt)
                           if self.cache_dir else None)
-        self.stats = CacheStats()
         self.max_retries = (config.max_retries if max_retries is None
                             else max(0, int(max_retries)))
         if job_timeout is None:
@@ -145,7 +144,8 @@ class ExperimentEngine:
         #: The most recent run's id (set at run start, so it is available
         #: even when the run fails — it is what ``resume=`` takes).
         self.last_run_id: Optional[str] = None
-        #: The most recent run's merged telemetry snapshot.
+        #: The most recent run's merged telemetry snapshot ({} when
+        #: telemetry is disabled).
         self.last_run_telemetry: Dict[str, Any] = {}
         #: The executor of the current (or most recent) run; None until
         #: one is chosen.
@@ -184,7 +184,7 @@ class ExperimentEngine:
                                  trace_context=run_trace.child_context())
                     for job in jobs]
         return RunContext(jobs=jobs, run_id=run_id,
-                          max_retries=self.max_retries, stats=self.stats,
+                          max_retries=self.max_retries,
                           rng=random.Random(run_id),
                           resumed_from=resumed_from, on_result=on_result,
                           trace=run_trace,
@@ -238,19 +238,16 @@ class ExperimentEngine:
                     len(current))
         state = (JobState.SKIPPED if ctx.resumed_from is not None
                  else JobState.SUCCEEDED)
-        registry, stats = get_registry(), self.store.stats
+        registry = get_registry()
         for i, job in enumerate(ctx.jobs):
             key = job.cache_key(self.salt)
             start_epoch, start = time.time(), time.perf_counter()
-            read_before = stats.bytes_read
             value = self.store.get(job.mode, key, probe=True)
             if value is None:
                 continue
             result = JobResult(
                 job=job, value=value, cached=True, state=state, index=i,
-                seconds=time.perf_counter() - start,
-                stats=CacheStats(hits=1,
-                                 bytes_read=stats.bytes_read - read_before))
+                seconds=time.perf_counter() - start)
             if registry.enabled and job.trace_context is not None:
                 # The hit's job span, as an attempt would have opened it.
                 registry.add_span("engine.job", result.seconds)
@@ -397,6 +394,13 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
+    def last_run_cache(self) -> Dict[str, int]:
+        """The most recent run's ``cache`` block: its telemetry's store
+        counters under this engine's store label ({} when telemetry is
+        disabled)."""
+        return fold_cache(self.last_run_telemetry.get("counters"),
+                          self.store.tenant if self.store else None)
+
     def _status(self, ctx: RunContext, failure: Optional[dict]) -> str:
         if failure is not None:
             return "failed"
@@ -446,15 +450,14 @@ class ExperimentEngine:
         parent_delta = (snapshot_delta(registry.snapshot(),
                                        ctx.parent_before)
                         if ctx.parent_before is not None else {})
-        # Serial runs record jobs directly into the parent registry; the
-        # parent delta already contains them, so merge job deltas only
-        # for worker processes (whose registries died with them; see
-        # Executor.uses_workers).
+        # Serial runs record attempts directly into the parent registry;
+        # the parent delta already contains them, so merge attempt deltas
+        # only for worker processes (whose registries died with them;
+        # see Executor.uses_workers).
         used_workers = bool(getattr(self._ran_on, "uses_workers", False))
         if used_workers:
-            snapshots = [r.telemetry for r in results if r.telemetry]
-            snapshots.append(parent_delta)
-            self.last_run_telemetry = merge_snapshots(snapshots)
+            self.last_run_telemetry = merge_snapshots(
+                ctx.attempt_telemetry + [parent_delta])
         else:
             self.last_run_telemetry = parent_delta
         if used_workers and self.store is not None:
@@ -463,9 +466,6 @@ class ExperimentEngine:
             self.store.drop_usage()
         if self.manifest_dir is None:
             return
-        run_cache = CacheStats()
-        for result in results:
-            run_cache.merge(result.stats)
         exceptions = [failure] if failure else []
         for result in results:
             if result.state in (JobState.FAILED, JobState.TIMED_OUT):
@@ -486,7 +486,8 @@ class ExperimentEngine:
                 namespaces = list(summaries.values())
         summary = dict(wall_seconds=wall,
                        workers=min(self.jobs, max(1, len(results))),
-                       run_id=ctx.run_id, cache_stats=run_cache,
+                       run_id=ctx.run_id,
+                       cache=self.last_run_cache(),
                        telemetry=self.last_run_telemetry,
                        exceptions=exceptions,
                        status=self._status(ctx, failure),

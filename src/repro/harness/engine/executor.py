@@ -47,9 +47,10 @@ class Executor:
     name: str = ""
 
     #: True when attempts run in *other processes* whose telemetry
-    #: registries die with them — the engine then merges each
-    #: :class:`JobResult`'s telemetry delta into the run manifest
-    #: instead of relying on the parent registry having seen the work.
+    #: registries die with them — the engine then merges every
+    #: attempt's telemetry delta, retried ones included, into the run
+    #: manifest instead of relying on the parent registry having seen
+    #: the work.
     uses_workers: bool = False
 
     def __init__(self, engine) -> None:
@@ -113,6 +114,7 @@ class ProcessPoolJobExecutor(Executor):
         from concurrent.futures.process import BrokenProcessPool
         engine = self.engine
         cache_root = str(engine.cache_dir) if engine.cache_dir else None
+        tenant = engine.store.tenant if engine.store is not None else None
         queue = list(pending)
         round_no = 0
         while queue:
@@ -138,7 +140,7 @@ class ProcessPoolJobExecutor(Executor):
                         cache_root, engine.salt, indices=list(batch),
                         attempts=[ctx.attempts[i] - 1 for i in batch],
                         job_timeout=engine.job_timeout,
-                        runtime=ctx.runtime)
+                        runtime=ctx.runtime, namespace=tenant)
                     futures[future] = batch
                 for future in as_completed(futures):
                     batch = futures[future]

@@ -26,7 +26,6 @@ from repro.harness.engine.keys import (PERFECT_BTB, effective_btb_config,
                                        split_policy)
 from repro.harness.engine.store import (ArtifactStore, STORE_VERSION,
                                         artifact_key)
-from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
 from repro.prefetch.confluence import ConfluencePrefetcher
 from repro.prefetch.shotgun import ShotgunPrefetcher
@@ -191,10 +190,10 @@ class JobResult:
     #: True when the *job-level* result came straight from the store.
     cached: bool
     seconds: float
-    stats: CacheStats = field(default_factory=CacheStats)
-    #: This job's telemetry-registry snapshot delta (counters, spans,
-    #: histograms recorded while it ran) — merged by the parent into the
-    #: run manifest.  See :mod:`repro.telemetry.metrics`.
+    #: This attempt's telemetry-registry snapshot delta (counters, its
+    #: ``store/*`` accounting included, spans, histograms recorded while
+    #: it ran) — merged by the parent into the run manifest.  See
+    #: :mod:`repro.telemetry.metrics`.
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Terminal :class:`JobState` of this attempt.
     state: str = JobState.SUCCEEDED
@@ -242,17 +241,3 @@ def execute_job(job: SimJob, harness: Optional[Harness] = None,
     return h.run_sim(trace, base, btb_config=btb_config, hints=hints,
                      params=job.params, prefetcher=prefetcher, **oracles)
 
-
-def _stats_delta(current: CacheStats, baseline: CacheStats) -> CacheStats:
-    """This job's contribution to a (possibly shared) store's stats."""
-    return CacheStats(
-        hits=current.hits - baseline.hits,
-        misses=current.misses - baseline.misses,
-        corrupt=current.corrupt - baseline.corrupt,
-        digest_failures=(current.digest_failures
-                         - baseline.digest_failures),
-        quarantined=current.quarantined - baseline.quarantined,
-        quota_rejected=(current.quota_rejected
-                        - baseline.quota_rejected),
-        bytes_read=current.bytes_read - baseline.bytes_read,
-        bytes_written=current.bytes_written - baseline.bytes_written)

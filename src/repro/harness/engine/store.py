@@ -11,8 +11,8 @@ and the artifact is recomputed, never served stale.
 
 Multi-tenancy (the service's isolation primitive): a root store hands
 out **namespaces** via :meth:`ArtifactStore.namespace` — child stores
-rooted at ``<root>/tenants/<name>`` with their own
-:class:`~repro.harness.reporting.CacheStats` and an optional byte quota.
+rooted at ``<root>/tenants/<name>`` with an optional byte quota, whose
+store counters carry the tenant as a label (``store/hit{tenant="alice"}``).
 Two namespaces never share artifact files, so one tenant can neither
 read nor evict another's cache; a namespace over its quota rejects new
 writes with :class:`QuotaExceededError` instead of growing unbounded.
@@ -32,8 +32,14 @@ are followed by :meth:`ArtifactStore.drop_usage`, which re-seeds it with
 one full scan at the next read.  Every full scan is counted as
 ``store/usage_scans``.
 
+Accounting: every hit, miss, corruption, quarantine, quota rejection and
+byte read or written is counted once, as a ``store/*`` counter of the
+process's metrics registry (:data:`CACHE_COUNTERS`); a run's or a
+namespace's ``cache`` block is folded from those counters by
+:func:`fold_cache`.
+
 Concurrency: interleaved submitters (the asyncio service, threaded
-tests) share one store object, so every stats/usage update happens under
+tests) share one store object, so every usage update happens under
 an internal lock and :meth:`ArtifactStore.fetch` is **single-flight** —
 concurrent fetches of the same key run the compute exactly once and the
 other callers block until the artifact lands, then read it back.  File
@@ -55,15 +61,14 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.harness.reporting import CacheStats
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.metrics import get_registry, per_tenant
 from repro.telemetry.tracing import span
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ArtifactStore", "QuotaExceededError", "QUARANTINE_DIR",
-           "STORE_VERSION", "TENANTS_DIR", "artifact_key",
-           "validate_namespace"]
+__all__ = ["ArtifactStore", "CACHE_COUNTERS", "QuotaExceededError",
+           "QUARANTINE_DIR", "STORE_VERSION", "TENANTS_DIR", "artifact_key",
+           "fold_cache", "validate_namespace"]
 
 #: Bump to invalidate every cached artifact (format or semantics change).
 #: "2": BTBStats grew the ``target_mismatches`` counter, so version-1
@@ -86,6 +91,32 @@ _DIR_MEMO = 64
 
 #: Namespace names must be path-safe: no separators, no dot-dot.
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+#: The store's accounting counters, each with the key it fills in a
+#: ``cache`` block.  ``store/corrupt`` reads that were digest mismatches
+#: (bit rot, torn writes) are also ``store/digest_failures``; corrupt
+#: files moved under ``.quarantine/`` are ``store/quarantined``.
+CACHE_COUNTERS = (("store/hit", "hits"), ("store/miss", "misses"),
+                  ("store/corrupt", "corrupt"),
+                  ("store/digest_failures", "digest_failures"),
+                  ("store/quarantined", "quarantined"),
+                  ("store/quota_rejected", "quota_rejected"),
+                  ("store/bytes_read", "bytes_read"),
+                  ("store/bytes_written", "bytes_written"))
+
+
+def fold_cache(counters: Optional[Dict[str, float]],
+               tenant: Optional[str] = None) -> Dict[str, int]:
+    """The ``cache`` block of the store counters in ``counters`` (a
+    registry snapshot's ``counters``) that were counted under
+    ``tenant``'s label, or unlabelled when ``tenant`` is None; ``{}``
+    when ``counters`` is None (telemetry disabled).  The names are
+    looked up exactly: other ``store/`` counters, and other tenants',
+    are not store accounting of this store."""
+    if counters is None:
+        return {}
+    return {key: int(counters.get(per_tenant(name, tenant), 0))
+            for name, key in CACHE_COUNTERS}
 
 
 def validate_namespace(name: str) -> str:
@@ -208,7 +239,10 @@ class ArtifactStore:
         self.tenant = namespace
         self.quota_bytes = (int(quota_bytes)
                             if quota_bytes is not None else None)
-        self.stats = CacheStats()
+        #: Counter name → this store's registry key for it (labelled
+        #: with the tenant in a namespace).
+        self._counter = {name: per_tenant(name, namespace)
+                         for name, _ in CACHE_COUNTERS}
         self.root.mkdir(parents=True, exist_ok=True)
         #: ``root`` as a string, for the read path's ``os.path.join``
         #: (a warm hit builds no ``Path``).
@@ -236,7 +270,7 @@ class ArtifactStore:
     def namespace(self, name: str,
                   quota_bytes: Optional[int] = None) -> "ArtifactStore":
         """The child store for tenant ``name`` (created on first use),
-        rooted at ``<root>/tenants/<name>`` with its own stats and
+        rooted at ``<root>/tenants/<name>`` with its own counters and
         optional quota.  Repeated calls return the same object; a
         ``quota_bytes`` on a later call tightens/loosens the existing
         namespace's quota."""
@@ -350,15 +384,19 @@ class ArtifactStore:
             return self._usage_bytes
 
     def namespace_summary(self) -> Dict[str, Any]:
-        """This store's own tenancy summary (stats + quota + usage) as
-        plain JSON — one row of a manifest's/status endpoint's
+        """This store's own tenancy summary (quota + usage + the
+        ``cache`` block of the process registry's counters under its
+        label) as plain JSON — one row of a manifest's/status endpoint's
         ``namespaces`` mapping."""
+        registry = get_registry()
         with self._lock:
             return {
                 "namespace": self.tenant,
                 "quota_bytes": self.quota_bytes,
                 "usage_bytes": self.usage_bytes(),
-                "cache": self.stats.to_dict(),
+                "cache": fold_cache(registry.counters
+                                    if registry.enabled else None,
+                                    self.tenant),
             }
 
     def namespaces_summary(self) -> Dict[str, Dict[str, Any]]:
@@ -416,8 +454,7 @@ class ArtifactStore:
                 replaced = _file_size(target)
                 os.replace(path, target)
                 self._add_usage(-replaced)
-                self.stats.quarantined += 1
-            get_registry().count("store/quarantined")
+            get_registry().count(self._counter["store/quarantined"])
         except OSError:
             with self._lock:
                 size = _file_size(path)
@@ -452,31 +489,23 @@ class ArtifactStore:
         except OSError:
             if probe:
                 return None
-            with self._lock:
-                self.stats.misses += 1
-            registry.count("store/miss")
+            registry.count(self._counter["store/miss"])
             return None
         decoded, reason = self._decode(blob)
         if decoded is None and probe:
             return None
         if decoded is None:
-            with self._lock:
-                self.stats.corrupt += 1
-                if reason == "digest":
-                    self.stats.digest_failures += 1
-                self.stats.misses += 1
-            registry.count("store/miss")
-            registry.count("store/corrupt")
+            registry.count(self._counter["store/miss"])
+            registry.count(self._counter["store/corrupt"])
+            if reason == "digest":
+                registry.count(self._counter["store/digest_failures"])
             self._quarantine(kind, key, path)
             log.warning("corrupt %s artifact %s (%s, %d bytes); "
                         "quarantined for recompute", kind, key[:12],
                         reason, len(blob))
             return None
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.bytes_read += len(blob)
-        registry.count("store/hit")
-        registry.count("store/bytes_read", len(blob))
+        registry.count(self._counter["store/hit"])
+        registry.count(self._counter["store/bytes_read"], len(blob))
         return decoded[0]
 
     def put(self, kind: str, key: str, obj: Any) -> None:
@@ -504,8 +533,8 @@ class ArtifactStore:
                 prior = _file_size(path)
                 if (self.quota_bytes is not None and prior == 0
                         and self._usage_bytes + size > self.quota_bytes):
-                    self.stats.quota_rejected += 1
-                    get_registry().count("store/quota_rejected")
+                    get_registry().count(
+                        self._counter["store/quota_rejected"])
                     raise QuotaExceededError(
                         f"namespace {self.tenant or self.root.name!r} "
                         f"over quota: {self._usage_bytes} + {size} "
@@ -534,7 +563,6 @@ class ArtifactStore:
                 tmp = None
                 if reserved is not None:
                     self._add_usage(size - replaced - reserved)
-                self.stats.bytes_written += size
         except BaseException:
             with self._lock:
                 if reserved is not None:
@@ -550,7 +578,7 @@ class ArtifactStore:
                 self._writes_in_flight -= 1
                 self._writes_idle.notify_all()
             self._changed()
-        get_registry().count("store/bytes_written", size)
+        get_registry().count(self._counter["store/bytes_written"], size)
 
     def append(self, path: Union[str, Path], data: bytes) -> None:
         """Append ``data`` to ``path`` in one ``O_APPEND`` write (the run
@@ -593,7 +621,7 @@ class ArtifactStore:
         twice for one key.  Distinct keys never block each other.
 
         Quota rejections never fail the fetch: the computed value is
-        returned uncached (the rejection is counted in the stats) and a
+        returned uncached (the rejection is counted) and a
         later fetch simply recomputes.
         """
         with span("store.fetch", kind=kind) as fspan:

@@ -8,16 +8,13 @@ the real execution path, in whichever process runs the job.
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.harness.engine.jobs import (JobResult, JobState,
                                        JobTimeoutError, SimJob,
-                                       _stats_delta, execute_job,
-                                       job_deadline)
-from repro.harness.reporting import CacheStats
+                                       execute_job, job_deadline)
 from repro.harness.engine.store import (ArtifactStore,
                                         QuotaExceededError,
                                         STORE_VERSION)
@@ -46,7 +43,8 @@ def run_job(job: SimJob, store: Optional[ArtifactStore] = None,
     ``index``/``attempt`` identify this attempt within an engine run; when
     a :mod:`fault plan <repro.testing.faults>` is active they select which
     injected fault (if any) fires on this exact attempt, on the real
-    execution path.
+    execution path.  The attempt's telemetry delta is taken by the
+    caller, :func:`_execute_guarded`, so a raised attempt ships one too.
     """
     registry = get_registry()
     fault = None
@@ -57,12 +55,6 @@ def run_job(job: SimJob, store: Optional[ArtifactStore] = None,
     if fault is not None and fault.kind != "corrupt":
         registry.count("faults/injected")
         inject(fault, in_worker=in_worker)
-    baseline = copy.deepcopy(store.stats) if store is not None else None
-    telemetry_before = registry.snapshot() if registry.enabled else None
-    # A worker process's collections reach the run only through this
-    # job's delta; in the engine's own process the run counts them once.
-    gc_before = (gc_collections()
-                 if in_worker and telemetry_before is not None else None)
     start = time.perf_counter()
     cached = False
     # The job span's identity is the context pickled into the job, so a
@@ -100,15 +92,8 @@ def run_job(job: SimJob, store: Optional[ArtifactStore] = None,
         else:
             value = execute_job(job, harness=harness)
             jspan.set(cached=False)
-    elapsed = time.perf_counter() - start
-    stats = (_stats_delta(store.stats, baseline)
-             if store is not None else CacheStats())
-    if gc_before is not None:
-        count_gc_collections(registry, gc_before)
-    telemetry = (snapshot_delta(registry.snapshot(), telemetry_before)
-                 if telemetry_before is not None else {})
     return JobResult(job=job, value=value, cached=cached,
-                     seconds=elapsed, stats=stats, telemetry=telemetry,
+                     seconds=time.perf_counter() - start,
                      attempt=attempt, index=index)
 
 
@@ -121,8 +106,16 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
 
     Timeouts and exceptions are folded into the result's ``state`` /
     ``error`` instead of escaping, so a bad job can never take down its
-    batch (the engine, not the worker, decides about retries).
+    batch (the engine, not the worker, decides about retries).  Every
+    attempt, failed or not, carries its telemetry delta.
     """
+    registry = get_registry()
+    telemetry_before = registry.snapshot() if registry.enabled else None
+    # A worker process's collections reach the run only through this
+    # attempt's delta; in the engine's own process the run counts them
+    # once.
+    gc_before = (gc_collections()
+                 if in_worker and telemetry_before is not None else None)
     start = time.perf_counter()
     # The guard owns the span-collection scope so a failed or timed-out
     # attempt still ships whatever spans it finished — the job span's
@@ -147,6 +140,11 @@ def _execute_guarded(job: SimJob, *, index: Optional[int], attempt: int,
                                index=index,
                                error=f"{type(exc).__name__}: {exc}")
     result.span_records = spans
+    if gc_before is not None:
+        count_gc_collections(registry, gc_before)
+    if telemetry_before is not None:
+        result.telemetry = snapshot_delta(registry.snapshot(),
+                                          telemetry_before)
     return result
 
 
@@ -155,7 +153,8 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
                   indices: Optional[Sequence[int]] = None,
                   attempts: Optional[Sequence[int]] = None,
                   job_timeout: Optional[float] = None,
-                  runtime: Optional[RuntimeConfig] = None
+                  runtime: Optional[RuntimeConfig] = None,
+                  namespace: Optional[str] = None
                   ) -> List[JobResult]:
     """Worker entry point for a *group* of jobs (module-level so process
     pools can pickle it).
@@ -171,13 +170,15 @@ def run_job_batch(jobs: Sequence[SimJob], cache_root: Optional[str] = None,
     ``runtime`` is the engine's :class:`~repro.runtime.RuntimeConfig`
     for the run; the batch runs under it (see
     :func:`repro.runtime.override`), so a worker uses the parent's
-    switches and fault plan whatever its start method.
+    switches and fault plan whatever its start method.  ``namespace`` is
+    the engine store's tenant, so the worker's store counts under the
+    same label.
     """
     if runtime is not None:
         with override(runtime):
             return run_job_batch(jobs, cache_root, salt, indices, attempts,
-                                 job_timeout)
-    store = (ArtifactStore(cache_root, salt=salt)
+                                 job_timeout, namespace=namespace)
+    store = (ArtifactStore(cache_root, salt=salt, namespace=namespace)
              if cache_root is not None else None)
     index_list = (list(indices) if indices is not None
                   else [None] * len(jobs))

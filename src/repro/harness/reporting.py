@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["CacheStats", "ExperimentResult", "format_table"]
+__all__ = ["ExperimentResult", "format_table"]
 
 
 def _format_cell(value) -> str:
@@ -29,74 +29,6 @@ def format_table(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [fmt(list(columns)), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in cells)
     return "\n".join(lines)
-
-
-@dataclass
-class CacheStats:
-    """Artifact-store accounting: hit/miss counters and I/O volume.
-
-    Compute time is not kept here: every artifact compute runs under a
-    ``harness.<kind>`` span (:mod:`repro.telemetry.tracing`), and the
-    CLIs print the run's span table."""
-
-    hits: int = 0
-    misses: int = 0
-    #: Artifacts whose on-disk bytes failed integrity checks (treated as
-    #: misses and recomputed).
-    corrupt: int = 0
-    #: The subset of ``corrupt`` whose payload sha256 mismatched its
-    #: stored digest (bit rot / torn write, vs. format or pickle errors).
-    digest_failures: int = 0
-    #: Corrupt files moved into the store's ``.quarantine/`` directory
-    #: (kept for forensics instead of being served or silently deleted).
-    quarantined: int = 0
-    #: Writes rejected because they would push a namespace past its
-    #: byte quota (the artifact stays uncached; callers recompute).
-    quota_rejected: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another stats object (e.g. from a worker process) in."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.corrupt += other.corrupt
-        self.digest_failures += other.digest_failures
-        self.quarantined += other.quarantined
-        self.quota_rejected += getattr(other, "quota_rejected", 0)
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-
-    def to_dict(self) -> Dict:
-        """Plain-JSON rendering (the manifest/namespace-summary shape)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "digest_failures": self.digest_failures,
-            "quarantined": self.quarantined,
-            "quota_rejected": self.quota_rejected,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
-
-    def render(self) -> str:
-        """Human-readable one-line summary."""
-        return (f"artifact cache: {self.hits} hits / {self.misses} misses"
-                f" ({100.0 * self.hit_rate:.0f}% hit rate, "
-                f"{self.corrupt} corrupt / "
-                f"{self.digest_failures} digest failures / "
-                f"{self.quarantined} quarantined), "
-                f"{self.bytes_read / 1e6:.1f} MB read, "
-                f"{self.bytes_written / 1e6:.1f} MB written")
 
 
 @dataclass

@@ -25,12 +25,12 @@ from typing import Dict, List, Optional, Union
 
 from repro import runtime
 from repro.harness.engine import ArtifactStore, ExperimentEngine
+from repro.harness.engine.store import fold_cache
 from repro.harness.experiments import ALL_EXPERIMENTS, FIGURE_PLANS
-from repro.harness.reporting import CacheStats
 from repro.harness.runner import Harness, HarnessConfig
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
-from repro.telemetry.manifest import span_table
+from repro.telemetry.manifest import render_cache, span_table
 from repro.telemetry.metrics import (get_registry, merge_snapshots,
                                      snapshot_delta)
 
@@ -79,8 +79,8 @@ def run_experiments(names: Optional[List[str]] = None,
     ``max_retries`` retries per job, a manifest under
     ``<cache_dir>/runs``); the other figures then run inline on one
     harness, unretried.  Results keep ``names`` order.  The closing
-    span table covers both: the engine run's merged telemetry plus the
-    inline figures' registry delta.
+    cache line and span table cover both: the engine run's merged
+    telemetry plus the inline figures' registry delta.
     """
     run_start = time.perf_counter()
     settings = PRESETS[preset]
@@ -93,7 +93,6 @@ def run_experiments(names: Optional[List[str]] = None,
     config = _harness_config(settings, apps)
     plans = {name: FIGURE_PLANS[name].plan(config) for name in names
              if name in FIGURE_PLANS}
-    cache_stats = CacheStats()
     telemetry = []
     cells = {}
     if plans:
@@ -104,7 +103,6 @@ def run_experiments(names: Optional[List[str]] = None,
         start = time.perf_counter()
         done = engine.run(unique)
         cells = {job: result.value for job, result in zip(unique, done)}
-        cache_stats.merge(engine.stats)
         telemetry.append(engine.last_run_telemetry)
         # run_experiments is a library API streaming to a caller-chosen
         # file object, so it writes directly instead of logging.
@@ -132,11 +130,10 @@ def run_experiments(names: Optional[List[str]] = None,
         stream.flush()
     if inline_before is not None:
         telemetry.append(snapshot_delta(registry.snapshot(), inline_before))
-    if cache_dir:
-        cache_stats.merge(store.stats)
-        print(cache_stats.render(), file=stream)
-    spans = span_table(merge_snapshots(telemetry),
-                       time.perf_counter() - run_start)
+    merged = merge_snapshots(telemetry)
+    if cache_dir and registry.enabled:
+        print(render_cache(fold_cache(merged["counters"])), file=stream)
+    spans = span_table(merged, time.perf_counter() - run_start)
     if spans:
         print(spans, file=stream)
     stream.flush()

@@ -41,7 +41,7 @@ from repro.service.protocol import (ProtocolError, decode_line,
 from repro.telemetry.manifest import (append_spans, job_row,
                                       read_run_manifest, run_history)
 from repro.telemetry.metrics import (LATENCY_BUCKETS, get_registry,
-                                     to_prometheus_text)
+                                     per_tenant, to_prometheus_text)
 from repro.telemetry.tracing import (TraceContext, child_context,
                                      new_span_id, span_record)
 
@@ -51,13 +51,6 @@ __all__ = ["ServiceRunError", "SimulationService", "serve"]
 
 #: Tenant used when a request names none.
 DEFAULT_TENANT = "default"
-
-
-def _per_tenant(name: str, tenant: str) -> str:
-    """A registry key with the inline-label convention
-    :func:`~repro.telemetry.metrics.to_prometheus_text` exports as a
-    Prometheus label (``service/requests{tenant="alice"}``)."""
-    return '%s{tenant="%s"}' % (name, tenant)
 
 
 class ServiceRunError(RuntimeError):
@@ -186,7 +179,7 @@ class SimulationService:
         it; without one the batch journals its span itself)."""
         self._requests += 1
         registry = get_registry()
-        registry.count(_per_tenant("service/requests", tenant))
+        registry.count(per_tenant("service/requests", tenant))
         batch = self._batches.get(tenant)
         if batch is None:
             batch = _Batch()
@@ -195,7 +188,7 @@ class SimulationService:
                 self._flush_later(tenant, batch))
         else:
             self._coalesced += 1
-            registry.count(_per_tenant("service/coalesced", tenant))
+            registry.count(per_tenant("service/coalesced", tenant))
         subscriber = batch.add(jobs, on_result, spans)
         results, summary, error = await asyncio.shield(batch.done)
         summary = dict(summary,
@@ -235,7 +228,7 @@ class SimulationService:
         if self._batches.get(tenant) is batch:
             del self._batches[tenant]
         registry.observe(
-            _per_tenant("service/coalesce_delay_seconds", tenant),
+            per_tenant("service/coalesce_delay_seconds", tenant),
             time.perf_counter() - batch.created,
             bounds=LATENCY_BUCKETS)
         error: Optional[BaseException] = None
@@ -252,7 +245,7 @@ class SimulationService:
                 # Queue wait: window open -> tenant run lock acquired
                 # (how long the batch sat behind earlier batches).
                 registry.observe(
-                    _per_tenant("service/queue_wait_seconds", tenant),
+                    per_tenant("service/queue_wait_seconds", tenant),
                     time.perf_counter() - batch.created,
                     bounds=LATENCY_BUCKETS)
                 run_started = time.perf_counter()
@@ -275,7 +268,7 @@ class SimulationService:
                                 index=index,
                                 error=failure.get("error"))
                 registry.observe(
-                    _per_tenant("service/run_seconds", tenant),
+                    per_tenant("service/run_seconds", tenant),
                     time.perf_counter() - run_started,
                     bounds=LATENCY_BUCKETS)
                 run_meta = {
@@ -381,12 +374,12 @@ class SimulationService:
             for tenant, summary in \
                     self.store.namespaces_summary().items():
                 registry.gauge(
-                    _per_tenant("store/usage_bytes", tenant),
+                    per_tenant("store/usage_bytes", tenant),
                     summary.get("usage_bytes") or 0)
                 quota = summary.get("quota_bytes")
                 if quota is not None:
                     registry.gauge(
-                        _per_tenant("store/quota_bytes", tenant), quota)
+                        per_tenant("store/quota_bytes", tenant), quota)
         return to_prometheus_text(registry.snapshot())
 
     # ------------------------------------------------------------------
@@ -511,7 +504,7 @@ class SimulationService:
                 await pump_task
             elapsed = time.perf_counter() - arrival
             get_registry().observe(
-                _per_tenant("service/request_seconds", tenant),
+                per_tenant("service/request_seconds", tenant),
                 elapsed, bounds=LATENCY_BUCKETS)
             if req_ctx is not None and done.get("manifest"):
                 # The request span closes the loop: journaled into the

@@ -9,10 +9,11 @@ directory writes one **run manifest** next to the artifact store::
     <cache root>/runs/<run id>/events.jsonl     incremental state journal
 
 The JSONL rows carry each job's key fields, cache provenance, wall time,
-per-job cache-stats delta, headline BTB/IPC numbers, terminal job state,
-and the worker's telemetry snapshot delta; ``summary.json`` holds the
-parent-side merge — total wall time, worker utilization, merged cache
-stats, the merged telemetry registry (counters ⊕ histograms ⊕ spans),
+headline BTB/IPC numbers, terminal job state, and the attempt's
+telemetry snapshot delta (its ``store/*`` counters included);
+``summary.json`` holds the parent-side merge — total wall time, worker
+utilization, the merged telemetry registry (counters ⊕ histograms ⊕
+spans) and the ``cache`` block folded from its store counters,
 the run's terminal ``status`` (``completed`` / ``failed`` /
 ``resumed``), a job-state histogram, any exceptions, and the
 ``runtime`` switches the run was made under.
@@ -56,7 +57,7 @@ __all__ = ["RunJournal", "RunManifest", "MANIFEST_VERSION", "RUN_LOG",
            "append_spans", "canonical_rows", "fast_path_coverage",
            "job_row", "log_run", "new_run_id", "read_events",
            "read_jobs_index", "read_run_manifest", "read_spans",
-           "render_report", "resolve_run_dir", "run_history",
+           "render_cache", "render_report", "resolve_run_dir", "run_history",
            "runtime_lines", "span_table", "synthesize_summary",
            "write_run_manifest"]
 
@@ -105,7 +106,6 @@ def job_row(result) -> Dict[str, Any]:
         "seconds": round(float(result.seconds), 6),
         "state": getattr(result, "state", "succeeded"),
         "attempt": getattr(result, "attempt", 0),
-        "cache": result.stats.to_dict() if result.stats else {},
         "telemetry": getattr(result, "telemetry", {}) or {},
     }
     error = getattr(result, "error", None)
@@ -126,7 +126,7 @@ def write_run_manifest(directory: Union[str, Path],
                        workers: int,
                        run_id: Optional[str] = None, *,
                        telemetry: dict,
-                       cache_stats=None,
+                       cache: Optional[Dict[str, int]] = None,
                        exceptions: Optional[List[dict]] = None,
                        status: str = "completed",
                        resumed_from: Optional[str] = None,
@@ -138,14 +138,15 @@ def write_run_manifest(directory: Union[str, Path],
 
     ``results`` are finished jobs (possibly empty when the run failed);
     ``telemetry`` is the run's merged registry snapshot (the engine's
-    own delta plus, for pool runs, its workers' job deltas);
-    ``cache_stats`` is the run-local merged :class:`CacheStats`;
+    own delta plus, for pool runs, its workers' attempt deltas);
+    ``cache`` is the run's store accounting, folded from ``telemetry``'s
+    store counters (:func:`~repro.harness.engine.store.fold_cache`);
     ``status`` is the run's terminal state (``completed`` for a clean
     run, ``failed`` when any job or the run itself did not finish,
     ``resumed`` for a clean run that continued ``resumed_from``);
     ``job_states`` is a state-name → count histogram over the sweep;
     ``namespaces`` lists tenant-namespace summaries (name, quota, usage,
-    per-namespace cache stats) for multi-tenant stores; ``runtime`` is
+    per-namespace ``cache`` block) for multi-tenant stores; ``runtime`` is
     the run's runtime config as a dict (see :mod:`repro.runtime`; older
     runs have no ``runtime`` block, so readers must cope).
     """
@@ -158,7 +159,7 @@ def write_run_manifest(directory: Union[str, Path],
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     summary = _summary(rows, wall_seconds, workers, telemetry, run_id,
-                       cache_stats, exceptions, status, resumed_from,
+                       cache, exceptions, status, resumed_from,
                        job_states, namespaces, runtime)
     tmp = run_dir / "summary.json.tmp"
     tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -168,7 +169,7 @@ def write_run_manifest(directory: Union[str, Path],
 
 
 def _summary(rows, wall_seconds, workers, telemetry, run_id,
-             cache_stats=None, exceptions=None, status="completed",
+             cache=None, exceptions=None, status="completed",
              resumed_from=None, job_states=None, namespaces=None,
              runtime=None) -> Dict[str, Any]:
     """``summary.json`` over ``rows``; also a run-log line's body."""
@@ -185,7 +186,7 @@ def _summary(rows, wall_seconds, workers, telemetry, run_id,
         "busy_seconds": round(busy, 6),
         "worker_utilization": (round(busy / (wall_seconds * workers), 4)
                                if wall_seconds > 0 else 0.0),
-        "cache": cache_stats.to_dict() if cache_stats else {},
+        "cache": dict(cache or {}),
         "telemetry": telemetry,
         "exceptions": list(exceptions or []),
         "status": status,
@@ -683,6 +684,20 @@ def runtime_lines(summary: dict) -> List[str]:
     return lines
 
 
+def render_cache(cache: Dict[str, Any]) -> str:
+    """A ``cache`` block as one line (``report``, ``simulate``,
+    ``reproduce``)."""
+    hits, misses = cache.get("hits", 0), cache.get("misses", 0)
+    rate = hits / (hits + misses) if hits + misses else 0.0
+    return (f"artifact cache: {hits} hits / {misses} misses "
+            f"({100.0 * rate:.0f}% hit rate), {cache.get('corrupt', 0)} "
+            f"corrupt ({cache.get('digest_failures', 0)} digest failures, "
+            f"{cache.get('quarantined', 0)} quarantined, "
+            f"{cache.get('quota_rejected', 0)} quota-rejected), "
+            f"{cache.get('bytes_read', 0) / 1e6:.1f} MB read, "
+            f"{cache.get('bytes_written', 0) / 1e6:.1f} MB written")
+
+
 def render_report(manifest: RunManifest, top: int = 12) -> str:
     """A multi-section terminal report for one run manifest."""
     s = manifest.summary
@@ -711,17 +726,7 @@ def render_report(manifest: RunManifest, top: int = 12) -> str:
         lines.append(line)
     cache = s.get("cache") or {}
     if cache:
-        total = cache.get("hits", 0) + cache.get("misses", 0)
-        rate = cache.get("hits", 0) / total if total else 0.0
-        lines.append(
-            f"artifact cache: {cache.get('hits', 0)} hits / "
-            f"{cache.get('misses', 0)} misses ({100.0 * rate:.0f}% hit "
-            f"rate), {cache.get('corrupt', 0)} corrupt "
-            f"({cache.get('digest_failures', 0)} digest failures, "
-            f"{cache.get('quarantined', 0)} quarantined, "
-            f"{cache.get('quota_rejected', 0)} quota-rejected), "
-            f"{cache.get('bytes_read', 0) / 1e6:.1f} MB read, "
-            f"{cache.get('bytes_written', 0) / 1e6:.1f} MB written")
+        lines.append(render_cache(cache))
     namespaces = s.get("namespaces") or []
     if namespaces:
         lines.extend(["", "-- tenant namespaces --"])

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["BucketMismatchError", "Histogram", "MetricsRegistry",
            "count_gc_collections", "gc_collections", "get_registry",
-           "set_registry", "merge_snapshots", "snapshot_delta",
+           "per_tenant", "set_registry", "merge_snapshots", "snapshot_delta",
            "to_prometheus_text",
            "DEFAULT_BUCKETS", "LATENCY_BUCKETS"]
 
@@ -323,6 +323,15 @@ def snapshot_delta(after: dict, before: dict) -> dict:
 #: ``service/request_seconds{tenant="alice"}``.
 _LABELED_RE = re.compile(r"^(?P<base>[^{]+)\{(?P<labels>.*)\}$")
 _NAME_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def per_tenant(name: str, tenant: Optional[str]) -> str:
+    """``name`` with ``tenant`` as an inline label
+    (``service/requests{tenant="alice"}``), or ``name`` itself when
+    ``tenant`` is None; :func:`to_prometheus_text` exports the label."""
+    if tenant is None:
+        return name
+    return '%s{tenant="%s"}' % (name, tenant)
 
 
 def _split_labels(name: str) -> Tuple[str, str]:

@@ -37,7 +37,8 @@ from repro.btb.config import BTBConfig
 from repro.harness.engine import ExperimentEngine, ExperimentError, SimJob
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
-from repro.telemetry.manifest import canonical_rows, read_run_manifest
+from repro.telemetry.manifest import (canonical_rows, read_run_manifest,
+                                      run_history)
 from repro.testing.faults import FaultPlan
 
 __all__ = ["main"]
@@ -156,7 +157,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ref_rows != got_rows:
         failures.append("manifest canonical rows diverged from reference")
 
-    quarantined = (faulted.stats.quarantined + verify.stats.quarantined)
+    # The faulted runs, its resumes and the verification pass share one
+    # store, so its run manifests hold every quarantine.
+    quarantined = sum(
+        read_run_manifest(run).summary.get("cache", {}).get("quarantined", 0)
+        for run in run_history(faulted.manifest_dir))
     emit(f"converged in {elapsed:.1f}s: {len(jobs)} job(s), "
          f"{resumes} resume(s), {quarantined} quarantined artifact(s)")
     if failures:

@@ -32,7 +32,7 @@ from repro.frontend.simulator import simulate as run_timing
 from repro.harness.reporting import format_table
 from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
-from repro.telemetry.manifest import span_table
+from repro.telemetry.manifest import render_cache, span_table
 from repro.trace.formats import read_trace
 from repro.trace.stream import access_stream_for
 from repro.workloads import app_names
@@ -120,8 +120,8 @@ def _run_sweep(args) -> int:
     emit(format_table(columns, rows))
     emit(f"\n{len(jobs)} jobs in {elapsed:.1f}s "
          f"({args.jobs} worker{'s' if args.jobs != 1 else ''})")
-    if cache_dir:
-        emit(engine.stats.render())
+    if cache_dir and engine.last_run_telemetry:
+        emit(render_cache(engine.last_run_cache()))
     spans = span_table(engine.last_run_telemetry, elapsed)
     if spans:
         emit(spans)

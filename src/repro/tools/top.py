@@ -32,7 +32,7 @@ from repro.telemetry.logconfig import (add_logging_args, emit,
                                        setup_cli_logging)
 from repro.telemetry.manifest import (read_run_manifest, read_spans,
                                       resolve_run_dir, runtime_lines)
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, per_tenant
 
 __all__ = ["main", "poll_service", "render_run_frame",
            "render_service_frame"]
@@ -78,7 +78,7 @@ def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
 def _tenant_histogram(telemetry: Dict[str, Any], name: str,
                       tenant: str) -> Optional[Histogram]:
     payload = (telemetry.get("histograms") or {}).get(
-        '%s{tenant="%s"}' % (name, tenant))
+        per_tenant(name, tenant))
     if not payload:
         return None
     try:
@@ -135,7 +135,7 @@ def render_service_frame(status: Dict[str, Any], metrics_text: str,
     prev_counters = ((previous or {}).get("telemetry") or {}) \
         .get("counters") or {}
     for tenant, summary in sorted((status.get("tenants") or {}).items()):
-        key = 'service/requests{tenant="%s"}' % tenant
+        key = per_tenant("service/requests", tenant)
         total = counters.get(key, 0)
         rate = ((total - prev_counters.get(key, 0)) / interval
                 if previous is not None and interval > 0 else 0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import runtime
 from repro.btb.config import BTBConfig
+from repro.telemetry.metrics import MetricsRegistry, set_registry
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 from repro.workloads.datacenter import make_app_trace
 from repro.workloads.generator import (LayoutParams, MixParams,
@@ -23,6 +24,16 @@ def _hermetic_artifact_cache(tmp_path_factory):
     root = tmp_path_factory.mktemp("artifact-store")
     with runtime.override(cache_dir=root, test_fast=True):
         yield root
+
+
+@pytest.fixture
+def fresh_registry():
+    """A fresh, enabled metrics registry for one test (the store counts
+    into it; read it with :func:`tests.helpers.store_cache`)."""
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
 
 
 @pytest.fixture

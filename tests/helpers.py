@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+from repro.harness.engine.store import fold_cache
+from repro.telemetry.metrics import get_registry
 from repro.trace.record import BranchKind, BranchRecord, BranchTrace
 
-__all__ = ["branch", "trace_of_pcs"]
+__all__ = ["branch", "store_cache", "trace_of_pcs"]
+
+
+def store_cache(store) -> dict:
+    """The ``cache`` block the process registry holds for ``store``'s
+    label (every store of that label in this process counts into it)."""
+    return fold_cache(get_registry().counters, store.tenant)
 
 
 def branch(pc, target=None, kind=BranchKind.UNCOND_DIRECT, taken=True,

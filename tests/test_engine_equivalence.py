@@ -88,8 +88,8 @@ class TestWarmCacheEquivalence:
         warm = warm_engine.run(jobs)
         assert all(r.cached for r in warm)
         assert [r.value for r in warm] == [r.value for r in cold]
-        assert warm_engine.stats.misses == 0
-        assert warm_engine.stats.hits == len(jobs)
+        assert warm_engine.last_run_cache()["misses"] == 0
+        assert warm_engine.last_run_cache()["hits"] == len(jobs)
 
     def test_btb_stats_survive_pickling_roundtrip(self, tmp_path):
         job = SimJob(app="tomcat", policy="srrip", length=LENGTH,
@@ -131,7 +131,7 @@ class TestParallelEquivalence:
         if warm_traces:
             # No result was cached, so every store hit is a trace read.
             assert not any(r.cached for r in par_results)
-            assert sum(r.stats.hits for r in par_results) >= len(apps)
+            assert parallel.last_run_cache()["hits"] >= len(apps)
             # ... and no worker computed one (each pool result carries
             # its worker's span counts).
             computed = {}

@@ -18,6 +18,7 @@ from repro import runtime
 from repro.harness.engine import (ExperimentEngine, ExperimentError,
                                   JobState, JobTimeoutError, SimJob,
                                   backoff_delay, job_deadline)
+from repro.harness.engine.store import fold_cache
 from repro.telemetry.manifest import read_events, read_run_manifest
 from repro.telemetry.metrics import MetricsRegistry, set_registry
 from repro.testing.faults import Fault, FaultPlan
@@ -184,3 +185,44 @@ class TestParallelFaults:
             assert counters["engine/batches/worker_lost"] >= 1
             manifest = read_run_manifest(engine.last_manifest)
             assert manifest.summary["status"] == "completed"
+
+
+class TestCacheFromTelemetry:
+    def test_cache_block_is_the_fold_of_the_run_telemetry(self, tmp_path):
+        """Every run's ``cache`` block is its telemetry's store counters:
+        serial and pool, cold and warm (a run-log line), clean and
+        faulted-then-retried — a pool run keeps its retried attempts'
+        counts, so it agrees with the serial run on every count."""
+        def summary_of(engine):
+            summary = read_run_manifest(engine.last_manifest).summary
+            counters = summary["telemetry"]["counters"]
+            assert summary["cache"] == fold_cache(counters)
+            return summary
+
+        jobs = JOBS[:3]
+        plan = FaultPlan(faults=(Fault("raise", 0), Fault("raise", 2)))
+        clean, faulted = {}, {}
+        for workers in (1, 2):
+            engine = ExperimentEngine(cache_dir=tmp_path / f"clean{workers}",
+                                      jobs=workers)
+            engine.run(jobs)
+            clean[workers] = summary_of(engine)["cache"]
+            assert clean[workers]["misses"] > 0
+            engine.run(jobs)
+            assert isinstance(engine.last_manifest, str)  # a logged run
+            warm = summary_of(engine)["cache"]
+            assert (warm["hits"], warm["misses"]) == (len(jobs), 0)
+            with runtime.override(fault_plan=plan):
+                engine = ExperimentEngine(
+                    cache_dir=tmp_path / f"faulted{workers}", jobs=workers,
+                    max_retries=1)
+                engine.run(jobs)
+            summary = summary_of(engine)
+            assert summary["runtime"]["executor"] == (
+                "serial" if workers == 1 else "pool")
+            assert summary["telemetry"]["counters"]["faults/injected"] == 2
+            faulted[workers] = summary["cache"]
+        assert clean[1] == clean[2]
+        assert faulted[1] == faulted[2]
+        # The retries re-read what the first round stored.
+        assert faulted[1]["hits"] > 0

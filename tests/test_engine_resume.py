@@ -131,7 +131,7 @@ class TestSigkillDifferential:
         # Job 0's artifact was corrupted on disk: it must have been
         # re-executed (not skipped), and the corrupt file quarantined.
         assert resumed[0].state == JobState.SUCCEEDED
-        assert engine.stats.quarantined == 1, states
+        assert engine.last_run_cache()["quarantined"] == 1, states
         quarantine = Path(tmp_path) / ".quarantine"
         assert any(quarantine.rglob("*.pkl"))
         assert ([pickle.dumps(r.value) for r in resumed]

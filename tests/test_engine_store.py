@@ -20,6 +20,10 @@ from repro.btb.config import BTBConfig
 from repro.frontend.params import FrontendParams
 from repro.harness.engine import (ArtifactStore, SimJob, artifact_key,
                                   run_job)
+from tests.helpers import store_cache
+
+#: Store accounting is read from a per-test registry.
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 JOB = SimJob(app="tomcat", policy="srrip", length=4000, mode="misses")
 
@@ -126,13 +130,13 @@ class TestRoundTrip:
         key = store.key("misc", tag="roundtrip")
         store.put("misc", key, payload)
         assert store.get("misc", key) == payload
-        assert store.stats.hits == 1
-        assert store.stats.bytes_written > 0
+        assert store_cache(store)["hits"] == 1
+        assert store_cache(store)["bytes_written"] > 0
 
     def test_absent_key_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         assert store.get("misc", store.key("misc", tag="nope")) is None
-        assert store.stats.misses == 1
+        assert store_cache(store)["misses"] == 1
 
     def test_fetch_computes_once(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -148,7 +152,8 @@ class TestRoundTrip:
         assert calls == [1]
         # One read per fetch: the cold fetch is one miss, the warm one
         # one hit.
-        assert (store.stats.misses, store.stats.hits) == (1, 1)
+        cache = store_cache(store)
+        assert (cache["misses"], cache["hits"]) == (1, 1)
 
     def test_cold_job_counts_one_miss_per_computed_artifact(self,
                                                              tmp_path):
@@ -162,8 +167,8 @@ class TestRoundTrip:
         stored = [p for p in tmp_path.rglob("*.pkl")
                   if "runs" not in p.parts]
         assert len(stored) == 2  # the trace and the result
-        assert engine.store.stats.misses == len(stored)
-        assert engine.store.stats.hits == 0
+        assert engine.last_run_cache()["misses"] == len(stored)
+        assert engine.last_run_cache()["hits"] == 0
 
 
 class TestCorruption:
@@ -182,7 +187,7 @@ class TestCorruption:
         key, path = self._seed_artifact(store)
         path.write_bytes(damage)
         assert store.get("misc", key) is None
-        assert store.stats.corrupt == 1
+        assert store_cache(store)["corrupt"] == 1
         assert not path.exists()  # quarantined, not left to crash again
         assert store.fetch("misc", key, lambda: [1, 2, 3]) == [1, 2, 3]
 
@@ -193,7 +198,7 @@ class TestCorruption:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert store.get("misc", key) is None
-        assert store.stats.corrupt == 1
+        assert store_cache(store)["corrupt"] == 1
 
     def test_corrupt_job_artifact_recomputes(self, tmp_path):
         """End-to-end: a mangled cached SimResult is silently rebuilt."""
@@ -216,7 +221,7 @@ class TestCorruption:
         assert result.error is None
         assert not result.cached
         assert result.value == baseline.value
-        assert tight.stats.quota_rejected > 0
+        assert store_cache(tight)["quota_rejected"] > 0
         # Nothing landed on disk: a rerun recomputes, same answer.
         rerun = run_job(JOB, store=tight)
         assert not rerun.cached
@@ -274,4 +279,5 @@ class TestAtomicity:
         assert errors == []
         final = ArtifactStore(tmp_path)
         assert final.get("misc", key) == payload
-        assert final.stats.corrupt == 0
+        # No reader of any handle ever saw a torn file.
+        assert store_cache(final)["corrupt"] == 0

@@ -13,6 +13,7 @@ import pytest
 
 from repro import runtime
 from repro.harness.engine import ArtifactStore
+from tests.helpers import store_cache
 from repro.runtime import RuntimeConfig
 from repro.testing.faults import (FAULT_KINDS, Fault, FaultPlan,
                                   InjectedFault, corrupt_file, inject)
@@ -126,7 +127,8 @@ class TestApplication:
         assert target.read_bytes() == b"ab" + bytes([ord("c") ^ 0xFF])
         assert not corrupt_file(tmp_path / "missing")
 
-    def test_corrupted_artifact_fails_store_digest(self, tmp_path):
+    def test_corrupted_artifact_fails_store_digest(self, tmp_path,
+                                                   fresh_registry):
         """The corruption model must be exactly what the store's
         integrity digest catches — otherwise 'corrupt' faults would test
         nothing."""
@@ -135,4 +137,4 @@ class TestApplication:
         store.put("misc", key, {"v": 1})
         assert corrupt_file(store.path("misc", key))
         assert store.get("misc", key) is None
-        assert store.stats.digest_failures == 1
+        assert store_cache(store)["digest_failures"] == 1

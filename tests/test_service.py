@@ -308,6 +308,57 @@ class TestTenancy:
         assert (alice_root / "runs").is_dir()
         assert (carol_root / "runs").is_dir()
 
+    def test_overlapping_tenant_runs_count_only_their_own_traffic(
+            self, tmp_path, monkeypatch):
+        """Two tenants' runs overlap in one process registry; each run's
+        ``cache`` block (and the status op's per-tenant one) folds only
+        the counters under its own tenant label, so it equals a solo run
+        of the same jobs."""
+        jobs = [SimJob(app="tomcat", policy=policy, length=LENGTH,
+                       mode="misses") for policy in ("lru", "srrip")]
+        solo = ExperimentEngine(cache_dir=tmp_path / "solo", jobs=1)
+        solo.run(jobs)
+        expected = read_run_manifest(solo.last_manifest).summary["cache"]
+        # Hold each run at the start of its misses until both are there:
+        # the run that ends last sees the other's traffic in its window.
+        from repro.harness.engine.executor import SerialExecutor
+        both_running = threading.Barrier(2, timeout=30)
+        real_execute = SerialExecutor.execute
+
+        def execute(self, ctx, pending):
+            both_running.wait()
+            return real_execute(self, ctx, pending)
+
+        monkeypatch.setattr(SerialExecutor, "execute", execute)
+        service = SimulationService(tmp_path / "svc", jobs=1,
+                                    coalesce_window=0.0)
+
+        async def scenario():
+            server = await service.start("127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                runs = await asyncio.gather(*(
+                    request_once(host, port,
+                                 sweep_request(["lru", "srrip"], tenant))
+                    for tenant in ("alice", "carol")))
+                status = await request_once(host, port, {"op": "status"})
+                return runs, status[-1]
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        runs, status = asyncio.run(scenario())
+        saw_other = []
+        for tenant, events in zip(("alice", "carol"), runs):
+            assert events[-1]["ok"]
+            summary = read_run_manifest(Path(events[-1]["manifest"])).summary
+            assert summary["cache"] == expected, tenant
+            assert status["tenants"][tenant]["cache"] == expected, tenant
+            other = "carol" if tenant == "alice" else "alice"
+            saw_other.append(any('tenant="%s"' % other in name for name
+                                 in summary["telemetry"]["counters"]))
+        assert any(saw_other)  # the runs really overlapped
+
     def test_tenant_quota_surfaces_in_status(self, tmp_path):
         service = SimulationService(tmp_path / "svc", jobs=1,
                                     coalesce_window=0.0,

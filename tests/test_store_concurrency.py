@@ -20,6 +20,10 @@ import repro.telemetry.manifest as manifest
 from repro.harness.engine import (ArtifactStore, ExperimentEngine,
                                   QuotaExceededError, SimJob, TENANTS_DIR)
 from repro.testing.faults import corrupt_file
+from tests.helpers import store_cache
+
+#: Store accounting is read from a per-test registry.
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 @pytest.fixture()
@@ -55,11 +59,11 @@ class TestThreadedAccess:
             for future in readers:
                 for value in future.result():
                     assert value in payloads
-        assert store.stats.corrupt == 0
+        assert store_cache(store)["corrupt"] == 0
         assert store.get("misses", key) in payloads
 
     def test_interleaved_distinct_keys(self, store):
-        """Parallel writers on distinct keys all land, stats intact."""
+        """Parallel writers on distinct keys all land, counts intact."""
         def work(i):
             key = store.key("trace", app="tomcat", n=i)
             store.put("trace", key, {"n": i})
@@ -68,8 +72,8 @@ class TestThreadedAccess:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for future in [pool.submit(work, i) for i in range(32)]:
                 future.result()
-        assert store.stats.hits == 32
-        assert store.stats.corrupt == 0
+        assert store_cache(store)["hits"] == 32
+        assert store_cache(store)["corrupt"] == 0
 
     def test_fetch_single_flight(self, store):
         """Concurrent fetches of one key run the compute exactly once."""
@@ -95,7 +99,8 @@ class TestThreadedAccess:
         assert values == [{"value": 42}] * 6
         # Each caller reads once: the flight's own miss, then one hit
         # per caller that waited on it.
-        assert (store.stats.misses, store.stats.hits) == (1, 5)
+        cache = store_cache(store)
+        assert (cache["misses"], cache["hits"]) == (1, 5)
 
     def test_fetch_distinct_keys_do_not_serialize(self, store):
         """Single-flight is per key: two different keys compute
@@ -140,7 +145,7 @@ class TestNamespaceConcurrency:
 
     def test_namespaces_isolate_artifacts_and_stats(self, store):
         """Interleaved tenants never see each other's artifacts, and
-        each namespace's stats count only its own traffic."""
+        each namespace's counters count only its own traffic."""
         def work(tenant, n):
             ns = store.namespace(tenant)
             for i in range(n):
@@ -154,8 +159,11 @@ class TestNamespaceConcurrency:
             for future in futures:
                 future.result()
         alice, bob = store.namespace("alice"), store.namespace("bob")
-        assert alice.stats.hits == 10 and bob.stats.hits == 7
-        assert store.stats.hits == 0  # parent saw none of the traffic
+        summaries = store.namespaces_summary()
+        assert summaries["alice"]["cache"]["hits"] == 10
+        assert summaries["bob"]["cache"]["hits"] == 7
+        # The parent saw none of the traffic.
+        assert store_cache(store)["hits"] == 0
         # No artifact leaked across roots: bob's key (content-addressed
         # from fields alice never wrote) is absent from alice's store.
         assert (store.root / TENANTS_DIR / "alice").is_dir()
@@ -170,8 +178,8 @@ class TestNamespaceConcurrency:
         with pytest.raises(QuotaExceededError):
             tight.put("misses", tight.key("misses", n=0), big)
         roomy.put("misses", roomy.key("misses", n=0), big)
-        assert tight.stats.quota_rejected == 1
-        assert roomy.stats.quota_rejected == 0
+        assert store_cache(tight)["quota_rejected"] == 1
+        assert store_cache(roomy)["quota_rejected"] == 0
         assert tight.namespace_summary()["cache"]["quota_rejected"] == 1
 
     def test_quota_tracks_usage_across_writes(self, store):
@@ -186,7 +194,7 @@ class TestNamespaceConcurrency:
         assert ns.usage_bytes() <= 20_000
         # Rejection left nothing partial behind and later small writes
         # that fit still succeed... or fail cleanly if nothing fits.
-        assert ns.stats.quota_rejected == 1
+        assert store_cache(ns)["quota_rejected"] == 1
 
     def test_overwrite_accounting_matches_disk(self, store):
         """Re-putting a key replaces its file; the tracked usage must
@@ -342,7 +350,7 @@ class TestUsageCounterExactness:
             assert corrupt_file(ns.path("misses", key))
             assert ns.get("misses", key) is None
             assert ns.usage_bytes() == ns._scan_usage()
-        assert ns.stats.quarantined == 2
+        assert store_cache(ns)["quarantined"] == 2
 
     def test_namespace_writes_reach_the_parent_count(self, store):
         assert store.usage_bytes() == 0

@@ -11,14 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.engine import ArtifactStore, QUARANTINE_DIR
-from repro.telemetry.metrics import MetricsRegistry, set_registry
+from repro.telemetry.metrics import get_registry
+from tests.helpers import store_cache
 
-
-@pytest.fixture
-def registry():
-    previous = set_registry(MetricsRegistry(enabled=True))
-    yield
-    set_registry(previous)
+#: Store accounting is read from a per-test registry.
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 def _seed(store: ArtifactStore, tag: str = "q"):
@@ -39,13 +36,11 @@ class TestQuarantine:
         assert not path.exists()
         parked = store.quarantine_path("misc", key)
         assert parked.read_bytes() == damaged
-        assert store.stats.quarantined == 1
+        assert store_cache(store)["quarantined"] == 1
         # Quarantined bytes are invisible to the addressable tree.
         assert store.get("misc", key) is None
 
-    def test_digest_failure_quarantines_and_counts(self, tmp_path,
-                                                   registry):
-        from repro.telemetry.metrics import get_registry
+    def test_digest_failure_quarantines_and_counts(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key, path = _seed(store)
         blob = bytearray(path.read_bytes())
@@ -53,9 +48,10 @@ class TestQuarantine:
         path.write_bytes(bytes(blob))
 
         assert store.get("misc", key) is None
-        assert store.stats.digest_failures == 1
-        assert store.stats.quarantined == 1
-        assert get_registry().counters["store/quarantined"] == 1
+        counters = get_registry().counters
+        assert counters["store/digest_failures"] == 1
+        assert counters["store/quarantined"] == 1
+        assert store_cache(store)["corrupt"] == 1
 
     def test_rebuild_after_quarantine_is_fresh(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -79,7 +75,7 @@ class TestQuarantine:
         store.put("misc", key, {"payload": "again"})
         store.path("misc", key).write_bytes(b"second corruption")
         assert store.get("misc", key) is None
-        assert store.stats.quarantined == 2
+        assert store_cache(store)["quarantined"] == 2
         parked = store.quarantine_path("misc", key)
         assert parked.read_bytes() == b"second corruption"
 
@@ -91,10 +87,3 @@ class TestQuarantine:
         parked = store.quarantine_path("misc", key)
         assert parked == (tmp_path / QUARANTINE_DIR / "misc"
                           / f"{key}.pkl")
-
-    def test_quarantined_stat_merges(self):
-        from repro.harness.reporting import CacheStats
-        a, b = CacheStats(quarantined=2), CacheStats(quarantined=3)
-        a.merge(b)
-        assert a.quarantined == 5
-        assert "quarantined" in a.render()
